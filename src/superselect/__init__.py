@@ -11,7 +11,6 @@ multipoles.
 from .numkernel import (
     ToleranceConfig,
     as_complex_matrix,
-    gram_schmidt_hs,
     hermitian_eig,
     orthonormal_nullspace,
 )
@@ -48,7 +47,7 @@ from .diracsets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ToleranceConfig", "as_complex_matrix", "gram_schmidt_hs", "hermitian_eig",
+    "ToleranceConfig", "as_complex_matrix", "hermitian_eig",
     "orthonormal_nullspace",
     "DiracReport", "OperatorAlgebra", "OperatorSet", "algebra_from_span",
     "center", "check_dirac", "commutant", "generated_algebra", "is_abelian",

@@ -57,10 +57,9 @@ from .fluxsectors import (
 )
 from .numkernel import ToleranceConfig
 from .opalgebra import (
-    OperatorSet,
+    _verify_word_closure,
     check_dirac,
     commutant,
-    generated_algebra,
     span_equal,
     star_completion,
 )
@@ -147,18 +146,17 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     them, mirroring the identical-particle construction."""
     s, raw = load_operator_file(path)
     completed = star_completion(s)
-    obs = commutant(s, tol)          # the observable algebra O = S'
-    gen = generated_algebra(s, tol)  # algebra generated by the inputs, = O'
-    dec = central_decomposition(obs, tol, commutant_algebra=gen)
-    dirac = check_dirac(obs, tol)
+    obs = commutant(s, tol)               # the observable algebra O = S'
+    dec = central_decomposition(obs, tol)
+    gen = dec.commutant                   # algebra generated by the inputs, S'' = O'
+    _verify_word_closure(s, gen, tol)
+    dirac = check_dirac(dec, tol)
     n = s.dim
     sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
     # triple-commutant identity: commutant of S'' must equal S'
-    cp3 = commutant(OperatorSet(dim=n, members=gen.basis,
-                                names=tuple(f"g{i}" for i in range(gen.algebra_dim)),
-                                self_adjoint_closed=True), tol)
+    triple_ok = span_equal(obs, commutant(gen.as_set(), tol), tol)
     member_resid = float(max(
         np.linalg.norm(m - _project_span(gen.basis, m)) for m in s.members))
 
@@ -170,8 +168,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
                gen.algebra_dim == sum_d2),
         _check("generators lie in generated algebra (residual)", member_resid,
                100 * tol.rank_tol, member_resid <= 100 * tol.rank_tol),
-        _check("triple commutant equals commutant", span_equal(obs, cp3, tol), True,
-               span_equal(obs, cp3, tol)),
+        _check("triple commutant equals commutant", triple_ok, True, triple_ok),
     ]
     if dirac.v2_holds:
         checks.append(_check("witness is maximal abelian (A = A')",

@@ -20,7 +20,6 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_eig",
     "orthonormal_nullspace",
-    "gram_schmidt_hs",
     "hs_inner",
     "hermitian_part",
     "cluster_eigenvalues",
@@ -125,35 +124,6 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
     null_mask = np.ones(mm.shape[1], dtype=bool)
     null_mask[: s.size] = s <= cutoff
     return vh.conj().T[:, null_mask]
-
-
-def gram_schmidt_hs(mats, tol: ToleranceConfig = DEFAULT_TOL) -> list[np.ndarray]:
-    """Orthonormalize matrices under the Hilbert-Schmidt inner product.
-
-    Sequential modified Gram-Schmidt with re-orthogonalization; inputs whose
-    residual after projection is at most ``rank_tol`` times the largest
-    input norm are dropped as dependent.  The output spans the same subspace
-    as the input, in input order.
-    """
-    mats = [as_complex_matrix(m) for m in mats]
-    if not mats:
-        return []
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape[0] != n:
-            raise DimensionMismatch("gram_schmidt_hs inputs must share one dimension")
-    drop = tol.rank_tol * max(np.linalg.norm(m) for m in mats)
-    vecs = np.stack([m.ravel() for m in mats])  # (k, n*n), HS norm == vector 2-norm
-    kept: list[np.ndarray] = []
-    for v in vecs:
-        r = v.copy()
-        for _ in range(2):  # two passes keep pairwise products < 1e-12
-            for q in kept:
-                r -= np.vdot(q, r) * q
-        nr = np.linalg.norm(r)
-        if nr > drop:
-            kept.append(r / nr)
-    return [q.reshape(n, n) for q in kept]
 
 
 def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,

@@ -17,6 +17,7 @@ and keeps thousand-algebra sweeps fast.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .numkernel import (
     random_unitary,
 )
 
+if TYPE_CHECKING:
+    from .sectors import SectorDecomposition
+
 __all__ = [
     "OperatorSet",
     "OperatorAlgebra",
@@ -50,7 +54,6 @@ __all__ = [
     "is_abelian",
     "check_dirac",
     "span_residual",
-    "span_contains",
     "span_equal",
 ]
 
@@ -91,6 +94,12 @@ class OperatorAlgebra:
     @property
     def algebra_dim(self) -> int:
         return self.basis.shape[0]
+
+    def as_set(self) -> OperatorSet:
+        """The basis as a *-closed generator set, e.g. to take the commutant."""
+        return OperatorSet(dim=self.dim, members=self.basis,
+                           names=tuple(f"g{i}" for i in range(self.algebra_dim)),
+                           self_adjoint_closed=True)
 
     def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         q, n = self.algebra_dim, self.dim
@@ -144,6 +153,8 @@ def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgeb
     """Orthonormalize a spanning set into an OperatorAlgebra (no closure applied)."""
     mats = [as_complex_matrix(m) for m in mats]
     n = mats[0].shape[0]
+    if any(m.shape[0] != n for m in mats[1:]):
+        raise DimensionMismatch("all matrices must share one dimension")
     basis = _orthonormalize_stack(np.stack(mats), tol)
     ident = span_residual(basis, np.eye(n, dtype=complex)) <= tol.rank_tol * 10
     return OperatorAlgebra(dim=n, basis=basis, contains_identity=bool(ident))
@@ -179,12 +190,6 @@ def _max_span_residual(basis: np.ndarray, mats: np.ndarray, orthonormal: bool = 
     v = mats.reshape(mats.shape[0], -1)
     resid = v - (v @ q.conj().T) @ q
     return float(np.max(np.linalg.norm(resid, axis=1))) if len(resid) else 0.0
-
-
-def span_contains(basis: np.ndarray, mat: np.ndarray,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    m = as_complex_matrix(mat)
-    return span_residual(basis, m) <= tol.rank_tol * max(1.0, float(np.linalg.norm(m)))
 
 
 def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
@@ -314,26 +319,25 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
         basis = vh[keep].reshape(-1, n, n)
 
 
-def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
-                      cross_validate: bool = True) -> OperatorAlgebra:
-    """The *-algebra generated by a set: its double commutant.
+def _verify_word_closure(s: OperatorSet, double: OperatorAlgebra,
+                         tol: ToleranceConfig) -> None:
+    """Cross-check a double commutant ``s''`` against the word closure of ``s``.
 
-    With ``cross_validate`` the dimension is checked against an independent
-    word closure (repeatedly adjoining products of the star-completed
-    members to ``span{1, members}``); a disagreement signals a tolerance
-    failure and raises :class:`ClosureMismatch`.
+    The word closure (repeatedly adjoining products of the star-completed
+    members to ``span{1, members}``) is an independent route to the
+    generated algebra; a dimension disagreement signals a tolerance failure
+    and raises :class:`ClosureMismatch`.
     """
-    first = commutant(s, tol)
-    double = commutant(
-        OperatorSet(dim=first.dim, members=first.basis,
-                    names=tuple(f"c{i}" for i in range(first.algebra_dim)),
-                    self_adjoint_closed=True),
-        tol)
-    if cross_validate:
-        wdim = _word_closure_dim(s, tol)
-        if wdim != double.algebra_dim:
-            raise ClosureMismatch(
-                f"double commutant dim {double.algebra_dim} != word closure dim {wdim}")
+    wdim = _word_closure_dim(s, tol)
+    if wdim != double.algebra_dim:
+        raise ClosureMismatch(
+            f"double commutant dim {double.algebra_dim} != word closure dim {wdim}")
+
+
+def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
+    """The *-algebra generated by a set: its double commutant, verified by word closure."""
+    double = commutant(commutant(s, tol).as_set(), tol)
+    _verify_word_closure(s, double, tol)
     return double
 
 
@@ -346,9 +350,7 @@ def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     """
     cp = commutant_algebra
     if cp is None:
-        cp = commutant(OperatorSet(dim=a.dim, members=a.basis,
-                                   names=tuple(f"b{i}" for i in range(a.algebra_dim)),
-                                   self_adjoint_closed=True), tol)
+        cp = commutant(a.as_set(), tol)
     n = a.dim
     qa = a.basis.reshape(a.algebra_dim, n * n)
     vc = cp.basis.reshape(cp.algebra_dim, n * n).T  # columns = commutant elements
@@ -392,31 +394,24 @@ class DiracReport:
     witness_in_observables: bool | None = None
 
 
-def check_dirac(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> DiracReport:
-    """Abelian-commutant verdict plus, when it holds, a maximal abelian witness.
+def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> DiracReport:
+    """Abelian-commutant verdict on a decomposed algebra, plus a maximal abelian witness.
 
-    The witness is built per coherent sector: a seeded random Hermitian
-    element of the observables restricted to the sector (random eigenbasis,
-    Chebyshev-spaced eigenvalues so the closure stays well conditioned),
-    retried until the assembled direct sum has globally simple spectrum,
-    then closed into an algebra.  ``A = A'`` is verified by dimension and
-    span comparison.
+    The verdict reads the commutant the decomposition already holds.  When
+    it is abelian, the witness is built per coherent sector: a seeded random
+    Hermitian element of the observables restricted to the sector (random
+    eigenbasis, Chebyshev-spaced eigenvalues so the closure stays well
+    conditioned), retried until the assembled direct sum has globally
+    simple spectrum, then closed into an algebra.  ``A = A'`` is verified
+    by dimension and span comparison.
     """
-    from .sectors import central_decomposition  # deferred: sectors builds on this module
-
-    if not o.contains_identity:
-        raise ValueError("check_dirac requires an algebra containing the identity")
-    oset = OperatorSet(dim=o.dim, members=o.basis,
-                       names=tuple(f"o{i}" for i in range(o.algebra_dim)),
-                       self_adjoint_closed=True)
-    cp = commutant(oset, tol)
+    cp = dec.commutant
     abelian, worst = is_abelian(cp, tol)
     if not abelian:
         return DiracReport(v2_holds=False, witness=None,
                            commutant_dim=cp.algebra_dim, max_commutator=worst)
 
-    dec = central_decomposition(o, tol, commutant_algebra=cp)
-    n = o.dim
+    n = dec.dim
     # Chebyshev-spaced target spectrum keeps the closure validator's Krylov
     # chain well conditioned; the random content is the per-sector eigenbasis.
     nodes = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))[::-1]
@@ -444,15 +439,13 @@ def check_dirac(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> Dirac
             "tolerances look degenerate for this algebra")
 
     witness = generated_algebra(operator_set([generator], tol=tol), tol)
-    wset = OperatorSet(dim=n, members=witness.basis,
-                       names=tuple(f"w{i}" for i in range(witness.algebra_dim)),
-                       self_adjoint_closed=True)
-    wcomm = commutant(wset, tol)
+    wcomm = commutant(witness.as_set(), tol)
     return DiracReport(
         v2_holds=True,
         witness=witness,
         commutant_dim=cp.algebra_dim,
         max_commutator=worst,
         witness_is_maximal_abelian=span_equal(witness, wcomm, tol),
-        witness_in_observables=_max_span_residual(o.basis, witness.basis) <= 100 * tol.rank_tol,
+        witness_in_observables=(_max_span_residual(dec.algebra.basis, witness.basis)
+                                <= 100 * tol.rank_tol),
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NonIntegerRank, PostconditionFailure, SizeLimit
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .opalgebra import OperatorAlgebra, check_dirac, commutant, is_abelian, operator_set
+from .opalgebra import OperatorAlgebra, commutant, is_abelian, operator_set
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
 __all__ = [
@@ -176,13 +176,9 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     truncated dimension (the sum of multiplicities over present blocks).
     """
     o = invariant_algebra(rep, tol)
-    oset = operator_set(list(o.basis), tol=tol)
-    cp = commutant(oset, tol)
-    pre_abelian, pre_resid = is_abelian(cp, tol)
-
-    dec = central_decomposition(o, tol, commutant_algebra=cp)
-    v_iso, o_tilde = truncate(o, dec, tol)
-    post = check_dirac(o_tilde, tol)
+    dec = central_decomposition(o, tol)
+    pre_abelian, pre_resid = is_abelian(dec.commutant, tol)
+    v_iso, _, post = truncate(dec, tol)  # raises unless post.commutant_dim == len(dec)
 
     oracle = character_oracle(rep)
     present = tuple(sorted((d, nt) for _, d, nt in oracle if nt > 0))
@@ -190,16 +186,13 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     if v_iso.shape[1] != expected_dim:
         raise PostconditionFailure(
             f"truncated dimension {v_iso.shape[1]} != sum of multiplicities {expected_dim}")
-    if post.commutant_dim != len(dec.sectors):
-        raise PostconditionFailure(
-            "truncated commutant dimension does not match the number of sectors")
 
     return {
         "n_particles": rep.n_particles,
         "d_single": rep.d_single,
         "dim": rep.dim,
         "algebra_dim": o.algebra_dim,
-        "commutant_dim": cp.algebra_dim,
+        "commutant_dim": dec.commutant.algebra_dim,
         "pre_truncation_abelian": bool(pre_abelian),
         "pre_truncation_max_commutator": float(pre_resid),
         "sector_table": list(dec.multiset()),

@@ -29,11 +29,13 @@ from .numkernel import (
     hermitian_part,
 )
 from .opalgebra import (
+    DiracReport,
     OperatorAlgebra,
-    OperatorSet,
     _generic_hermitian_combo,
     _orthonormalize_stack,
     algebra_from_span,
+    center,
+    check_dirac,
     commutant,
 )
 
@@ -70,8 +72,13 @@ class Sector:
 
 @dataclass(frozen=True)
 class SectorDecomposition:
+    """Coherent sectors of an algebra, with the commutant and center they came from."""
+
     dim: int
     sectors: tuple[Sector, ...]
+    algebra: OperatorAlgebra
+    commutant: OperatorAlgebra
+    center: OperatorAlgebra
 
     def __len__(self) -> int:
         return len(self.sectors)
@@ -110,10 +117,11 @@ def vector_state(phi) -> DensityState:
     return DensityState(rho=np.outer(v, v.conj()))
 
 
-def _restricted_span_dim(basis: np.ndarray, w_iso: np.ndarray,
-                         tol: ToleranceConfig) -> int:
+def _restricted_basis(basis: np.ndarray, w_iso: np.ndarray,
+                      tol: ToleranceConfig) -> np.ndarray:
+    """Orthonormal basis of the span of ``W^* B W`` over a basis stack ``B``."""
     restricted = np.einsum("ia,kij,jb->kab", w_iso.conj(), basis, w_iso)
-    return _orthonormalize_stack(restricted, tol).shape[0]
+    return _orthonormalize_stack(restricted, tol)
 
 
 def _as_int(value: float, what: str) -> int:
@@ -125,28 +133,23 @@ def _as_int(value: float, what: str) -> int:
     return nearest
 
 
-def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
-                          commutant_algebra: OperatorAlgebra | None = None) -> SectorDecomposition:
+def central_decomposition(o: OperatorAlgebra,
+                          tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:
     """Minimal central projectors of an algebra plus per-block (d, ntilde) data.
 
-    A seeded generic Hermitian element of the center is diagonalized and its
-    eigenvalue clusters give the minimal central projectors.  On each block,
-    ``d`` and ``ntilde`` are the integer square roots of the dimensions of
-    the restricted commutant and algebra spans; blocks with ``d = 1`` are
-    verified irreducible.  Sectors are ordered by ascending eigenvalue of
-    the generic central element.
+    The commutant and the center are computed once here and kept on the
+    result.  A seeded generic Hermitian element of the center is
+    diagonalized and its eigenvalue clusters give the minimal central
+    projectors.  On each block, ``d`` and ``ntilde`` are the integer square
+    roots of the dimensions of the restricted commutant and algebra spans;
+    blocks with ``d = 1`` are verified irreducible.  Sectors are ordered by
+    ascending eigenvalue of the generic central element.
     """
-    from .opalgebra import center as _center  # local alias keeps the import graph flat
-
     if not o.contains_identity:
         raise ValueError("central_decomposition requires an algebra with identity")
     n = o.dim
-    cp = commutant_algebra
-    if cp is None:
-        cp = commutant(OperatorSet(dim=n, members=o.basis,
-                                   names=tuple(f"b{i}" for i in range(o.algebra_dim)),
-                                   self_adjoint_closed=True), tol)
-    z = _center(o, tol, commutant_algebra=cp)
+    cp = commutant(o.as_set(), tol)
+    z = center(o, tol, commutant_algebra=cp)
 
     n_sectors = z.algebra_dim
     groups = None
@@ -168,9 +171,9 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
         w_iso = v[:, idx]
         proj = w_iso @ w_iso.conj().T
         block_dim = int(idx.size)
-        dim_o = _restricted_span_dim(o.basis, w_iso, tol)
-        dim_cp = _restricted_span_dim(cp.basis, w_iso, tol)
-        ntilde = _as_int(float(np.sqrt(dim_o)), "sqrt(dim of restricted algebra)")
+        restricted = _restricted_basis(o.basis, w_iso, tol)
+        dim_cp = _restricted_basis(cp.basis, w_iso, tol).shape[0]
+        ntilde = _as_int(float(np.sqrt(restricted.shape[0])), "sqrt(dim of restricted algebra)")
         d = _as_int(float(np.sqrt(dim_cp)), "sqrt(dim of restricted commutant)")
         if d * ntilde != block_dim:
             raise NonIntegerStructure(
@@ -178,12 +181,8 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
                 "reseed the decomposition")
         if d == 1:
             # irreducibility on the block: commutant within the block is scalar
-            restricted = _orthonormalize_stack(
-                np.einsum("ia,kij,jb->kab", w_iso.conj(), o.basis, w_iso), tol)
-            rset = OperatorSet(dim=block_dim, members=restricted,
-                               names=tuple(f"r{i}" for i in range(restricted.shape[0])),
-                               self_adjoint_closed=True)
-            if commutant(rset, tol).algebra_dim != 1:
+            block = OperatorAlgebra(dim=block_dim, basis=restricted, contains_identity=True)
+            if commutant(block.as_set(), tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
         sectors.append(Sector(projector=proj, isometry=w_iso, block_dim=block_dim,
@@ -192,7 +191,8 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     sectors.sort(key=lambda s: (s.central_value, s.block_dim))
     if sum(s.block_dim for s in sectors) != n:
         raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
-    return SectorDecomposition(dim=n, sectors=tuple(sectors))
+    return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
+                               center=z)
 
 
 def are_disjoint(phi1, phi2, o: OperatorAlgebra, dec: SectorDecomposition,
@@ -256,28 +256,22 @@ def expectation_functional(rho: DensityState, o: OperatorAlgebra) -> np.ndarray:
     return np.einsum("kij,ji->k", o.basis, rho.rho)
 
 
-def truncate(o: OperatorAlgebra, dec: SectorDecomposition,
-             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, OperatorAlgebra]:
-    """Keep one multiplicity copy per sector; returns (isometry V, restricted algebra).
+def truncate(dec: SectorDecomposition,
+             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, OperatorAlgebra, DiracReport]:
+    """Keep one multiplicity copy per sector.
 
-    Per sector, a seeded generic Hermitian element of the commutant
+    Returns the isometry V, the restricted algebra and its abelian-commutant
+    report.  Per sector, a seeded generic Hermitian element of the commutant
     restricted to the block must show ``d`` spectral clusters of size
     ``ntilde`` each; the lowest cluster's eigenspace is the copy kept.  The
     stacked isometry satisfies ``V^* V = 1`` on the truncated space, and the
     restricted algebra passes the abelian-commutant check with commutant
     dimension equal to the number of sectors.
     """
-    from .opalgebra import check_dirac
-
-    n = o.dim
-    cp = commutant(OperatorSet(dim=n, members=o.basis,
-                               names=tuple(f"b{i}" for i in range(o.algebra_dim)),
-                               self_adjoint_closed=True), tol)
     columns = []
     for sidx, sec in enumerate(dec.sectors):
         w_iso = sec.isometry
-        restricted = _orthonormalize_stack(
-            np.einsum("ia,kij,jb->kab", w_iso.conj(), cp.basis, w_iso), tol)
+        restricted = _restricted_basis(dec.commutant.basis, w_iso, tol)
         picked = None
         for attempt in range(16):
             x = _generic_hermitian_combo(restricted, tol.rng(202, sidx, attempt))
@@ -296,12 +290,12 @@ def truncate(o: OperatorAlgebra, dec: SectorDecomposition,
     if np.max(np.abs(gram - np.eye(v_full.shape[1]))) > 1e-10:
         raise PostconditionFailure("stacked truncation isometry is not isometric")
 
-    restricted_ops = np.einsum("ia,kij,jb->kab", v_full.conj(), o.basis, v_full)
-    o_tilde = algebra_from_span(list(restricted_ops), tol)
-    report = check_dirac(o_tilde, tol)
+    restricted_ops = np.einsum("ia,kij,jb->kab", v_full.conj(), dec.algebra.basis, v_full)
+    o_tilde = algebra_from_span(restricted_ops, tol)
+    report = check_dirac(central_decomposition(o_tilde, tol), tol)
     if not report.v2_holds or report.commutant_dim != len(dec.sectors):
         raise PostconditionFailure(
             "truncated algebra failed the abelian-commutant check "
             f"(v2={report.v2_holds}, commutant dim {report.commutant_dim}, "
             f"expected {len(dec.sectors)})")
-    return v_full, o_tilde
+    return v_full, o_tilde, report

@@ -45,7 +45,6 @@ from superselect.fluxsectors import (
 )
 from superselect.numkernel import ToleranceConfig, random_unitary
 from superselect.opalgebra import (
-    OperatorSet,
     check_dirac,
     commutant,
     generated_algebra,
@@ -77,15 +76,11 @@ def planted_sweep():
         s = operator_set(gens, tol=tol)
         cp = commutant(s, tol)
         o = generated_algebra(s, tol)
-        dec = central_decomposition(o, tol, commutant_algebra=cp)
+        dec = central_decomposition(o, tol)  # dec.commutant is the triple commutant
         member_resid = max(
             float(np.linalg.norm(
                 m - _project(o.basis, m))) / float(np.linalg.norm(m))
             for m in s.members)
-        cp3 = commutant(OperatorSet(
-            dim=o.dim, members=o.basis,
-            names=tuple(f"g{i}" for i in range(o.algebra_dim)),
-            self_adjoint_closed=True), tol)
         t_structure += time.perf_counter() - t0
         records.append({
             "trial": trial,
@@ -96,7 +91,7 @@ def planted_sweep():
             "commutant": cp,
             "decomposition": dec,
             "member_residual": member_resid,
-            "triple_commutant_ok": span_equal(cp, cp3, tol),
+            "triple_commutant_ok": span_equal(cp, dec.commutant, tol),
         })
     return records, t_structure
 
@@ -135,7 +130,7 @@ def test_criterion_2_dirac_equivalence(planted_sweep):
     records, _ = planted_sweep
     disagreements = []
     for rec in records:
-        rep = check_dirac(rec["algebra"], rec["tol"])
+        rep = check_dirac(rec["decomposition"], rec["tol"])
         expect = all(d == 1 for d, _ in rec["pattern"])
         if rep.v2_holds != expect:
             disagreements.append((rec["trial"], "verdict"))

@@ -1,8 +1,11 @@
+import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from conftest import planted_block_algebra
 from superselect.cli import build_parser, main, run_command
 
 
@@ -198,3 +201,53 @@ class TestDeterminism:
         assert main(["algebra", opset_path]) == 0
         capsys.readouterr()
         assert (out / "algebra_report.json").exists()
+
+
+class TestStructureCallCounts:
+    """One structure pass per input: O', the center and the sectors are computed once."""
+
+    COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
+               "check_dirac": "opalgebra"}  # function -> defining module
+
+    def count_calls(self, monkeypatch, args):
+        """Run a command with the counted functions wrapped wherever a module binds them."""
+        counts = dict.fromkeys(self.COUNTED, 0)
+        for name, home in self.COUNTED.items():
+            original = getattr(importlib.import_module(f"superselect.{home}"), name)
+
+            def wrapper(*a, _name=name, _fn=original, **kw):
+                counts[_name] += 1
+                return _fn(*a, **kw)
+
+            for modname, mod in list(sys.modules.items()):
+                if mod is None or modname.split(".")[0] != "superselect":
+                    continue
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapper)
+        assert run(args).all_passed
+        return counts
+
+    def planted_file(self, tmp_path, pattern):
+        gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
+        return write(tmp_path, "planted.json", {
+            "dim": gens[0].shape[0],
+            "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
+                          for i, g in enumerate(gens)]})
+
+    def test_algebra_non_abelian(self, tmp_path, monkeypatch):
+        # S' -> one decomposition (holds S'') -> triple commutant
+        path = self.planted_file(tmp_path, [(1, 2), (3, 3)])
+        counts = self.count_calls(monkeypatch, ["algebra", path])
+        assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1}
+
+    def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
+        # adds one irreducibility commutant per d = 1 block and three for the witness
+        path = self.planted_file(tmp_path, [(1, 1), (3, 1)])
+        counts = self.count_calls(monkeypatch, ["algebra", path])
+        assert counts == {"commutant": 8, "central_decomposition": 1, "check_dirac": 1}
+
+    def test_parastat(self, monkeypatch):
+        # the invariant algebra and the truncated one are each decomposed once
+        counts = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
+        assert counts == {"commutant": 9, "central_decomposition": 2, "check_dirac": 1}

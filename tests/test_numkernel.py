@@ -6,12 +6,12 @@ from superselect.numkernel import (
     ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
-    gram_schmidt_hs,
     hermitian_eig,
     hs_inner,
     orthonormal_nullspace,
     random_hermitian,
 )
+from superselect.opalgebra import algebra_from_span, span_residual
 
 
 class TestToleranceConfig:
@@ -100,13 +100,15 @@ class TestNullspace:
 
 
 class TestGramSchmidtHS:
+    """Hilbert-Schmidt orthonormalization of a spanning set, by ``algebra_from_span``."""
+
     def test_dependent_pair_collapses(self, tol):
-        out = gram_schmidt_hs([np.eye(3), 2.0 * np.eye(3)], tol)
+        out = algebra_from_span([np.eye(3), 2.0 * np.eye(3)], tol).basis
         assert len(out) == 1
-        assert np.allclose(out[0], np.eye(3) / np.sqrt(3))
+        assert abs(abs(hs_inner(out[0], np.eye(3) / np.sqrt(3))) - 1.0) <= 1e-10
 
     def test_orthogonal_pair_kept(self, tol):
-        out = gram_schmidt_hs([np.eye(2), np.diag([1.0, -1.0])], tol)
+        out = algebra_from_span([np.eye(2), np.diag([1.0, -1.0])], tol).basis
         assert len(out) == 2
         assert abs(hs_inner(out[0], out[1])) <= 1e-10
 
@@ -114,7 +116,7 @@ class TestGramSchmidtHS:
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 for _ in range(4)]
-        out = gram_schmidt_hs(mats, tol)
+        out = algebra_from_span(mats, tol).basis
         # independent rank oracle on the stacked vectorizations
         rank = np.linalg.matrix_rank(np.stack([m.ravel() for m in mats]), tol=1e-10)
         assert len(out) == rank == 4
@@ -130,13 +132,14 @@ class TestGramSchmidtHS:
                     for _ in range(k)]
             if k > 2 and rng.random() < 0.5:
                 mats[-1] = mats[0] + mats[1]  # plant a dependency
-            out = gram_schmidt_hs(mats, tol)
+            out = algebra_from_span(mats, tol).basis
             rank = np.linalg.matrix_rank(np.stack([m.ravel() for m in mats]), tol=1e-8)
             assert len(out) == rank
+            assert max(span_residual(out, m) / np.linalg.norm(m) for m in mats) <= 1e-10
 
     def test_mixed_dimensions_rejected(self, tol):
         with pytest.raises(DimensionMismatch):
-            gram_schmidt_hs([np.eye(2), np.eye(3)], tol)
+            algebra_from_span([np.eye(2), np.eye(3)], tol)
 
 
 class TestClustering:

@@ -5,7 +5,6 @@ from conftest import brute_force_commutant, planted_block_algebra, sample_patter
 from superselect.errors import DimensionMismatch
 from superselect.numkernel import ToleranceConfig, random_hermitian
 from superselect.opalgebra import (
-    OperatorSet,
     algebra_from_span,
     center,
     check_dirac,
@@ -17,16 +16,11 @@ from superselect.opalgebra import (
     span_residual,
     star_completion,
 )
+from superselect.sectors import central_decomposition
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.diag([1.0, -1.0]).astype(complex)
-
-
-def as_set(alg):
-    return OperatorSet(dim=alg.dim, members=alg.basis,
-                       names=tuple(f"b{i}" for i in range(alg.algebra_dim)),
-                       self_adjoint_closed=True)
 
 
 class TestOperatorSet:
@@ -123,7 +117,7 @@ class TestGeneratedAlgebra:
             n = int(rng.integers(2, 6))
             alg = generated_algebra(
                 operator_set([random_hermitian(rng, n), random_hermitian(rng, n)]), tol)
-            again = generated_algebra(as_set(alg), tol)
+            again = generated_algebra(alg.as_set(), tol)
             assert span_equal(alg, again, tol)
 
     def test_triple_commutant_identity(self, tol):
@@ -133,7 +127,7 @@ class TestGeneratedAlgebra:
             mats = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
             s = operator_set(mats)
             cp = commutant(s, tol)
-            cp3 = commutant(as_set(generated_algebra(s, tol)), tol)
+            cp3 = commutant(generated_algebra(s, tol).as_set(), tol)
             assert span_equal(cp, cp3, tol)
 
 
@@ -178,7 +172,7 @@ class TestIsAbelian:
 class TestCheckDirac:
     def test_diagonal_algebra_is_its_own_witness(self, tol):
         o = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), tol)
-        rep = check_dirac(o, tol)
+        rep = check_dirac(central_decomposition(o, tol), tol)
         assert rep.v2_holds
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
         assert span_equal(rep.witness, o, tol)  # O' = O cannot grow
@@ -186,14 +180,14 @@ class TestCheckDirac:
     def test_tensor_factor_fails(self, tol):
         o = generated_algebra(
             operator_set([np.kron(SX, np.eye(2)), np.kron(SZ, np.eye(2))]), tol)
-        rep = check_dirac(o, tol)
+        rep = check_dirac(central_decomposition(o, tol), tol)
         assert not rep.v2_holds
         assert rep.witness is None
         assert rep.commutant_dim == 4  # 1 (x) M2
 
     def test_full_matrix_algebra(self, tol):
         o = commutant(operator_set([np.eye(5)]), tol)
-        rep = check_dirac(o, tol)
+        rep = check_dirac(central_decomposition(o, tol), tol)
         assert rep.v2_holds and rep.commutant_dim == 1
         assert rep.witness.algebra_dim == 5
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
@@ -202,7 +196,6 @@ class TestCheckDirac:
 class TestPlantedStructure:
     def test_dimension_accounting(self, tol):
         # small preview of the acceptance sweep
-        from superselect.sectors import central_decomposition
         rng = np.random.default_rng(61)
         for trial in range(20):
             pattern = sample_pattern(rng)
@@ -212,7 +205,7 @@ class TestPlantedStructure:
             s = operator_set(gens, tol=trial_tol)
             o = generated_algebra(s, trial_tol)
             cp = commutant(s, trial_tol)
-            dec = central_decomposition(o, trial_tol, commutant_algebra=cp)
+            dec = central_decomposition(o, trial_tol)
             assert sorted((sec.d, sec.ntilde) for sec in dec.sectors) == sorted(pattern)
             assert sum(sec.d * sec.ntilde for sec in dec.sectors) == n
             assert o.algebra_dim == sum(t * t for _, t in pattern)

@@ -211,7 +211,7 @@ class TestTruncate:
     def test_irreducible_is_untouched(self, tol):
         full = commutant(operator_set([np.eye(3)]), tol)
         dec = central_decomposition(full, tol)
-        v, o_t = truncate(full, dec, tol)
+        v, o_t, _ = truncate(dec, tol)
         assert v.shape == (3, 3)
         assert span_equal(full, o_t, tol)
 
@@ -219,7 +219,7 @@ class TestTruncate:
         o = generated_algebra(
             operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
         dec = central_decomposition(o, tol)
-        v, o_t = truncate(o, dec, tol)
+        v, o_t, _ = truncate(dec, tol)
         assert v.shape == (4, 2)
         assert o_t.algebra_dim == 4  # full M2 after dropping the copy
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-10
@@ -229,7 +229,7 @@ class TestTruncate:
         gens, _ = planted_block_algebra(rng, [(2, 2), (1, 3)])
         o = generated_algebra(operator_set(gens), tol)
         dec = central_decomposition(o, tol)
-        v, _ = truncate(o, dec, tol)
+        v, _, _ = truncate(dec, tol)
         for sec in dec.sectors:
             m = v.conj().T @ sec.projector @ v
             rank = int(np.sum(np.linalg.eigvalsh(m) > 1e-8))
