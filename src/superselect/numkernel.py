@@ -118,7 +118,8 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
         raise ValueError("matrix contains non-finite entries")
     if mm.shape[0] == 0:
         return np.eye(mm.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(mm, full_matrices=True)
+    # with rows >= cols the thin SVD already holds every right singular vector
+    _, s, vh = np.linalg.svd(mm, full_matrices=mm.shape[0] < mm.shape[1])
     ref = float(s[0]) if s.size else 0.0
     cutoff = tol.rank_tol * (ref if scale is None else scale)
     null_mask = np.ones(mm.shape[1], dtype=bool)

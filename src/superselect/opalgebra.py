@@ -110,9 +110,10 @@ class OperatorAlgebra:
         adj = self.basis.conj().transpose(0, 2, 1)
         if _max_span_residual(self.basis, adj) > 10 * tol.rank_tol:
             raise PostconditionFailure("algebra basis is not closed under adjoints")
-        prods = np.einsum("aij,bjk->abik", self.basis, self.basis).reshape(q * q, n, n)
-        if _max_span_residual(self.basis, prods) > 1e-8:
-            raise PostconditionFailure("algebra basis is not closed under products")
+        for _, left, right in _pair_products(self.basis):
+            if max(_max_span_residual(self.basis, left),
+                   _max_span_residual(self.basis, right)) > 1e-8:
+                raise PostconditionFailure("algebra basis is not closed under products")
         if span_residual(self.basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
             raise PostconditionFailure("identity not in algebra span")
 
@@ -211,7 +212,7 @@ def _generic_hermitian_combo(members: np.ndarray, rng: np.random.Generator) -> n
     herm = 0.5 * (members + members.conj().transpose(0, 2, 1))
     anti = (0.5 / 1j) * (members - members.conj().transpose(0, 2, 1))
     c1, c2 = rng.standard_normal(k), rng.standard_normal(k)
-    return np.einsum("k,kij->ij", c1, herm) + np.einsum("k,kij->ij", c2, anti)
+    return np.tensordot(c1, herm, axes=1) + np.tensordot(c2, anti, axes=1)
 
 
 def _pattern_from_element(x: np.ndarray, tol: ToleranceConfig):
@@ -244,7 +245,7 @@ def _verify_commutes(members: np.ndarray, cands: np.ndarray, tol: ToleranceConfi
     norms = np.linalg.norm(members.reshape(members.shape[0], -1), axis=1)
     worst_member, worst_ratio = -1, 0.0
     for m, (a, na) in enumerate(zip(members, norms)):
-        comm = np.einsum("ij,qjk->qik", a, cands) - np.einsum("qij,jk->qik", cands, a)
+        comm = a @ cands - cands @ a
         r = float(np.max(np.linalg.norm(comm.reshape(comm.shape[0], -1), axis=1)))
         ratio = r / max(2.0 * na, 1e-300)
         if ratio > worst_ratio:
@@ -256,17 +257,26 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     """Commutant {B : BA = AB for every A in the set} as an OperatorAlgebra.
 
     Non-*-closed sets are star-completed first, so the result is always a
-    *-algebra.  Computed as the nullspace of the stacked commutator maps on
-    the vectorized matrix space, restricted to the block pattern of a
-    generic Hermitian combination of the generators; the restriction is
-    exact and the result is verified to commute with every generator.
+    *-algebra, and every member is scaled to unit HS norm.  Computed as the
+    nullspace of the stacked commutator maps on the vectorized matrix
+    space, restricted to the block pattern of a generic Hermitian
+    combination of the generators; the restriction is exact and the result
+    is verified to commute with every generator.
     """
     s = star_completion(s)
-    members = s.members
     n = s.dim
+    # Unit HS norm per member (the span, hence the commutant, is unchanged):
+    # the nullspace cutoff is absolute, so a member many decades smaller than
+    # the largest would otherwise fall below it and drop out of the
+    # constraints.  Zero members carry no constraint; an all-zero set stays
+    # as it is and yields the full matrix algebra.
+    norms = np.linalg.norm(s.members.reshape(len(s), -1), axis=1)
+    nonzero = norms > 0
+    members = (s.members[nonzero] / norms[nonzero, None, None]
+               if nonzero.any() else s.members)
     x1 = _generic_hermitian_combo(members, tol.rng(101))
     v, rows, cols = _pattern_from_element(x1, tol)
-    mem_rot = np.einsum("ij,kjl,lm->kim", v.conj().T, members, v)
+    mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 
     x2 = v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v
@@ -282,7 +292,7 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
             if ratio > tol.rank_tol:
                 raise PostconditionFailure(
                     f"commutant verification residual {ratio:.3e} above rank_tol")
-            basis = np.einsum("ij,kjl,lm->kim", v, cands, v.conj().T)
+            basis = v @ cands @ v.conj().T
             if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
                 raise PostconditionFailure("identity missing from computed commutant")
             return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
@@ -307,8 +317,8 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     basis = np.concatenate([np.eye(n, dtype=complex)[None] / np.sqrt(n), gens])
     rank = 0
     while True:
-        left = np.einsum("kij,qjl->kqil", gens, basis).reshape(-1, n, n)
-        right = np.einsum("qij,kjl->kqil", basis, gens).reshape(-1, n, n)
+        left = (gens[:, None] @ basis[None]).reshape(-1, n, n)
+        right = (basis[None] @ gens[:, None]).reshape(-1, n, n)
         stack = np.concatenate([basis, left, right]).reshape(-1, n * n)
         _, sv, vh = np.linalg.svd(stack, full_matrices=False)
         keep = sv > tol.rank_tol * sv[0]
@@ -356,22 +366,40 @@ def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     vc = cp.basis.reshape(cp.algebra_dim, n * n).T  # columns = commutant elements
     resid = vc - qa.T @ (qa.conj() @ vc)
     coeffs = orthonormal_nullspace(resid, tol, scale=1.0)  # combos of cp lying in span(a)
-    basis = np.einsum("qr,qij->rij", coeffs, cp.basis)
+    basis = np.tensordot(coeffs, cp.basis, axes=(0, 0))
     if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
         raise PostconditionFailure("identity missing from computed center")
     return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
 
 
+def _pair_products(basis: np.ndarray):
+    """Yield ``(i, B_i B_j, B_j B_i)`` over ``j >= i`` for a ``(q, n, n)`` stack.
+
+    One row ``i`` at a time (memory stays at two ``(q - i, n, n)`` stacks),
+    each side as a single GEMM: ``B_i`` against the side-by-side stack
+    ``[B_i | ... | B_{q-1}]``, and the stacked ``[B_i; ...; B_{q-1}]``
+    against ``B_i``.  Together the rows cover every ordered pair.
+    """
+    q, n, _ = basis.shape
+    basis = np.ascontiguousarray(basis)
+    side_by_side = basis.transpose(1, 0, 2).reshape(n, q * n)
+    for i in range(q):
+        left = (basis[i] @ side_by_side[:, i * n:]).reshape(n, q - i, n).transpose(1, 0, 2)
+        right = (basis[i:].reshape(-1, n) @ basis[i]).reshape(q - i, n, n)
+        yield i, left, right
+
+
 def is_abelian(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether all basis pairs commute; also reports the worst relative residual."""
+    """Whether all basis pairs commute; also reports the worst relative residual.
+
+    Pairs with ``j < i`` are skipped: ``[B_i, B_j] = -[B_j, B_i]``.
+    """
     basis = a.basis
     q = basis.shape[0]
     norms = np.linalg.norm(basis.reshape(q, -1), axis=1)
     worst = 0.0
-    for i in range(q):  # row-chunked to keep memory flat for large algebras
-        comm = np.einsum("ij,qjk->qik", basis[i], basis) \
-            - np.einsum("qij,jk->qik", basis, basis[i])
-        r = np.linalg.norm(comm.reshape(q, -1), axis=1) / (norms[i] * norms)
+    for i, left, right in _pair_products(basis):
+        r = np.linalg.norm(left - right, axis=(1, 2)) / (norms[i] * norms[i:])
         worst = max(worst, float(np.max(r)))
     return worst <= ABELIAN_TOL, worst
 

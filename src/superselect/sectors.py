@@ -120,7 +120,7 @@ def vector_state(phi) -> DensityState:
 def _restricted_basis(basis: np.ndarray, w_iso: np.ndarray,
                       tol: ToleranceConfig) -> np.ndarray:
     """Orthonormal basis of the span of ``W^* B W`` over a basis stack ``B``."""
-    restricted = np.einsum("ia,kij,jb->kab", w_iso.conj(), basis, w_iso)
+    restricted = w_iso.conj().T @ basis @ w_iso
     return _orthonormalize_stack(restricted, tol)
 
 
@@ -290,7 +290,7 @@ def truncate(dec: SectorDecomposition,
     if np.max(np.abs(gram - np.eye(v_full.shape[1]))) > 1e-10:
         raise PostconditionFailure("stacked truncation isometry is not isometric")
 
-    restricted_ops = np.einsum("ia,kij,jb->kab", v_full.conj(), dec.algebra.basis, v_full)
+    restricted_ops = v_full.conj().T @ dec.algebra.basis @ v_full
     o_tilde = algebra_from_span(restricted_ops, tol)
     report = check_dirac(central_decomposition(o_tilde, tol), tol)
     if not report.v2_holds or report.commutant_dim != len(dec.sectors):

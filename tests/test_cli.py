@@ -1,11 +1,14 @@
 import importlib
 import json
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
 from conftest import planted_block_algebra
+import superselect
 from superselect.cli import build_parser, main, run_command
 
 
@@ -48,6 +51,14 @@ def dynamics_path(tmp_path):
 
 def run(args):
     return run_command(build_parser().parse_args(args))
+
+
+def planted_file(tmp_path, pattern):
+    gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
+    return write(tmp_path, "planted.json", {
+        "dim": gens[0].shape[0],
+        "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
+                      for i, g in enumerate(gens)]})
 
 
 class TestAlgebraCommand:
@@ -173,6 +184,31 @@ class TestDeterminism:
             == c.sections["structure"]["dirac_v2_holds"]
         assert a.all_passed and c.all_passed
 
+    def test_blas_thread_count_keeps_structure(self, tmp_path):
+        # A BLAS build may sum in another order with more threads, which moves
+        # the nullspace gauge (with OpenBLAS 0.3.31 this input's report bytes
+        # differ between 1 and 2 threads); the structure must not move.
+        path = planted_file(tmp_path, [(2, 5), (1, 6)])
+        src = os.path.dirname(os.path.dirname(superselect.__file__))
+        docs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-m", "superselect.cli", "algebra", path],
+                                 capture_output=True, env=env, check=False, timeout=120)
+            assert out.returncode == 0, out.stderr
+            docs.append(json.loads(out.stdout))
+
+        def invariants(doc):
+            st = doc["sections"]["structure"]
+            return (sorted((sec["d"], sec["ntilde"]) for sec in doc["sections"]["sectors"]),
+                    st["observable_dim"], st["generated_dim"], st["center_dim"],
+                    st["dirac_v2_holds"],
+                    [(c["name"], c["passed"]) for c in doc["sections"]["checks"]])
+
+        assert invariants(docs[0]) == invariants(docs[1])
+
     def test_usage_errors_exit_1(self, capsys):
         assert main(["algebra"]) == 1  # missing file argument
         assert main(["no-such-command"]) == 1
@@ -228,22 +264,15 @@ class TestStructureCallCounts:
         assert run(args).all_passed
         return counts
 
-    def planted_file(self, tmp_path, pattern):
-        gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
-        return write(tmp_path, "planted.json", {
-            "dim": gens[0].shape[0],
-            "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
-                          for i, g in enumerate(gens)]})
-
     def test_algebra_non_abelian(self, tmp_path, monkeypatch):
         # S' -> one decomposition (holds S'') -> triple commutant
-        path = self.planted_file(tmp_path, [(1, 2), (3, 3)])
+        path = planted_file(tmp_path, [(1, 2), (3, 3)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1}
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
         # adds one irreducibility commutant per d = 1 block and three for the witness
-        path = self.planted_file(tmp_path, [(1, 1), (3, 1)])
+        path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 8, "central_decomposition": 1, "check_dirac": 1}
 

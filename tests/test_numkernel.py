@@ -98,6 +98,18 @@ class TestNullspace:
             rank = int(np.sum(s > tol.rank_tol * s[0]))
             assert orthonormal_nullspace(m, tol).shape[1] + rank == cols
 
+    @pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (6, 6, 4), (3, 7, 2)])
+    def test_known_rank_tall_square_wide(self, tol, rows, cols, rank):
+        rng = np.random.default_rng(rows * cols)
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        m = left @ right
+        ns = orthonormal_nullspace(m, tol)
+        assert ns.shape == (cols, cols - rank)
+        assert np.max(np.abs(ns.conj().T @ ns - np.eye(cols - rank))) <= 1e-12
+        smax = np.linalg.norm(m, 2)
+        assert np.max(np.linalg.norm(m @ ns, axis=0)) <= tol.rank_tol * smax
+
 
 class TestGramSchmidtHS:
     """Hilbert-Schmidt orthonormalization of a spanning set, by ``algebra_from_span``."""

@@ -80,6 +80,21 @@ class TestCommutant:
             assert got.algebra_dim == oracle.shape[0], f"trial {trial}"
             assert span_equal(got, algebra_from_span(list(oracle), tol), tol)
 
+    def test_all_zero_set_gives_full_algebra(self, tol):
+        assert commutant(operator_set([np.zeros((3, 3))]), tol).algebra_dim == 9
+
+    def test_mixed_scale_generators(self, tol):
+        # rescaling a generator leaves the span, hence the commutant, unchanged;
+        # the 1e-6 generator must not fall below the absolute nullspace cutoff
+        for seed in range(5):
+            gens, _ = planted_block_algebra(np.random.default_rng(seed), [(1, 2), (2, 3)])
+            ref = commutant(operator_set(gens, tol=tol), tol)
+            got = commutant(operator_set([1e6 * gens[0], 1e-6 * gens[1]], tol=tol), tol)
+            assert got.algebra_dim == ref.algebra_dim == 5
+            assert span_equal(got, ref, tol)
+            assert central_decomposition(got, tol).multiset() \
+                == central_decomposition(ref, tol).multiset()
+
     def test_inclusion_reversal(self, tol):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -157,6 +172,13 @@ class TestCenter:
             assert ab
 
 
+def pairwise_max_commutator(basis):
+    """Reference: worst relative commutator over every ordered pair, one pair at a time."""
+    norms = [np.linalg.norm(b) for b in basis]
+    return max(np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i]) / (norms[i] * norms[j])
+               for i in range(len(basis)) for j in range(len(basis)))
+
+
 class TestIsAbelian:
     def test_diagonal_algebra(self, tol):
         alg = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), tol)
@@ -167,6 +189,21 @@ class TestIsAbelian:
         full = commutant(operator_set([np.eye(2)]), tol)
         ab, resid = is_abelian(full, tol)
         assert not ab and resid > 0.1
+
+    @pytest.mark.parametrize("pattern, abelian", [
+        ([(1, 1), (2, 1), (3, 1)], True),    # generated algebra: all ntilde = 1
+        ([(1, 2), (2, 3)], False),
+    ])
+    def test_matches_pairwise_reference(self, tol, pattern, abelian):
+        gens, _ = planted_block_algebra(np.random.default_rng(71), pattern)
+        alg = generated_algebra(operator_set(gens, tol=tol), tol)
+        got_abelian, worst = is_abelian(alg, tol)
+        ref = pairwise_max_commutator(alg.basis)
+        assert got_abelian == abelian == (ref <= 1e-8)
+        # an abelian algebra's ratio is roundoff (~1e-16), which a different
+        # summation order moves by a few percent: compare it on the ratio's
+        # own scale (it is at most 2) instead of relatively
+        assert worst == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 class TestCheckDirac:
