@@ -12,6 +12,14 @@ Promoting the masses to momenta with conjugate positions lambda_i makes the
 centrally extended group act as a proper symmetry of the classical flow;
 (x, p) evolve by velocity Verlet and the lambda_i by trapezoidal quadrature
 of dV/dm_i - p_i^2 / (2 m_i^2), which never feeds back into (x, p).
+
+Group elements may carry a leading sample axis: a batch of k elements has
+R of shape (k, 3, 3), v and a of shape (k, 3) and b of shape (k,), and
+:func:`galilei_multiply`, :func:`galilei_inverse`, :func:`bargmann_exponent`,
+:func:`extended_multiply`, :func:`extended_action` and
+:func:`rotation_from_axis_angle` act sample by sample with the same code
+that serves a single element.  The seeded sampling checks draw their
+elements as such batches and run as one array pass each.
 """
 
 from __future__ import annotations
@@ -43,30 +51,54 @@ __all__ = [
     "ray_compose_check",
     "extended_multiply",
     "extended_action",
+    "extended_action_composition_check",
     "extended_dynamics",
     "dynamics_symmetry_check",
 ]
 
 
-def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
-    """Rotation matrix about a (not necessarily unit) axis, re-orthonormalized."""
+def _rotate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """R x for one element or per sample along the leading axis."""
+    return (r @ x[..., None])[..., 0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray):
+    """x . y over the last axis; a float for one element."""
+    out = np.sum(x * y, axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+def rotation_from_axis_angle(axis, angle) -> np.ndarray:
+    """Rotation matrix about a (not necessarily unit) axis, re-orthonormalized.
+
+    ``axis`` of shape ``(k, 3)`` with ``angle`` of shape ``(k,)`` gives a
+    ``(k, 3, 3)`` stack; a zero axis gives the identity.
+    """
     u = np.asarray(axis, dtype=float)
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
-        return np.eye(3)
-    u = u / nu
-    k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
-    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    if u.shape[-1:] != (3,):
+        raise ValueError("rotation axis must be a 3-vector")
+    c, s = np.cos(angle), np.sin(angle)
+    nu = np.linalg.norm(u, axis=-1, keepdims=True)
+    u = u / np.where(nu == 0.0, 1.0, nu)
+    k = np.zeros(u.shape[:-1] + (3, 3))
+    k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -u[..., 2], u[..., 1], -u[..., 0]
+    k = k - np.swapaxes(k, -1, -2)
+    r = (np.eye(3) + np.asarray(s)[..., None, None] * k
+         + np.asarray(1.0 - c)[..., None, None] * (k @ k))
     uu, _, vv = np.linalg.svd(r)  # polar projection keeps the 1e-12 orthogonality invariant
     r = uu @ vv
-    if np.linalg.det(r) < 0:
-        r = -r
-    return r
+    r = np.where((np.linalg.det(r) < 0)[..., None, None], -r, r)
+    return np.where((nu == 0.0)[..., None], np.eye(3), r)
 
 
 @dataclass(frozen=True)
 class GalileiElement:
-    """(R, v, a, b): rotation, boost velocity, space translation, time translation."""
+    """(R, v, a, b): rotation, boost velocity, space translation, time translation.
+
+    One element has R (3, 3), v and a (3,) and a float b.  A batch of k
+    elements carries a leading sample axis: R (k, 3, 3), v and a (k, 3),
+    b (k,); fields given without it are shared by every sample.
+    """
 
     R: np.ndarray = field(default_factory=lambda: np.eye(3))
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -75,11 +107,19 @@ class GalileiElement:
 
     def __post_init__(self):
         r = np.asarray(self.R, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        a = np.asarray(self.a, dtype=float)
+        b = np.asarray(self.b, dtype=float)
+        if r.shape[-2:] != (3, 3) or v.shape[-1:] != (3,) or a.shape[-1:] != (3,):
+            raise ValueError("R must be 3 x 3 and v, a 3-vectors")
+        lead = np.broadcast_shapes(r.shape[:-2], v.shape[:-1], a.shape[:-1], b.shape)
+        r = np.broadcast_to(r, lead + (3, 3))
         object.__setattr__(self, "R", r)
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float).reshape(3))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(3))
-        object.__setattr__(self, "b", float(self.b))
-        if np.linalg.norm(r.T @ r - np.eye(3)) > 1e-12 or np.linalg.det(r) <= 0:
+        object.__setattr__(self, "v", np.broadcast_to(v, lead + (3,)))
+        object.__setattr__(self, "a", np.broadcast_to(a, lead + (3,)))
+        object.__setattr__(self, "b", np.broadcast_to(b, lead) if lead else float(b))
+        orth = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - np.eye(3), axis=(-2, -1))
+        if np.any(orth > 1e-12) or np.any(np.linalg.det(r) <= 0):
             raise ValueError("R must be a proper rotation (orthogonal, det +1) to 1e-12")
 
 
@@ -91,61 +131,73 @@ def galilei_multiply(g1: GalileiElement, g2: GalileiElement) -> GalileiElement:
     """(R1 R2, v1 + R1 v2, a1 + R1 a2 + v1 b2, b1 + b2)."""
     return GalileiElement(
         R=g1.R @ g2.R,
-        v=g1.v + g1.R @ g2.v,
-        a=g1.a + g1.R @ g2.a + g1.v * g2.b,
+        v=g1.v + _rotate(g1.R, g2.v),
+        a=g1.a + _rotate(g1.R, g2.a) + g1.v * np.asarray(g2.b)[..., None],
         b=g1.b + g2.b,
     )
 
 
 def galilei_inverse(g: GalileiElement) -> GalileiElement:
     """(R^-1, -R^-1 v, -R^-1 (a - v b), -b)."""
-    rt = g.R.T
-    return GalileiElement(R=rt, v=-(rt @ g.v), a=-(rt @ (g.a - g.v * g.b)), b=-g.b)
+    rt = np.swapaxes(g.R, -1, -2)
+    return GalileiElement(R=rt, v=-_rotate(rt, g.v),
+                          a=-_rotate(rt, g.a - g.v * np.asarray(g.b)[..., None]), b=-g.b)
 
 
-def random_galilei_element(rng: np.random.Generator) -> GalileiElement:
-    """Seeded generic element: axis-angle rotation, components in [-2, 2]."""
-    axis = rng.standard_normal(3)
-    angle = rng.uniform(-np.pi, np.pi)
+def random_galilei_element(rng: np.random.Generator,
+                           count: int | None = None) -> GalileiElement:
+    """Seeded generic element: axis-angle rotation, components in [-2, 2].
+
+    With ``count`` the draws come as arrays (all axes, then all angles, v,
+    a and b) and the result is a batch of ``count`` elements.
+    """
+    vec = (3,) if count is None else (count, 3)
+    axis = rng.standard_normal(vec)
+    angle = rng.uniform(-np.pi, np.pi, size=count)
     return GalileiElement(
         R=rotation_from_axis_angle(axis, angle),
-        v=rng.uniform(-2.0, 2.0, size=3),
-        a=rng.uniform(-2.0, 2.0, size=3),
-        b=float(rng.uniform(-2.0, 2.0)),
+        v=rng.uniform(-2.0, 2.0, size=vec),
+        a=rng.uniform(-2.0, 2.0, size=vec),
+        b=rng.uniform(-2.0, 2.0, size=count),
     )
 
 
-def bargmann_exponent(mass: float, g1: GalileiElement, g2: GalileiElement) -> float:
-    """Multiplier exponent M (v1 . R1 a2 + v1^2 b2 / 2) of the mass-M ray representation."""
+def bargmann_exponent(mass: float, g1: GalileiElement, g2: GalileiElement):
+    """Multiplier exponent M (v1 . R1 a2 + v1^2 b2 / 2) of the mass-M ray representation.
+
+    A float for one pair of elements, an array over the samples of a batch.
+    """
     if mass <= 0:
         raise ValueError("mass must be positive")
-    return mass * (float(g1.v @ (g1.R @ g2.a)) + 0.5 * float(g1.v @ g1.v) * g2.b)
+    return mass * (_dot(g1.v, _rotate(g1.R, g2.a)) + 0.5 * _dot(g1.v, g1.v) * g2.b)
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
 
 def bargmann_cocycle_check(mass: float, samples: int = 1000, seed: int = 0) -> float:
     """Max cocycle-identity residual of the mass multiplier over seeded triples."""
+    _require_samples(samples)
     rng = np.random.default_rng([seed, 401])
-    worst = 0.0
-    for _ in range(samples):
-        g1, g2, g3 = (random_galilei_element(rng) for _ in range(3))
-        delta = (bargmann_exponent(mass, g1, g2)
-                 - bargmann_exponent(mass, g1, galilei_multiply(g2, g3))
-                 + bargmann_exponent(mass, galilei_multiply(g1, g2), g3)
-                 - bargmann_exponent(mass, g2, g3))
-        worst = max(worst, abs(delta))
-    return worst
+    g1, g2, g3 = (random_galilei_element(rng, samples) for _ in range(3))
+    delta = (bargmann_exponent(mass, g1, g2)
+             - bargmann_exponent(mass, g1, galilei_multiply(g2, g3))
+             + bargmann_exponent(mass, galilei_multiply(g1, g2), g3)
+             - bargmann_exponent(mass, g2, g3))
+    return float(np.max(np.abs(delta)))
 
 
 def _boost_translation_pairs(rng: np.random.Generator, count: int):
-    """Commuting pairs from the abelian subgroup of boosts and space translations."""
-    pairs = []
-    for _ in range(count):
-        g1 = GalileiElement(v=rng.uniform(-2.0, 2.0, size=3),
-                            a=rng.uniform(-2.0, 2.0, size=3))
-        g2 = GalileiElement(v=rng.uniform(-2.0, 2.0, size=3),
-                            a=rng.uniform(-2.0, 2.0, size=3))
-        pairs.append((g1, g2))
-    return pairs
+    """Commuting pairs from the abelian subgroup of boosts and space translations.
+
+    Returns two batches of ``count`` elements; row i of each is pair i, drawn
+    as (v1, a1, v2, a2).
+    """
+    draw = rng.uniform(-2.0, 2.0, size=(count, 4, 3))
+    return (GalileiElement(v=draw[:, 0], a=draw[:, 1]),
+            GalileiElement(v=draw[:, 2], a=draw[:, 3]))
 
 
 def mass_superselection_report(m1: float, m2: float, samples: int = 100,
@@ -162,18 +214,19 @@ def mass_superselection_report(m1: float, m2: float, samples: int = 100,
         raise ValueError("masses must be positive")
     if m1 == m2:
         raise ValueError("mass_superselection_report needs two distinct masses")
+    _require_samples(samples)
     rng = np.random.default_rng([seed, 402])
-    pairs = _boost_translation_pairs(rng, samples)
-    skew = [abs(float(g1.v @ g2.a) - float(g2.v @ g1.a)) for g1, g2 in pairs]
-    if max(skew) < 1e-6:
+    g1, g2 = _boost_translation_pairs(rng, samples)
+    skew = np.abs(_dot(g1.v, g2.a) - _dot(g2.v, g1.a))
+    if np.max(skew) < 1e-6:
         raise DegenerateSample(
             "all sampled boost/translation pairs are symmetric to 1e-6; "
             "retry with a different seed")
     canonical = (GalileiElement(v=[1.0, 0.0, 0.0]), GalileiElement(a=[1.0, 0.0, 0.0]))
-    pairs = [canonical] + pairs
 
     def obstruction(xi):
-        return max(abs(xi(g1, g2) - xi(g2, g1)) for g1, g2 in pairs)
+        return float(max(abs(xi(*canonical) - xi(*reversed(canonical))),
+                         np.max(np.abs(xi(g1, g2) - xi(g2, g1)))))
 
     ob1 = obstruction(lambda x, y: bargmann_exponent(m1, x, y))
     ob2 = obstruction(lambda x, y: bargmann_exponent(m2, x, y))
@@ -263,7 +316,10 @@ def ray_compose_check(mass: float, grid, g1: GalileiElement, g2: GalileiElement,
 
 @dataclass(frozen=True)
 class ExtendedElement:
-    """(theta, g): element of the central extension by the reals."""
+    """(theta, g): element of the central extension by the reals.
+
+    A batch pairs a batched ``g`` with ``theta`` of shape (k,).
+    """
 
     theta: float
     g: GalileiElement
@@ -278,25 +334,59 @@ def extended_multiply(e1: ExtendedElement, e2: ExtendedElement,
     )
 
 
-def extended_action(e: ExtendedElement, xs, lambdas, t: float, masses):
+def extended_action(e: ExtendedElement, xs, lambdas, t, masses):
     """Action of the extension on configurations ({x_i}, {lambda_i}, t).
 
     Positions map to R x_i + v t + a, time to t + b, and each mass-conjugate
     position picks up -(theta / M + v . R x_i + v^2 t / 2), with M the total
-    mass.  Composes exactly with :func:`extended_multiply`.
+    mass.  Composes exactly with :func:`extended_multiply`.  For a batch of
+    k elements, ``xs`` is (k, n, 3), ``lambdas`` (k, n) and ``t`` (k,): one
+    configuration per sample, with the masses shared.
     """
-    x = np.asarray(xs, dtype=float).reshape(-1, 3)
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
     m = np.asarray(masses, dtype=float).reshape(-1)
-    if not (len(x) == len(lam) == len(m)):
-        raise ValueError("xs, lambdas and masses must have one entry per particle")
+    g = e.g
+    lead = np.shape(g.b)
+    try:
+        x = np.asarray(xs, dtype=float).reshape(lead + (m.size, 3))
+        lam = np.asarray(lambdas, dtype=float).reshape(lead + (m.size,))
+    except ValueError:
+        raise ValueError("xs, lambdas and masses must have one entry per particle") from None
     if np.any(m <= 0):
         raise ValueError("masses must be positive")
     total = float(m.sum())
-    g = e.g
-    x_new = x @ g.R.T + g.v * t + g.a
-    lam_new = lam - (e.theta / total + (x @ g.R.T) @ g.v + 0.5 * float(g.v @ g.v) * t)
+    tt = np.asarray(t, dtype=float)[..., None]  # broadcasts over the particles
+    x_rot = x @ np.swapaxes(g.R, -1, -2)
+    v = g.v[..., None, :]
+    x_new = x_rot + v * tt[..., None] + g.a[..., None, :]
+    lam_new = lam - (np.asarray(e.theta)[..., None] / total + np.sum(x_rot * v, axis=-1)
+                     + 0.5 * np.sum(v * v, axis=-1) * tt)
     return x_new, lam_new, t + g.b
+
+
+def extended_action_composition_check(masses, samples: int = 1000, seed: int = 0) -> float:
+    """Max residual of acting with e1 after e2 against acting with e1 e2.
+
+    Draws ``samples`` seeded pairs of extended elements with configurations
+    of the given particles and compares the two routes through
+    :func:`extended_action` over positions, mass-conjugate positions and
+    time, with the product taken by :func:`extended_multiply` at the total
+    mass.
+    """
+    _require_samples(samples)
+    m = np.asarray(masses, dtype=float).reshape(-1)
+    rng = np.random.default_rng([seed, 403])
+    e1 = ExtendedElement(theta=rng.uniform(-2, 2, samples),
+                         g=random_galilei_element(rng, samples))
+    e2 = ExtendedElement(theta=rng.uniform(-2, 2, samples),
+                         g=random_galilei_element(rng, samples))
+    xs = rng.uniform(-2, 2, (samples, m.size, 3))
+    lams = rng.uniform(-2, 2, (samples, m.size))
+    t = rng.uniform(-2, 2, samples)
+    x2, l2, t2 = extended_action(e2, xs, lams, t, m)
+    x12, l12, t12 = extended_action(e1, x2, l2, t2, m)
+    xa, la, ta = extended_action(extended_multiply(e1, e2, float(m.sum())), xs, lams, t, m)
+    return float(max(np.max(np.abs(x12 - xa)), np.max(np.abs(l12 - la)),
+                     np.max(np.abs(t12 - ta))))
 
 
 @dataclass(frozen=True)

@@ -20,15 +20,12 @@ import numpy as np
 
 from . import __version__
 from .bargmann import (
-    ExtendedElement,
     GalileiElement,
     bargmann_cocycle_check,
     dynamics_symmetry_check,
-    extended_action,
+    extended_action_composition_check,
     extended_dynamics,
-    extended_multiply,
     mass_superselection_report,
-    random_galilei_element,
     ray_compose_check,
 )
 from .cocycles import (
@@ -242,21 +239,8 @@ def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> An
         GalileiElement(v=[0.5, 0.0, 0.0], a=[1.0, 0.0, 0.0]),
         psi)
 
-    rng = np.random.default_rng([tol.seed, 403])
-    masses = np.array([m1 / 2.0, m1 / 2.0])
-    action_resid = 0.0
-    for _ in range(samples):
-        e1 = ExtendedElement(theta=float(rng.uniform(-2, 2)), g=random_galilei_element(rng))
-        e2 = ExtendedElement(theta=float(rng.uniform(-2, 2)), g=random_galilei_element(rng))
-        xs = rng.uniform(-2, 2, (2, 3))
-        lams = rng.uniform(-2, 2, 2)
-        t = float(rng.uniform(-2, 2))
-        x2, l2, t2 = extended_action(e2, xs, lams, t, masses)
-        x12, l12, t12 = extended_action(e1, x2, l2, t2, masses)
-        xa, la, ta = extended_action(extended_multiply(e1, e2, float(masses.sum())),
-                                     xs, lams, t, masses)
-        action_resid = max(action_resid, float(np.max(np.abs(x12 - xa))),
-                           float(np.max(np.abs(l12 - la))), abs(t12 - ta))
+    action_resid = extended_action_composition_check(
+        np.array([m1 / 2.0, m1 / 2.0]), samples, tol.seed)
 
     checks = [
         _check("multiplier cocycle residual", cocycle_resid, 1e-9, cocycle_resid <= 1e-9),

@@ -16,6 +16,14 @@ with n = (x, y, z) on the unit sphere:
     Y_2,-2 = sqrt(15 / 4pi) x y           Y_2,-1 = sqrt(15 / 4pi) y z
     Y_20 = sqrt(5 / 16pi) (3 z^2 - 1)     Y_21 = sqrt(15 / 4pi) x z
     Y_22 = sqrt(15 / 16pi) (x^2 - y^2)
+
+:func:`real_sph_harm` builds the whole table up to degree lmax in one pass
+of the standard recurrence for fully normalised associated Legendre
+functions (S. A. Holmes and W. E. Featherstone, "A unified approach to the
+Clenshaw summation and the recursive computation of very high degree and
+order normalised associated Legendre functions", J. Geodesy 76, 279-299,
+2002): a sectoral seed in sin(theta), then a two-term recurrence in l for
+each order m.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lpmv
 
 from .errors import QuadratureTooCoarse
 
@@ -127,29 +134,45 @@ def lm_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
-def real_sph_harm(l: int, m: int, nodes) -> np.ndarray:
-    """Real orthonormal spherical harmonic at unit vectors, Condon-Shortley-free."""
+def real_sph_harm(lmax: int, nodes) -> np.ndarray:
+    """Table of the real orthonormal spherical harmonics up to degree ``lmax``.
+
+    Returns shape ``((lmax+1)^2, N)`` for ``N`` unit vectors, with Y_lm in
+    row ``lm_index(l, m)``; Condon-Shortley-free.  The normalised associated
+    Legendre functions come from the Holmes-Featherstone recurrence: the
+    sectoral seed Pbar_mm = sqrt((2m+1)/(2m)) sin(theta) Pbar_m-1,m-1, then
+    Pbar_lm = a_lm cos(theta) Pbar_l-1,m - b_lm Pbar_l-2,m, advanced in l for
+    every m at once.  The recurrence runs unscaled: sin^m(theta) underflows
+    only at degrees in the thousands, where Holmes and Featherstone rescale.
+    """
+    if lmax < 0:
+        raise ValueError("lmax must be non-negative")
     arr = _check_unit(np.atleast_2d(np.asarray(nodes, dtype=float)))
     z = np.clip(arr[:, 2], -1.0, 1.0)
-    phi = np.arctan2(arr[:, 1], arr[:, 0])
-    am = abs(m)
-    # scipy's lpmv carries the Condon-Shortley phase; (-1)^m removes it
-    leg = ((-1.0) ** am) * lpmv(am, l, z)
-    norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
-                     * math.factorial(l - am) / math.factorial(l + am))
-    if m == 0:
-        out = norm * leg
-    elif m > 0:
-        out = math.sqrt(2.0) * norm * leg * np.cos(am * phi)
-    else:
-        out = math.sqrt(2.0) * norm * leg * np.sin(am * phi)
+    s = np.sqrt(1.0 - z * z)
+    mphi = np.arange(lmax + 1)[:, None] * np.arctan2(arr[:, 1], arr[:, 0])
+    cos_m = math.sqrt(2.0) * np.cos(mphi)  # row m: sqrt(2) cos(m phi)
+    sin_m = math.sqrt(2.0) * np.sin(mphi)
+    cos_m[0] = 1.0
+    out = np.empty(((lmax + 1) ** 2, z.size))
+    pbar = np.zeros((lmax + 1, z.size))   # row m: Pbar_lm at the current l
+    prev = np.zeros_like(pbar)            # row m: Pbar_l-1,m
+    pbar[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for l in range(lmax + 1):
+        if l > 0:
+            m = np.arange(l)[:, None]
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            # the numerator vanishes at l = 1; max() keeps the denominator positive
+            b = np.sqrt((2.0 * l + 1.0) * ((l - 1) ** 2 - m * m)
+                        / (max(2 * l - 3, 1) * (l * l - m * m)))
+            nxt = np.zeros_like(pbar)
+            nxt[:l] = a * z * pbar[:l] - b * prev[:l]
+            nxt[l] = math.sqrt((2.0 * l + 1.0) / (2.0 * l)) * s * pbar[l - 1]
+            prev, pbar = pbar, nxt
+        row = l * l + l  # lm_index(l, 0)
+        out[row:row + l + 1] = pbar[:l + 1] * cos_m[:l + 1]
+        out[row - l:row] = (pbar[1:l + 1] * sin_m[1:l + 1])[::-1]
     return out
-
-
-def _harmonic_matrix(lmax: int, nodes: np.ndarray) -> np.ndarray:
-    rows = [real_sph_harm(l, m, nodes)
-            for l in range(lmax + 1) for m in range(-l, l + 1)]
-    return np.stack(rows)  # ((lmax+1)^2, N)
 
 
 @dataclass(frozen=True)
@@ -187,8 +210,7 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     values = np.asarray(flux(q.nodes) if callable(flux) else flux, dtype=float)
     if values.shape != q.weights.shape:
         raise ValueError("flux values must match the quadrature nodes")
-    ymat = _harmonic_matrix(lmax, q.nodes)
-    coeffs = ymat @ (q.weights * values)
+    coeffs = real_sph_harm(lmax, q.nodes) @ (q.weights * values)
     power = float(np.sum(q.weights * values * values))
     if float(coeffs @ coeffs) > power + 1e-8:
         raise QuadratureTooCoarse(

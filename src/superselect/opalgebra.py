@@ -134,9 +134,14 @@ def operator_set(mats, names=None, tol: ToleranceConfig = DEFAULT_TOL) -> Operat
         names = tuple(names)
         if len(names) != len(mats):
             raise ValueError("number of names must match number of operators")
-    adj = members.conj().transpose(0, 2, 1)
-    closed = _max_span_residual(members, adj, orthonormal=False, tol=tol) <= \
-        tol.rank_tol * max(1.0, float(np.max(np.linalg.norm(adj, axis=(1, 2)))))
+    # Decide *-closure on the members scaled to unit HS norm, zero members
+    # dropped, as commutant does: the orthonormalisation cutoff is relative
+    # to the largest member, so a member many decades smaller would
+    # otherwise drop out and its missing adjoint go unseen.
+    norms = np.linalg.norm(members.reshape(len(mats), -1), axis=1)
+    unit = members[norms > 0] / norms[norms > 0, None, None]
+    closed = not len(unit) or _max_span_residual(
+        unit, unit.conj().transpose(0, 2, 1), orthonormal=False, tol=tol) <= tol.rank_tol
     return OperatorSet(dim=n, members=members, names=names, self_adjoint_closed=closed)
 
 

@@ -10,6 +10,41 @@ from superselect.errors import (
 )
 
 
+# Scalar formulas, one element at a time, as references for the batched passes.
+
+def ref_rotation(axis, angle):
+    u = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+    r = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    uu, _, vv = np.linalg.svd(r)
+    r = uu @ vv
+    return -r if np.linalg.det(r) < 0 else r
+
+
+def ref_multiply(g1, g2):
+    (r1, v1, a1, b1), (r2, v2, a2, b2) = g1, g2
+    return r1 @ r2, v1 + r1 @ v2, a1 + r1 @ a2 + v1 * b2, b1 + b2
+
+
+def ref_exponent(mass, g1, g2):
+    (r1, v1, _, _), (_, _, a2, b2) = g1, g2
+    return mass * (v1 @ (r1 @ a2) + 0.5 * (v1 @ v1) * b2)
+
+
+def ref_action(theta, g, x, lam, t, total):
+    r, v, a, b = g
+    return (x @ r.T + v * t + a,
+            lam - (theta / total + (x @ r.T) @ v + 0.5 * (v @ v) * t), t + b)
+
+
+def sample(g, i):
+    """(R, v, a, b) of sample i of a batched element."""
+    return g.R[i], g.v[i], g.a[i], float(g.b[i])
+
+
+REF_ATOL = 1e-12
+
+
 def elements_equal(g1, g2, atol=1e-12):
     return (np.allclose(g1.R, g2.R, atol=atol) and np.allclose(g1.v, g2.v, atol=atol)
             and np.allclose(g1.a, g2.a, atol=atol) and abs(g1.b - g2.b) <= atol)
@@ -46,6 +81,45 @@ class TestGalileiArithmetic:
     def test_rejects_improper_rotation(self):
         with pytest.raises(ValueError):
             bg.GalileiElement(R=np.diag([1.0, 1.0, -1.0]))
+
+    def test_batch_checks_every_rotation(self):
+        good = bg.rotation_from_axis_angle([0.3, -1.0, 0.2], 0.9)
+        with pytest.raises(ValueError):
+            bg.GalileiElement(R=np.stack([good, np.diag([1.0, 1.0, -1.0]), good]))
+        with pytest.raises(ValueError):
+            bg.GalileiElement(R=np.stack([good, good + 1e-9]))
+
+    def test_single_draw_keeps_its_order(self):
+        g = bg.random_galilei_element(np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        axis, angle = rng.standard_normal(3), rng.uniform(-np.pi, np.pi)
+        v, a, b = rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 3), rng.uniform(-2, 2)
+        assert g.R.shape == (3, 3) and isinstance(g.b, float)
+        assert np.max(np.abs(g.R - ref_rotation(axis, angle))) <= REF_ATOL
+        assert np.array_equal(g.v, v) and np.array_equal(g.a, a) and g.b == b
+
+    def test_batched_draw_matches_scalar_formulas(self):
+        k = 64
+        g = bg.random_galilei_element(np.random.default_rng(12), count=k)
+        rng = np.random.default_rng(12)
+        axis, angle = rng.standard_normal((k, 3)), rng.uniform(-np.pi, np.pi, k)
+        v, a, b = rng.uniform(-2, 2, (k, 3)), rng.uniform(-2, 2, (k, 3)), rng.uniform(-2, 2, k)
+        assert g.R.shape == (k, 3, 3) and g.b.shape == (k,)
+        for i in range(k):
+            assert np.max(np.abs(g.R[i] - ref_rotation(axis[i], angle[i]))) <= REF_ATOL
+        assert np.array_equal(g.v, v) and np.array_equal(g.a, a) and np.array_equal(g.b, b)
+
+    def test_batched_product_and_inverse_match_scalar_formulas(self):
+        rng = np.random.default_rng(13)
+        g1, g2 = (bg.random_galilei_element(rng, count=32) for _ in range(2))
+        prod = bg.galilei_multiply(g1, g2)
+        ident = bg.galilei_multiply(g1, bg.galilei_inverse(g1))
+        for i in range(32):
+            for got, want in zip(sample(prod, i), ref_multiply(sample(g1, i), sample(g2, i))):
+                assert np.max(np.abs(got - want)) <= REF_ATOL
+            assert np.max(np.abs(ident.R[i] - np.eye(3))) <= REF_ATOL
+            assert max(np.max(np.abs(ident.v[i])), np.max(np.abs(ident.a[i])),
+                       abs(ident.b[i])) <= REF_ATOL
 
 
 class TestBargmannExponent:
@@ -91,6 +165,26 @@ class TestBargmannExponent:
     def test_cocycle_identity_sampled(self):
         assert bg.bargmann_cocycle_check(1.0, samples=1000, seed=0) <= 1e-9
 
+    def test_cocycle_delta_matches_scalar_loop(self):
+        mass, samples, seed = 1.7, 300, 3
+        rng = np.random.default_rng([seed, 401])
+        g1, g2, g3 = (bg.random_galilei_element(rng, samples) for _ in range(3))
+        delta = (bg.bargmann_exponent(mass, g1, g2)
+                 - bg.bargmann_exponent(mass, g1, bg.galilei_multiply(g2, g3))
+                 + bg.bargmann_exponent(mass, bg.galilei_multiply(g1, g2), g3)
+                 - bg.bargmann_exponent(mass, g2, g3))
+        ref = []
+        for i in range(samples):
+            h1, h2, h3 = sample(g1, i), sample(g2, i), sample(g3, i)
+            ref.append(ref_exponent(mass, h1, h2)
+                       - ref_exponent(mass, h1, ref_multiply(h2, h3))
+                       + ref_exponent(mass, ref_multiply(h1, h2), h3)
+                       - ref_exponent(mass, h2, h3))
+        assert delta.shape == (samples,)
+        assert np.max(np.abs(delta - np.array(ref))) <= REF_ATOL
+        worst = bg.bargmann_cocycle_check(mass, samples=samples, seed=seed)
+        assert abs(worst - np.max(np.abs(ref))) <= REF_ATOL
+
     def test_cocycle_exact_on_translations(self):
         rng = np.random.default_rng(6)
         worst = 0.0
@@ -129,10 +223,38 @@ class TestMassSuperselection:
                                    - bg.bargmann_exponent(2.0, r2, r1)))
         assert worst == 0.0
 
+    def test_obstructions_match_scalar_loop(self):
+        # the pairs are drawn as (v1, a1, v2, a2), one pair after another
+        m1, m2, samples, seed = 2.3, 0.7, 150, 4
+        rng = np.random.default_rng([seed, 402])
+        pairs = [[(1.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]]
+        pairs += [[rng.uniform(-2.0, 2.0, size=3) for _ in range(4)] for _ in range(samples)]
+        ident = np.eye(3)
+
+        def obstruction(xi):
+            worst = 0.0
+            for v1, a1, v2, a2 in pairs:
+                h1 = (ident, np.array(v1), np.array(a1), 0.0)
+                h2 = (ident, np.array(v2), np.array(a2), 0.0)
+                worst = max(worst, abs(xi(h1, h2) - xi(h2, h1)))
+            return worst
+
+        rep = bg.mass_superselection_report(m1, m2, samples=samples, seed=seed)
+        ref = {
+            "obstruction_m1": obstruction(lambda x, y: ref_exponent(m1, x, y)),
+            "obstruction_m2": obstruction(lambda x, y: ref_exponent(m2, x, y)),
+            "obstruction_difference": obstruction(
+                lambda x, y: ref_exponent(m1, x, y) - ref_exponent(m2, x, y)),
+        }
+        for key, value in ref.items():
+            assert isinstance(rep[key], float)
+            assert abs(rep[key] - value) <= REF_ATOL
+
     def test_degenerate_sample_detected(self, monkeypatch):
         def symmetric_pairs(rng, count):
-            g = bg.GalileiElement(v=[1.0, 0, 0], a=[1.0, 0, 0])
-            return [(g, g)] * count
+            g = bg.GalileiElement(v=np.tile([1.0, 0, 0], (count, 1)),
+                                  a=np.tile([1.0, 0, 0], (count, 1)))
+            return g, g
 
         monkeypatch.setattr(bg, "_boost_translation_pairs", symmetric_pairs)
         with pytest.raises(DegenerateSample):
@@ -228,6 +350,53 @@ class TestExtendedAction:
             worst = max(worst, float(np.max(np.abs(x12 - xa))),
                         float(np.max(np.abs(l12 - la))), abs(t12 - ta))
         assert worst <= 1e-12
+
+
+    def test_composition_residual_matches_scalar_loop(self):
+        masses, samples, seed = np.array([0.8, 1.3, 0.4]), 200, 5
+        total = float(masses.sum())
+        rng = np.random.default_rng([seed, 403])
+        th1, g1 = rng.uniform(-2, 2, samples), bg.random_galilei_element(rng, samples)
+        th2, g2 = rng.uniform(-2, 2, samples), bg.random_galilei_element(rng, samples)
+        xs = rng.uniform(-2, 2, (samples, 3, 3))
+        lams = rng.uniform(-2, 2, (samples, 3))
+        t = rng.uniform(-2, 2, samples)
+        e1, e2 = bg.ExtendedElement(theta=th1, g=g1), bg.ExtendedElement(theta=th2, g=g2)
+        x2, l2, t2 = bg.extended_action(e2, xs, lams, t, masses)
+        x12, l12, t12 = bg.extended_action(e1, x2, l2, t2, masses)
+        e12 = bg.extended_multiply(e1, e2, total)
+        xa, la, ta = bg.extended_action(e12, xs, lams, t, masses)
+        worst = 0.0
+        for i in range(samples):
+            h1, h2 = sample(g1, i), sample(g2, i)
+            r2 = ref_action(th2[i], h2, xs[i], lams[i], t[i], total)
+            r12 = ref_action(th1[i], h1, *r2, total)
+            theta = th1[i] + th2[i] + ref_exponent(total, h1, h2)
+            ra = ref_action(theta, ref_multiply(h1, h2), xs[i], lams[i], t[i], total)
+            for got, want in zip((x2[i], l2[i], t2[i], x12[i], l12[i], t12[i],
+                                  xa[i], la[i], ta[i]), (*r2, *r12, *ra)):
+                assert np.max(np.abs(got - want)) <= REF_ATOL
+            worst = max(worst, np.max(np.abs(r12[0] - ra[0])),
+                        np.max(np.abs(r12[1] - ra[1])), abs(r12[2] - ra[2]))
+        got = bg.extended_action_composition_check(masses, samples=samples, seed=seed)
+        assert abs(got - worst) <= REF_ATOL
+        assert got <= 1e-12
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampling_checks_need_a_sample(self, samples):
+        checks = (lambda: bg.bargmann_cocycle_check(1.0, samples=samples),
+                  lambda: bg.mass_superselection_report(2.0, 1.0, samples=samples),
+                  lambda: bg.extended_action_composition_check([1.0, 1.0], samples=samples))
+        for check in checks:
+            with pytest.raises(ValueError, match="samples must be >= 1"):
+                check()
+
+    def test_one_sample_is_enough(self):
+        assert bg.bargmann_cocycle_check(1.0, samples=1) <= 1e-9
+        assert bg.extended_action_composition_check([1.0], samples=1) <= 1e-12
+        assert bg.mass_superselection_report(2.0, 1.0, samples=1)["inequivalent"]
 
 
 class TestExtendedDynamics:

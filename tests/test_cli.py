@@ -93,6 +93,18 @@ class TestAlgebraCommand:
         assert main(["algebra", path]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_mixed_scale_input_is_star_completed(self, tmp_path):
+        ops = [1e6 * np.eye(2), 1e-6 * np.array([[0.0, 1.0], [0.0, 0.0]])]
+        path = write(tmp_path, "mixed.json", {
+            "dim": 2,
+            "operators": [{"name": f"G{i}", "re": g.tolist(), "im": np.zeros((2, 2)).tolist()}
+                          for i, g in enumerate(ops)]})
+        report = run(["algebra", path])
+        assert report.sections["input"]["star_completed"] is True
+        assert report.sections["input"]["generators_after_completion"] == 4
+        assert report.sections["structure"]["generated_dim"] == 4
+        assert report.all_passed
+
 
 class TestParastatCommand:
     def test_three_qubits(self):
@@ -118,6 +130,11 @@ class TestBargmannCommand:
     def test_equal_masses_rejected(self, capsys):
         assert main(["bargmann", "--m1", "1.0", "--m2", "1.0"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_count_below_one_is_an_input_error(self, samples, capsys):
+        assert main(["bargmann", "--samples", samples]) == 1
+        assert "samples must be >= 1" in capsys.readouterr().err
 
 
 class TestExtensionCommand:
@@ -170,6 +187,19 @@ class TestDynamicsCommand:
             "potential": {"kind": "harmonic", "k": 1.0, "L": 1.0}})
         assert main(["dynamics", path]) == 2  # drift check fails, run completes
         capsys.readouterr()
+
+
+class TestRuntimeDependencies:
+    def test_cli_import_leaves_scipy_out(self):
+        # numpy is the only runtime dependency; scipy serves the tests alone
+        src = os.path.dirname(os.path.dirname(superselect.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, superselect.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=False, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestDeterminism:

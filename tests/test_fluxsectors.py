@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import lpmv
 
 from superselect.errors import QuadratureTooCoarse
 from superselect.fluxsectors import (
@@ -28,8 +31,8 @@ def random_directions(rng, count):
 def real_harmonic_rotation(l, rot, rng):
     """Wigner action on the real l-block, solved from sampled directions."""
     n = random_directions(rng, 40)
-    y = np.stack([real_sph_harm(l, m, n) for m in range(-l, l + 1)])
-    y_rot = np.stack([real_sph_harm(l, m, n @ rot.T) for m in range(-l, l + 1)])
+    y = real_sph_harm(l, n)[l * l:]
+    y_rot = real_sph_harm(l, n @ rot.T)[l * l:]
     d = y_rot @ np.linalg.pinv(y)
     assert np.max(np.abs(d @ d.T - np.eye(2 * l + 1))) <= 1e-10  # orthogonal action
     return d
@@ -84,19 +87,74 @@ class TestQuadrature:
     def test_harmonic_orthonormality(self, quad):
         lmax = 4
         rows = [(l, m) for l in range(lmax + 1) for m in range(-l, l + 1)]
-        y = np.stack([real_sph_harm(l, m, quad.nodes) for l, m in rows])
+        y = real_sph_harm(lmax, quad.nodes)[[lm_index(l, m) for l, m in rows]]
         gram = (y * quad.weights) @ y.T
         assert np.max(np.abs(gram - np.eye(len(rows)))) <= 1e-10
 
 
+class TestHarmonicTable:
+    def test_matches_lpmv_oracle(self, quad):
+        # scipy's lpmv carries the Condon-Shortley phase; (-1)^m removes it
+        nodes = np.vstack([quad.nodes, [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+        table = real_sph_harm(16, nodes)
+        assert table.shape == (17 ** 2, len(nodes))
+        z, phi = nodes[:, 2], np.arctan2(nodes[:, 1], nodes[:, 0])
+        for l in range(17):
+            for m in range(-l, l + 1):
+                am = abs(m)
+                norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                                 * math.factorial(l - am) / math.factorial(l + am))
+                leg = norm * (-1.0) ** am * lpmv(am, l, z)
+                if m > 0:
+                    leg = math.sqrt(2.0) * leg * np.cos(am * phi)
+                elif m < 0:
+                    leg = math.sqrt(2.0) * leg * np.sin(am * phi)
+                assert np.max(np.abs(table[lm_index(l, m)] - leg)) <= 1e-12, (l, m)
+
+    def test_low_degree_closed_forms(self):
+        n = random_directions(np.random.default_rng(3), 30)
+        x, y, z = n.T
+        table = real_sph_harm(2, n)
+        c1, c2 = math.sqrt(3 / (4 * math.pi)), math.sqrt(15 / (4 * math.pi))
+        expect = {(0, 0): np.full(30, math.sqrt(1 / (4 * math.pi))),
+                  (1, -1): c1 * y, (1, 0): c1 * z, (1, 1): c1 * x,
+                  (2, -2): c2 * x * y, (2, -1): c2 * y * z,
+                  (2, 0): math.sqrt(5 / (16 * math.pi)) * (3 * z * z - 1),
+                  (2, 1): c2 * x * z, (2, 2): math.sqrt(15 / (16 * math.pi)) * (x * x - y * y)}
+        for (l, m), want in expect.items():
+            assert np.max(np.abs(table[lm_index(l, m)] - want)) <= 1e-14
+
+    def test_single_direction_and_degree_zero(self):
+        assert real_sph_harm(3, [0.0, 1.0, 0.0]).shape == (16, 1)
+        assert real_sph_harm(0, [[1.0, 0.0, 0.0]])[0, 0] == 1.0 / math.sqrt(4.0 * math.pi)
+
+    def test_rejects_non_unit_direction(self):
+        with pytest.raises(ValueError):
+            real_sph_harm(4, np.array([[1.0, 1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            real_sph_harm(-1, np.array([[1.0, 0.0, 0.0]]))
+
+
 class TestMultipoleMoments:
+    def test_one_table_per_call(self, quad, monkeypatch):
+        import superselect.fluxsectors as fs
+        calls = []
+
+        def counted(lmax, nodes):
+            calls.append(lmax)
+            return real_sph_harm(lmax, nodes)
+
+        monkeypatch.setattr(fs, "real_sph_harm", counted)
+        multipole_moments(lambda n: np.ones(len(n)), quad, 16)
+        assert calls == [16]
+
     def test_uniform_flux_single_moment(self, quad):
         fm = multipole_moments(lambda n: np.full(len(n), 1 / (4 * np.pi)), quad, 8)
         assert abs(fm.coeff(0, 0) - 1 / np.sqrt(4 * np.pi)) <= 1e-10
         assert np.max(np.abs(fm.coefficients[1:])) <= 1e-10
 
     def test_reproduces_a_pure_harmonic(self, quad):
-        fm = multipole_moments(lambda n: real_sph_harm(2, 1, n), quad, 8)
+        fm = multipole_moments(lambda n: real_sph_harm(2, n)[lm_index(2, 1)], quad, 8)
         expect = np.zeros((8 + 1) ** 2)
         expect[lm_index(2, 1)] = 1.0
         assert np.max(np.abs(fm.coefficients - expect)) <= 1e-10

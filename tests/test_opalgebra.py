@@ -42,6 +42,23 @@ class TestOperatorSet:
         s2 = operator_set([raising, raising.conj().T])
         assert s2.self_adjoint_closed
 
+    def test_star_closure_at_mixed_scales(self, tol):
+        # {1e6 I, 1e-6 E_01} lacks E_10 however small the raising member is;
+        # at unit scale the set is not *-closed and generates all of M_2
+        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        s = operator_set([1e6 * np.eye(2), 1e-6 * raising], tol=tol)
+        assert s.self_adjoint_closed is False
+        assert len(star_completion(s)) == 4
+        assert generated_algebra(s, tol).algebra_dim == 4
+        assert generated_algebra(operator_set([np.eye(2), raising], tol=tol), tol).algebra_dim == 4
+
+    def test_zero_members_do_not_decide_star_closure(self, tol):
+        zero = np.zeros((2, 2), dtype=complex)
+        assert operator_set([zero], tol=tol).self_adjoint_closed
+        assert operator_set([zero, SX], tol=tol).self_adjoint_closed
+        assert not operator_set([zero, np.array([[0, 1], [0, 0]], dtype=complex)],
+                                tol=tol).self_adjoint_closed
+
 
 class TestCommutant:
     def test_identity_gives_full_algebra(self, tol):
