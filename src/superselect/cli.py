@@ -58,6 +58,7 @@ from .opalgebra import (
     check_dirac,
     commutant,
     span_equal,
+    span_residual,
     star_completion,
 )
 from .parastat import parastat_truncation, permutation_unitaries
@@ -154,8 +155,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
     # triple-commutant identity: commutant of S'' must equal S'
     triple_ok = span_equal(obs, commutant(gen.as_set(), tol), tol)
-    member_resid = float(max(
-        np.linalg.norm(m - _project_span(gen.basis, m)) for m in s.members))
+    member_resid = max(span_residual(gen.basis, m) for m in s.members)
 
     checks = [
         _check("sum d_i * ntilde_i == dim", sum_dn, n, sum_dn == n),
@@ -199,11 +199,6 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     }
     return AnalysisReport(tool_version=__version__, seed=tol.seed,
                           input_digest=sha256_hex(raw), sections=sections)
-
-
-def _project_span(basis: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    q = basis.reshape(basis.shape[0], -1)
-    return (q.T @ (q.conj() @ mat.ravel())).reshape(mat.shape)
 
 
 def cmd_parastat(n: int, d: int, tol: ToleranceConfig) -> AnalysisReport:

@@ -22,10 +22,6 @@ class ClosureMismatch(SuperselectError):
     """Double-commutant and word-closure constructions disagree in dimension."""
 
 
-class WitnessConstructionFailed(SuperselectError):
-    """No simple-spectrum generic element found after the reseed budget."""
-
-
 class NonIntegerStructure(SuperselectError):
     """Restricted algebra dimensions are not squares of integers (clustering failure)."""
 

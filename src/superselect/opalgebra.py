@@ -21,12 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    ClosureMismatch,
-    DimensionMismatch,
-    PostconditionFailure,
-    WitnessConstructionFailed,
-)
+from .errors import ClosureMismatch, DimensionMismatch, PostconditionFailure
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -35,7 +30,6 @@ from .numkernel import (
     hermitian_part,
     orthonormal_columns_extend,
     orthonormal_nullspace,
-    random_unitary,
 )
 
 if TYPE_CHECKING:
@@ -141,7 +135,7 @@ def operator_set(mats, names=None, tol: ToleranceConfig = DEFAULT_TOL) -> Operat
     norms = np.linalg.norm(members.reshape(len(mats), -1), axis=1)
     unit = members[norms > 0] / norms[norms > 0, None, None]
     closed = not len(unit) or _max_span_residual(
-        unit, unit.conj().transpose(0, 2, 1), orthonormal=False, tol=tol) <= tol.rank_tol
+        _orthonormalize_stack(unit, tol), unit.conj().transpose(0, 2, 1)) <= tol.rank_tol
     return OperatorSet(dim=n, members=members, names=names, self_adjoint_closed=closed)
 
 
@@ -185,14 +179,9 @@ def span_residual(basis: np.ndarray, mat: np.ndarray) -> float:
     return float(np.linalg.norm(v - q.T @ (q.conj() @ v)))
 
 
-def _max_span_residual(basis: np.ndarray, mats: np.ndarray, orthonormal: bool = True,
-                       tol: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Largest projection residual of ``mats`` onto span(basis)."""
-    n = basis.shape[1]
-    if orthonormal:
-        q = basis.reshape(basis.shape[0], -1)
-    else:
-        q = _orthonormalize_stack(basis, tol).reshape(-1, n * n)
+def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
+    """Largest projection residual of ``mats`` onto the span of an orthonormal basis stack."""
+    q = basis.reshape(basis.shape[0], -1)
     v = mats.reshape(mats.shape[0], -1)
     resid = v - (v @ q.conj().T) @ q
     return float(np.max(np.linalg.norm(resid, axis=1))) if len(resid) else 0.0
@@ -415,8 +404,8 @@ class DiracReport:
 
     ``v2_holds`` states whether the commutant of the observables is abelian.
     When it holds, ``witness`` is a maximal abelian subalgebra of the
-    observables (equal to its own commutant) built from a generic
-    simple-spectrum element per coherent sector.
+    observables (equal to its own commutant): the span of the rank-one
+    projectors onto an orthonormal basis adapted to the coherent sectors.
     """
 
     v2_holds: bool
@@ -431,12 +420,13 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     """Abelian-commutant verdict on a decomposed algebra, plus a maximal abelian witness.
 
     The verdict reads the commutant the decomposition already holds.  When
-    it is abelian, the witness is built per coherent sector: a seeded random
-    Hermitian element of the observables restricted to the sector (random
-    eigenbasis, Chebyshev-spaced eigenvalues so the closure stays well
-    conditioned), retried until the assembled direct sum has globally
-    simple spectrum, then closed into an algebra.  ``A = A'`` is verified
-    by dimension and span comparison.
+    it is abelian every sector has ``d = 1``, so the observables are the
+    full matrix algebra on each block, and the rank-one projectors
+    ``e_k e_k*`` onto the columns of the stacked sector isometries are ``n``
+    HS-orthonormal elements of it summing to the identity.  They span the
+    witness.  ``A = A'`` is verified independently, by taking the
+    witness's commutant and comparing spans, and so is containment of the
+    witness in the observables.
     """
     cp = dec.commutant
     abelian, worst = is_abelian(cp, tol)
@@ -444,34 +434,9 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
         return DiracReport(v2_holds=False, witness=None,
                            commutant_dim=cp.algebra_dim, max_commutator=worst)
 
-    n = dec.dim
-    # Chebyshev-spaced target spectrum keeps the closure validator's Krylov
-    # chain well conditioned; the random content is the per-sector eigenbasis.
-    nodes = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))[::-1]
-    generator = None
-    for attempt in range(16):
-        rng = tol.rng(103, attempt)
-        full = np.zeros((n, n), dtype=complex)
-        offset = 0
-        for sec in dec.sectors:
-            w_iso = sec.isometry
-            b = w_iso.shape[1]
-            u = random_unitary(rng, b)  # d = 1: the restricted algebra is the full block
-            x = (u * nodes[offset:offset + b]) @ u.conj().T
-            full += w_iso @ x @ w_iso.conj().T
-            offset += b
-        evals = np.linalg.eigvalsh(hermitian_part(full))
-        diam = float(evals[-1] - evals[0])
-        if evals.size < 2 or (
-                diam > 0 and float(np.min(np.diff(evals))) > tol.cluster_tol * diam):
-            generator = full
-            break
-    if generator is None:
-        raise WitnessConstructionFailed(
-            "no simple-spectrum generic element after 16 reseeds; "
-            "tolerances look degenerate for this algebra")
-
-    witness = generated_algebra(operator_set([generator], tol=tol), tol)
+    cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
+    witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
+                              contains_identity=True)
     wcomm = commutant(witness.as_set(), tol)
     return DiracReport(
         v2_holds=True,

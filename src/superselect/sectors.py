@@ -64,6 +64,7 @@ class Sector:
 
     projector: np.ndarray   # (n, n) Hermitian idempotent
     isometry: np.ndarray    # (n, block_dim), columns span the block
+    commutant_basis: np.ndarray  # (d^2, block_dim, block_dim), orthonormal basis of W^* O' W
     block_dim: int
     d: int                  # commutant factor dimension on this block
     ntilde: int             # observable factor dimension on this block
@@ -172,9 +173,9 @@ def central_decomposition(o: OperatorAlgebra,
         proj = w_iso @ w_iso.conj().T
         block_dim = int(idx.size)
         restricted = _restricted_basis(o.basis, w_iso, tol)
-        dim_cp = _restricted_basis(cp.basis, w_iso, tol).shape[0]
+        restricted_cp = _restricted_basis(cp.basis, w_iso, tol)
         ntilde = _as_int(float(np.sqrt(restricted.shape[0])), "sqrt(dim of restricted algebra)")
-        d = _as_int(float(np.sqrt(dim_cp)), "sqrt(dim of restricted commutant)")
+        d = _as_int(float(np.sqrt(restricted_cp.shape[0])), "sqrt(dim of restricted commutant)")
         if d * ntilde != block_dim:
             raise NonIntegerStructure(
                 f"block of dimension {block_dim} resolved to d={d}, ntilde={ntilde}; "
@@ -185,8 +186,8 @@ def central_decomposition(o: OperatorAlgebra,
             if commutant(block.as_set(), tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
-        sectors.append(Sector(projector=proj, isometry=w_iso, block_dim=block_dim,
-                              d=d, ntilde=ntilde,
+        sectors.append(Sector(projector=proj, isometry=w_iso, commutant_basis=restricted_cp,
+                              block_dim=block_dim, d=d, ntilde=ntilde,
                               central_value=float(np.mean(w[idx]))))
     sectors.sort(key=lambda s: (s.central_value, s.block_dim))
     if sum(s.block_dim for s in sectors) != n:
@@ -270,11 +271,9 @@ def truncate(dec: SectorDecomposition,
     """
     columns = []
     for sidx, sec in enumerate(dec.sectors):
-        w_iso = sec.isometry
-        restricted = _restricted_basis(dec.commutant.basis, w_iso, tol)
         picked = None
         for attempt in range(16):
-            x = _generic_hermitian_combo(restricted, tol.rng(202, sidx, attempt))
+            x = _generic_hermitian_combo(sec.commutant_basis, tol.rng(202, sidx, attempt))
             w, v = np.linalg.eigh(hermitian_part(x))
             groups = cluster_eigenvalues(w, tol.cluster_tol)
             if len(groups) == sec.d and all(g.size == sec.ntilde for g in groups):
@@ -284,7 +283,7 @@ def truncate(dec: SectorDecomposition,
             raise DegenerateGenericElement(
                 f"sector {sidx}: commutant element never showed {sec.d} clusters of "
                 f"size {sec.ntilde} after 16 reseeds")
-        columns.append(w_iso @ picked)
+        columns.append(sec.isometry @ picked)
     v_full = np.hstack(columns)
     gram = v_full.conj().T @ v_full
     if np.max(np.abs(gram - np.eye(v_full.shape[1]))) > 1e-10:

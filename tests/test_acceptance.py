@@ -50,6 +50,7 @@ from superselect.opalgebra import (
     generated_algebra,
     operator_set,
     span_equal,
+    span_residual,
 )
 from superselect.parastat import (
     parastat_truncation,
@@ -77,10 +78,8 @@ def planted_sweep():
         cp = commutant(s, tol)
         o = generated_algebra(s, tol)
         dec = central_decomposition(o, tol)  # dec.commutant is the triple commutant
-        member_resid = max(
-            float(np.linalg.norm(
-                m - _project(o.basis, m))) / float(np.linalg.norm(m))
-            for m in s.members)
+        member_resid = max(span_residual(o.basis, m) / float(np.linalg.norm(m))
+                           for m in s.members)
         t_structure += time.perf_counter() - t0
         records.append({
             "trial": trial,
@@ -94,11 +93,6 @@ def planted_sweep():
             "triple_commutant_ok": span_equal(cp, dec.commutant, tol),
         })
     return records, t_structure
-
-
-def _project(basis, mat):
-    q = basis.reshape(basis.shape[0], -1)
-    return (q.T @ (q.conj() @ mat.ravel())).reshape(mat.shape)
 
 
 def test_criterion_1_commutant_calculus(planted_sweep):

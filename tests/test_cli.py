@@ -273,7 +273,8 @@ class TestStructureCallCounts:
     """One structure pass per input: O', the center and the sectors are computed once."""
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
-               "check_dirac": "opalgebra"}  # function -> defining module
+               "check_dirac": "opalgebra", "generated_algebra": "opalgebra",
+               "_word_closure_dim": "opalgebra"}  # function -> defining module
 
     def count_calls(self, monkeypatch, args):
         """Run a command with the counted functions wrapped wherever a module binds them."""
@@ -298,15 +299,18 @@ class TestStructureCallCounts:
         # S' -> one decomposition (holds S'') -> triple commutant
         path = planted_file(tmp_path, [(1, 2), (3, 3)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
-        assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1}
+        assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
+                          "generated_algebra": 0, "_word_closure_dim": 1}
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
-        # adds one irreducibility commutant per d = 1 block and three for the witness
+        # adds one irreducibility commutant per d = 1 block and one for A = A'
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
-        assert counts == {"commutant": 8, "central_decomposition": 1, "check_dirac": 1}
+        assert counts == {"commutant": 6, "central_decomposition": 1, "check_dirac": 1,
+                          "generated_algebra": 0, "_word_closure_dim": 1}
 
     def test_parastat(self, monkeypatch):
         # the invariant algebra and the truncated one are each decomposed once
         counts = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
-        assert counts == {"commutant": 9, "central_decomposition": 2, "check_dirac": 1}
+        assert counts == {"commutant": 7, "central_decomposition": 2, "check_dirac": 1,
+                          "generated_algebra": 0, "_word_closure_dim": 0}

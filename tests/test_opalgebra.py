@@ -246,6 +246,24 @@ class TestCheckDirac:
         assert rep.witness.algebra_dim == 5
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
 
+    def test_witness_is_rank_one_sector_projectors(self, tol):
+        # O = M2 (+) M3 in a random basis: two sectors with ntilde >= 2, abelian O'
+        gens, _ = planted_block_algebra(np.random.default_rng(17), [(1, 2), (1, 3)])
+        o = generated_algebra(operator_set(gens, tol=tol), tol)
+        rep = check_dirac(central_decomposition(o, tol), tol)
+        assert rep.v2_holds and rep.commutant_dim == 2
+        basis = rep.witness.basis
+        assert basis.shape == (5, 5, 5)
+        for p in basis:
+            assert np.allclose(p, p.conj().T, atol=1e-12)
+            assert np.allclose(p @ p, p, atol=1e-12)
+            assert np.linalg.matrix_rank(p, tol=1e-8) == 1
+            assert span_residual(o.basis, p) <= 100 * tol.rank_tol
+        vecs = basis.reshape(5, -1)
+        assert np.allclose(vecs.conj() @ vecs.T, np.eye(5), atol=1e-12)
+        assert np.allclose(basis.sum(axis=0), np.eye(5), atol=1e-12)
+        assert rep.witness_is_maximal_abelian and rep.witness_in_observables
+
 
 class TestPlantedStructure:
     def test_dimension_accounting(self, tol):
