@@ -223,7 +223,7 @@ def cmd_parastat(n: int, d: int, tol: ToleranceConfig) -> AnalysisReport:
 
 
 def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> AnalysisReport:
-    cocycle_resid = max(bargmann_cocycle_check(m, samples, tol.seed) for m in (m1, m2))
+    cocycle_resid = bargmann_cocycle_check((m1, m2), samples, tol.seed)
     mass_rep = mass_superselection_report(m1, m2, samples, tol.seed)
 
     grid = np.linspace(-16.0, 16.0, 641)

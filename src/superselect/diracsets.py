@@ -73,7 +73,11 @@ def has_simple_spectrum(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, fl
     Gaps are compared against ``cluster_tol`` times the spectral diameter;
     returns the verdict and the minimum gap.
     """
-    w, _ = hermitian_eig(a)
+    return _simple_spectrum(hermitian_eig(a)[0], tol)
+
+
+def _simple_spectrum(w: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
+    """:func:`has_simple_spectrum` on ascending eigenvalues already computed."""
     if w.size < 2:
         return True, float("inf")
     min_gap = float(np.min(np.diff(w)))
@@ -113,7 +117,7 @@ def interpolate_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Polynomia
     if np.linalg.norm(comm) > COMMUTE_RTOL * max(a_norm * wb_norm, 1e-300):
         raise NotCommuting(
             f"commutator norm {np.linalg.norm(comm):.3e} above {COMMUTE_RTOL:.0e} * |A||B|")
-    simple, min_gap = has_simple_spectrum(a, tol)
+    simple, min_gap = _simple_spectrum(wa, tol)
     det = vandermonde_determinant(wa)
     log.debug("Vandermonde determinant %.6e (min gap %.3e)", det, min_gap)
     if not simple or det == 0.0:
@@ -144,11 +148,11 @@ def cyclic_vector_for(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     in ``a``; with a degenerate spectrum no cyclic vector exists and
     :class:`DegenerateSpectrum` is raised.
     """
-    simple, min_gap = has_simple_spectrum(a, tol)
+    w, v = hermitian_eig(a)
+    simple, min_gap = _simple_spectrum(w, tol)
     if not simple:
         raise DegenerateSpectrum(
             f"spectrum is degenerate (min gap {min_gap:.3e}); no cyclic vector exists")
-    _, v = hermitian_eig(a)
     g = v.sum(axis=1)
     return g / np.linalg.norm(g)
 

@@ -185,20 +185,13 @@ class FluxMultipoles:
     def coeff(self, l: int, m: int) -> float:
         return float(self.coefficients[lm_index(l, m)])
 
-    def block(self, l: int) -> np.ndarray:
-        return self.coefficients[l * l:(l + 1) * (l + 1)]
-
-    def norm_from(self, lmin: int) -> float:
-        """Euclidean norm of all coefficients with l >= lmin."""
-        return float(np.linalg.norm(self.coefficients[lmin * lmin:]))
-
 
 def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     """Multipole coefficients f_lm = sum_nodes w Y_lm flux(node).
 
-    ``flux`` is a callable on arrays of unit vectors (or a precomputed value
-    array matching the nodes).  Requires lmax <= 16 and at least
-    2 lmax + 2 nodes per sphere direction; the Parseval bound
+    ``flux`` is a callable taking the ``(N, 3)`` array of quadrature nodes
+    and returning the ``(N,)`` flux values there.  Requires lmax <= 16 and
+    at least 2 lmax + 2 nodes per sphere direction; the Parseval bound
     sum f_lm^2 <= quadrature of flux^2 is verified.
     """
     if lmax > 16 or lmax < 0:
@@ -207,7 +200,7 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
         raise QuadratureTooCoarse(
             f"need n_theta and n_phi >= 2*lmax + 2 = {2 * lmax + 2}, "
             f"got ({q.n_theta}, {q.n_phi})")
-    values = np.asarray(flux(q.nodes) if callable(flux) else flux, dtype=float)
+    values = np.asarray(flux(q.nodes), dtype=float)
     if values.shape != q.weights.shape:
         raise ValueError("flux values must match the quadrature nodes")
     coeffs = real_sph_harm(lmax, q.nodes) @ (q.weights * values)

@@ -21,7 +21,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ClosureMismatch, DimensionMismatch, PostconditionFailure
+from .errors import (
+    ClosureMismatch,
+    DegenerateGenericElement,
+    DimensionMismatch,
+    PostconditionFailure,
+)
 from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -209,14 +214,22 @@ def _generic_hermitian_combo(members: np.ndarray, rng: np.random.Generator) -> n
     return np.tensordot(c1, herm, axes=1) + np.tensordot(c2, anti, axes=1)
 
 
-def _pattern_from_element(x: np.ndarray, tol: ToleranceConfig):
-    """Eigenbasis of a Hermitian element plus the index pairs of its block pattern."""
-    w, v = np.linalg.eigh(hermitian_part(x))
-    labels = np.empty(w.size, dtype=int)
-    for lab, idx in enumerate(cluster_eigenvalues(w, tol.cluster_tol)):
-        labels[idx] = lab
-    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
-    return v, rows, cols
+def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
+    """``(w, v, groups)`` of the first seeded generic element whose clusters pass ``accept``.
+
+    Per salt, the element drawn from ``tol.rng(*salt)`` is diagonalized and
+    its ascending eigenvalues clustered at ``cluster_tol``.  When no draw
+    passes, :class:`DegenerateGenericElement` names the last salt.
+    """
+    for salt in salts:
+        x = _generic_hermitian_combo(members, tol.rng(*salt))
+        w, v = np.linalg.eigh(hermitian_part(x))
+        groups = cluster_eigenvalues(w, tol.cluster_tol)
+        if accept(groups):
+            return w, v, groups
+    raise DegenerateGenericElement(
+        f"no generic element split as required; the last draw (salt {salt}) gave "
+        f"clusters of sizes {[int(g.size) for g in groups]}")
 
 
 def _pattern_constraints(a_rot: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -268,8 +281,11 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     nonzero = norms > 0
     members = (s.members[nonzero] / norms[nonzero, None, None]
                if nonzero.any() else s.members)
-    x1 = _generic_hermitian_combo(members, tol.rng(101))
-    v, rows, cols = _pattern_from_element(x1, tol)
+    _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
+    labels = np.empty(n, dtype=int)
+    for lab, idx in enumerate(groups):
+        labels[idx] = lab
+    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 

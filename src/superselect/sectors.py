@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (
     CriteriaDisagree,
-    DegenerateGenericElement,
     NonIntegerStructure,
     PostconditionFailure,
     ZeroVector,
@@ -25,13 +24,12 @@ from .numkernel import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_complex_matrix,
-    cluster_eigenvalues,
     hermitian_part,
 )
 from .opalgebra import (
     DiracReport,
     OperatorAlgebra,
-    _generic_hermitian_combo,
+    _generic_split,
     _orthonormalize_stack,
     algebra_from_span,
     center,
@@ -141,7 +139,8 @@ def central_decomposition(o: OperatorAlgebra,
     The commutant and the center are computed once here and kept on the
     result.  A seeded generic Hermitian element of the center is
     diagonalized and its eigenvalue clusters give the minimal central
-    projectors.  On each block, ``d`` and ``ntilde`` are the integer square
+    projectors; it is redrawn, up to 16 times, until it shows one cluster
+    per center dimension.  On each block, ``d`` and ``ntilde`` are the integer square
     roots of the dimensions of the restricted commutant and algebra spans;
     blocks with ``d = 1`` are verified irreducible.  Sectors are ordered by
     ascending eigenvalue of the generic central element.
@@ -152,21 +151,8 @@ def central_decomposition(o: OperatorAlgebra,
     cp = commutant(o.as_set(), tol)
     z = center(o, tol, commutant_algebra=cp)
 
-    n_sectors = z.algebra_dim
-    groups = None
-    w = v = None
-    for attempt in range(16):
-        c = _generic_hermitian_combo(z.basis, tol.rng(201, attempt))
-        w, v = np.linalg.eigh(hermitian_part(c))
-        cand = cluster_eigenvalues(w, tol.cluster_tol)
-        if len(cand) == n_sectors:
-            groups = cand
-            break
-    if groups is None:
-        raise DegenerateGenericElement(
-            f"generic central element produced {len(cand)} clusters, expected "
-            f"{n_sectors}, after 16 reseeds")
-
+    w, v, groups = _generic_split(z.basis, tol, ((201, a) for a in range(16)),
+                                  lambda g: len(g) == z.algebra_dim)
     sectors = []
     for idx in groups:
         w_iso = v[:, idx]
@@ -189,7 +175,6 @@ def central_decomposition(o: OperatorAlgebra,
         sectors.append(Sector(projector=proj, isometry=w_iso, commutant_basis=restricted_cp,
                               block_dim=block_dim, d=d, ntilde=ntilde,
                               central_value=float(np.mean(w[idx]))))
-    sectors.sort(key=lambda s: (s.central_value, s.block_dim))
     if sum(s.block_dim for s in sectors) != n:
         raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
     return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
@@ -263,27 +248,19 @@ def truncate(dec: SectorDecomposition,
 
     Returns the isometry V, the restricted algebra and its abelian-commutant
     report.  Per sector, a seeded generic Hermitian element of the commutant
-    restricted to the block must show ``d`` spectral clusters of size
-    ``ntilde`` each; the lowest cluster's eigenspace is the copy kept.  The
+    restricted to the block, redrawn up to 16 times, must show ``d``
+    spectral clusters of size ``ntilde`` each; the lowest cluster's
+    eigenspace is the copy kept.  The
     stacked isometry satisfies ``V^* V = 1`` on the truncated space, and the
     restricted algebra passes the abelian-commutant check with commutant
     dimension equal to the number of sectors.
     """
     columns = []
     for sidx, sec in enumerate(dec.sectors):
-        picked = None
-        for attempt in range(16):
-            x = _generic_hermitian_combo(sec.commutant_basis, tol.rng(202, sidx, attempt))
-            w, v = np.linalg.eigh(hermitian_part(x))
-            groups = cluster_eigenvalues(w, tol.cluster_tol)
-            if len(groups) == sec.d and all(g.size == sec.ntilde for g in groups):
-                picked = v[:, groups[0]]  # lowest spectral cluster
-                break
-        if picked is None:
-            raise DegenerateGenericElement(
-                f"sector {sidx}: commutant element never showed {sec.d} clusters of "
-                f"size {sec.ntilde} after 16 reseeds")
-        columns.append(sec.isometry @ picked)
+        _, v, groups = _generic_split(
+            sec.commutant_basis, tol, ((202, sidx, a) for a in range(16)),
+            lambda g: len(g) == sec.d and all(c.size == sec.ntilde for c in g))
+        columns.append(sec.isometry @ v[:, groups[0]])  # lowest spectral cluster
     v_full = np.hstack(columns)
     gram = v_full.conj().T @ v_full
     if np.max(np.abs(gram - np.eye(v_full.shape[1]))) > 1e-10:

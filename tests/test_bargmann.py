@@ -185,6 +185,10 @@ class TestBargmannExponent:
         worst = bg.bargmann_cocycle_check(mass, samples=samples, seed=seed)
         assert abs(worst - np.max(np.abs(ref))) <= REF_ATOL
 
+    def test_mass_sequence_gives_worst_single_mass(self):
+        pair = bg.bargmann_cocycle_check((2.0, 1.0))
+        assert pair == max(bg.bargmann_cocycle_check(2.0), bg.bargmann_cocycle_check(1.0))
+
     def test_cocycle_exact_on_translations(self):
         rng = np.random.default_rng(6)
         worst = 0.0

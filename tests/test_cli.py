@@ -179,6 +179,16 @@ class TestDynamicsCommand:
         assert res["energy_drift_relative"] <= 1e-6
         assert res["symmetry_deviation"] <= 1e-5
 
+    def test_free_particle(self, tmp_path, capsys):
+        path = write(tmp_path, "free.json", {
+            "masses": [1.0, 2.0], "x": [[0, 0, 0], [1.5, 0, 0]],
+            "p": [[1.0, 0, 0], [0, -0.2, 0.1]], "lambda": [0.0, 0.5],
+            "dt": 1e-3, "steps": 200, "potential": {"kind": "none"}})
+        assert main(["dynamics", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        checks = {c["name"]: c for c in doc["sections"]["checks"]}
+        assert checks["free-particle lambda matches closed form"]["passed"]
+
     def test_coarse_step_exits_2(self, tmp_path, capsys):
         path = write(tmp_path, "coarse.json", {
             "masses": [1.0, 2.0], "x": [[0, 0, 0], [1.5, 0, 0]],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from superselect import diracsets
 from superselect.diracsets import (
     cyclic_vector_for,
     has_simple_spectrum,
@@ -40,6 +41,18 @@ class TestSimpleSpectrum:
     def test_rejects_non_hermitian(self, tol):
         with pytest.raises(NotHermitian):
             has_simple_spectrum(np.array([[0, 1], [0, 0]]), tol)
+
+
+class TestOneEigendecomposition:
+    @pytest.mark.parametrize("call", [lambda a, tol: interpolate_commuting(a, a @ a, tol),
+                                      cyclic_vector_for],
+                             ids=["interpolate_commuting", "cyclic_vector_for"])
+    def test_simplicity_read_from_held_eigenvalues(self, call, tol, monkeypatch):
+        calls, original = [], diracsets.hermitian_eig
+        monkeypatch.setattr(diracsets, "hermitian_eig",
+                            lambda a: calls.append(a) or original(a))
+        call(diag(0, 1, 3), tol)
+        assert len(calls) == 1
 
 
 class TestInterpolateCommuting:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_commutant, planted_block_algebra, sample_pattern
-from superselect.errors import DimensionMismatch
+from superselect.errors import DegenerateGenericElement, DimensionMismatch
 from superselect.numkernel import ToleranceConfig, random_hermitian
 from superselect.opalgebra import (
+    _generic_split,
     algebra_from_span,
     center,
     check_dirac,
@@ -122,6 +123,27 @@ class TestCommutant:
             c_big = commutant(operator_set(big), tol)
             worst = max(span_residual(c_small.basis, b) for b in c_big.basis)
             assert worst <= 1e-9
+
+
+class TestGenericSplit:
+    @pytest.fixture
+    def members(self):
+        rng = np.random.default_rng(13)
+        return np.stack([random_hermitian(rng, 5) for _ in range(3)])
+
+    def test_returns_first_accepted_draw(self, members, tol):
+        seen = []
+        salts = iter([(7, 0), (7, 1), (7, 2)])
+        w, v, groups = _generic_split(members, tol, salts,
+                                      lambda g: seen.append(g) or len(seen) == 2)
+        assert len(seen) == 2 and next(salts) == (7, 2)  # stopped at the first accepted
+        w1, v1, groups1 = _generic_split(members, tol, [(7, 1)], lambda g: True)
+        assert np.array_equal(w, w1) and np.array_equal(v, v1)
+        assert [g.tolist() for g in groups] == [g.tolist() for g in groups1]
+
+    def test_exhausted_salts_raise_naming_the_last(self, members, tol):
+        with pytest.raises(DegenerateGenericElement, match=r"salt \(9, 2\)"):
+            _generic_split(members, tol, ((9, a) for a in range(3)), lambda g: False)
 
 
 class TestGeneratedAlgebra:

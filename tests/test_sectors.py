@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import planted_block_algebra
-from superselect.errors import CriteriaDisagree, ZeroVector
+from superselect import opalgebra
+from superselect.errors import CriteriaDisagree, DegenerateGenericElement, ZeroVector
 from superselect.numkernel import ToleranceConfig
 from superselect.opalgebra import commutant, generated_algebra, operator_set, span_equal
 from superselect.sectors import (
@@ -64,6 +65,19 @@ class TestCentralDecomposition:
             comm = np.einsum("ij,kjl->kil", sec.projector, o.basis) \
                 - np.einsum("kij,jl->kil", o.basis, sec.projector)
             assert float(np.max(np.abs(comm))) <= 1e-9
+
+    def test_sectors_in_ascending_central_value(self, tol):
+        gens, _ = planted_block_algebra(np.random.default_rng(72), [(1, 2), (2, 1), (1, 1)])
+        dec = central_decomposition(generated_algebra(operator_set(gens), tol), tol)
+        values = [s.central_value for s in dec.sectors]
+        assert len(values) == 3 and values == sorted(set(values))
+
+    def test_merged_clusters_raise_typed_error(self, three_sector, tol, monkeypatch):
+        o, _ = three_sector
+        monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
+                            lambda w, cluster_tol: [np.arange(w.size)])
+        with pytest.raises(DegenerateGenericElement, match=r"salt \(201, 15\)"):
+            central_decomposition(o, tol)
 
     def test_requires_identity(self, tol):
         from superselect.opalgebra import OperatorAlgebra
@@ -234,3 +248,12 @@ class TestTruncate:
             m = v.conj().T @ sec.projector @ v
             rank = int(np.sum(np.linalg.eigvalsh(m) > 1e-8))
             assert rank == sec.ntilde
+
+    def test_merged_clusters_raise_typed_error(self, tol, monkeypatch):
+        o = generated_algebra(
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
+        dec = central_decomposition(o, tol)
+        monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
+                            lambda w, cluster_tol: [np.arange(w.size)])
+        with pytest.raises(DegenerateGenericElement, match=r"salt \(202, 0, 15\)"):
+            truncate(dec, tol)
