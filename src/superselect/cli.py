@@ -155,7 +155,11 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
     # triple-commutant identity: commutant of S'' must equal S'
     triple_ok = span_equal(obs, commutant(gen.as_set(), tol), tol)
-    member_resid = max(span_residual(gen.basis, m) for m in s.members)
+    # relative to each member's HS norm, so a large generator's roundoff is
+    # not read as distance from the algebra; zero members lie in any span
+    norms = np.linalg.norm(s.members, axis=(1, 2))
+    member_resid = max((span_residual(gen.basis, m) / nm
+                        for m, nm in zip(s.members, norms) if nm > 0), default=0.0)
 
     checks = [
         _check("sum d_i * ntilde_i == dim", sum_dn, n, sum_dn == n),

@@ -134,6 +134,12 @@ def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,
     Candidates are projected off ``q`` (twice, for orthogonality at 1e-12)
     and the residual block is reduced by SVD, keeping directions with
     singular value above ``drop``.  Returns the widened column block.
+
+    A kept left singular vector with singular value ``s`` carries roundoff
+    of relative size ``eps * ||r|| / s`` along ``q``, so one kept near the
+    cutoff is far from orthogonal to ``q``.  The kept block is therefore
+    projected off ``q`` once more and re-orthonormalised; otherwise repeated
+    extensions lose orthonormality and then keep spurious directions.
     """
     if cand.shape[1] == 0:
         return q
@@ -145,7 +151,10 @@ def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,
     new = u[:, s > drop]
     if new.shape[1] == 0:
         return q
-    return np.hstack([q, new]) if q.shape[1] else new
+    if not q.shape[1]:
+        return new
+    new, _ = np.linalg.qr(new - q @ (q.conj().T @ new))
+    return np.hstack([q, new])
 
 
 def cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:

@@ -315,28 +315,49 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     """Dimension of the span closure of words in the (star-completed) members.
 
     Generators are normalized to unit operator norm (the span is scale
-    invariant) and each round re-ranks the full stack ``[basis, g basis,
-    basis g]`` by one SVD with a relative cutoff; extracting directions
-    incrementally would let roundoff breed spurious dimensions near
-    termination.
+    invariant), so a product of a generator with a unit-HS-norm basis
+    element has HS norm at most 1.  The span starts as the orthonormalised
+    ``span{1/sqrt(n), generators}``.  Each round multiplies only the
+    frontier -- the directions added by the previous round -- by every
+    generator on the left and on the right: older directions' products are
+    already in the span.  The products are projected off the span twice and
+    the residual is reduced by one SVD, keeping a direction when its
+    singular value exceeds ``rank_tol`` times the largest candidate norm.
+    The closure stops at the first round that adds nothing, which is itself
+    the closure check.
+
+    A naive incremental version bred spurious dimensions because its cutoff
+    was relative to the residual's own top singular value: once the span is
+    nearly closed the residual is pure roundoff, a relative cutoff keeps
+    roundoff directions as new dimensions, and their products seed more.
+    Here the cutoff is measured against the candidates before projection
+    (norm ~1), as a full-stack SVD measures against the whole stack, so a
+    residual at roundoff level stays far below it.  A direction kept just
+    above the cutoff is known only to roundoff over its singular value, so
+    ``orthonormal_columns_extend`` re-orthogonalises the kept block against
+    the span; without that the span loses orthonormality on inputs with
+    near-cutoff directions (a planted generator perturbed by 1e-5) and
+    grows without bound.  As a guard, a span wider than ``n^2`` raises
+    :class:`PostconditionFailure`.
     """
     s = star_completion(s)
     n = s.dim
     norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
     gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
-    basis = np.concatenate([np.eye(n, dtype=complex)[None] / np.sqrt(n), gens])
-    rank = 0
-    while True:
-        left = (gens[:, None] @ basis[None]).reshape(-1, n, n)
-        right = (basis[None] @ gens[:, None]).reshape(-1, n, n)
-        stack = np.concatenate([basis, left, right]).reshape(-1, n * n)
-        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
-        keep = sv > tol.rank_tol * sv[0]
-        new_rank = int(np.sum(keep))
-        if new_rank == rank:
-            return rank
-        rank = new_rank
-        basis = vh[keep].reshape(-1, n, n)
+    seed = np.concatenate([np.eye(n, dtype=complex)[None] / np.sqrt(n), gens])
+    frontier = _orthonormalize_stack(seed, tol)
+    q = frontier.reshape(-1, n * n).T
+    while len(frontier):
+        left = gens[:, None] @ frontier[None]
+        right = frontier[None] @ gens[:, None]
+        cand = np.concatenate([left, right]).reshape(-1, n * n).T
+        drop = tol.rank_tol * max(float(np.max(np.linalg.norm(cand, axis=0))), 1e-300)
+        width = q.shape[1]
+        q = orthonormal_columns_extend(q, cand, drop)
+        if q.shape[1] > n * n:
+            raise PostconditionFailure("word closure exceeds the n^2-dimensional matrix space")
+        frontier = q[:, width:].T.reshape(-1, n, n)
+    return q.shape[1]
 
 
 def _verify_word_closure(s: OperatorSet, double: OperatorAlgebra,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -53,8 +54,10 @@ def run(args):
     return run_command(build_parser().parse_args(args))
 
 
-def planted_file(tmp_path, pattern):
+def planted_file(tmp_path, pattern, scales=None):
     gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
+    if scales is not None:
+        gens = [c * g for c, g in zip(scales, gens)]
     return write(tmp_path, "planted.json", {
         "dim": gens[0].shape[0],
         "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
@@ -104,6 +107,52 @@ class TestAlgebraCommand:
         assert report.sections["input"]["generators_after_completion"] == 4
         assert report.sections["structure"]["generated_dim"] == 4
         assert report.all_passed
+
+    @pytest.mark.parametrize("scale", [1e8, 1e-8])
+    def test_generator_residual_is_relative(self, tmp_path, scale, capsys):
+        # one generator rescaled leaves the algebra unchanged; the residual of
+        # a large member must not be read as distance from the algebra
+        path = planted_file(tmp_path, [(1, 2), (2, 3)], scales=(1.0, scale))
+        assert main(["algebra", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        check = next(c for c in doc["sections"]["checks"]
+                     if c["name"] == "generators lie in generated algebra (residual)")
+        assert check["passed"] and check["value"] <= 1e-12
+
+    def test_zero_member_is_skipped_by_the_residual(self, tmp_path):
+        path = write(tmp_path, "zero.json", {
+            "dim": 3,
+            "operators": [{"name": name, "re": m.tolist(), "im": np.zeros((3, 3)).tolist()}
+                          for name, m in (("A", np.diag([1.0, 1.0, 2.0])),
+                                          ("Z", np.zeros((3, 3))))]})
+        report = run(["algebra", path])
+        check = next(c for c in report.checks
+                     if c["name"] == "generators lie in generated algebra (residual)")
+        assert np.isfinite(check["value"]) and report.all_passed
+
+
+class TestAlgebraAtDimension32:
+    """Planted items at n = 32 through the CLI: S'' and the word closure agree.
+
+    Budget: at most 10 s per item, 30 s for the three (about 0.3-1.7 s each
+    on one core).
+    """
+
+    ITEM_BUDGET_SECONDS = 10.0
+
+    @pytest.mark.parametrize("pattern", [[(1, 8), (3, 8)], [(1, 12), (2, 10)],
+                                         [(2, 6), (4, 5)]])
+    def test_generated_dim_matches_planted(self, tmp_path, pattern, capsys):
+        path = planted_file(tmp_path, pattern)
+        t0 = time.perf_counter()
+        code = main(["algebra", path])  # a ClosureMismatch would exit 1
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        doc = json.loads(out.out)
+        assert doc["sections"]["input"]["dim"] == 32
+        assert doc["sections"]["structure"]["generated_dim"] == sum(t * t for _, t in pattern)
+        assert elapsed <= self.ITEM_BUDGET_SECONDS
 
 
 class TestParastatCommand:

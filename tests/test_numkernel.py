@@ -8,6 +8,7 @@ from superselect.numkernel import (
     cluster_eigenvalues,
     hermitian_eig,
     hs_inner,
+    orthonormal_columns_extend,
     orthonormal_nullspace,
     random_hermitian,
 )
@@ -153,6 +154,22 @@ class TestGramSchmidtHS:
         with pytest.raises(DimensionMismatch):
             algebra_from_span([np.eye(2), np.eye(3)], tol)
 
+
+
+class TestColumnsExtend:
+    def test_near_cutoff_directions_stay_orthogonal(self):
+        # new directions at O(1) and at 1e-9 beside components along q: the
+        # small one's left singular vector carries roundoff ~1e-16 / 1e-9
+        # along q, which the kept block must not pass on
+        rng = np.random.default_rng(11)
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 16)) + 1j * rng.standard_normal((40, 16)))
+        q, big, small = basis[:, :12], basis[:, 12:14], basis[:, 14:]
+        coeffs = rng.standard_normal((16, 30))
+        cand = q @ coeffs[:12] + big @ coeffs[12:14] + 1e-9 * small @ coeffs[14:]
+        out = orthonormal_columns_extend(q, cand, 1e-10 * np.max(np.linalg.norm(cand, axis=0)))
+        assert out.shape == (40, 16)
+        assert np.max(np.abs(out.conj().T @ out - np.eye(16))) <= 1e-12
+        assert np.array_equal(out[:, :12], q)
 
 class TestClustering:
     def test_distinct_values_separate(self):

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_commutant, planted_block_algebra, sample_pattern
-from superselect.errors import DegenerateGenericElement, DimensionMismatch
-from superselect.numkernel import ToleranceConfig, random_hermitian
+from superselect import opalgebra
+from superselect.errors import (
+    DegenerateGenericElement,
+    DimensionMismatch,
+    PostconditionFailure,
+)
+from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
 from superselect.opalgebra import (
     _generic_split,
+    _word_closure_dim,
     algebra_from_span,
     center,
     check_dirac,
@@ -209,6 +217,128 @@ class TestCenter:
             alg = generated_algebra(operator_set([random_hermitian(rng, 4)]), tol)
             ab, _ = is_abelian(center(alg, tol), tol)
             assert ab
+
+
+def full_stack_closure_dim(s, tol):
+    """Reference word closure: each round re-ranks the whole stack by one SVD.
+
+    The stack is ``[basis, g basis, basis g]`` over the star-completed
+    generators at unit operator norm, with a cutoff relative to its top
+    singular value; the closure ends when a round leaves the rank unchanged.
+    """
+    s = star_completion(s)
+    n = s.dim
+    norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
+    gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
+    basis = np.concatenate([np.eye(n, dtype=complex)[None] / np.sqrt(n), gens])
+    rank = 0
+    while True:
+        left = (gens[:, None] @ basis[None]).reshape(-1, n, n)
+        right = (basis[None] @ gens[:, None]).reshape(-1, n, n)
+        stack = np.concatenate([basis, left, right]).reshape(-1, n * n)
+        _, sv, vh = np.linalg.svd(stack, full_matrices=False)
+        keep = sv > tol.rank_tol * sv[0]
+        if int(keep.sum()) == rank:
+            return rank
+        rank = int(keep.sum())
+        basis = vh[keep].reshape(-1, n, n)
+
+
+def planted_case(seed):
+    """Seeded planted generators (acceptance-sweep patterns) and their Σ ñ²."""
+    rng = np.random.default_rng(seed)
+    pattern = sample_pattern(rng)
+    gens, _ = planted_block_algebra(rng, pattern)
+    return rng, gens, sum(t * t for _, t in pattern)
+
+
+# few examples, no example database: these are invariance checks, not a search
+METAMORPHIC = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+class TestWordClosure:
+    """The frontier closure against the full-stack reference and under symmetries."""
+
+    def test_matches_full_stack_on_planted_sweep(self):
+        for trial in range(40):
+            _, gens, planted = planted_case(8000 + trial)
+            t = ToleranceConfig(seed=trial)
+            s = operator_set(gens, tol=t)
+            assert _word_closure_dim(s, t) == full_stack_closure_dim(s, t) == planted
+
+    def test_raising_operator(self, tol):
+        # the 4 x 4 shift is not *-closed; with its adjoint it generates M_4
+        s = operator_set([np.diag(np.ones(3), 1)], tol=tol)
+        assert not s.self_adjoint_closed
+        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s, tol) == 16
+
+    def test_zero_generator_alongside_nonzero(self, tol):
+        s = operator_set([np.zeros((3, 3)), np.diag([1.0, 2.0, 2.0])], tol=tol)
+        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s, tol) == 2
+
+    def test_mixed_scale_generators(self, tol):
+        gens, _ = planted_block_algebra(np.random.default_rng(89), [(1, 2), (2, 3)])
+        s = operator_set([1e6 * gens[0], 1e-6 * gens[1]], tol=tol)
+        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s, tol) == 13
+
+    def test_perturbed_generator_matches_full_stack(self):
+        # a planted generator plus eps * (unit Hermitian) * ||G||: at 1e-5 the
+        # products leave directions near the cutoff (the seventh draw below
+        # lost orthonormality and grew without bound before the kept block
+        # was re-orthogonalised)
+        rng = np.random.default_rng(0)
+        for eps in (1e-5, 1e-7, 1e-9):
+            for trial in range(8):
+                gens, _ = planted_block_algebra(rng, sample_pattern(rng))
+                h = random_hermitian(rng, gens[0].shape[0])
+                gens[0] = gens[0] + eps * np.linalg.norm(gens[0]) * h / np.linalg.norm(h)
+                t = ToleranceConfig(seed=trial)
+                s = operator_set(gens, tol=t)
+                assert _word_closure_dim(s, t) == full_stack_closure_dim(s, t)
+
+    def test_runaway_span_raises(self, tol, monkeypatch):
+        def one_more_column(q, cand, drop):
+            return np.hstack([q, cand[:, :1]])
+
+        monkeypatch.setattr(opalgebra, "orthonormal_columns_extend", one_more_column)
+        with pytest.raises(PostconditionFailure, match="n\\^2"):
+            _word_closure_dim(operator_set([SX, SZ], tol=tol), tol)
+
+    def test_does_not_read_the_commutant(self, tol, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the word closure must stay independent of S''")
+
+        monkeypatch.setattr(opalgebra, "commutant", forbidden)
+        monkeypatch.setattr(opalgebra, "OperatorAlgebra", forbidden)
+        gens, _ = planted_block_algebra(np.random.default_rng(97), [(1, 3), (2, 2)])
+        assert _word_closure_dim(operator_set(gens, tol=tol), tol) == 13
+
+    @METAMORPHIC
+    @given(seed=st.integers(0, 2**32 - 1),
+           exponents=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    def test_invariant_under_rescaling(self, seed, exponents):
+        _, gens, planted = planted_case(seed)
+        scaled = [10.0 ** e * g for e, g in zip(exponents, gens)]
+        tol = ToleranceConfig()
+        assert _word_closure_dim(operator_set(scaled, tol=tol), tol) == planted
+
+    @METAMORPHIC
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_reordering_and_duplication(self, seed):
+        _, gens, planted = planted_case(seed)
+        tol = ToleranceConfig()
+        assert _word_closure_dim(operator_set(gens[::-1], tol=tol), tol) == planted
+        assert _word_closure_dim(operator_set([gens[1], *gens, gens[0]], tol=tol),
+                                 tol) == planted
+
+    @METAMORPHIC
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_invariant_under_unitary_conjugation(self, seed):
+        rng, gens, planted = planted_case(seed)
+        u = random_unitary(rng, gens[0].shape[0])
+        tol = ToleranceConfig()
+        conj = [u @ g @ u.conj().T for g in gens]
+        assert _word_closure_dim(operator_set(conj, tol=tol), tol) == planted
 
 
 def pairwise_max_commutator(basis):
