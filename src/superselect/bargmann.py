@@ -520,19 +520,22 @@ def transform_phase_point(e: ExtendedElement, point: ExtendedPhasePoint) -> Exte
     return ExtendedPhasePoint(x=x_new, p=p_new, m=point.m, lam=lam_new, t=t_new)
 
 
-def dynamics_symmetry_check(initial: ExtendedPhasePoint, element: ExtendedElement,
-                            potential, dt: float, steps: int) -> float:
+def dynamics_symmetry_check(traj: Trajectory, element: ExtendedElement,
+                            potential, dt: float) -> float:
     """Max deviation between transform-then-evolve and evolve-then-transform.
 
-    The initial point is transformed (configuration by the extended action
-    at t = 0, momenta by R p + m v) and evolved for the same number of
-    steps; the result is compared with the transformed final state of the
-    untransformed evolution.  Time translations are matched automatically
-    because the built-in potentials are autonomous.
+    ``traj`` is the untransformed evolution, as :func:`extended_dynamics`
+    returned it for the same ``potential`` and ``dt``.  Its initial point
+    is transformed (configuration by the extended action at t = 0, momenta
+    by R p + m v) and evolved for the same number of steps; the result is
+    compared with the transformed final state of ``traj``.  Time
+    translations are matched automatically because the built-in potentials
+    are autonomous.
     """
-    traj = extended_dynamics(initial, potential, dt, steps)
+    initial = ExtendedPhasePoint(x=traj.x[0], p=traj.p[0], m=traj.m, lam=traj.lam[0],
+                                 t=float(traj.times[0]))
     moved = extended_dynamics(transform_phase_point(element, initial),
-                              potential, dt, steps)
+                              potential, dt, traj.times.size - 1)
     expected = transform_phase_point(element, traj.final())
     got = moved.final()
     return float(max(

@@ -386,8 +386,7 @@ def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
                              free_lambda_err, 1e-10, free_lambda_err <= 1e-10))
     symmetry_dev = None
     if cfg["element"] is not None:
-        symmetry_dev = dynamics_symmetry_check(point, cfg["element"], potential,
-                                               cfg["dt"], cfg["steps"])
+        symmetry_dev = dynamics_symmetry_check(traj, cfg["element"], potential, cfg["dt"])
         checks.append(_check("extension element maps solutions to solutions",
                              symmetry_dev, 1e-5, symmetry_dev <= 1e-5))
 

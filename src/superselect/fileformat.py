@@ -165,6 +165,8 @@ def load_dynamics_file(path) -> tuple[dict, bytes]:
         steps = int(doc["steps"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad dynamics configuration: {exc}") from exc
+    if steps < 0:
+        raise ParseError(f"{path}: steps must be non-negative, got {steps}")
 
     pot_doc = doc.get("potential", {"kind": "none"})
     kind = pot_doc.get("kind", "none")

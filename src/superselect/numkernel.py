@@ -128,12 +128,19 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
 
 
 def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,
-                               drop: float) -> np.ndarray:
+                               rank_tol: float) -> np.ndarray:
     """Extend orthonormal columns ``q`` by the independent part of ``cand``.
 
     Candidates are projected off ``q`` (twice, for orthogonality at 1e-12)
     and the residual block is reduced by SVD, keeping directions with
-    singular value above ``drop``.  Returns the widened column block.
+    singular value above ``rank_tol`` times the largest candidate column
+    norm.  Returns the widened column block.
+
+    The cutoff is measured against the candidates before projection, as an
+    SVD of the whole stack ``[q, cand]`` would measure it, never against
+    the residual itself: once ``q`` nearly spans the candidates the residual
+    is pure roundoff, and a cutoff relative to it would keep roundoff
+    directions as new dimensions.
 
     A kept left singular vector with singular value ``s`` carries roundoff
     of relative size ``eps * ||r|| / s`` along ``q``, so one kept near the
@@ -143,11 +150,19 @@ def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,
     """
     if cand.shape[1] == 0:
         return q
+    drop = rank_tol * float(np.max(np.linalg.norm(cand, axis=0)))
     r = cand
     for _ in range(2):
         if q.shape[1]:
             r = r - q @ (q.conj().T @ r)
-    u, s, _ = np.linalg.svd(r, full_matrices=False)
+    try:
+        u, s, _ = np.linalg.svd(r, full_matrices=False)
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer SVD fails to converge on rare inputs
+        # (one residual block of a 20 x 20 closure); the SVD of r^* takes
+        # another path to the same factors
+        _, s, vh = np.linalg.svd(r.conj().T, full_matrices=False)
+        u = vh.conj().T
     new = u[:, s > drop]
     if new.shape[1] == 0:
         return q

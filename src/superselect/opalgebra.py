@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 ABELIAN_TOL = 1e-8  # relative commutator norm below which a pair counts as commuting
+# smallest relative gap between the eigenvalue clusters of the word closure's seed
+SEED_SEPARATION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -170,10 +172,8 @@ def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgeb
 
 def _orthonormalize_stack(mats: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     k, n, _ = mats.shape
-    norms = np.linalg.norm(mats.reshape(k, -1), axis=1)
-    drop = tol.rank_tol * max(float(norms.max()), 1e-300)
     q = orthonormal_columns_extend(np.zeros((n * n, 0), dtype=complex),
-                                   mats.reshape(k, n * n).T, drop)
+                                   mats.reshape(k, n * n).T, tol.rank_tol)
     return q.T.reshape(-1, n, n)
 
 
@@ -311,49 +311,70 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     raise PostconditionFailure("commutant constraint loop failed to converge")
 
 
+def _cluster_separation(split) -> float:
+    """Smallest gap between adjacent eigenvalue clusters over the spectral diameter."""
+    w, _, groups = split
+    if len(groups) < 2:
+        return np.inf
+    return min(w[g[0]] - w[g[0] - 1] for g in groups[1:]) / (w[-1] - w[0])
+
+
 def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     """Dimension of the span closure of words in the (star-completed) members.
 
     Generators are normalized to unit operator norm (the span is scale
     invariant), so a product of a generator with a unit-HS-norm basis
-    element has HS norm at most 1.  The span starts as the orthonormalised
-    ``span{1/sqrt(n), generators}``.  Each round multiplies only the
-    frontier -- the directions added by the previous round -- by every
-    generator on the left and on the right: older directions' products are
-    already in the span.  The products are projected off the span twice and
-    the residual is reduced by one SVD, keeping a direction when its
-    singular value exceeds ``rank_tol`` times the largest candidate norm.
-    The closure stops at the first round that adds nothing, which is itself
-    the closure check.
+    element has HS norm at most 1.
 
-    A naive incremental version bred spurious dimensions because its cutoff
-    was relative to the residual's own top singular value: once the span is
-    nearly closed the residual is pure roundoff, a relative cutoff keeps
-    roundoff directions as new dimensions, and their products seed more.
-    Here the cutoff is measured against the candidates before projection
-    (norm ~1), as a full-stack SVD measures against the whole stack, so a
-    residual at roundoff level stays far below it.  A direction kept just
-    above the cutoff is known only to roundoff over its singular value, so
-    ``orthonormal_columns_extend`` re-orthogonalises the kept block against
-    the span; without that the span loses orthonormality on inputs with
-    near-cutoff directions (a planted generator perturbed by 1e-5) and
-    grows without bound.  As a guard, a span wider than ``n^2`` raises
-    :class:`PostconditionFailure`.
+    The span is seeded with the HS-normalised spectral projectors
+    ``E_k / sqrt(rank E_k)`` of one seeded generic Hermitian element of the
+    generated algebra.  They are HS-orthonormal as they come out of the
+    eigendecomposition, they sum to the identity, and they span every
+    polynomial in the generic element.  Each round multiplies only the
+    frontier -- the directions the previous round added -- by every
+    generator on the left, and ``orthonormal_columns_extend`` keeps the
+    independent part of the products.  The closure stops at the first round
+    that adds nothing, which is itself the closure check.
+
+    One side suffices: every word is a generator times a shorter word, and
+    the identity lies in the seed span, so closing it under left
+    multiplication reaches every word.  Right products add nothing.
+
+    Why the projector seed: a span seeded with ``span{1, generators}`` grows
+    along Krylov chains ``g, g^2, g^3, ...``.  Each new direction is a
+    residual divided by its singular value, so roundoff grows like the
+    product of ``1/sigma`` over about ``n`` rounds.  On one Hermitian
+    generator with close eigenvalue pairs the chain left the algebra from
+    n = 12 on, and the closure filled the whole ``n^2``-dimensional matrix
+    space.  The projectors hold every power of the generic element from the
+    start, so those chains never form.
+
+    Which draw: a projector whose eigenvalue cluster lies a relative gap
+    ``s`` from the next one carries roundoff of about ``eps / s`` off the
+    algebra (Davis-Kahan), and the rounds can amplify it past ``rank_tol``;
+    one draw with ``s = 1.1e-5`` filled the matrix space.  So the seed comes
+    from the first of up to four draws whose clusters lie at least
+    ``SEED_SEPARATION`` apart, or else from the best separated one.  For a
+    single generator every draw has the generator's own gaps.
+
+    As a guard, a span wider than ``n^2`` raises :class:`PostconditionFailure`.
     """
     s = star_completion(s)
     n = s.dim
     norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
     gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
-    seed = np.concatenate([np.eye(n, dtype=complex)[None] / np.sqrt(n), gens])
-    frontier = _orthonormalize_stack(seed, tol)
+    splits = []
+    for a in range(4):
+        splits.append(_generic_split(gens, tol, [(104, a)], lambda g: True))
+        if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
+            break
+    _, v, groups = max(splits, key=_cluster_separation)
+    frontier = np.stack([v[:, g] @ v[:, g].conj().T / np.sqrt(g.size) for g in groups])
     q = frontier.reshape(-1, n * n).T
     while len(frontier):
-        left = gens[:, None] @ frontier[None]
-        right = frontier[None] @ gens[:, None]
-        cand = np.concatenate([left, right]).reshape(-1, n * n).T
-        drop = tol.rank_tol * max(float(np.max(np.linalg.norm(cand, axis=0))), 1e-300)
+        cand = (gens[:, None] @ frontier[None]).reshape(-1, n * n).T
         width = q.shape[1]
-        q = orthonormal_columns_extend(q, cand, drop)
+        q = orthonormal_columns_extend(q, cand, tol.rank_tol)
         if q.shape[1] > n * n:
             raise PostconditionFailure("word closure exceeds the n^2-dimensional matrix space")
         frontier = q[:, width:].T.reshape(-1, n, n)
@@ -364,10 +385,10 @@ def _verify_word_closure(s: OperatorSet, double: OperatorAlgebra,
                          tol: ToleranceConfig) -> None:
     """Cross-check a double commutant ``s''`` against the word closure of ``s``.
 
-    The word closure (repeatedly adjoining products of the star-completed
-    members to ``span{1, members}``) is an independent route to the
-    generated algebra; a dimension disagreement signals a tolerance failure
-    and raises :class:`ClosureMismatch`.
+    The word closure (repeatedly adjoining left products by the
+    star-completed members, see :func:`_word_closure_dim`) is an independent
+    route to the generated algebra; a dimension disagreement signals a
+    tolerance failure and raises :class:`ClosureMismatch`.
     """
     wdim = _word_closure_dim(s, tol)
     if wdim != double.algebra_dim:

@@ -443,13 +443,14 @@ class TestDynamicsSymmetry:
     def test_translation_of_free_motion_exact(self):
         pt = bg.ExtendedPhasePoint(x=[[0, 0, 0]], p=[[1.0, 0, 0]], m=[1.0], lam=[0.0])
         e = bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(a=[1.0, -0.5, 2.0]))
-        assert bg.dynamics_symmetry_check(pt, e, None, 1e-3, 1000) <= 1e-12
+        assert bg.dynamics_symmetry_check(bg.extended_dynamics(pt, None, 1e-3, 1000), e, None,
+                                          1e-3) <= 1e-12
 
     def test_boost_of_free_motion_matches_closed_form(self):
         pt = bg.ExtendedPhasePoint(x=[[0.5, 0, 0]], p=[[2.0, 0, 0]], m=[2.0], lam=[0.1])
         v = np.array([0.3, 0.0, 0.0])
         e = bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(v=v))
-        dev = bg.dynamics_symmetry_check(pt, e, None, 1e-3, 1000)
+        dev = bg.dynamics_symmetry_check(bg.extended_dynamics(pt, None, 1e-3, 1000), e, None, 1e-3)
         assert dev <= 1e-10
         # the boosted trajectory integrates the shifted momentum exactly
         moved = bg.extended_dynamics(bg.transform_phase_point(e, pt), None, 1e-3, 1000)
@@ -460,14 +461,17 @@ class TestDynamicsSymmetry:
     def test_harmonic_generic_element(self, harmonic_point):
         e = bg.ExtendedElement(
             theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
-        dev = bg.dynamics_symmetry_check(harmonic_point, e, bg.HarmonicPairPotential(),
-                                         1e-3, 1000)
+        dev = bg.dynamics_symmetry_check(
+            bg.extended_dynamics(harmonic_point, bg.HarmonicPairPotential(), 1e-3, 1000),
+            e, bg.HarmonicPairPotential(), 1e-3)
         assert dev <= 1e-5
 
     def test_second_order_convergence(self, harmonic_point):
         e = bg.ExtendedElement(
             theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
         pot = bg.HarmonicPairPotential()
-        d1 = bg.dynamics_symmetry_check(harmonic_point, e, pot, 1e-3, 1000)
-        d2 = bg.dynamics_symmetry_check(harmonic_point, e, pot, 5e-4, 2000)
+        d1 = bg.dynamics_symmetry_check(bg.extended_dynamics(harmonic_point, pot, 1e-3, 1000),
+                                        e, pot, 1e-3)
+        d2 = bg.dynamics_symmetry_check(bg.extended_dynamics(harmonic_point, pot, 5e-4, 2000),
+                                        e, pot, 5e-4)
         assert d1 / d2 == pytest.approx(4.0, rel=0.4)

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import planted_block_algebra
 import superselect
+from superselect import bargmann, cli
 from superselect.cli import build_parser, main, run_command
+from superselect.numkernel import random_unitary
 
 
 def write(tmp_path, name, doc):
@@ -155,6 +157,34 @@ class TestAlgebraAtDimension32:
         assert elapsed <= self.ITEM_BUDGET_SECONDS
 
 
+class TestSingleGeneratorUpTo64:
+    """One generic Hermitian generates its own n-dimensional algebra, up to n = 64.
+
+    A spectrum drawn uniformly has close eigenvalue pairs.  A closure that
+    builds powers of the generator one at a time amplified roundoff along
+    that chain and filled the whole matrix space (ClosureMismatch from
+    n = 24 on).  Budget: 10 s for the three (about 3.5 s on one core).
+    """
+
+    BUDGET_SECONDS = 10.0
+
+    def test_generated_dim_is_n(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        for n in (24, 48, 64):
+            rng = np.random.default_rng(n)
+            u = random_unitary(rng, n)
+            g = u @ np.diag(rng.uniform(-1.0, 1.0, n)) @ u.conj().T
+            path = write(tmp_path, f"single{n}.json", {
+                "dim": n, "operators": [{"name": "H", "re": g.real.tolist(),
+                                         "im": g.imag.tolist()}]})
+            code = main(["algebra", path])
+            out = capsys.readouterr()
+            assert code == 0, out.err
+            st = json.loads(out.out)["sections"]["structure"]
+            assert st["generated_dim"] == st["observable_dim"] == n
+        assert time.perf_counter() - t0 <= self.BUDGET_SECONDS
+
+
 class TestParastatCommand:
     def test_three_qubits(self):
         report = run(["parastat", "--n", "3", "--d", "2"])
@@ -246,6 +276,36 @@ class TestDynamicsCommand:
             "potential": {"kind": "harmonic", "k": 1.0, "L": 1.0}})
         assert main(["dynamics", path]) == 2  # drift check fails, run completes
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("steps", [-1, -5])
+    def test_negative_steps_is_an_input_error(self, tmp_path, steps, capsys):
+        path = write(tmp_path, "negative.json", {
+            "masses": [1.0], "x": [[0, 0, 0]], "p": [[1.0, 0, 0]], "lambda": [0.0],
+            "dt": 1e-3, "steps": steps})
+        assert main(["dynamics", path]) == 1
+        assert "steps" in capsys.readouterr().err
+
+    def test_zero_steps_runs(self, tmp_path, capsys):
+        path = write(tmp_path, "zero.json", {
+            "masses": [1.0], "x": [[0, 0, 0]], "p": [[1.0, 0, 0]], "lambda": [0.0],
+            "dt": 1e-3, "steps": 0, "element": {"v": [0.1, 0.0, 0.0]}})
+        assert main(["dynamics", path]) == 0
+        capsys.readouterr()
+
+    def test_integrates_each_initial_point_once(self, dynamics_path, monkeypatch):
+        # the untransformed trajectory is shared by the report and the symmetry check
+        calls = []
+        original = bargmann.extended_dynamics
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bargmann, "extended_dynamics", counted)
+        monkeypatch.setattr(cli, "extended_dynamics", counted)
+        assert run(["dynamics", dynamics_path]).all_passed
+        assert len(calls) == 2
 
 
 class TestRuntimeDependencies:

@@ -166,10 +166,31 @@ class TestColumnsExtend:
         q, big, small = basis[:, :12], basis[:, 12:14], basis[:, 14:]
         coeffs = rng.standard_normal((16, 30))
         cand = q @ coeffs[:12] + big @ coeffs[12:14] + 1e-9 * small @ coeffs[14:]
-        out = orthonormal_columns_extend(q, cand, 1e-10 * np.max(np.linalg.norm(cand, axis=0)))
+        out = orthonormal_columns_extend(q, cand, 1e-10)
         assert out.shape == (40, 16)
         assert np.max(np.abs(out.conj().T @ out - np.eye(16))) <= 1e-12
         assert np.array_equal(out[:, :12], q)
+
+    def test_svd_failure_falls_back_to_the_adjoint(self, monkeypatch):
+        # LAPACK's divide-and-conquer SVD can fail to converge on a tall block
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5)))
+        cand = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
+        expected = orthonormal_columns_extend(q, cand, 1e-10)
+        svd = np.linalg.svd
+
+        def tall_fails(a, *args, **kwargs):
+            if a.shape[0] > a.shape[1]:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", tall_fails)
+        out = orthonormal_columns_extend(q, cand, 1e-10)
+        assert out.shape == expected.shape == (30, 13)
+        assert np.max(np.abs(out.conj().T @ out - np.eye(13))) <= 1e-12
+        new = out[:, 5:]
+        assert np.linalg.norm(new - expected[:, 5:] @ (expected[:, 5:].conj().T @ new)) <= 1e-12
+
 
 class TestClustering:
     def test_distinct_values_separate(self):

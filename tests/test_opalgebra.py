@@ -296,6 +296,18 @@ class TestWordClosure:
                 s = operator_set(gens, tol=t)
                 assert _word_closure_dim(s, t) == full_stack_closure_dim(s, t)
 
+    @pytest.mark.parametrize("n", [12, 16, 24])
+    def test_single_generic_generator(self, n):
+        # a uniform spectrum has close eigenvalue pairs; a closure seeded with
+        # {1, g} amplified roundoff along g, g^2, ... and filled all of M_n
+        # (so does the full-stack reference)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            u = random_unitary(rng, n)
+            g = u @ np.diag(rng.uniform(-1.0, 1.0, n)) @ u.conj().T
+            t = ToleranceConfig(seed=seed)
+            assert _word_closure_dim(operator_set([g], tol=t), t) == n
+
     def test_runaway_span_raises(self, tol, monkeypatch):
         def one_more_column(q, cand, drop):
             return np.hstack([q, cand[:, :1]])
