@@ -54,6 +54,7 @@ from .fluxsectors import (
 )
 from .numkernel import ToleranceConfig
 from .opalgebra import (
+    _max_commutator,
     _verify_word_closure,
     check_dirac,
     commutant,
@@ -191,7 +192,8 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
             "generated_dim": gen.algebra_dim,
             "center_dim": len(dec.sectors),
             "dirac_v2_holds": dirac.v2_holds,
-            "dirac_max_commutator": dirac.max_commutator,
+            # gauge-free: S generates O', so its pairs commute iff O' is abelian
+            "dirac_max_commutator": _max_commutator(completed.members),
             "witness_dim": dirac.witness.algebra_dim if dirac.witness is not None else None,
         },
         "sectors": [

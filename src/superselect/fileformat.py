@@ -169,18 +169,27 @@ def load_dynamics_file(path) -> tuple[dict, bytes]:
         raise ParseError(f"{path}: steps must be non-negative, got {steps}")
 
     pot_doc = doc.get("potential", {"kind": "none"})
+    if not isinstance(pot_doc, dict):
+        raise ParseError(f"{path}: 'potential' must be an object, got {pot_doc!r}")
     kind = pot_doc.get("kind", "none")
     if kind == "none":
         potential = None
     elif kind == "harmonic":
-        potential = HarmonicPairPotential(k=float(pot_doc.get("k", 1.0)),
-                                          L=float(pot_doc.get("L", 1.0)))
+        params = {}
+        for key in ("k", "L"):
+            try:
+                params[key] = float(pot_doc.get(key, 1.0))
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{path}: potential {key!r} must be a number: {exc}") from exc
+        potential = HarmonicPairPotential(**params)
     else:
         raise ParseError(f"{path}: unknown potential kind {kind!r}")
 
     element = None
     if "element" in doc:
         el = doc["element"]
+        if not isinstance(el, dict):
+            raise ParseError(f"{path}: 'element' must be an object, got {el!r}")
         try:
             g = GalileiElement(
                 R=rotation_from_axis_angle(el.get("axis", [0.0, 0.0, 1.0]),

@@ -441,35 +441,70 @@ def _pair_products(basis: np.ndarray):
         yield i, left, right
 
 
+def _max_commutator(stack: np.ndarray) -> float:
+    """Largest ``||[A, B]|| / (||A|| ||B||)`` over the pairs of a ``(k, n, n)`` stack.
+
+    Frobenius norms throughout, so the value is unchanged by rescaling a
+    member or by a unitary change of basis.  Zero members commute with
+    everything and are skipped; a stack with no non-zero member gives 0.
+    Pairs with ``j < i`` are skipped too: ``[B_i, B_j] = -[B_j, B_i]``.
+    """
+    norms = np.linalg.norm(stack.reshape(stack.shape[0], -1), axis=1)
+    keep = norms > 0
+    stack, norms = stack[keep], norms[keep]
+    worst = 0.0
+    for i, left, right in _pair_products(stack):
+        r = np.linalg.norm(left - right, axis=(1, 2)) / (norms[i] * norms[i:])
+        worst = max(worst, float(np.max(r)))
+    return worst
+
+
 def is_abelian(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether all basis pairs commute; also reports the worst relative residual.
 
-    Pairs with ``j < i`` are skipped: ``[B_i, B_j] = -[B_j, B_i]``.
+    A pairwise scan of the basis, ``O(q^2 n^3)`` for a ``q``-dimensional
+    algebra (see :func:`_max_commutator`); a pair counts as commuting below
+    ``ABELIAN_TOL``.
     """
-    basis = a.basis
-    q = basis.shape[0]
-    norms = np.linalg.norm(basis.reshape(q, -1), axis=1)
-    worst = 0.0
-    for i, left, right in _pair_products(basis):
-        r = np.linalg.norm(left - right, axis=(1, 2)) / (norms[i] * norms[i:])
-        worst = max(worst, float(np.max(r)))
+    worst = _max_commutator(a.basis)
     return worst <= ABELIAN_TOL, worst
+
+
+def _abelian_commutant(dec: SectorDecomposition, tol: ToleranceConfig) -> bool:
+    """Whether the commutant of a decomposed algebra is abelian, read from its sectors.
+
+    The commutant acts as ``M_d`` on each sector, so it is abelian exactly
+    when every sector has ``d = 1``; the decomposition has already checked
+    each ``d`` as an integer.  A sector with ``d != 1`` settles the verdict
+    without a scan.  When every ``d`` is 1 the commutant is the center, of
+    dimension the number of sectors (at most ``n``), and the pairwise scan
+    :func:`is_abelian` cross-checks the verdict cheaply; a disagreement
+    raises :class:`PostconditionFailure`.
+    """
+    if any(sec.d != 1 for sec in dec.sectors):
+        return False
+    abelian, worst = is_abelian(dec.commutant, tol)
+    if not abelian:
+        raise PostconditionFailure(
+            f"every sector has d = 1 but the commutant's basis pairs do not commute: "
+            f"relative commutator {worst:.3e} above {ABELIAN_TOL:.0e}; tolerance pathology")
+    return True
 
 
 @dataclass(frozen=True)
 class DiracReport:
     """Outcome of the compatibility check on an observable algebra.
 
-    ``v2_holds`` states whether the commutant of the observables is abelian.
-    When it holds, ``witness`` is a maximal abelian subalgebra of the
-    observables (equal to its own commutant): the span of the rank-one
-    projectors onto an orthonormal basis adapted to the coherent sectors.
+    ``v2_holds`` states whether the commutant of the observables is abelian,
+    as decided by the sector multiplicities (every ``d = 1``).  When it
+    holds, ``witness`` is a maximal abelian subalgebra of the observables
+    (equal to its own commutant): the span of the rank-one projectors onto
+    an orthonormal basis adapted to the coherent sectors.
     """
 
     v2_holds: bool
     witness: OperatorAlgebra | None
     commutant_dim: int
-    max_commutator: float
     witness_is_maximal_abelian: bool | None = None
     witness_in_observables: bool | None = None
 
@@ -477,20 +512,19 @@ class DiracReport:
 def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> DiracReport:
     """Abelian-commutant verdict on a decomposed algebra, plus a maximal abelian witness.
 
-    The verdict reads the commutant the decomposition already holds.  When
-    it is abelian every sector has ``d = 1``, so the observables are the
-    full matrix algebra on each block, and the rank-one projectors
-    ``e_k e_k*`` onto the columns of the stacked sector isometries are ``n``
-    HS-orthonormal elements of it summing to the identity.  They span the
-    witness.  ``A = A'`` is verified independently, by taking the
-    witness's commutant and comparing spans, and so is containment of the
-    witness in the observables.
+    The verdict comes from the sector multiplicities the decomposition
+    already holds (:func:`_abelian_commutant`); the pairwise commutator scan
+    runs only to cross-check an abelian verdict.  When it is abelian every
+    sector has ``d = 1``, so the observables are the full matrix algebra on
+    each block, and the rank-one projectors ``e_k e_k*`` onto the columns of
+    the stacked sector isometries are ``n`` HS-orthonormal elements of it
+    summing to the identity.  They span the witness.  ``A = A'`` is
+    verified independently, by taking the witness's commutant and comparing
+    spans, and so is containment of the witness in the observables.
     """
     cp = dec.commutant
-    abelian, worst = is_abelian(cp, tol)
-    if not abelian:
-        return DiracReport(v2_holds=False, witness=None,
-                           commutant_dim=cp.algebra_dim, max_commutator=worst)
+    if not _abelian_commutant(dec, tol):
+        return DiracReport(v2_holds=False, witness=None, commutant_dim=cp.algebra_dim)
 
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
     witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
@@ -500,7 +534,6 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
         v2_holds=True,
         witness=witness,
         commutant_dim=cp.algebra_dim,
-        max_commutator=worst,
         witness_is_maximal_abelian=span_equal(witness, wcomm, tol),
         witness_in_observables=(_max_span_residual(dec.algebra.basis, witness.basis)
                                 <= 100 * tol.rank_tol),

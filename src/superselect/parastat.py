@@ -21,7 +21,13 @@ import numpy as np
 
 from .errors import NonIntegerRank, PostconditionFailure, SizeLimit
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .opalgebra import OperatorAlgebra, commutant, is_abelian, operator_set
+from .opalgebra import (
+    OperatorAlgebra,
+    _abelian_commutant,
+    _max_commutator,
+    commutant,
+    operator_set,
+)
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
 __all__ = [
@@ -174,10 +180,13 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     Returns a report with the sector table, the character-oracle table, the
     abelian verdicts on the commutant before and after truncation, and the
     truncated dimension (the sum of multiplicities over present blocks).
+    The verdict before truncation is read from the sector multiplicities;
+    ``pre_truncation_max_commutator`` is the largest relative commutator of
+    the permutation unitaries, which generate that commutant.
     """
     o = invariant_algebra(rep, tol)
     dec = central_decomposition(o, tol)
-    pre_abelian, pre_resid = is_abelian(dec.commutant, tol)
+    pre_abelian = _abelian_commutant(dec, tol)
     v_iso, _, post = truncate(dec, tol)  # raises unless post.commutant_dim == len(dec)
 
     oracle = character_oracle(rep)
@@ -193,8 +202,9 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
         "dim": rep.dim,
         "algebra_dim": o.algebra_dim,
         "commutant_dim": dec.commutant.algebra_dim,
-        "pre_truncation_abelian": bool(pre_abelian),
-        "pre_truncation_max_commutator": float(pre_resid),
+        "pre_truncation_abelian": pre_abelian,
+        "pre_truncation_max_commutator": _max_commutator(
+            np.stack([rep.unitaries[g] for g in rep.group()])),
         "sector_table": list(dec.multiset()),
         "oracle_table": [
             {"partition": list(p), "d": d, "ntilde": nt} for p, d, nt in oracle

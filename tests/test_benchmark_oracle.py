@@ -7,6 +7,7 @@ test suite, and not only in a benchmark run.  One full-size input that
 broke the word closure is kept as a regression case.
 """
 
+import importlib
 import importlib.util
 import json
 import os
@@ -70,3 +71,16 @@ def test_closure_seed_skips_a_poorly_separated_draw(workloads, tmp_path):
     first = opalgebra._generic_split(gens, tol, [(104,)], lambda g: True)
     assert opalgebra._cluster_separation(first) < opalgebra.SEED_SEPARATION
     assert opalgebra._word_closure_dim(s, tol) == 102
+
+
+def test_traced_functions_resolve():
+    # the benchmark's --trace run wraps every function perfbench/layers.json
+    # names; a rename that leaves it stale fails here instead of in that run
+    with open(os.path.join(os.path.dirname(WORKLOADS_PATH), "layers.json"),
+              encoding="utf-8") as fh:
+        layers = json.load(fh)["layers"]
+    names = [(module, fn) for module, layer in layers.items() for fn in layer["functions"]]
+    missing = [f"{module}.{fn}" for module, fn in names
+               if not callable(getattr(importlib.import_module(f"superselect.{module}"),
+                                       fn, None))]
+    assert names and missing == []

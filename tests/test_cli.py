@@ -11,8 +11,13 @@ import pytest
 from conftest import planted_block_algebra
 import superselect
 from superselect import bargmann, cli
+from superselect import opalgebra
 from superselect.cli import build_parser, main, run_command
+from superselect.errors import PostconditionFailure
 from superselect.numkernel import random_unitary
+from superselect.numkernel import ToleranceConfig
+from superselect.opalgebra import check_dirac, commutant
+from superselect.sectors import central_decomposition
 
 
 def write(tmp_path, name, doc):
@@ -61,6 +66,13 @@ def planted_file(tmp_path, pattern, scales=None):
     if scales is not None:
         gens = [c * g for c, g in zip(scales, gens)]
     return write(tmp_path, "planted.json", {
+        "dim": gens[0].shape[0],
+        "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
+                      for i, g in enumerate(gens)]})
+
+
+def operator_file(tmp_path, name, gens):
+    return write(tmp_path, name, {
         "dim": gens[0].shape[0],
         "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
                       for i, g in enumerate(gens)]})
@@ -286,6 +298,19 @@ class TestDynamicsCommand:
         assert main(["dynamics", path]) == 1
         assert "steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, extra", [
+        ("potential", {"potential": "harmonic"}),
+        ("element", {"element": [1, 2, 3]}),
+        ("potential", {"potential": {"kind": "harmonic", "k": "x"}}),
+    ])
+    def test_malformed_section_is_an_input_error(self, tmp_path, key, extra, capsys):
+        path = write(tmp_path, "malformed.json", {
+            "masses": [1.0], "x": [[0, 0, 0]], "p": [[1.0, 0, 0]], "lambda": [0.0],
+            "dt": 1e-3, "steps": 5, **extra})
+        assert main(["dynamics", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and path in err
+
     def test_zero_steps_runs(self, tmp_path, capsys):
         path = write(tmp_path, "zero.json", {
             "masses": [1.0], "x": [[0, 0, 0]], "p": [[1.0, 0, 0]], "lambda": [0.0],
@@ -357,6 +382,8 @@ class TestDeterminism:
                     [(c["name"], c["passed"]) for c in doc["sections"]["checks"]])
 
         assert invariants(docs[0]) == invariants(docs[1])
+        assert docs[0]["sections"]["structure"]["dirac_max_commutator"] == pytest.approx(
+            docs[1]["sections"]["structure"]["dirac_max_commutator"], rel=1e-12)
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["algebra"]) == 1  # missing file argument
@@ -393,7 +420,8 @@ class TestStructureCallCounts:
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
                "check_dirac": "opalgebra", "generated_algebra": "opalgebra",
-               "_word_closure_dim": "opalgebra"}  # function -> defining module
+               "_word_closure_dim": "opalgebra",
+               "is_abelian": "opalgebra"}  # function -> defining module
 
     def count_calls(self, monkeypatch, args):
         """Run a command with the counted functions wrapped wherever a module binds them."""
@@ -419,17 +447,73 @@ class TestStructureCallCounts:
         path = planted_file(tmp_path, [(1, 2), (3, 3)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 0, "_word_closure_dim": 1}
+                          "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 0}
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
         # adds one irreducibility commutant per d = 1 block and one for A = A'
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 6, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 0, "_word_closure_dim": 1}
+                          "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 1}
 
     def test_parastat(self, monkeypatch):
         # the invariant algebra and the truncated one are each decomposed once
         counts = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 7, "central_decomposition": 2, "check_dirac": 1,
-                          "generated_algebra": 0, "_word_closure_dim": 0}
+                          "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
+
+
+class TestGaugeFreeCommutators:
+    """The reported commutators are computed from the inputs, not from a nullspace basis."""
+
+    PATTERN = [(2, 5), (1, 6)]  # non-abelian O'
+
+    @staticmethod
+    def commutator(args, capsys):
+        assert main(args) == 0
+        return json.loads(capsys.readouterr().out)["sections"]["structure"][
+            "dirac_max_commutator"]
+
+    def test_seed_does_not_move_it(self, tmp_path, capsys):
+        path = planted_file(tmp_path, self.PATTERN)
+        values = [self.commutator(["--seed", seed, "algebra", path], capsys)
+                  for seed in ("0", "5")]
+        assert values[0] == values[1] > 0.01
+
+    def test_change_of_basis_does_not_move_it(self, tmp_path, capsys):
+        gens, _ = planted_block_algebra(np.random.default_rng(5), self.PATTERN)
+        u = random_unitary(np.random.default_rng(9), gens[0].shape[0])
+        plain = self.commutator(["algebra", operator_file(tmp_path, "a.json", gens)], capsys)
+        rotated = self.commutator(
+            ["algebra", operator_file(tmp_path, "b.json", [u @ g @ u.conj().T for g in gens])],
+            capsys)
+        assert rotated == pytest.approx(plain, rel=1e-12)
+
+    def test_zero_operator_leaves_it_unchanged(self, tmp_path, capsys):
+        gens, _ = planted_block_algebra(np.random.default_rng(5), self.PATTERN)
+        plain = self.commutator(["algebra", operator_file(tmp_path, "a.json", gens)], capsys)
+        padded = self.commutator(
+            ["algebra", operator_file(tmp_path, "b.json", [*gens, np.zeros_like(gens[0])])],
+            capsys)
+        assert np.isfinite(padded) and padded == plain
+
+    def test_parastat_commutator_is_seed_free(self):
+        values = [run(["--seed", seed, "parastat", "--n", "3", "--d", "2"])
+                  .sections["parastatistics"]["pre_truncation_max_commutator"]
+                  for seed in ("0", "5")]
+        assert values[0] == values[1] > 0.01
+
+
+class TestVerdictDisagreement:
+    def test_pairwise_scan_contradicting_the_sectors_is_typed(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # every d is 1 here, so a scan that finds non-commuting pairs is a fault
+        path = planted_file(tmp_path, [(1, 1), (3, 1)])
+        monkeypatch.setattr(opalgebra, "is_abelian", lambda a, tol=None: (False, 1.0))
+        s, _ = cli.load_operator_file(path)
+        tol = ToleranceConfig()
+        dec = central_decomposition(commutant(s, tol), tol)
+        with pytest.raises(PostconditionFailure, match="d = 1") as exc:
+            check_dirac(dec, tol)
+        assert main(["algebra", path]) == 1
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
