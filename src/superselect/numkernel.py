@@ -119,12 +119,19 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
     if mm.shape[0] == 0:
         return np.eye(mm.shape[1], dtype=complex)
     # with rows >= cols the thin SVD already holds every right singular vector
-    _, s, vh = np.linalg.svd(mm, full_matrices=mm.shape[0] < mm.shape[1])
+    full = mm.shape[0] < mm.shape[1]
+    try:
+        _, s, vh = np.linalg.svd(mm, full_matrices=full)
+        v = vh.conj().T
+    except np.linalg.LinAlgError:
+        # LAPACK's divide-and-conquer SVD fails to converge on rare inputs; the
+        # left singular vectors of m^* are the right ones of m
+        v, s, _ = np.linalg.svd(mm.conj().T, full_matrices=full)
     ref = float(s[0]) if s.size else 0.0
     cutoff = tol.rank_tol * (ref if scale is None else scale)
     null_mask = np.ones(mm.shape[1], dtype=bool)
     null_mask[: s.size] = s <= cutoff
-    return vh.conj().T[:, null_mask]
+    return v[:, null_mask]
 
 
 def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,

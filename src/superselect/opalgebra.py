@@ -12,6 +12,15 @@ nullspace solve inside that pattern and verifies the result against every
 generator, augmenting the constraint set until verification passes.  The
 reduction is exact -- the pattern can only over-approximate the commutant --
 and keeps thousand-algebra sweeps fast.
+
+Inside the pattern the constraints couple two eigenvalue clusters only
+through the blocks of the constraint members between them, and these
+typically vanish between sectors.  The nullspace is therefore solved one
+connected component of coupled clusters at a time, on that component's own
+rows and columns; a component whose constraints are below the cutoff is
+null in full and needs no SVD (every member of O is a scalar on a d = 1
+sector).  Murota, Kanno, Kojima and Kojima (2010) use the same decoupling
+for block-diagonalising matrix *-algebras.
 """
 
 from __future__ import annotations
@@ -32,7 +41,6 @@ from .numkernel import (
     ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
-    hermitian_part,
     orthonormal_columns_extend,
     orthonormal_nullspace,
 )
@@ -59,6 +67,11 @@ __all__ = [
 ABELIAN_TOL = 1e-8  # relative commutator norm below which a pair counts as commuting
 # smallest relative gap between the eigenvalue clusters of the word closure's seed
 SEED_SEPARATION = 1e-3
+# fraction of the commutant's nullspace cutoff above which an inter-cluster
+# block of a constraint member couples two eigenvalue clusters
+JOIN_FRACTION = 1e-2
+# entries in one temporary of the commutant's verification (64 kB complex)
+VERIFY_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -206,12 +219,15 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
 # commutant
 
 def _generic_hermitian_combo(members: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Seeded generic Hermitian element of the real span of members + adjoints."""
+    """Seeded generic Hermitian element of the real span of members + adjoints.
+
+    ``sum_k c1_k (M_k + M_k*) / 2 + c2_k (M_k - M_k*) / 2i`` is ``y + y*`` for
+    ``y = sum_k (c1 - i c2)_k M_k / 2``, one contraction over the members.
+    """
     k = members.shape[0]
-    herm = 0.5 * (members + members.conj().transpose(0, 2, 1))
-    anti = (0.5 / 1j) * (members - members.conj().transpose(0, 2, 1))
     c1, c2 = rng.standard_normal(k), rng.standard_normal(k)
-    return np.tensordot(c1, herm, axes=1) + np.tensordot(c2, anti, axes=1)
+    y = np.tensordot(0.5 * (c1 - 1j * c2), members, axes=1)
+    return y + y.conj().T
 
 
 def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
@@ -222,8 +238,7 @@ def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
     passes, :class:`DegenerateGenericElement` names the last salt.
     """
     for salt in salts:
-        x = _generic_hermitian_combo(members, tol.rng(*salt))
-        w, v = np.linalg.eigh(hermitian_part(x))
+        w, v = np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))
         groups = cluster_eigenvalues(w, tol.cluster_tol)
         if accept(groups):
             return w, v, groups
@@ -232,32 +247,123 @@ def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
         f"clusters of sizes {[int(g.size) for g in groups]}")
 
 
-def _pattern_constraints(a_rot: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Matrix of the map (pattern coords) -> vec([A, B]) for one rotated generator.
+def _pattern_constraints(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Matrix of the map (pattern coords) -> vec([A, B]) over a ``(k, n, n)`` member stack.
 
     The pattern basis element for pair ``(a, b)`` is the matrix unit
     ``|a><b|``; its commutator with A has column ``b`` equal to ``A[:, a]``
-    and row ``a`` equal to ``-A[b, :]``.
+    and row ``a`` equal to ``-A[b, :]``.  Rows are member-major, each
+    member's ``n^2`` rows in the order of ``vec``.
     """
-    n = a_rot.shape[0]
+    k, n, _ = a.shape
     p = rows.size
-    out = np.zeros((p, n, n), dtype=complex)
-    out[np.arange(p)[:, None], np.arange(n)[None, :], cols[:, None]] += a_rot[:, rows].T
-    out[np.arange(p)[:, None], rows[:, None], np.arange(n)[None, :]] -= a_rot[cols, :]
-    return out.reshape(p, n * n).T  # (n^2, p)
+    j, x = np.arange(p)[None, :], np.arange(n)[:, None]
+    out = np.zeros((k, n, n, p), dtype=complex)
+    out[:, x, cols[None, :], j] = a[:, :, rows]
+    out[:, rows[None, :], x, j] -= a[:, cols, :].transpose(0, 2, 1)
+    return out.reshape(k * n * n, p)
 
 
-def _verify_commutes(members: np.ndarray, cands: np.ndarray, tol: ToleranceConfig):
-    """Max relative commutator residual of candidates against each member."""
-    norms = np.linalg.norm(members.reshape(members.shape[0], -1), axis=1)
-    worst_member, worst_ratio = -1, 0.0
-    for m, (a, na) in enumerate(zip(members, norms)):
-        comm = a @ cands - cands @ a
-        r = float(np.max(np.linalg.norm(comm.reshape(comm.shape[0], -1), axis=1)))
-        ratio = r / max(2.0 * na, 1e-300)
-        if ratio > worst_ratio:
-            worst_member, worst_ratio = m, ratio
-    return worst_member, worst_ratio
+def _coupled_components(active: np.ndarray, groups, threshold: float):
+    """``(perm, sizes)``: the connected components of the clusters the constraints couple.
+
+    ``groups`` are the eigenvalue clusters, contiguous ascending index
+    ranges.  Clusters ``k`` and ``l`` are joined when some member of the
+    ``(m, n, n)`` stack ``active`` (in the eigenbasis the clusters come
+    from) has an inter-cluster block ``A_kl`` or ``A_lk`` of Frobenius norm
+    above ``threshold``.  ``perm`` orders the indices component by
+    component, in order of each component's first cluster and ascending
+    within it; ``sizes`` are the components' numbers of indices.
+    """
+    starts = [int(g[0]) for g in groups]
+    mass = np.add.reduceat(np.add.reduceat(active.real ** 2 + active.imag ** 2, starts, axis=1),
+                           starts, axis=2)
+    linked = (mass > threshold ** 2).any(axis=0)
+    reach = linked | linked.T | np.eye(len(groups), dtype=bool)
+    for _ in range((len(groups) - 1).bit_length()):  # each squaring doubles the path length
+        reach = reach @ reach
+    # each index is labelled by the lowest cluster its own cluster reaches
+    comp = np.repeat(reach.argmax(axis=1), [g.size for g in groups])
+    sizes = np.bincount(comp)
+    return np.argsort(comp, kind="stable"), sizes[sizes > 0]
+
+
+def _solve_components(active: np.ndarray, groups, tol: ToleranceConfig, scale: float):
+    """``(perm, blocks)``: the commutant candidates, one coupled component at a time.
+
+    In the eigenbasis of the generic element the candidates are block
+    diagonal over the clusters, and ``[A, B] = 0`` on the block pair
+    ``(k, l)`` reads ``A_kl B_ll - B_kk A_kl = 0``: it ties ``B_kk`` to
+    ``B_ll`` only through ``A_kl``.  Each component of the clusters that
+    the active members couple (:func:`_coupled_components`, at
+    ``JOIN_FRACTION`` of the nullspace cutoff) is solved on its own rows
+    (both indices inside it) and its own pattern columns.  The rows between
+    components are never built: each lies below the join threshold, and by
+    Weyl's inequality dropping them moves no singular value by more than
+    their norm, so no rank decision away from the cutoff changes.  A
+    component whose constraint block has Frobenius norm at most the cutoff
+    is null in full (``sigma_max <= ||C||_F``) and takes its matrix units
+    without an SVD.
+
+    ``perm`` orders the eigenbasis so that each component is a contiguous
+    range ``lo:hi``; ``blocks`` holds ``(lo, hi, cands)`` with ``cands`` of
+    shape ``(q, hi - lo, hi - lo)`` in that order.
+    """
+    cutoff = tol.rank_tol * scale
+    perm, sizes = _coupled_components(active, groups, JOIN_FRACTION * cutoff)
+    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])[perm]
+    active = active[:, perm[:, None], perm]
+    blocks, lo = [], 0
+    for hi in np.cumsum(sizes).tolist():
+        lab = labels[lo:hi]
+        rows, cols = np.nonzero(lab[:, None] == lab[None, :])
+        cmat = _pattern_constraints(active[:, lo:hi, lo:hi], rows, cols)
+        if np.linalg.norm(cmat) <= cutoff:
+            coeffs = np.eye(rows.size, dtype=complex)
+        else:
+            coeffs = orthonormal_nullspace(cmat, tol, scale=scale)
+        cands = np.zeros((coeffs.shape[1], hi - lo, hi - lo), dtype=complex)
+        cands[:, rows, cols] = coeffs.T
+        blocks.append((lo, hi, cands))
+        lo = hi
+    return perm, blocks
+
+
+def _verify_commutes(members: np.ndarray, blocks):
+    """``(member, ratio)``: the largest relative commutator residual of the candidates.
+
+    ``members`` and ``blocks`` are in the permuted eigenbasis of
+    :func:`_solve_components`; each candidate lives on its ``lo:hi`` block.
+    With ``B`` on that block, ``AB`` fills the columns ``lo:hi`` and ``BA``
+    the rows ``lo:hi``, so the commutator costs two thin products, each one
+    GEMM over a chunk of members and all of the block's candidates.  A
+    chunk holds as many members as keep each temporary under
+    ``VERIFY_CHUNK`` entries, and at least one.
+    """
+    k, n, _ = members.shape
+    worst = np.zeros(k)
+    for lo, hi, cands in blocks:
+        q, m, _ = cands.shape
+        step = max(1, VERIFY_CHUNK // (q * n * m))
+        cols = cands.transpose(1, 0, 2).reshape(m, q * m)  # [z, (j, y)] = B_j[z, y]
+        rows = cands.reshape(q * m, m)                      # [(j, x), z] = B_j[x, z]
+        for c in range(0, k, step):
+            a = members[c:c + step]
+            kc = a.shape[0]
+            # left[i, x, j, y] = (A_i B_j)[x, lo + y];  right[j, x, i, y] = (B_j A_i)[lo + x, y]
+            left = (a[:, :, lo:hi].reshape(kc * n, m) @ cols).reshape(kc, n, q, m)
+            right = (rows @ a[:, lo:hi, :].transpose(1, 0, 2).reshape(m, kc * n)
+                     ).reshape(q, m, kc, n)
+            left[:, lo:hi] -= right[..., lo:hi].transpose(2, 1, 0, 3)
+            right[..., lo:hi] = 0.0
+            # squared Frobenius norms over the real views (no conjugate copies)
+            lv, rv = left.view(float), right.view(float)
+            r2 = np.einsum("ixjy,ixjy->ij", lv, lv) + np.einsum("jxiy,jxiy->ij", rv, rv)
+            np.maximum(worst[c:c + step], r2.max(axis=1), out=worst[c:c + step])
+    norms = np.linalg.norm(members.reshape(k, -1), axis=1)
+    ratio = np.sqrt(worst) / np.maximum(2.0 * norms, 1e-300)
+    member = int(np.argmax(ratio))
+    return member, float(ratio[member])
 
 
 def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
@@ -267,8 +373,11 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     *-algebra, and every member is scaled to unit HS norm.  Computed as the
     nullspace of the stacked commutator maps on the vectorized matrix
     space, restricted to the block pattern of a generic Hermitian
-    combination of the generators; the restriction is exact and the result
-    is verified to commute with every generator.
+    combination of the generators and solved one coupled component of its
+    eigenvalue clusters at a time (:func:`_solve_components`); the
+    restriction is exact and the result is verified to commute with every
+    generator.  A failed verification adds the worst member to the
+    constraints and solves again.
     """
     s = star_completion(s)
     n = s.dim
@@ -282,32 +391,26 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     members = (s.members[nonzero] / norms[nonzero, None, None]
                if nonzero.any() else s.members)
     _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
-    labels = np.empty(n, dtype=int)
-    for lab, idx in enumerate(groups):
-        labels[idx] = lab
-    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 
-    x2 = v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v
-    active = [x2]
+    active = (v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v)[None]
     used = np.zeros(len(members), dtype=bool)
     for _ in range(len(members) + 1):
-        cmat = np.vstack([_pattern_constraints(a, rows, cols) for a in active])
-        coeffs = orthonormal_nullspace(cmat, tol, scale=scale)
-        cands = np.zeros((coeffs.shape[1], n, n), dtype=complex)
-        cands[:, rows, cols] = coeffs.T
-        worst, ratio = _verify_commutes(mem_rot, cands, tol)
+        perm, blocks = _solve_components(active, groups, tol, scale)
+        worst, ratio = _verify_commutes(mem_rot[:, perm[:, None], perm], blocks)
         if ratio <= tol.rank_tol or bool(used.all()):
             if ratio > tol.rank_tol:
                 raise PostconditionFailure(
                     f"commutant verification residual {ratio:.3e} above rank_tol")
-            basis = v @ cands @ v.conj().T
+            vp = v[:, perm]
+            basis = np.concatenate([vp[:, lo:hi] @ cands @ vp[:, lo:hi].conj().T
+                                    for lo, hi, cands in blocks])
             if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
                 raise PostconditionFailure("identity missing from computed commutant")
             return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
         used[worst] = True
-        active.append(mem_rot[worst])
+        active = np.concatenate([active, mem_rot[worst][None]])
     raise PostconditionFailure("commutant constraint loop failed to converge")
 
 
@@ -408,17 +511,20 @@ def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
     """Center of an algebra: the span intersection of the algebra and its commutant.
 
     Always contains the identity.  A precomputed commutant may be passed to
-    avoid recomputation.
+    avoid recomputation.  Solved from the smaller side: the combinations of
+    the smaller of the two orthonormal bases that lie in the span of the
+    larger one.
     """
     cp = commutant_algebra
     if cp is None:
         cp = commutant(a.as_set(), tol)
     n = a.dim
-    qa = a.basis.reshape(a.algebra_dim, n * n)
-    vc = cp.basis.reshape(cp.algebra_dim, n * n).T  # columns = commutant elements
-    resid = vc - qa.T @ (qa.conj() @ vc)
-    coeffs = orthonormal_nullspace(resid, tol, scale=1.0)  # combos of cp lying in span(a)
-    basis = np.tensordot(coeffs, cp.basis, axes=(0, 0))
+    small, large = sorted((a, cp), key=lambda alg: alg.algebra_dim)
+    ql = large.basis.reshape(large.algebra_dim, n * n)
+    vs = small.basis.reshape(small.algebra_dim, n * n).T  # columns = smaller-side elements
+    resid = vs - ql.T @ (ql.conj() @ vs)
+    coeffs = orthonormal_nullspace(resid, tol, scale=1.0)  # combos lying in the larger span
+    basis = np.tensordot(coeffs, small.basis, axes=(0, 0))
     if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
         raise PostconditionFailure("identity missing from computed center")
     return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)

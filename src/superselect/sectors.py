@@ -25,6 +25,7 @@ from .numkernel import (
     ToleranceConfig,
     as_complex_matrix,
     hermitian_part,
+    random_hermitian,
 )
 from .opalgebra import (
     DiracReport,
@@ -54,6 +55,7 @@ SUPPORT_RTOL = 1e-6      # relative cutoff for projector-support membership
 MATRIX_ELEMENT_RTOL = 1e-9
 EXTREMAL_CUTOFF = 1e-12
 INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted dim) from an integer
+CENTRAL_VALUE_SALT = 203  # seeded stream of the Hermitian H behind Sector.central_value
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class Sector:
     block_dim: int
     d: int                  # commutant factor dimension on this block
     ntilde: int             # observable factor dimension on this block
-    central_value: float    # eigenvalue of the generic central element (ordering key)
+    central_value: float    # Re tr(P H) / block_dim for a seeded Hermitian H (ordering key)
 
 
 @dataclass(frozen=True)
@@ -137,13 +139,18 @@ def central_decomposition(o: OperatorAlgebra,
     """Minimal central projectors of an algebra plus per-block (d, ntilde) data.
 
     The commutant and the center are computed once here and kept on the
-    result.  A seeded generic Hermitian element of the center is
-    diagonalized and its eigenvalue clusters give the minimal central
-    projectors; it is redrawn, up to 16 times, until it shows one cluster
-    per center dimension.  On each block, ``d`` and ``ntilde`` are the integer square
-    roots of the dimensions of the restricted commutant and algebra spans;
-    blocks with ``d = 1`` are verified irreducible.  Sectors are ordered by
-    ascending eigenvalue of the generic central element.
+    result.  A one-dimensional center gives one sector, the whole space,
+    with no draw.  Otherwise a seeded generic Hermitian element of the
+    center is diagonalized and its eigenvalue clusters give the minimal
+    central projectors; it is redrawn, up to 16 times, until it shows one
+    cluster per center dimension.  On each block, ``d`` and ``ntilde`` are
+    the integer square roots of the dimensions of the restricted commutant
+    and algebra spans; blocks with ``d = 1`` are verified irreducible.
+
+    Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
+    Hermitian ``H`` drawn from its own seeded stream, and the sectors come
+    in ascending order of it.  It depends on the projector ``P`` alone, not
+    on which basis of the commutant or center a solver returned.
     """
     if not o.contains_identity:
         raise ValueError("central_decomposition requires an algebra with identity")
@@ -151,13 +158,17 @@ def central_decomposition(o: OperatorAlgebra,
     cp = commutant(o.as_set(), tol)
     z = center(o, tol, commutant_algebra=cp)
 
-    w, v, groups = _generic_split(z.basis, tol, ((201, a) for a in range(16)),
-                                  lambda g: len(g) == z.algebra_dim)
+    if z.algebra_dim == 1:
+        isometries = [np.eye(n, dtype=complex)]
+    else:
+        _, v, groups = _generic_split(z.basis, tol, ((201, a) for a in range(16)),
+                                      lambda g: len(g) == z.algebra_dim)
+        isometries = [v[:, idx] for idx in groups]
+    h = random_hermitian(tol.rng(CENTRAL_VALUE_SALT), n)
     sectors = []
-    for idx in groups:
-        w_iso = v[:, idx]
+    for w_iso in isometries:
         proj = w_iso @ w_iso.conj().T
-        block_dim = int(idx.size)
+        block_dim = w_iso.shape[1]
         restricted = _restricted_basis(o.basis, w_iso, tol)
         restricted_cp = _restricted_basis(cp.basis, w_iso, tol)
         ntilde = _as_int(float(np.sqrt(restricted.shape[0])), "sqrt(dim of restricted algebra)")
@@ -174,9 +185,10 @@ def central_decomposition(o: OperatorAlgebra,
                     "block with d = 1 is not irreducible; tolerance pathology")
         sectors.append(Sector(projector=proj, isometry=w_iso, commutant_basis=restricted_cp,
                               block_dim=block_dim, d=d, ntilde=ntilde,
-                              central_value=float(np.mean(w[idx]))))
+                              central_value=float(np.vdot(w_iso, h @ w_iso).real) / block_dim))
     if sum(s.block_dim for s in sectors) != n:
         raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
+    sectors.sort(key=lambda sec: sec.central_value)
     return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
                                center=z)
 

@@ -2,10 +2,15 @@
 
 The brute-force commutant below is the reference stacked-kron nullspace with
 a full SVD, kept free of the library's pattern reduction so it can serve as
-an independent oracle.
+an independent oracle.  The ``workloads`` fixture loads the benchmark's
+input generators and report oracle from ``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
+
+import importlib.util
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -14,9 +19,26 @@ from scipy.linalg import block_diag
 from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
 
 
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                              "workloads.py")
+
+
 @pytest.fixture
 def tol():
     return ToleranceConfig()
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # the dataclass decorator looks its module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
 
 
 def brute_force_commutant(mats, rank_tol=1e-10):

@@ -8,35 +8,16 @@ broke the word closure is kept as a regression case.
 """
 
 import importlib
-import importlib.util
 import json
 import os
-import sys
 import time
 
 import numpy as np
-import pytest
 
+from conftest import WORKLOADS_PATH
 from superselect import cli, opalgebra
 from superselect.fileformat import load_operator_file
 from superselect.numkernel import ToleranceConfig
-
-WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
-                              "workloads.py")
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # the dataclass decorator looks its module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[spec.name]
-
 
 def run_twice(workloads, item):
     runs = [cli.run_command(cli.build_parser().parse_args(list(item.argv))).to_json_bytes()
@@ -84,3 +65,25 @@ def test_traced_functions_resolve():
                if not callable(getattr(importlib.import_module(f"superselect.{module}"),
                                        fn, None))]
     assert names and missing == []
+
+
+def test_perturbed_input_with_a_one_dimensional_center(workloads, tmp_path):
+    # a planted sweep input whose first generator carries 1e-5 of its norm
+    # along a random Hermitian: S'' = M_5, so the center is the scalars.  Its
+    # one basis element has an eigenvalue spread of about 1e-11, above the
+    # clustering's 1e-12 noise floor, so a generic central element can split
+    # into spurious clusters; a one-dimensional center takes no draw
+    rng = np.random.default_rng(5)
+    quota = workloads.sweep_pattern_quota(200)
+    for _ in range(7):
+        pattern = quota[rng.integers(200)]
+        gens = workloads.planted_generators(rng, pattern)
+        h = workloads._random_hermitian(rng, gens[0].shape[0])
+        gens[0] = gens[0] + 1e-5 * np.linalg.norm(gens[0]) * h / np.linalg.norm(h)
+    assert pattern == ((1, 3), (2, 1))
+    path = str(tmp_path / "perturbed.json")
+    workloads.write_operator_file(path, gens)
+    report = cli.run_command(cli.build_parser().parse_args(["--seed", "6", "algebra", path]))
+    structure = report.sections["structure"]
+    assert report.all_passed
+    assert (structure["generated_dim"], structure["center_dim"]) == (25, 1)

@@ -11,10 +11,10 @@ import pytest
 from conftest import planted_block_algebra
 import superselect
 from superselect import bargmann, cli
-from superselect import opalgebra
+from superselect import opalgebra, sectors
 from superselect.cli import build_parser, main, run_command
 from superselect.errors import PostconditionFailure
-from superselect.numkernel import random_unitary
+from superselect.numkernel import random_hermitian, random_unitary
 from superselect.numkernel import ToleranceConfig
 from superselect.opalgebra import check_dirac, commutant
 from superselect.sectors import central_decomposition
@@ -167,6 +167,50 @@ class TestAlgebraAtDimension32:
         assert doc["sections"]["input"]["dim"] == 32
         assert doc["sections"]["structure"]["generated_dim"] == sum(t * t for _, t in pattern)
         assert elapsed <= self.ITEM_BUDGET_SECONDS
+
+
+class TestAlgebraAtDimension48:
+    """A planted n = 48 item through the CLI, with dim S'' = 720.
+
+    Budget: 30 s (about 4 s on one core; the solve before the commutant was
+    split into coupled components took about 8 s).
+    """
+
+    BUDGET_SECONDS = 30.0
+
+    def test_generated_dim_matches_planted(self, tmp_path, capsys):
+        pattern = [(1, 24), (2, 12)]
+        path = planted_file(tmp_path, pattern)
+        t0 = time.perf_counter()
+        code = main(["algebra", path])
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        doc = json.loads(out.out)
+        assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
+        assert doc["sections"]["structure"]["generated_dim"] == 720
+        assert elapsed <= self.BUDGET_SECONDS
+
+
+class TestComponentSizes:
+    def test_nullspace_widths_on_a_four_sector_input(self, tmp_path, monkeypatch, capsys):
+        # O = S' is a scalar on each of the four blocks, so O' splits into four
+        # components (6 x 6, 6 x 6, 6 x 6 and 2 x 2 blocks, 112 pattern
+        # columns in all) that are null in full and need no SVD; one solve
+        # over the whole block pattern passed a 400 x 112 matrix.  S' and S''
+        # pass 6 columns per sector, the center 4.
+        widths = []
+        real = opalgebra.orthonormal_nullspace
+
+        def record(m, *args, **kwargs):
+            widths.append(m.shape[1])
+            return real(m, *args, **kwargs)
+
+        monkeypatch.setattr(opalgebra, "orthonormal_nullspace", record)
+        path = planted_file(tmp_path, [(1, 6), (1, 6), (1, 6), (1, 2)])
+        assert main(["algebra", path]) == 0, capsys.readouterr().err
+        assert widths and max(widths) <= 36
+        assert max(widths) <= 6
 
 
 class TestSingleGeneratorUpTo64:
@@ -384,6 +428,13 @@ class TestDeterminism:
         assert invariants(docs[0]) == invariants(docs[1])
         assert docs[0]["sections"]["structure"]["dirac_max_commutator"] == pytest.approx(
             docs[1]["sections"]["structure"]["dirac_max_commutator"], rel=1e-12)
+        # the sectors' order and central values come from the projectors alone
+        secs = [doc["sections"]["sectors"] for doc in docs]
+        assert [(sec["block_dim"], sec["d"], sec["ntilde"]) for sec in secs[0]] \
+            == [(sec["block_dim"], sec["d"], sec["ntilde"]) for sec in secs[1]]
+        h = random_hermitian(ToleranceConfig().rng(sectors.CENTRAL_VALUE_SALT), 16)
+        for a, b in zip(*secs):
+            assert abs(a["central_value"] - b["central_value"]) <= 1e-12 * np.linalg.norm(h)
 
     def test_usage_errors_exit_1(self, capsys):
         assert main(["algebra"]) == 1  # missing file argument

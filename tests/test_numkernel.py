@@ -111,6 +111,29 @@ class TestNullspace:
         smax = np.linalg.norm(m, 2)
         assert np.max(np.linalg.norm(m @ ns, axis=0)) <= tol.rank_tol * smax
 
+    @pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (6, 6, 4), (3, 7, 2)])
+    def test_svd_failure_falls_back_to_the_adjoint(self, tol, monkeypatch, rows, cols, rank):
+        # LAPACK's divide-and-conquer SVD can fail to converge; the first call raises
+        rng = np.random.default_rng(rows + cols)
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        m = left @ right
+        expected = orthonormal_nullspace(m, tol)
+        svd, failed = np.linalg.svd, []
+
+        def fails_once(a, *args, **kwargs):
+            if not failed:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        ns = orthonormal_nullspace(m, tol)
+        assert failed == [(rows, cols)]
+        assert ns.shape == expected.shape == (cols, cols - rank)
+        assert np.max(np.abs(ns.conj().T @ ns - np.eye(cols - rank))) <= 1e-12
+        assert np.linalg.norm(ns - expected @ (expected.conj().T @ ns)) <= 1e-12
+
 
 class TestGramSchmidtHS:
     """Hilbert-Schmidt orthonormalization of a spanning set, by ``algebra_from_span``."""

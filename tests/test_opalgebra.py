@@ -10,8 +10,17 @@ from superselect.errors import (
     DimensionMismatch,
     PostconditionFailure,
 )
-from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
+from superselect.numkernel import (
+    ToleranceConfig,
+    orthonormal_nullspace,
+    random_hermitian,
+    random_unitary,
+)
 from superselect.opalgebra import (
+    JOIN_FRACTION,
+    OperatorAlgebra,
+    _coupled_components,
+    _generic_hermitian_combo,
     _generic_split,
     _word_closure_dim,
     algebra_from_span,
@@ -25,6 +34,7 @@ from superselect.opalgebra import (
     span_residual,
     star_completion,
 )
+from superselect.parastat import invariant_algebra, permutation_unitaries
 from superselect.sectors import central_decomposition
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -133,6 +143,100 @@ class TestCommutant:
             assert worst <= 1e-9
 
 
+def single_stack_commutant(s, tol):
+    """Reference commutant: one nullspace solve over the whole block pattern.
+
+    The generic element's clusters give the pattern, as in ``commutant``;
+    every active constraint's commutator with the pattern's matrix units is
+    stacked over all ``n^2`` output entries (``A (x) 1 - 1 (x) A^T`` on the
+    pattern columns) and reduced by one SVD, with no split into coupled
+    components.  Candidates are checked against every member by dense
+    commutators, and the worst member joins the constraints until they pass.
+    """
+    s = star_completion(s)
+    n = s.dim
+    norms = np.linalg.norm(s.members.reshape(len(s), -1), axis=1)
+    members = s.members[norms > 0] / norms[norms > 0, None, None]
+    _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
+    labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
+    rows, cols = np.nonzero(labels[:, None] == labels[None, :])
+    mem_rot = v.conj().T @ members @ v
+    scale = 2.0 * max(np.linalg.norm(m) for m in mem_rot)
+    eye = np.eye(n)
+    active = [v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v]
+    for _ in range(len(members) + 1):
+        cmat = np.vstack([(np.kron(a, eye) - np.kron(eye, a.T))[:, rows * n + cols]
+                          for a in active])
+        coeffs = orthonormal_nullspace(cmat, tol, scale=scale)
+        cands = np.zeros((coeffs.shape[1], n, n), dtype=complex)
+        cands[:, rows, cols] = coeffs.T
+        ratios = [np.max(np.linalg.norm(a @ cands - cands @ a, axis=(1, 2)))
+                  / (2.0 * np.linalg.norm(a)) for a in mem_rot]
+        if max(ratios) <= tol.rank_tol:
+            return OperatorAlgebra(dim=n, basis=v @ cands @ v.conj().T, contains_identity=True)
+        active.append(mem_rot[int(np.argmax(ratios))])
+    raise AssertionError("reference constraint loop did not converge")
+
+
+def assert_matches_single_stack(s, tol):
+    got = commutant(s, tol)
+    ref = single_stack_commutant(s, tol)
+    assert got.algebra_dim == ref.algebra_dim
+    assert span_equal(got, ref, tol)
+    return got
+
+
+class TestComponentSolve:
+    """``commutant`` solves one coupled cluster component at a time; the span must not move."""
+
+    def check_planted(self, pattern, seed):
+        t = ToleranceConfig(seed=seed)
+        gens, _ = planted_block_algebra(np.random.default_rng(seed), list(pattern))
+        obs = assert_matches_single_stack(operator_set(gens, tol=t), t)  # S'
+        assert_matches_single_stack(obs.as_set(), t)                      # S''
+
+    def test_sweep_patterns(self, workloads):
+        for k, pattern in enumerate(sorted(set(workloads.sweep_pattern_quota(200)))):
+            self.check_planted(pattern, k)
+
+    def test_wide_patterns(self, workloads):
+        for k, pattern in enumerate(workloads.WIDE_PATTERNS):
+            self.check_planted(pattern, k)
+
+    def test_parastat_cases(self, workloads, tol):
+        for n, d in workloads.PARASTAT_CASES:
+            rep = permutation_unitaries(n, d)
+            assert_matches_single_stack(invariant_algebra(rep, tol).as_set(), tol)
+
+    def test_generic_hermitian(self, tol):
+        # n singleton clusters, none coupled: every component is null in full
+        h = random_hermitian(np.random.default_rng(3), 9)
+        assert assert_matches_single_stack(operator_set([h], tol=tol), tol).algebra_dim == 9
+
+    def test_weak_coupling_merges_clusters(self, tol):
+        # diag(0, 1) and diag(0, 1) + eps * sigma_x generate M_2: the generic
+        # element's two clusters are tied only by an O(eps) block of the second
+        # constraint element, here 1e3 times the join threshold
+        threshold = JOIN_FRACTION * tol.rank_tol * 2.0  # members at unit HS norm
+        diag = np.diag([0.0, 1.0]).astype(complex)
+
+        def coupling(eps):
+            members = np.stack([diag, diag + eps * SX])
+            members /= np.linalg.norm(members, axis=(1, 2))[:, None, None]
+            _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
+            x2 = v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v
+            return members, groups, x2, abs(x2[0, 1])
+
+        eps = 1e-6 * 1e3 * threshold / coupling(1e-6)[3]
+        members, groups, x2, tie = coupling(eps)
+        assert [g.size for g in groups] == [1, 1]
+        assert tie == pytest.approx(1e3 * threshold, rel=1e-3)
+        _, sizes = _coupled_components(x2[None], groups, threshold)
+        assert sizes.tolist() == [2]
+        got = assert_matches_single_stack(operator_set(list(members), tol=tol), tol)
+        assert got.algebra_dim == 1
+
+
 class TestGenericSplit:
     @pytest.fixture
     def members(self):
@@ -193,7 +297,33 @@ class TestGeneratedAlgebra:
             assert span_equal(cp, cp3, tol)
 
 
+def center_from(side, other, tol):
+    """Reference center: the combinations of ``side``'s basis lying in the span of ``other``."""
+    n = side.dim
+    q = other.basis.reshape(other.algebra_dim, n * n)
+    vs = side.basis.reshape(side.algebra_dim, n * n).T
+    coeffs = orthonormal_nullspace(vs - q.T @ (q.conj() @ vs), tol, scale=1.0)
+    return OperatorAlgebra(dim=n, basis=np.tensordot(coeffs, side.basis, axes=(0, 0)),
+                           contains_identity=True)
+
+
 class TestCenter:
+    @pytest.mark.parametrize("case", ["planted", "parastat"])
+    def test_either_side_gives_the_same_center(self, tol, case):
+        # center() solves from the smaller of O and O'; the planted O = S' is
+        # smaller than its commutant, parastat's invariant algebra is larger
+        if case == "planted":
+            gens, _ = planted_block_algebra(np.random.default_rng(7), [(1, 3), (2, 2)])
+            o = commutant(operator_set(gens, tol=tol), tol)
+        else:
+            o = invariant_algebra(permutation_unitaries(3, 3), tol)
+        cp = commutant(o.as_set(), tol)
+        assert (o.algebra_dim < cp.algebra_dim) == (case == "planted")
+        z = center(o, tol, commutant_algebra=cp)
+        assert z.algebra_dim == (2 if case == "planted" else 3)
+        for ref in (center_from(o, cp, tol), center_from(cp, o, tol)):
+            assert span_equal(z, ref, tol)
+
     def test_full_algebra_has_scalar_center(self, tol):
         full = commutant(operator_set([np.eye(4)]), tol)
         z = center(full, tol)

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import planted_block_algebra
-from superselect import opalgebra
+from superselect import opalgebra, sectors
 from superselect.errors import CriteriaDisagree, DegenerateGenericElement, ZeroVector
 from superselect.numkernel import ToleranceConfig
-from superselect.opalgebra import commutant, generated_algebra, operator_set, span_equal
+from superselect.opalgebra import (
+    algebra_from_span,
+    commutant,
+    generated_algebra,
+    operator_set,
+    span_equal,
+)
 from superselect.sectors import (
     are_disjoint,
     central_decomposition,
@@ -41,6 +47,27 @@ class TestCentralDecomposition:
         assert len(dec) == 1
         sec = dec.sectors[0]
         assert (sec.d, sec.ntilde, sec.block_dim) == (1, 4, 4)
+
+    @pytest.mark.parametrize("factor", [np.eye(1), np.eye(2)])
+    def test_one_dimensional_center_takes_no_draw(self, tol, monkeypatch, factor):
+        # M_3 and 1_2 (x) M_3 are factors: one sector, the whole space, with no
+        # generic central element drawn (salts (201, a))
+        o = algebra_from_span([np.kron(factor, m) for m in
+                               commutant(operator_set([np.eye(3)]), tol).basis], tol)
+        salts = []
+        real = sectors._generic_split
+
+        def record(members, t, draws, accept):
+            draws = list(draws)
+            salts.extend(draws)
+            return real(members, t, draws, accept)
+
+        monkeypatch.setattr(sectors, "_generic_split", record)
+        dec = central_decomposition(o, tol)
+        d = factor.shape[0]
+        assert salts == []
+        assert [(s.block_dim, s.d, s.ntilde) for s in dec.sectors] == [(3 * d, d, 3)]
+        assert np.allclose(dec.sectors[0].projector, np.eye(3 * d), atol=1e-12)
 
     def test_two_blocks(self, two_block):
         _, dec = two_block
