@@ -192,17 +192,25 @@ def _orthonormalize_stack(mats: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
 
 def span_residual(basis: np.ndarray, mat: np.ndarray) -> float:
     """Frobenius distance from ``mat`` to the span of an orthonormal basis stack."""
-    q = basis.reshape(basis.shape[0], -1)
-    v = mat.ravel()
-    return float(np.linalg.norm(v - q.T @ (q.conj() @ v)))
+    return _max_span_residual(basis, mat[None])
 
 
 def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
-    """Largest projection residual of ``mats`` onto the span of an orthonormal basis stack."""
-    q = basis.reshape(basis.shape[0], -1)
-    v = mats.reshape(mats.shape[0], -1)
+    """Largest projection residual of ``mats`` onto the span of an orthonormal basis stack.
+
+    An empty basis spans only zero, so each residual is then the full norm.
+    The worst residual is picked by its squared norm and then measured as one
+    flat vector, so a single matrix gets ``np.linalg.norm`` of its residual
+    bit for bit, as reports print it.
+    """
+    nn = mats.shape[-2] * mats.shape[-1]
+    q = basis.reshape(basis.shape[0], nn)
+    v = mats.reshape(mats.shape[0], nn)
+    if not len(v):
+        return 0.0
     resid = v - (v @ q.conj().T) @ q
-    return float(np.max(np.linalg.norm(resid, axis=1))) if len(resid) else 0.0
+    rv = resid.view(float)
+    return float(np.linalg.norm(resid[np.argmax(np.einsum("ij,ij->i", rv, rv))]))
 
 
 def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,

@@ -2,8 +2,9 @@
 
 The ambient space splits into blocks cut out by the minimal projectors of
 the observable algebra's center.  On each block the algebra acts as
-``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; the pair
-``(d, ntilde)`` is recovered from the dimensions of the restricted spans.
+``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; since the
+block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
+projector acting on the two algebras, read off their orthonormal bases.
 Truncation keeps a single multiplicity copy per block, which restores an
 abelian commutant.
 """
@@ -31,7 +32,6 @@ from .opalgebra import (
     DiracReport,
     OperatorAlgebra,
     _generic_split,
-    _orthonormalize_stack,
     algebra_from_span,
     center,
     check_dirac,
@@ -54,17 +54,21 @@ __all__ = [
 SUPPORT_RTOL = 1e-6      # relative cutoff for projector-support membership
 MATRIX_ELEMENT_RTOL = 1e-9
 EXTREMAL_CUTOFF = 1e-12
-INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted dim) from an integer
+INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted trace) from an integer
 CENTRAL_VALUE_SALT = 203  # seeded stream of the Hermitian H behind Sector.central_value
 
 
 @dataclass(frozen=True)
 class Sector:
-    """One coherent block: projector, isometry onto it, and (d, ntilde) data."""
+    """One coherent block: projector, isometry onto it, and (d, ntilde) data.
+
+    The algebra restricted to the block, ``W^* O W``, and the commutant
+    restricted to it, ``W^* O' W``, are not stored; whoever needs them forms
+    them from ``isometry`` and the decomposition's algebras.
+    """
 
     projector: np.ndarray   # (n, n) Hermitian idempotent
     isometry: np.ndarray    # (n, block_dim), columns span the block
-    commutant_basis: np.ndarray  # (d^2, block_dim, block_dim), orthonormal basis of W^* O' W
     block_dim: int
     d: int                  # commutant factor dimension on this block
     ntilde: int             # observable factor dimension on this block
@@ -118,13 +122,6 @@ def vector_state(phi) -> DensityState:
     return DensityState(rho=np.outer(v, v.conj()))
 
 
-def _restricted_basis(basis: np.ndarray, w_iso: np.ndarray,
-                      tol: ToleranceConfig) -> np.ndarray:
-    """Orthonormal basis of the span of ``W^* B W`` over a basis stack ``B``."""
-    restricted = w_iso.conj().T @ basis @ w_iso
-    return _orthonormalize_stack(restricted, tol)
-
-
 def _as_int(value: float, what: str) -> int:
     nearest = int(round(value))
     if abs(value - nearest) > INTEGER_RESIDUAL:
@@ -132,6 +129,25 @@ def _as_int(value: float, what: str) -> int:
             f"{what} = {value:.6f} is not an integer within {INTEGER_RESIDUAL}; "
             "eigenvalue clustering likely failed -- retry with a different seed")
     return nearest
+
+
+def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
+    """``(restricted, trace, leak)`` of an HS-orthonormal basis stack on one block.
+
+    With ``x_i = W^* B_i``, ``restricted`` is the stack ``x_i W`` and
+    ``trace`` is its squared Frobenius norm, ``sum_i ||P B_i P||^2``.  When
+    ``P = W W^*`` is central, ``B -> P B`` is the HS-orthogonal projection
+    of the algebra onto ``P O``, so ``trace`` is the dimension of the
+    restricted algebra ``W^* O W``.  ``leak`` is ``max_i ||x_i - x_i W W^*||``, the part
+    of ``W^* B_i`` outside the block: zero when ``P`` commutes with every
+    ``B_i``.
+    """
+    x = w_iso.conj().T @ basis
+    restricted = x @ w_iso
+    x -= restricted @ w_iso.conj().T
+    xv = x.reshape(x.shape[0], -1).view(float)
+    leak = float(np.sqrt(np.max(np.einsum("ij,ij->i", xv, xv))))
+    return restricted, float(np.vdot(restricted, restricted).real), leak
 
 
 def central_decomposition(o: OperatorAlgebra,
@@ -143,9 +159,16 @@ def central_decomposition(o: OperatorAlgebra,
     with no draw.  Otherwise a seeded generic Hermitian element of the
     center is diagonalized and its eigenvalue clusters give the minimal
     central projectors; it is redrawn, up to 16 times, until it shows one
-    cluster per center dimension.  On each block, ``d`` and ``ntilde`` are
-    the integer square roots of the dimensions of the restricted commutant
-    and algebra spans; blocks with ``d = 1`` are verified irreducible.
+    cluster per center dimension.
+
+    On a block with isometry ``W``, ``ntilde^2`` and ``d^2`` are traces of
+    the block's projector on the algebra and on its commutant: the squared
+    Frobenius norms of the stacks ``W^* B W`` over their orthonormal bases
+    (:func:`_restricted_trace`), with no rank decision.  That reading needs
+    the projector to be central, so each block first checks that it leaks
+    no basis element of either algebra by more than ``10 * rank_tol``.
+    Blocks with ``d = 1`` are verified irreducible; this is the one place
+    where a restricted span is orthonormalised.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -165,25 +188,31 @@ def central_decomposition(o: OperatorAlgebra,
                                       lambda g: len(g) == z.algebra_dim)
         isometries = [v[:, idx] for idx in groups]
     h = random_hermitian(tol.rng(CENTRAL_VALUE_SALT), n)
+    leak_tol = 10 * tol.rank_tol
     sectors = []
-    for w_iso in isometries:
-        proj = w_iso @ w_iso.conj().T
+    for k, w_iso in enumerate(isometries):
         block_dim = w_iso.shape[1]
-        restricted = _restricted_basis(o.basis, w_iso, tol)
-        restricted_cp = _restricted_basis(cp.basis, w_iso, tol)
-        ntilde = _as_int(float(np.sqrt(restricted.shape[0])), "sqrt(dim of restricted algebra)")
-        d = _as_int(float(np.sqrt(restricted_cp.shape[0])), "sqrt(dim of restricted commutant)")
+        restricted, ntilde2, leak = _restricted_trace(o.basis, w_iso)
+        _, d2, leak_cp = _restricted_trace(cp.basis, w_iso)
+        leak = max(leak, leak_cp)
+        if leak > leak_tol:
+            raise NonIntegerStructure(
+                f"sector {k} (block dimension {block_dim}) is not central: its projector "
+                f"leaks {leak:.3e} of a basis element out of the block, above {leak_tol:.0e}; "
+                "reseed the decomposition")
+        ntilde = _as_int(float(np.sqrt(ntilde2)), "sqrt(trace of the projector on the algebra)")
+        d = _as_int(float(np.sqrt(d2)), "sqrt(trace of the projector on the commutant)")
         if d * ntilde != block_dim:
             raise NonIntegerStructure(
                 f"block of dimension {block_dim} resolved to d={d}, ntilde={ntilde}; "
                 "reseed the decomposition")
         if d == 1:
             # irreducibility on the block: commutant within the block is scalar
-            block = OperatorAlgebra(dim=block_dim, basis=restricted, contains_identity=True)
+            block = algebra_from_span(restricted, tol)
             if commutant(block.as_set(), tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
-        sectors.append(Sector(projector=proj, isometry=w_iso, commutant_basis=restricted_cp,
+        sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,
                               block_dim=block_dim, d=d, ntilde=ntilde,
                               central_value=float(np.vdot(w_iso, h @ w_iso).real) / block_dim))
     if sum(s.block_dim for s in sectors) != n:
@@ -259,18 +288,21 @@ def truncate(dec: SectorDecomposition,
     """Keep one multiplicity copy per sector.
 
     Returns the isometry V, the restricted algebra and its abelian-commutant
-    report.  Per sector, a seeded generic Hermitian element of the commutant
-    restricted to the block, redrawn up to 16 times, must show ``d``
-    spectral clusters of size ``ntilde`` each; the lowest cluster's
-    eigenspace is the copy kept.  The
+    report.  Per sector, the commutant restricted to the block,
+    ``W^* O' W = M_d (x) 1_ntilde``, is formed on the spot from the sector's
+    isometry ``W`` and the decomposition's commutant basis (it need not be
+    orthonormal to draw from).  A seeded generic Hermitian element of it,
+    redrawn up to 16 times, must show ``d`` spectral clusters of size
+    ``ntilde`` each; the lowest cluster's eigenspace is the copy kept.  The
     stacked isometry satisfies ``V^* V = 1`` on the truncated space, and the
     restricted algebra passes the abelian-commutant check with commutant
     dimension equal to the number of sectors.
     """
     columns = []
     for sidx, sec in enumerate(dec.sectors):
+        restricted_cp = sec.isometry.conj().T @ dec.commutant.basis @ sec.isometry
         _, v, groups = _generic_split(
-            sec.commutant_basis, tol, ((202, sidx, a) for a in range(16)),
+            restricted_cp, tol, ((202, sidx, a) for a in range(16)),
             lambda g: len(g) == sec.d and all(c.size == sec.ntilde for c in g))
         columns.append(sec.isometry @ v[:, groups[0]])  # lowest spectral cluster
     v_full = np.hstack(columns)

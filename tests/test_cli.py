@@ -10,7 +10,7 @@ import pytest
 
 from conftest import planted_block_algebra
 import superselect
-from superselect import bargmann, cli
+from superselect import bargmann, cli, parastat
 from superselect import opalgebra, sectors
 from superselect.cli import build_parser, main, run_command
 from superselect.errors import PostconditionFailure
@@ -189,6 +189,31 @@ class TestAlgebraAtDimension48:
         doc = json.loads(out.out)
         assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
         assert doc["sections"]["structure"]["generated_dim"] == 720
+        assert elapsed <= self.BUDGET_SECONDS
+
+
+class TestAlgebraAtDimension64:
+    """A planted n = 64 item through the CLI, with dim S'' = 1280.
+
+    The README calls the defaults safe up to ambient dimension 64; this is
+    the largest planted item that claim covers.  Budget: 90 s (about 20-23 s
+    on one core, peak RSS about 640 MB).
+    """
+
+    BUDGET_SECONDS = 90.0
+
+    def test_generated_dim_matches_planted(self, tmp_path, capsys):
+        pattern = [(1, 32), (2, 16)]
+        path = planted_file(tmp_path, pattern)
+        t0 = time.perf_counter()
+        code = main(["algebra", path])
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        doc = json.loads(out.out)
+        assert doc["sections"]["input"]["dim"] == 64
+        assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
+        assert doc["sections"]["structure"]["generated_dim"] == 1280
         assert elapsed <= self.BUDGET_SECONDS
 
 
@@ -512,6 +537,48 @@ class TestStructureCallCounts:
         counts = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 7, "central_decomposition": 2, "check_dirac": 1,
                           "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
+
+    # The decomposition orthonormalises a restricted span only to check a
+    # d = 1 block: once per such block, never for a block with d > 1.
+
+    def orthonormalisations(self, monkeypatch, args):
+        """Per decomposition: its sectors' d and the orthonormalisations run inside it."""
+        calls, inside, seen = [0], [False], []
+        real_stack, real_dec = opalgebra._orthonormalize_stack, sectors.central_decomposition
+
+        def stack(*a, **kw):
+            calls[0] += inside[0]
+            return real_stack(*a, **kw)
+
+        def decompose(*a, **kw):
+            calls[0], inside[0] = 0, True
+            try:
+                dec = real_dec(*a, **kw)
+            finally:
+                inside[0] = False
+            seen.append((sorted(sec.d for sec in dec.sectors), calls[0]))
+            return dec
+
+        monkeypatch.setattr(opalgebra, "_orthonormalize_stack", stack)
+        for mod in (sectors, cli, parastat):
+            monkeypatch.setattr(mod, "central_decomposition", decompose)
+        assert run(args).all_passed
+        return seen
+
+    def test_d_above_one_blocks_orthonormalise_nothing(self, tmp_path, monkeypatch):
+        # O = S' has sectors (d, ntilde) = (2, 1) and (3, 3)
+        path = planted_file(tmp_path, [(1, 2), (3, 3)])
+        assert self.orthonormalisations(monkeypatch, ["algebra", path]) == [([2, 3], 0)]
+
+    def test_each_d_one_block_orthonormalises_once(self, tmp_path, monkeypatch):
+        path = planted_file(tmp_path, [(1, 1), (3, 1)])
+        assert self.orthonormalisations(monkeypatch, ["algebra", path]) == [([1, 1], 2)]
+
+    def test_parastat_orthonormalisations(self, monkeypatch):
+        # the invariant algebra of S_3 on (C^2)^3 has sectors with d = 1 and
+        # d = 2; its truncation has two d = 1 sectors
+        seen = self.orthonormalisations(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
+        assert seen == [([1, 2], 1), ([1, 1], 2)]
 
 
 class TestGaugeFreeCommutators:

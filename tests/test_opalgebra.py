@@ -22,6 +22,7 @@ from superselect.opalgebra import (
     _coupled_components,
     _generic_hermitian_combo,
     _generic_split,
+    _max_span_residual,
     _word_closure_dim,
     algebra_from_span,
     center,
@@ -307,7 +308,36 @@ def center_from(side, other, tol):
                            contains_identity=True)
 
 
+class TestSpanResidual:
+    def test_empty_basis_leaves_the_full_norm(self):
+        rng = np.random.default_rng(61)
+        mats = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert span_residual(empty, mats[0]) == pytest.approx(np.linalg.norm(mats[0]))
+        assert _max_span_residual(empty, mats) == pytest.approx(
+            max(np.linalg.norm(m) for m in mats))
+
+    def test_one_matrix_is_the_stack_case(self, tol):
+        # the commutant of diag(1, 1, 2) is M_2 (+) M_1: the residual is the
+        # part of m outside those blocks
+        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol).basis
+        m = np.arange(9.0).reshape(3, 3) + 1j
+        off = np.concatenate([m[:2, 2], m[2, :2]])
+        assert span_residual(basis, m) == _max_span_residual(basis, m[None])
+        assert span_residual(basis, m) == pytest.approx(np.linalg.norm(off), rel=1e-12)
+
+
 class TestCenter:
+    def test_no_combination_found_is_typed(self, tol, monkeypatch):
+        # a nullspace solve that keeps nothing leaves an empty center basis,
+        # which must fail the identity check, not an internal reshape
+        o = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol)
+        cp = commutant(o.as_set(), tol)
+        monkeypatch.setattr(opalgebra, "orthonormal_nullspace",
+                            lambda m, *a, **kw: np.zeros((m.shape[1], 0), dtype=complex))
+        with pytest.raises(PostconditionFailure, match="identity missing from computed center"):
+            center(o, tol, commutant_algebra=cp)
+
     @pytest.mark.parametrize("case", ["planted", "parastat"])
     def test_either_side_gives_the_same_center(self, tol, case):
         # center() solves from the smaller of O and O'; the planted O = S' is

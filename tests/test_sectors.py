@@ -3,15 +3,22 @@ import pytest
 
 from conftest import planted_block_algebra
 from superselect import opalgebra, sectors
-from superselect.errors import CriteriaDisagree, DegenerateGenericElement, ZeroVector
+from superselect.errors import (
+    CriteriaDisagree,
+    DegenerateGenericElement,
+    NonIntegerStructure,
+    ZeroVector,
+)
 from superselect.numkernel import ToleranceConfig
 from superselect.opalgebra import (
+    _orthonormalize_stack,
     algebra_from_span,
     commutant,
     generated_algebra,
     operator_set,
     span_equal,
 )
+from superselect.parastat import invariant_algebra, permutation_unitaries
 from superselect.sectors import (
     are_disjoint,
     central_decomposition,
@@ -112,6 +119,73 @@ class TestCentralDecomposition:
                                 contains_identity=False)
         with pytest.raises(ValueError):
             central_decomposition(bogus, tol)
+
+
+def rank_read_pair(dec, sec, tol):
+    """Reference (d, ntilde): the numerical ranks of the orthonormalised restricted spans.
+
+    Orthonormalise ``W^* B W`` over the commutant's and the algebra's bases
+    by SVD and take integer square roots of the ranks: a rank decision per
+    span, independent of the projector traces the decomposition reads.
+    """
+    w = sec.isometry
+    ranks = [_orthonormalize_stack(w.conj().T @ alg.basis @ w, tol).shape[0]
+             for alg in (dec.commutant, dec.algebra)]
+    roots = [int(round(np.sqrt(r))) for r in ranks]
+    assert [x * x for x in roots] == ranks
+    return tuple(roots)
+
+
+class TestTraceReadMultiplicities:
+    """Per-sector (d, ntilde) from projector traces agree with the rank reading."""
+
+    @pytest.mark.parametrize("pattern", [
+        [(1, 3), (2, 2)],            # a d = 1 and a d > 1 block
+        [(3, 2), (1, 1)],
+        [(1, 2), (2, 1), (1, 3)],    # three sectors
+        [(2, 3), (3, 2), (1, 4)],
+    ])
+    def test_planted(self, tol, pattern):
+        gens, _ = planted_block_algebra(np.random.default_rng(91), pattern)
+        dec = central_decomposition(generated_algebra(operator_set(gens), tol), tol)
+        assert dec.multiset() == tuple(sorted(pattern))
+        self.check(dec, tol)
+
+    @pytest.mark.parametrize("n, d", [(3, 2), (4, 2)])
+    def test_parastat(self, tol, n, d):
+        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d), tol), tol)
+        assert any(s.d == 1 for s in dec.sectors) and any(s.d > 1 for s in dec.sectors)
+        self.check(dec, tol)
+
+    @staticmethod
+    def check(dec, tol):
+        for sec in dec.sectors:
+            assert (sec.d, sec.ntilde) == rank_read_pair(dec, sec, tol)
+        assert sum(s.ntilde ** 2 for s in dec.sectors) == dec.algebra.algebra_dim
+        assert sum(s.d ** 2 for s in dec.sectors) == dec.commutant.algebra_dim
+
+
+class TestProjectorCentrality:
+    def test_leaky_projector_raises_typed_error(self, three_sector, tol, monkeypatch):
+        # mix the eigenvectors of the first two sectors by a 1e-6 rotation: the
+        # isometries stay orthonormal, but their projectors are no longer
+        # central, and each leaks about 1e-6 of a basis element
+        o, _ = three_sector
+        real = sectors._generic_split
+
+        def leaky(*args, **kwargs):
+            w, v, groups = real(*args, **kwargs)
+            a, b = int(groups[0][-1]), int(groups[1][0])
+            c, s = np.cos(1e-6), np.sin(1e-6)
+            v = v.copy()
+            v[:, [a, b]] = v[:, [a, b]] @ np.array([[c, -s], [s, c]])
+            return w, v, groups
+
+        monkeypatch.setattr(sectors, "_generic_split", leaky)
+        with pytest.raises(NonIntegerStructure,
+                           match=r"sector 0 .* not central: its projector leaks 1\.\d+e-06 "
+                                 r".* above 1e-09"):
+            central_decomposition(o, tol)
 
 
 class TestAreDisjoint:
