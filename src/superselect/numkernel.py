@@ -134,49 +134,71 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
     return v[:, null_mask]
 
 
-def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray,
-                               rank_tol: float) -> np.ndarray:
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray, rank_tol: float,
+                               scale: float | None = None) -> np.ndarray:
     """Extend orthonormal columns ``q`` by the independent part of ``cand``.
 
     Candidates are projected off ``q`` (twice, for orthogonality at 1e-12)
     and the residual block is reduced by SVD, keeping directions with
-    singular value above ``rank_tol`` times the largest candidate column
-    norm.  Returns the widened column block.
+    singular value above ``rank_tol * scale``; ``scale`` defaults to the
+    largest candidate column norm.  Returns the widened column block.
 
     The cutoff is measured against the candidates before projection, as an
     SVD of the whole stack ``[q, cand]`` would measure it, never against
     the residual itself: once ``q`` nearly spans the candidates the residual
     is pure roundoff, and a cutoff relative to it would keep roundoff
-    directions as new dimensions.
+    directions as new dimensions.  An explicit ``scale`` lets a caller
+    share one cutoff between several calls.
 
     A kept left singular vector with singular value ``s`` carries roundoff
     of relative size ``eps * ||r|| / s`` along ``q``, so one kept near the
     cutoff is far from orthogonal to ``q``.  The kept block is therefore
     projected off ``q`` once more and re-orthonormalised; otherwise repeated
     extensions lose orthonormality and then keep spurious directions.
+
+    Batch axes: ``q`` of shape ``(..., m, w)`` and ``cand`` of shape
+    ``(..., m, c)`` extend each block on its own, all under one cutoff (the
+    default ``scale`` is then the largest candidate norm of the whole
+    stack).  Blocks may keep different numbers of new directions; the
+    result appends as many columns as the block that keeps most, and each
+    other block's surplus columns are exactly zero.  A zero column of ``q``
+    or ``cand`` adds nothing, so a stack with such padding can be extended
+    again, and a block's width is its number of nonzero columns.
     """
-    if cand.shape[1] == 0:
+    if cand.shape[-1] == 0:
         return q
-    drop = rank_tol * float(np.max(np.linalg.norm(cand, axis=0)))
+    if scale is None:
+        scale = float(np.max(np.linalg.norm(cand, axis=-2)))
+    drop = rank_tol * scale
     r = cand
     for _ in range(2):
-        if q.shape[1]:
-            r = r - q @ (q.conj().T @ r)
+        if q.shape[-1]:
+            r = r - q @ (_adjoint(q) @ r)
     try:
         u, s, _ = np.linalg.svd(r, full_matrices=False)
     except np.linalg.LinAlgError:
         # LAPACK's divide-and-conquer SVD fails to converge on rare inputs
         # (one residual block of a 20 x 20 closure); the SVD of r^* takes
         # another path to the same factors
-        _, s, vh = np.linalg.svd(r.conj().T, full_matrices=False)
-        u = vh.conj().T
-    new = u[:, s > drop]
-    if new.shape[1] == 0:
+        _, s, vh = np.linalg.svd(_adjoint(r), full_matrices=False)
+        u = _adjoint(vh)
+    # singular values come in descending order, so each block keeps a prefix
+    # of its columns, and the union over the blocks is the longest prefix
+    keep = s > drop
+    new = u[..., keep.reshape(-1, keep.shape[-1]).any(axis=0)]
+    width = new.shape[-1]
+    if width == 0:
         return q
-    if not q.shape[1]:
-        return new
-    new, _ = np.linalg.qr(new - q @ (q.conj().T @ new))
-    return np.hstack([q, new])
+    surplus = ~keep[..., None, :width]
+    np.copyto(new, 0, where=surplus)
+    if q.shape[-1]:
+        new, _ = np.linalg.qr(new - q @ (_adjoint(q) @ new))
+        np.copyto(new, 0, where=surplus)
+    return np.concatenate([q, new], axis=-1)
 
 
 def cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:

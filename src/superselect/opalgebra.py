@@ -430,26 +430,65 @@ def _cluster_separation(split) -> float:
     return min(w[g[0]] - w[g[0] - 1] for g in groups[1:]) / (w[-1] - w[0])
 
 
+def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Every generator times every frontier column of a stack of ``n x r`` blocks.
+
+    ``frontier`` has shape ``(K, n*r, f)``, each column a row-major
+    ``n x r`` matrix; the result has shape ``(K, n*r, g*f)``, generator-major.
+    All ``K`` blocks go through one matrix product.
+    """
+    k, nr, f = frontier.shape
+    g, n, _ = gens.shape
+    x = frontier.reshape(k, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    prod = (gens.reshape(g * n, n) @ x).reshape(g, n, k, nr // n, f)
+    return prod.transpose(2, 1, 3, 0, 4).reshape(k, nr, g * f)
+
+
+def _block_widths(q: np.ndarray) -> np.ndarray:
+    """Number of nonzero columns of each block of a padded column stack."""
+    return np.count_nonzero(np.any(q != 0, axis=-2), axis=-1)
+
+
 def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     """Dimension of the span closure of words in the (star-completed) members.
 
     Generators are normalized to unit operator norm (the span is scale
-    invariant), so a product of a generator with a unit-HS-norm basis
-    element has HS norm at most 1.
+    invariant), so a product of a generator with a unit-HS-norm element has
+    HS norm at most 1.
 
-    The span is seeded with the HS-normalised spectral projectors
-    ``E_k / sqrt(rank E_k)`` of one seeded generic Hermitian element of the
-    generated algebra.  They are HS-orthonormal as they come out of the
-    eigendecomposition, they sum to the identity, and they span every
-    polynomial in the generic element.  Each round multiplies only the
-    frontier -- the directions the previous round added -- by every
-    generator on the left, and ``orthonormal_columns_extend`` keeps the
-    independent part of the products.  The closure stops at the first round
-    that adds nothing, which is itself the closure check.
+    The closure is seeded by the spectral projectors ``E_k`` of one seeded
+    generic Hermitian element of the generated algebra ``A``.  They are
+    orthogonal idempotents of ``A`` summing to the identity, so ``A`` is the
+    direct sum of its left ideals ``A E_k`` (the Peirce decomposition), and
+    these lie in the mutually HS-orthogonal subspaces ``M_n E_k``.  Each
+    ideal is closed on its own, in a smaller space: with ``V_k`` the
+    cluster's ``n x r_k`` orthonormal eigenvectors, ``X -> X V_k*`` is an HS
+    isometry from ``C^{n x r_k}`` onto ``M_n E_k`` that commutes with left
+    multiplication, so ``dim A E_k = dim A V_k``.  Block ``k`` starts from
+    ``V_k / sqrt(r_k)``, the image of ``E_k / sqrt(r_k)``; each round
+    multiplies only its frontier -- the directions the previous round added
+    -- by every generator on the left, and ``orthonormal_columns_extend``
+    keeps the independent part of the products.  The closure stops at the
+    first round that adds nothing anywhere, which is itself the closure
+    check, and ``dim A`` is the sum of the block widths.  No round works on
+    ``n^2``-row matrices.
 
     One side suffices: every word is a generator times a shorter word, and
-    the identity lies in the seed span, so closing it under left
-    multiplication reaches every word.  Right products add nothing.
+    ``E_k`` lies in block ``k``'s seed span, so closing it under left
+    multiplication reaches every ``w E_k``, and ``sum_k w E_k = w``.
+
+    Blocks of equal rank ``r`` are extended as one stack of ``n*r``-row
+    blocks, and the rank groups run their rounds in step; a block whose
+    ideal grows more slowly than others of its rank carries exactly-zero
+    surplus columns, which add nothing.  A smaller block is never
+    zero-padded to a larger rank: the padded rows lie outside ``M_n E_k``,
+    and roundoff from directions kept near the cutoff accumulates there.
+    All blocks of a round share one cutoff, ``rank_tol``
+    times the largest candidate norm of the round, as when the whole span
+    was extended at once.  A cutoff per rank group is wrong: a group whose
+    candidates are all roundoff (the kernel projector of a Hermitian
+    generator, alone in its rank) would measure that roundoff against
+    itself and keep it.
 
     Why the projector seed: a span seeded with ``span{1, generators}`` grows
     along Krylov chains ``g, g^2, g^3, ...``.  Each new direction is a
@@ -468,7 +507,8 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     ``SEED_SEPARATION`` apart, or else from the best separated one.  For a
     single generator every draw has the generator's own gaps.
 
-    As a guard, a span wider than ``n^2`` raises :class:`PostconditionFailure`.
+    As a guard, a block wider than its ``n * r_k``-dimensional share of the
+    matrix space raises :class:`PostconditionFailure`.
     """
     s = star_completion(s)
     n = s.dim
@@ -480,16 +520,25 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
         if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
             break
     _, v, groups = max(splits, key=_cluster_separation)
-    frontier = np.stack([v[:, g] @ v[:, g].conj().T / np.sqrt(g.size) for g in groups])
-    q = frontier.reshape(-1, n * n).T
-    while len(frontier):
-        cand = (gens[:, None] @ frontier[None]).reshape(-1, n * n).T
-        width = q.shape[1]
-        q = orthonormal_columns_extend(q, cand, tol.rank_tol)
-        if q.shape[1] > n * n:
-            raise PostconditionFailure("word closure exceeds the n^2-dimensional matrix space")
-        frontier = q[:, width:].T.reshape(-1, n, n)
-    return q.shape[1]
+    ranks = sorted({g.size for g in groups})
+    q = [np.stack([v[:, g] for g in groups if g.size == r]).reshape(-1, n * r, 1) / np.sqrt(r)
+         for r in ranks]
+    frontier = list(q)
+    live = range(len(ranks))
+    while live:
+        cands = {i: _left_products(gens, frontier[i]) for i in live}
+        scale = max(float(np.max(np.linalg.norm(c, axis=-2))) for c in cands.values())
+        for i, cand in cands.items():
+            width, r = q[i].shape[-1], ranks[i]
+            q[i] = orthonormal_columns_extend(q[i], cand, tol.rank_tol, scale)
+            frontier[i] = q[i][..., width:]
+            # a block is never wider than the padded stack
+            if q[i].shape[-1] > n * r and np.max(_block_widths(q[i])) > n * r:
+                raise PostconditionFailure(
+                    f"word closure block exceeds its {n}x{r} share of the "
+                    "n^2-dimensional matrix space")
+        live = [i for i in live if frontier[i].shape[-1]]
+    return int(sum(_block_widths(b).sum() for b in q))
 
 
 def _verify_word_closure(s: OperatorSet, double: OperatorAlgebra,

@@ -172,8 +172,9 @@ class TestAlgebraAtDimension32:
 class TestAlgebraAtDimension48:
     """A planted n = 48 item through the CLI, with dim S'' = 720.
 
-    Budget: 30 s (about 4 s on one core; the solve before the commutant was
-    split into coupled components took about 8 s).
+    Budget: 30 s (about 0.7-0.8 s on one core, peak RSS about 200 MB; about
+    4 s while the word closure ran in the n^2-dimensional matrix space, and
+    about 8 s before the commutant was split into coupled components).
     """
 
     BUDGET_SECONDS = 30.0
@@ -196,8 +197,9 @@ class TestAlgebraAtDimension64:
     """A planted n = 64 item through the CLI, with dim S'' = 1280.
 
     The README calls the defaults safe up to ambient dimension 64; this is
-    the largest planted item that claim covers.  Budget: 90 s (about 20-23 s
-    on one core, peak RSS about 640 MB).
+    the largest planted item that claim covers.  Budget: 90 s (about 3 s on
+    one core, peak RSS about 500 MB; about 21 s and 640 MB while the word
+    closure ran in the n^2-dimensional matrix space).
     """
 
     BUDGET_SECONDS = 90.0
@@ -215,6 +217,39 @@ class TestAlgebraAtDimension64:
         assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
         assert doc["sections"]["structure"]["generated_dim"] == 1280
         assert elapsed <= self.BUDGET_SECONDS
+
+
+class TestPlantedSweepAt40And56:
+    """Planted items at n = 40 and 56 through the CLI, abelian and not.
+
+    Budget: 10 s per item.  Measured on one core: 0.35, 0.15 and 0.2 s at
+    n = 40; 1.4, 0.4, 0.9 and 2.7 s at n = 56 (the abelian item spends its
+    time in the d = 1 irreducibility checks, not in the word closure);
+    about 6 s for the seven.
+    """
+
+    ITEM_BUDGET_SECONDS = 10.0
+
+    @pytest.mark.parametrize("pattern", [
+        [(1, 20), (2, 10)], [(1, 8), (2, 8), (4, 4)], [(3, 6), (2, 11)],
+        [(1, 28), (2, 14)], [(1, 10), (2, 9), (3, 6), (1, 10)], [(4, 7), (2, 14)],
+        [(10, 1), (14, 1), (16, 1), (16, 1)],
+    ])
+    def test_matches_planted(self, tmp_path, pattern, capsys):
+        path = planted_file(tmp_path, pattern)
+        t0 = time.perf_counter()
+        code = main(["algebra", path])
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        doc = json.loads(out.out)
+        assert doc["sections"]["input"]["dim"] == sum(d * t for d, t in pattern)
+        got = sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"])
+        assert got == sorted(pattern)
+        st = doc["sections"]["structure"]
+        assert st["generated_dim"] == sum(t * t for _, t in pattern)
+        assert st["dirac_v2_holds"] == all(t == 1 for _, t in pattern)
+        assert elapsed <= self.ITEM_BUDGET_SECONDS
 
 
 class TestComponentSizes:

@@ -179,6 +179,23 @@ class TestGramSchmidtHS:
 
 
 
+def extension_case(rng, m, w, k, c):
+    """Orthonormal ``q`` (m x w) and ``c`` candidates adding ``k`` O(1) directions to it."""
+    basis, _ = np.linalg.qr(rng.standard_normal((m, w + k)) + 1j * rng.standard_normal((m, w + k)))
+    coeffs = rng.standard_normal((w + k, c)) + 1j * rng.standard_normal((w + k, c))
+    return basis[:, :w], basis @ coeffs
+
+
+def nonzero_columns(block):
+    return block[:, np.any(block != 0, axis=0)]
+
+
+def assert_same_span(cols, ref):
+    assert cols.shape == ref.shape
+    assert np.max(np.abs(cols.conj().T @ cols - np.eye(cols.shape[1]))) <= 1e-12
+    assert np.linalg.norm(cols - ref @ (ref.conj().T @ cols)) <= 1e-12
+
+
 class TestColumnsExtend:
     def test_near_cutoff_directions_stay_orthogonal(self):
         # new directions at O(1) and at 1e-9 beside components along q: the
@@ -213,6 +230,68 @@ class TestColumnsExtend:
         assert np.max(np.abs(out.conj().T @ out - np.eye(13))) <= 1e-12
         new = out[:, 5:]
         assert np.linalg.norm(new - expected[:, 5:] @ (expected[:, 5:].conj().T @ new)) <= 1e-12
+
+    def test_stack_matches_one_call_per_block(self):
+        # three blocks of different widths, zero-padded to a common one; each
+        # keeps its own number of new directions (2, 0 and 4) and the others'
+        # surplus columns stay exactly zero
+        rng = np.random.default_rng(21)
+        cases = [extension_case(rng, 30, w, k, c) for w, k, c in ((6, 2, 5), (4, 0, 3), (2, 4, 6))]
+        q = np.zeros((3, 30, 6), dtype=complex)
+        cand = np.zeros((3, 30, 6), dtype=complex)
+        for b, (qb, cb) in enumerate(cases):
+            q[b, :, :qb.shape[1]] = qb
+            cand[b, :, :cb.shape[1]] = cb
+        out = orthonormal_columns_extend(q, cand, 1e-10)
+        assert out.shape == (3, 30, 10)
+        assert np.array_equal(out[..., :6], q)
+        for b, (qb, cb) in enumerate(cases):
+            assert_same_span(nonzero_columns(out[b]), orthonormal_columns_extend(qb, cb, 1e-10))
+
+    def test_explicit_scale_moves_only_the_cutoff(self):
+        # two new directions at O(1) and one at 1e-7: the default cutoff
+        # (1e-10 times the largest candidate norm) keeps all three, a scale
+        # 1e4 times larger keeps the O(1) pair, and both agree on those
+        rng = np.random.default_rng(22)
+        basis, _ = np.linalg.qr(rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8)))
+        coeffs = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
+        coeffs[7:] *= 1e-7
+        q, cand = basis[:, :5], basis @ coeffs
+        default = orthonormal_columns_extend(q, cand, 1e-10)
+        top = float(np.max(np.linalg.norm(cand, axis=0)))
+        assert np.array_equal(orthonormal_columns_extend(q, cand, 1e-10, scale=top), default)
+        coarse = orthonormal_columns_extend(q, cand, 1e-10, scale=1e4 * top)
+        assert default.shape == (40, 8) and coarse.shape == (40, 7)
+        assert np.max(np.abs(coarse - default[:, :7])) <= 1e-12
+        # on a stack the one scale applies to every block
+        stacked = orthonormal_columns_extend(np.stack([q, q]), np.stack([cand, 1e3 * cand]),
+                                             1e-10, scale=1e4 * top)
+        assert stacked.shape == (2, 40, 8)
+        assert np.max(np.abs(stacked[0] - np.hstack([coarse, np.zeros((40, 1))]))) <= 1e-12
+        # the second block keeps its third direction too (1e-4 times its largest
+        # candidate, above the shared 1e-6); the O(1) pair agrees
+        assert np.count_nonzero(np.any(stacked[1] != 0, axis=0)) == 8
+        assert np.max(np.abs(stacked[1][:, :7] - default[:, :7])) <= 1e-12
+
+    def test_svd_failure_on_a_stack_falls_back_to_the_adjoint(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = [extension_case(rng, 30, 5, k, 8) for k in (3, 1)]
+        q = np.stack([qb for qb, _ in cases])
+        cand = np.stack([cb for _, cb in cases])
+        expected = orthonormal_columns_extend(q, cand, 1e-10)
+        svd = np.linalg.svd
+
+        def tall_fails(a, *args, **kwargs):
+            if a.shape[-2] > a.shape[-1]:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", tall_fails)
+        out = orthonormal_columns_extend(q, cand, 1e-10)
+        assert out.shape == expected.shape == (2, 30, 8)
+        for b in range(2):
+            assert_same_span(nonzero_columns(out[b]), nonzero_columns(expected[b]))
+        assert [nonzero_columns(b).shape[1] for b in out] == [8, 6]
 
 
 class TestClustering:

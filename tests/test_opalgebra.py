@@ -385,6 +385,13 @@ def full_stack_closure_dim(s, tol):
     The stack is ``[basis, g basis, basis g]`` over the star-completed
     generators at unit operator norm, with a cutoff relative to its top
     singular value; the closure ends when a round leaves the rank unchanged.
+
+    A valid reference on planted inputs only.  Seeded with ``{1, generators}``
+    it builds powers of each generator one at a time, and on one Hermitian
+    generator with a uniform random spectrum that chain amplifies roundoff
+    until it fills M_n (144 at n = 12 on 1 of 10 seeds, 256 at n = 16 on 4,
+    576 at n = 24 on 6), so ``test_single_generic_generator`` asserts ``== n``
+    without it.
     """
     s = star_completion(s)
     n = s.dim
@@ -424,6 +431,14 @@ class TestWordClosure:
             _, gens, planted = planted_case(8000 + trial)
             t = ToleranceConfig(seed=trial)
             s = operator_set(gens, tol=t)
+            assert _word_closure_dim(s, t) == full_stack_closure_dim(s, t) == planted
+
+    def test_matches_full_stack_on_wide_patterns(self, workloads):
+        for k, pattern in enumerate(workloads.WIDE_PATTERNS):
+            gens = workloads.planted_generators(np.random.default_rng(k), pattern)
+            t = ToleranceConfig(seed=k)
+            s = operator_set(gens, tol=t)
+            planted = sum(nt * nt for _, nt in pattern)
             assert _word_closure_dim(s, t) == full_stack_closure_dim(s, t) == planted
 
     def test_raising_operator(self, tol):
@@ -468,9 +483,25 @@ class TestWordClosure:
             t = ToleranceConfig(seed=seed)
             assert _word_closure_dim(operator_set([g], tol=t), t) == n
 
+    @pytest.mark.parametrize("spectrum, distinct", [((0, 0, 1, 2, 3), 4),
+                                                    ((0, 0, 0, 1, 2), 3),
+                                                    ((0, 0, 1, 1, 1, 2), 3)])
+    def test_kernel_cluster_alone_in_its_rank_group(self, spectrum, distinct):
+        # the kernel projector's products are pure roundoff, and no other
+        # cluster has its rank.  This guards the one cutoff per round over all
+        # blocks: a cutoff per rank group measured that roundoff against
+        # itself, kept it, and returned 8, 6 and 6
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            u = random_unitary(rng, len(spectrum))
+            g = u @ np.diag(np.array(spectrum, dtype=float)) @ u.conj().T
+            t = ToleranceConfig(seed=seed)
+            assert _word_closure_dim(operator_set([g], tol=t), t) == distinct
+
     def test_runaway_span_raises(self, tol, monkeypatch):
-        def one_more_column(q, cand, drop):
-            return np.hstack([q, cand[:, :1]])
+        # a fake extension that adds one column to every block on every call
+        def one_more_column(q, cand, rank_tol, scale=None):
+            return np.concatenate([q, cand[..., :1]], axis=-1)
 
         monkeypatch.setattr(opalgebra, "orthonormal_columns_extend", one_more_column)
         with pytest.raises(PostconditionFailure, match="n\\^2"):
@@ -511,6 +542,26 @@ class TestWordClosure:
         tol = ToleranceConfig()
         conj = [u @ g @ u.conj().T for g in gens]
         assert _word_closure_dim(operator_set(conj, tol=tol), tol) == planted
+
+
+class TestClosureBlockSizes:
+    def test_rows_per_block_on_a_two_sector_input(self, tol, monkeypatch):
+        # planted ((2,5),(2,7)) at n = 24: twelve eigenvalue clusters of rank 2,
+        # so every extension is one stack of twelve 48-row blocks; the closure
+        # over all of M_n passed 576 = n^2 rows
+        shapes = []
+        real = opalgebra.orthonormal_columns_extend
+
+        def record(q, cand, *args, **kwargs):
+            shapes.append(cand.shape[:-1])
+            return real(q, cand, *args, **kwargs)
+
+        gens, _ = planted_block_algebra(np.random.default_rng(5), [(2, 5), (2, 7)])
+        s = operator_set(gens, tol=tol)  # orthonormalises its members in M_n
+        monkeypatch.setattr(opalgebra, "orthonormal_columns_extend", record)
+        assert _word_closure_dim(s, tol) == 74
+        assert shapes and set(shapes) == {(12, 48)}
+        assert max(rows for _, rows in shapes) <= 24 * 2
 
 
 def pairwise_max_commutator(basis):
