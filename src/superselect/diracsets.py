@@ -16,11 +16,18 @@ import numpy as np
 
 from .errors import (
     DegenerateSpectrum,
+    DimensionMismatch,
     NotCommuting,
     NotJointlyDiagonal,
     ZeroVector,
 )
-from .numkernel import DEFAULT_TOL, ToleranceConfig, cluster_eigenvalues, hermitian_eig
+from .numkernel import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    cluster_eigenvalues,
+    hermitian_eig,
+    orthonormal_nullspace,
+)
 from .opalgebra import OperatorAlgebra
 
 __all__ = [
@@ -158,11 +165,17 @@ def cyclic_vector_for(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
 
 def is_cyclic(g, a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether the algebra orbit {B g} spans the full space (numerical rank n)."""
+    """Whether the algebra orbit {B g} spans the full space (numerical rank n).
+
+    The orbit has full rank exactly when no vector of C^n is orthogonal to
+    every ``B_k g``, i.e. when the adjoint of the orbit matrix has an empty
+    nullspace at ``rank_tol``.
+    """
     v = np.asarray(g, dtype=complex).ravel()
+    if v.size != a.dim:
+        raise DimensionMismatch(f"vector has length {v.size}, expected the algebra "
+                                f"dimension {a.dim}")
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("cyclicity needs a non-zero vector")
     orbit = np.einsum("kij,j->ik", a.basis, v)  # columns B_k g
-    s = np.linalg.svd(orbit, compute_uv=False)
-    rank = int(np.sum(s > tol.rank_tol * s[0])) if s.size else 0
-    return rank == a.dim
+    return orthonormal_nullspace(orbit.conj().T, tol).shape[1] == 0

@@ -100,6 +100,24 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def _svd(m: np.ndarray, full_matrices: bool):
+    """``(u, s, vh)`` of ``m`` (batch axes allowed); the one SVD behind every rank decision.
+
+    LAPACK's divide-and-conquer SVD fails to converge on rare inputs (one
+    residual block of a 20 x 20 closure); the SVD of ``m^*`` takes another
+    path to the same factors, with the roles of ``u`` and ``vh`` swapped.
+    """
+    try:
+        return np.linalg.svd(m, full_matrices=full_matrices)
+    except np.linalg.LinAlgError:
+        u, s, vh = np.linalg.svd(_adjoint(m), full_matrices=full_matrices)
+        return _adjoint(vh), s, _adjoint(u)
+
+
 def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
                           scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the (numerical) nullspace of a rectangular matrix.
@@ -119,23 +137,13 @@ def orthonormal_nullspace(m, tol: ToleranceConfig = DEFAULT_TOL,
     if mm.shape[0] == 0:
         return np.eye(mm.shape[1], dtype=complex)
     # with rows >= cols the thin SVD already holds every right singular vector
-    full = mm.shape[0] < mm.shape[1]
-    try:
-        _, s, vh = np.linalg.svd(mm, full_matrices=full)
-        v = vh.conj().T
-    except np.linalg.LinAlgError:
-        # LAPACK's divide-and-conquer SVD fails to converge on rare inputs; the
-        # left singular vectors of m^* are the right ones of m
-        v, s, _ = np.linalg.svd(mm.conj().T, full_matrices=full)
+    _, s, vh = _svd(mm, full_matrices=mm.shape[0] < mm.shape[1])
+    v = vh.conj().T
     ref = float(s[0]) if s.size else 0.0
     cutoff = tol.rank_tol * (ref if scale is None else scale)
     null_mask = np.ones(mm.shape[1], dtype=bool)
     null_mask[: s.size] = s <= cutoff
     return v[:, null_mask]
-
-
-def _adjoint(a: np.ndarray) -> np.ndarray:
-    return a.conj().swapaxes(-1, -2)
 
 
 def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray, rank_tol: float,
@@ -178,14 +186,7 @@ def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray, rank_tol: float,
     for _ in range(2):
         if q.shape[-1]:
             r = r - q @ (_adjoint(q) @ r)
-    try:
-        u, s, _ = np.linalg.svd(r, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # LAPACK's divide-and-conquer SVD fails to converge on rare inputs
-        # (one residual block of a 20 x 20 closure); the SVD of r^* takes
-        # another path to the same factors
-        _, s, vh = np.linalg.svd(_adjoint(r), full_matrices=False)
-        u = _adjoint(vh)
+    u, s, _ = _svd(r, full_matrices=False)
     # singular values come in descending order, so each block keeps a prefix
     # of its columns, and the union over the blocks is the longest prefix
     keep = s > drop

@@ -172,6 +172,8 @@ def star_completion(s: OperatorSet) -> OperatorSet:
 def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
     """Orthonormalize a spanning set into an OperatorAlgebra (no closure applied)."""
     mats = [as_complex_matrix(m) for m in mats]
+    if not mats:
+        raise ValueError("algebra_from_span needs at least one matrix")
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats[1:]):
         raise DimensionMismatch("all matrices must share one dimension")

@@ -5,6 +5,8 @@ the observable algebra's center.  On each block the algebra acts as
 ``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; since the
 block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
 projector acting on the two algebras, read off their orthonormal bases.
+A block with ``d = 1`` is checked irreducible by taking the commutant of
+the restricted stack ``W^* B_i W`` as it is, never orthonormalised.
 Truncation keeps a single multiplicity copy per block, which restores an
 abelian commutant.
 """
@@ -17,6 +19,7 @@ import numpy as np
 
 from .errors import (
     CriteriaDisagree,
+    DimensionMismatch,
     NonIntegerStructure,
     PostconditionFailure,
     ZeroVector,
@@ -31,6 +34,7 @@ from .numkernel import (
 from .opalgebra import (
     DiracReport,
     OperatorAlgebra,
+    OperatorSet,
     _generic_split,
     algebra_from_span,
     center,
@@ -167,8 +171,9 @@ def central_decomposition(o: OperatorAlgebra,
     (:func:`_restricted_trace`), with no rank decision.  That reading needs
     the projector to be central, so each block first checks that it leaks
     no basis element of either algebra by more than ``10 * rank_tol``.
-    Blocks with ``d = 1`` are verified irreducible; this is the one place
-    where a restricted span is orthonormalised.
+    Blocks with ``d = 1`` are verified irreducible: the commutant of the
+    restricted stack, passed as it is less its roundoff members, must be
+    the scalars; no restricted span is orthonormalised.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -207,9 +212,17 @@ def central_decomposition(o: OperatorAlgebra,
                 f"block of dimension {block_dim} resolved to d={d}, ntilde={ntilde}; "
                 "reseed the decomposition")
         if d == 1:
-            # irreducibility on the block: commutant within the block is scalar
-            block = algebra_from_span(restricted, tol)
-            if commutant(block.as_set(), tol).algebra_dim != 1:
+            # irreducibility on the block: the commutant of W* O W is scalar.  The
+            # restricted stack spans it (*-closed, as P is central).  Roundoff members
+            # are dropped: commutant scales each member to unit norm, so one would act
+            # as a spurious constraint, while a dropped member only enlarges the
+            # commutant and so can make the check fail, never pass
+            norms = np.linalg.norm(restricted.reshape(len(restricted), -1), axis=1)
+            kept = restricted[norms > tol.rank_tol * np.max(norms)]
+            block = OperatorSet(dim=block_dim, members=kept,
+                                names=tuple(f"g{i}" for i in range(len(kept))),
+                                self_adjoint_closed=True)
+            if commutant(block, tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
         sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,
@@ -264,6 +277,9 @@ def extremal_decomposition(phi, dec: SectorDecomposition) -> list[tuple[float, n
     keeping sectors with relative weight above 1e-12.
     """
     v = np.asarray(phi, dtype=complex).ravel()
+    if v.size != dec.dim:
+        raise DimensionMismatch(f"vector has length {v.size}, expected the decomposition's "
+                                f"dimension {dec.dim}")
     nrm = np.linalg.norm(v)
     if nrm == 0.0:
         raise ZeroVector("extremal decomposition needs a non-zero vector")

@@ -1,6 +1,10 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import superselect
 from superselect.errors import DimensionMismatch, NotHermitian
 from superselect.numkernel import (
     ToleranceConfig,
@@ -307,3 +311,30 @@ class TestClustering:
         w = np.array([0.0, 1e-12, 1.0])
         groups = cluster_eigenvalues(w, 1e-8)
         assert [list(g) for g in groups] == [[0, 1], [2]]
+
+
+class TestOneSvdPath:
+    """Every rank decision goes through numkernel's one SVD helper.
+
+    A second ``svd`` call would bring its own cutoff and its own failure
+    handling.  The only other one allowed is the polar projection in
+    ``bargmann.rotation_from_axis_angle``, which makes no rank decision.
+    """
+
+    ALLOWED = {("numkernel", "_svd"), ("bargmann", "rotation_from_axis_angle")}
+
+    def test_svd_is_called_only_where_allowed(self):
+        found = set()
+        for path in pathlib.Path(superselect.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Attribute) and node.attr == "svd":
+                        found.add((path.stem, func.name))
+            # an import of svd by name would escape the attribute scan
+            assert not any(isinstance(node, ast.ImportFrom)
+                           and any(alias.name == "svd" for alias in node.names)
+                           for node in ast.walk(tree)), path.name
+        assert found == self.ALLOWED

@@ -3,13 +3,16 @@ import pytest
 
 from conftest import planted_block_algebra
 from superselect import opalgebra, sectors
+from superselect.diracsets import is_cyclic
 from superselect.errors import (
     CriteriaDisagree,
     DegenerateGenericElement,
+    DimensionMismatch,
     NonIntegerStructure,
+    PostconditionFailure,
     ZeroVector,
 )
-from superselect.numkernel import ToleranceConfig
+from superselect.numkernel import ToleranceConfig, random_hermitian
 from superselect.opalgebra import (
     _orthonormalize_stack,
     algebra_from_span,
@@ -111,6 +114,27 @@ class TestCentralDecomposition:
         monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
                             lambda w, cluster_tol: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(201, 15\)"):
+            central_decomposition(o, tol)
+
+    def test_reducible_d_one_block_raises(self, tol, monkeypatch):
+        # M_3 is one sector with d = 1.  Its restricted stack is swapped for
+        # its diagonal part, whose commutant is the diagonal algebra, plus one
+        # Hermitian member of norm 1e-17.  Scaled to unit norm, that roundoff
+        # member would act as a generic constraint and leave only the scalars;
+        # dropped as roundoff, it leaves the block reducible, and the check says so.
+        o = commutant(operator_set([np.eye(3)]), tol)
+        h = random_hermitian(np.random.default_rng(3), 3)
+        noise = 1e-17 * h / np.linalg.norm(h)
+        real = sectors._restricted_trace
+
+        def diagonal_plus_noise(basis, w_iso):
+            restricted, trace, leak = real(basis, w_iso)
+            if basis is o.basis:
+                restricted = np.concatenate([restricted * np.eye(3), noise[None]])
+            return restricted, trace, leak
+
+        monkeypatch.setattr(sectors, "_restricted_trace", diagonal_plus_noise)
+        with pytest.raises(PostconditionFailure, match="not irreducible"):
             central_decomposition(o, tol)
 
     def test_requires_identity(self, tol):
@@ -358,3 +382,18 @@ class TestTruncate:
                             lambda w, cluster_tol: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(202, 0, 15\)"):
             truncate(dec, tol)
+
+
+class TestInputSizes:
+    """Mis-sized library input raises a typed error that names the expected size."""
+
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda o, dec: algebra_from_span([]), ValueError, "at least one matrix"),
+        (lambda o, dec: is_cyclic(np.ones(4), o), DimensionMismatch, "expected .* 3"),
+        (lambda o, dec: extremal_decomposition(np.ones(2), dec), DimensionMismatch,
+         "expected .* 3"),
+    ], ids=["algebra_from_span", "is_cyclic", "extremal_decomposition"])
+    def test_raises_typed_error(self, three_sector, call, error, match):
+        o, dec = three_sector
+        with pytest.raises(error, match=match):
+            call(o, dec)
