@@ -11,7 +11,10 @@ multipliers and no common ray representation exists on their direct sum.
 Promoting the masses to momenta with conjugate positions lambda_i makes the
 centrally extended group act as a proper symmetry of the classical flow;
 (x, p) evolve by velocity Verlet and the lambda_i by trapezoidal quadrature
-of dV/dm_i - p_i^2 / (2 m_i^2), which never feeds back into (x, p).
+of dV/dm_i - p_i^2 / (2 m_i^2), which never feeds back into (x, p).  One
+Verlet loop advances a batch of initial points (a point and its transform,
+for the symmetry check); the energy and lambda are array passes over the
+stored trajectories after the loop.
 
 Group elements may carry a leading sample axis: a batch of k elements has
 R of shape (k, 3, 3), v and a of shape (k, 3) and b of shape (k,), and
@@ -417,36 +420,65 @@ class ExtendedPhasePoint:
             raise ValueError("masses must be positive and all fields finite")
 
 
+def _norm(d: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis.
+
+    Each length is one dot product through the BLAS routine that
+    ``np.linalg.norm`` of a single vector takes, so it matches that bit for
+    bit (a sum of squares may not: BLAS fuses the multiply-adds).
+    """
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def _running_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum along ``axis`` in index order, as a loop's running total adds.
+
+    ``np.sum`` adds pairwise or in another order, depending on the shape.
+    """
+    return np.add.accumulate(a, axis=axis).take(-1, axis=axis)
+
+
 @dataclass(frozen=True)
 class HarmonicPairPotential:
-    """V = sum_{i<j} k (|x_i - x_j| - L)^2; mass-independent, Galilei-invariant."""
+    """V = sum_{i<j} k (|x_i - x_j| - L)^2; mass-independent, Galilei-invariant.
+
+    Positions are (n, 3) or carry leading batch axes, (..., n, 3), e.g. a
+    batch of configurations or a stored trajectory.  Every pair is evaluated
+    at once, with no loop over pairs: :meth:`forces` from the pair-difference
+    matrix x_i - x_j summed back onto each particle, :meth:`energy` from the
+    pairs i < j.  Each pair term keeps the operation order of a loop over
+    the pairs i < j, and the sums over pairs run in that loop's order, so
+    the results match such a loop bit for bit.
+    """
 
     k: float = 1.0
     L: float = 1.0
 
-    def energy(self, x: np.ndarray) -> float:
-        n = x.shape[0]
-        e = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = float(np.linalg.norm(x[i] - x[j]))
-                e += self.k * (r - self.L) ** 2
-        return e
+    def __post_init__(self):
+        for name in ("k", "L"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"potential {name!r} must be finite, got {getattr(self, name)}")
+
+    def energy(self, x: np.ndarray):
+        """V per configuration: a float for (n, 3), an array over the batch axes otherwise."""
+        i, j = np.triu_indices(x.shape[-2], 1)
+        r = _norm(x[..., i, :] - x[..., j, :])
+        # float_power is libm's pow, as Python's float ** is; np.power may round differently
+        terms = self.k * np.float_power(r - self.L, 2)
+        e = _running_sum(terms, -1) if i.size else np.zeros(x.shape[:-2])
+        return float(e) if e.ndim == 0 else e
 
     def forces(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        f = np.zeros_like(x)
-        for i in range(n):
-            for j in range(i + 1, n):
-                dx = x[i] - x[j]
-                r = float(np.linalg.norm(dx))
-                pull = -2.0 * self.k * (r - self.L) * dx / r
-                f[i] += pull
-                f[j] -= pull
-        return f
+        """-dV/dx_i, shaped as ``x``."""
+        d = x[..., :, None, :] - x[..., None, :, :]
+        r = _norm(d)
+        # the diagonal divides its zero difference by 1; an off-diagonal r = 0 gives NaN
+        np.einsum("...ii->...i", r)[...] = 1.0
+        pull = (-2.0 * self.k * (r - self.L))[..., None] * d / r[..., None]
+        return _running_sum(pull, -2)
 
 
-def _potential_energy(potential, x: np.ndarray) -> float:
+def _potential_energy(potential, x: np.ndarray):
     return 0.0 if potential is None else potential.energy(x)
 
 
@@ -468,49 +500,65 @@ class Trajectory:
                                   lam=self.lam[-1], t=float(self.times[-1]))
 
 
-def extended_dynamics(initial: ExtendedPhasePoint, potential, dt: float,
-                      steps: int) -> Trajectory:
+def extended_dynamics(initial, potential, dt: float, steps: int):
     """Integrate the extended system: velocity Verlet for (x, p), quadrature for lambda.
 
-    The built-in potentials carry no mass dependence, so the lambda
-    integrand is -p_i^2 / (2 m_i^2), accumulated by the trapezoidal rule on
-    the Verlet grid; the masses are constants of motion by construction.
-    Raises :class:`UnstableStep` when the (x, p) energy drifts by more than
-    1e-2 relative.
+    ``initial`` is one :class:`ExtendedPhasePoint`, giving one
+    :class:`Trajectory`, or a sequence of points with a common particle
+    count, giving a tuple with one trajectory per point.  The points form a
+    leading batch axis that a single Verlet loop advances, with one force
+    evaluation per step for the whole batch; each member's trajectory is
+    bit-identical to its solo integration.  The (x, p) energy and lambda are
+    not touched inside the loop: each is one array pass over the stored
+    trajectory afterwards.  The built-in potentials carry no mass
+    dependence, so the lambda integrand is -p_i^2 / (2 m_i^2), accumulated
+    by the trapezoidal rule on the Verlet grid as a cumulative sum, which
+    adds the increments in the same order as a step-by-step update; the
+    masses are constants of motion by construction.  Raises
+    :class:`UnstableStep` when the (x, p) energy of any member drifts by
+    more than 1e-2 relative.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    points = (initial,) if isinstance(initial, ExtendedPhasePoint) else tuple(initial)
+    if not (dt > 0 and np.isfinite(dt)):  # NaN fails the comparison
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if potential is not None and not isinstance(potential, HarmonicPairPotential):
         raise ValueError("potential must be None or a HarmonicPairPotential")
-    n = initial.x.shape[0]
-    x = np.empty((steps + 1, n, 3))
-    p = np.empty((steps + 1, n, 3))
-    lam = np.empty((steps + 1, n))
-    energy = np.empty(steps + 1)
-    x[0], p[0], lam[0] = initial.x, initial.p, initial.lam
-    m = initial.m
-    minv = 1.0 / m[:, None]
-
-    def lam_rate(pk):
-        # dV/dm_i vanishes for the built-in family
-        return -np.sum(pk * pk, axis=1) / (2.0 * m * m)
+    x0 = np.stack([pt.x for pt in points])
+    if potential is not None:
+        i, j = np.triu_indices(x0.shape[1], 1)
+        hit = np.flatnonzero(np.any(_norm(x0[:, i] - x0[:, j]) == 0.0, axis=0))
+        if hit.size:
+            raise ValueError(f"particles {i[hit[0]]} and {j[hit[0]]} start at the same "
+                             "position; the pair force needs a non-zero distance")
+    # time-major storage: step k of every member is one contiguous block
+    x = np.empty((steps + 1,) + x0.shape)
+    p = np.empty_like(x)
+    x[0], p[0] = x0, np.stack([pt.p for pt in points])
+    m = np.stack([pt.m for pt in points])     # (batch, n)
+    minv = 1.0 / m[..., None]
+    half_dt2 = 0.5 * dt * dt
 
     f = _potential_forces(potential, x[0])
-    energy[0] = float(np.sum(p[0] * p[0] * minv) / 2.0 + _potential_energy(potential, x[0]))
     for k in range(steps):
-        x[k + 1] = x[k] + dt * p[k] * minv + 0.5 * dt * dt * f * minv
+        x[k + 1] = x[k] + dt * p[k] * minv + half_dt2 * f * minv
         f_new = _potential_forces(potential, x[k + 1])
         p[k + 1] = p[k] + 0.5 * dt * (f + f_new)
-        lam[k + 1] = lam[k] + 0.5 * dt * (lam_rate(p[k]) + lam_rate(p[k + 1]))
         f = f_new
-        energy[k + 1] = float(np.sum(p[k + 1] * p[k + 1] * minv) / 2.0
-                              + _potential_energy(potential, x[k + 1]))
-    scale = abs(energy[0]) if abs(energy[0]) > 1e-12 else 1.0
-    drift = float(np.max(np.abs(energy - energy[0]))) / scale
-    if not (drift <= 1e-2):  # catches NaN from blown-up trajectories too
-        raise UnstableStep(f"relative energy drift {drift:.3e} exceeds 1e-2; reduce dt")
-    times = initial.t + dt * np.arange(steps + 1)
-    return Trajectory(times=times, x=x, p=p, lam=lam, m=m.copy(), energy=energy)
+
+    kinetic = np.sum((p * p * minv).reshape(steps + 1, len(points), -1), axis=-1) / 2.0
+    energy = kinetic + _potential_energy(potential, x)
+    rate = -np.sum(p * p, axis=-1) / (2.0 * m * m)  # dV/dm_i vanishes for the built-in family
+    lam = np.cumsum(np.concatenate([np.stack([pt.lam for pt in points])[None],
+                                    0.5 * dt * (rate[:-1] + rate[1:])]), axis=0)
+    for e in energy.T:
+        scale = abs(e[0]) if abs(e[0]) > 1e-12 else 1.0
+        drift = float(np.max(np.abs(e - e[0]))) / scale
+        if not (drift <= 1e-2):  # catches NaN from blown-up trajectories too
+            raise UnstableStep(f"relative energy drift {drift:.3e} exceeds 1e-2; reduce dt")
+    steps_t = dt * np.arange(steps + 1)
+    out = tuple(Trajectory(times=pt.t + steps_t, x=x[:, b], p=p[:, b], lam=lam[:, b],
+                           m=m[b], energy=energy[:, b]) for b, pt in enumerate(points))
+    return out[0] if isinstance(initial, ExtendedPhasePoint) else out
 
 
 def transform_phase_point(e: ExtendedElement, point: ExtendedPhasePoint) -> ExtendedPhasePoint:
@@ -521,21 +569,31 @@ def transform_phase_point(e: ExtendedElement, point: ExtendedPhasePoint) -> Exte
 
 
 def dynamics_symmetry_check(traj: Trajectory, element: ExtendedElement,
-                            potential, dt: float) -> float:
+                            potential, dt: float, moved: Trajectory | None = None) -> float:
     """Max deviation between transform-then-evolve and evolve-then-transform.
 
     ``traj`` is the untransformed evolution, as :func:`extended_dynamics`
     returned it for the same ``potential`` and ``dt``.  Its initial point
     is transformed (configuration by the extended action at t = 0, momenta
     by R p + m v) and evolved for the same number of steps; the result is
-    compared with the transformed final state of ``traj``.  Time
-    translations are matched automatically because the built-in potentials
-    are autonomous.
+    compared with the transformed final state of ``traj``.  ``moved`` is
+    that evolution when the caller already has it, typically the second
+    member of a batch whose first member is ``traj``; it must start at the
+    transformed initial point and run as many steps, else ValueError.  When
+    it is None the transformed point is integrated here.  Time translations
+    are matched automatically because the built-in potentials are
+    autonomous.
     """
     initial = ExtendedPhasePoint(x=traj.x[0], p=traj.p[0], m=traj.m, lam=traj.lam[0],
                                  t=float(traj.times[0]))
-    moved = extended_dynamics(transform_phase_point(element, initial),
-                              potential, dt, traj.times.size - 1)
+    start = transform_phase_point(element, initial)
+    if moved is None:
+        moved = extended_dynamics(start, potential, dt, traj.times.size - 1)
+    elif moved.times.size != traj.times.size or not all(
+            np.array_equal(got, want) for got, want in
+            ((moved.x[0], start.x), (moved.p[0], start.p), (moved.lam[0], start.lam))):
+        raise ValueError("moved must start at the transformed initial point of traj "
+                         "and run as many steps")
     expected = transform_phase_point(element, traj.final())
     got = moved.final()
     return float(max(

@@ -27,6 +27,7 @@ from .bargmann import (
     extended_dynamics,
     mass_superselection_report,
     ray_compose_check,
+    transform_phase_point,
 )
 from .cocycles import (
     CocycleReport,
@@ -369,8 +370,10 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
 
 def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
     cfg, raw = load_dynamics_file(path)
-    point, potential = cfg["point"], cfg["potential"]
-    traj = extended_dynamics(point, potential, cfg["dt"], cfg["steps"])
+    point, potential, element = cfg["point"], cfg["potential"], cfg["element"]
+    # one batch: the point and, for the symmetry check, its transform
+    starts = [point] if element is None else [point, transform_phase_point(element, point)]
+    traj, *moved = extended_dynamics(starts, potential, cfg["dt"], cfg["steps"])
     scale = abs(traj.energy[0]) if abs(traj.energy[0]) > 1e-12 else 1.0
     drift = float(np.max(np.abs(traj.energy - traj.energy[0]))) / scale
 
@@ -387,8 +390,9 @@ def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
         checks.append(_check("free-particle lambda matches closed form",
                              free_lambda_err, 1e-10, free_lambda_err <= 1e-10))
     symmetry_dev = None
-    if cfg["element"] is not None:
-        symmetry_dev = dynamics_symmetry_check(traj, cfg["element"], potential, cfg["dt"])
+    if element is not None:
+        symmetry_dev = dynamics_symmetry_check(traj, element, potential, cfg["dt"],
+                                               moved=moved[0])
         checks.append(_check("extension element maps solutions to solutions",
                              symmetry_dev, 1e-5, symmetry_dev <= 1e-5))
 

@@ -181,7 +181,10 @@ def load_dynamics_file(path) -> tuple[dict, bytes]:
                 params[key] = float(pot_doc.get(key, 1.0))
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: potential {key!r} must be a number: {exc}") from exc
-        potential = HarmonicPairPotential(**params)
+        try:
+            potential = HarmonicPairPotential(**params)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
     else:
         raise ParseError(f"{path}: unknown potential kind {kind!r}")
 

@@ -210,19 +210,40 @@ def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
     v = mats.reshape(mats.shape[0], nn)
     if not len(v):
         return 0.0
-    resid = v - (v @ q.conj().T) @ q
-    rv = resid.view(float)
-    return float(np.linalg.norm(resid[np.argmax(np.einsum("ij,ij->i", rv, rv))]))
+    return _residual_norm(v, v @ q.conj().T, q)
 
 
 def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
                tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Span equality of two algebras: equal dimension and mutual containment."""
+    """Span equality of two algebras: equal dimension and mutual containment.
+
+    One Gram matrix G = Q_b Q_a* of the orthonormal bases serves both
+    projection residuals, Q_b - G Q_a and Q_a - G* Q_b, each held to the
+    threshold that :func:`_max_span_residual` is held to elsewhere.
+    """
     if a.algebra_dim != b.algebra_dim or a.dim != b.dim:
         return False
+    if not a.algebra_dim:
+        return True
     thresh = 10 * tol.rank_tol
-    return (_max_span_residual(a.basis, b.basis) <= thresh
-            and _max_span_residual(b.basis, a.basis) <= thresh)
+    nn = a.dim * a.dim
+    qa, qb = a.basis.reshape(-1, nn), b.basis.reshape(-1, nn)
+    gram = qb @ qa.conj().T
+    return (_residual_norm(qb, gram, qa) <= thresh
+            and _residual_norm(qa, np.conj(gram, out=gram).T, qb) <= thresh)
+
+
+def _residual_norm(target: np.ndarray, gram: np.ndarray, basis: np.ndarray) -> float:
+    """Norm of the largest row of ``target - gram @ basis``.
+
+    The difference is written over the product, so it takes no memory of
+    its own.  The row is picked by its squared norm and measured with
+    ``np.linalg.norm``.
+    """
+    resid = gram @ basis
+    np.subtract(target, resid, out=resid)
+    rv = resid.view(float)
+    return float(np.linalg.norm(resid[np.argmax(np.einsum("ij,ij->i", rv, rv))]))
 
 
 # ---------------------------------------------------------------------------

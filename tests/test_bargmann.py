@@ -403,6 +403,148 @@ class TestSampleCount:
         assert bg.mass_superselection_report(2.0, 1.0, samples=1)["inequivalent"]
 
 
+# The per-step integrator, one point and one pair at a time, as the reference
+# for the batched Verlet loop and its post-loop energy and lambda passes.
+
+def ref_pair_energy(pot, x):
+    n = x.shape[0]
+    e = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = float(np.linalg.norm(x[i] - x[j]))
+            e += pot.k * (r - pot.L) ** 2
+    return e
+
+
+def ref_pair_forces(pot, x):
+    n = x.shape[0]
+    f = np.zeros_like(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = x[i] - x[j]
+            r = float(np.linalg.norm(dx))
+            pull = -2.0 * pot.k * (r - pot.L) * dx / r
+            f[i] += pull
+            f[j] -= pull
+    return f
+
+
+def ref_dynamics(initial, pot, dt, steps):
+    """(times, x, p, lam, energy) of the step-by-step velocity Verlet loop."""
+    forces = (lambda x: np.zeros_like(x)) if pot is None else (lambda x: ref_pair_forces(pot, x))
+    potential = (lambda x: 0.0) if pot is None else (lambda x: ref_pair_energy(pot, x))
+    n = initial.x.shape[0]
+    x, p = np.empty((steps + 1, n, 3)), np.empty((steps + 1, n, 3))
+    lam, energy = np.empty((steps + 1, n)), np.empty(steps + 1)
+    x[0], p[0], lam[0] = initial.x, initial.p, initial.lam
+    m = initial.m
+    minv = 1.0 / m[:, None]
+
+    def lam_rate(pk):
+        return -np.sum(pk * pk, axis=1) / (2.0 * m * m)
+
+    f = forces(x[0])
+    energy[0] = float(np.sum(p[0] * p[0] * minv) / 2.0 + potential(x[0]))
+    for k in range(steps):
+        x[k + 1] = x[k] + dt * p[k] * minv + 0.5 * dt * dt * f * minv
+        f_new = forces(x[k + 1])
+        p[k + 1] = p[k] + 0.5 * dt * (f + f_new)
+        lam[k + 1] = lam[k] + 0.5 * dt * (lam_rate(p[k]) + lam_rate(p[k + 1]))
+        f = f_new
+        energy[k + 1] = float(np.sum(p[k + 1] * p[k + 1] * minv) / 2.0 + potential(x[k + 1]))
+    return initial.t + dt * np.arange(steps + 1), x, p, lam, energy
+
+
+TRAJECTORY_FIELDS = ("times", "x", "p", "lam", "energy")
+
+
+def random_point(rng, n):
+    return bg.ExtendedPhasePoint(x=rng.uniform(-1.5, 1.5, (n, 3)), p=rng.uniform(-0.5, 0.5, (n, 3)),
+                                 m=rng.uniform(0.5, 2.0, n), lam=rng.uniform(-1, 1, n),
+                                 t=float(rng.uniform(-1, 1)))
+
+
+class TestBatchedIntegrator:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pot", [None, bg.HarmonicPairPotential(1.3, 0.8)],
+                             ids=["free", "harmonic"])
+    def test_matches_the_per_step_loop(self, n, pot):
+        pt = random_point(np.random.default_rng([71, n]), n)
+        traj = bg.extended_dynamics(pt, pot, 1e-3, 300)
+        for name, want in zip(TRAJECTORY_FIELDS, ref_dynamics(pt, pot, 1e-3, 300)):
+            assert np.array_equal(getattr(traj, name), want), name
+        assert np.array_equal(traj.m, pt.m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("pot", [None, bg.HarmonicPairPotential(1.3, 0.8)],
+                             ids=["free", "harmonic"])
+    def test_each_member_equals_its_solo_run(self, n, pot):
+        rng = np.random.default_rng([72, n])
+        points = [random_point(rng, n) for _ in range(3)]
+        batch = bg.extended_dynamics(points, pot, 1e-3, 200)
+        assert isinstance(batch, tuple) and len(batch) == 3
+        for pt, member in zip(points, batch):
+            solo = bg.extended_dynamics(pt, pot, 1e-3, 200)
+            for name in TRAJECTORY_FIELDS + ("m",):
+                assert np.array_equal(getattr(member, name), getattr(solo, name)), name
+
+    def test_drift_check_covers_the_transformed_member(self):
+        # velocity Verlet at omega dt = 1.8 is stable but its energy error is
+        # large against the relative motion alone: carried by a large centre
+        # of mass momentum it stays under 1e-2, boosted to rest it does not
+        pt = bg.ExtendedPhasePoint(x=[[0, 0, 0], [1.1, 0, 0]], p=[[5.0, 0, 0], [5.0, 0, 0]],
+                                   m=[1.0, 1.0], lam=[0.0, 0.0])
+        pot = bg.HarmonicPairPotential(1.0, 1.0)
+        rest = bg.transform_phase_point(
+            bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(v=[-5.0, 0, 0])), pt)
+        bg.extended_dynamics(pt, pot, 0.9, 200)
+        with pytest.raises(UnstableStep):
+            bg.extended_dynamics(rest, pot, 0.9, 200)
+        with pytest.raises(UnstableStep):
+            bg.extended_dynamics([pt, rest], pot, 0.9, 200)
+
+    def test_zero_steps(self):
+        pt = random_point(np.random.default_rng(73), 2)
+        pot = bg.HarmonicPairPotential()
+        traj, moved = bg.extended_dynamics([pt, pt], pot, 1e-3, 0)
+        for name, want in zip(TRAJECTORY_FIELDS, ref_dynamics(pt, pot, 1e-3, 0)):
+            assert np.array_equal(getattr(traj, name), want), name
+            assert np.array_equal(getattr(moved, name), want), name
+
+    def test_symmetry_check_accepts_the_batched_transformed_run(self):
+        pt = random_point(np.random.default_rng(74), 2)
+        pot = bg.HarmonicPairPotential()
+        e = bg.ExtendedElement(theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
+        traj, moved = bg.extended_dynamics([pt, bg.transform_phase_point(e, pt)], pot, 1e-3, 500)
+        solo = bg.dynamics_symmetry_check(bg.extended_dynamics(pt, pot, 1e-3, 500), e, pot, 1e-3)
+        assert bg.dynamics_symmetry_check(traj, e, pot, 1e-3, moved=moved) == solo
+        with pytest.raises(ValueError, match="moved must start"):
+            bg.dynamics_symmetry_check(traj, e, pot, 1e-3, moved=traj)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_dt_is_rejected(self, dt):
+        pt = random_point(np.random.default_rng(75), 1)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            bg.extended_dynamics(pt, None, dt, 10)
+
+    def test_coincident_pair_is_rejected(self):
+        pt = bg.ExtendedPhasePoint(x=[[0, 0, 0], [1, 0, 0], [1, 0, 0]], p=np.zeros((3, 3)),
+                                   m=[1.0, 1.0, 1.0], lam=[0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="particles 1 and 2 start at the same position"):
+            bg.extended_dynamics(pt, bg.HarmonicPairPotential(), 1e-3, 10)
+        bg.extended_dynamics(pt, None, 1e-3, 10)  # free particles may overlap
+
+    def test_pair_potential_matches_the_pair_loop_on_batches(self):
+        pot = bg.HarmonicPairPotential(1.3, 0.7)
+        rng = np.random.default_rng(76)
+        for n in range(1, 7):
+            xs = rng.standard_normal((20, n, 3))
+            assert np.array_equal(pot.forces(xs), [ref_pair_forces(pot, x) for x in xs])
+            assert np.array_equal(pot.energy(xs), [ref_pair_energy(pot, x) for x in xs])
+            assert pot.energy(xs[0]) == ref_pair_energy(pot, xs[0])
+            assert isinstance(pot.energy(xs[0]), float)
+
+
 class TestExtendedDynamics:
     def test_free_particle_lambda_closed_form(self):
         pt = bg.ExtendedPhasePoint(x=[[0, 0, 0]], p=[[2.0, 0, 0]], m=[1.5], lam=[0.25])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -444,6 +445,25 @@ class TestDynamicsCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err and path in err
 
+    @pytest.mark.parametrize("name, extra", [
+        ("particles 0 and 1", {"x": [[0, 0, 0], [0, 0, 0]],
+                               "potential": {"kind": "harmonic"}}),
+        ("dt", {"dt": float("nan")}),
+        ("'k'", {"potential": {"kind": "harmonic", "k": float("inf")}}),
+        ("'L'", {"potential": {"kind": "harmonic", "L": float("-inf")}}),
+    ])
+    def test_non_finite_or_coincident_input_is_named(self, tmp_path, name, extra, capsys):
+        # these used to run to a NaN energy drift and report it as an unstable step
+        path = write(tmp_path, "bad.json", {
+            "masses": [1.0, 2.0], "x": [[0, 0, 0], [1.5, 0, 0]],
+            "p": [[0, 0.3, 0], [0, -0.2, 0.1]], "lambda": [0.0, 0.0],
+            "dt": 1e-3, "steps": 5, **extra})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["dynamics", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "drift" not in err
+
     def test_zero_steps_runs(self, tmp_path, capsys):
         path = write(tmp_path, "zero.json", {
             "masses": [1.0], "x": [[0, 0, 0]], "p": [[1.0, 0, 0]], "lambda": [0.0],
@@ -452,7 +472,8 @@ class TestDynamicsCommand:
         capsys.readouterr()
 
     def test_integrates_each_initial_point_once(self, dynamics_path, monkeypatch):
-        # the untransformed trajectory is shared by the report and the symmetry check
+        # the point and its transform go through one integration call, whose
+        # trajectories serve the report and the symmetry check
         calls = []
         original = bargmann.extended_dynamics
 
@@ -463,7 +484,34 @@ class TestDynamicsCommand:
         monkeypatch.setattr(bargmann, "extended_dynamics", counted)
         monkeypatch.setattr(cli, "extended_dynamics", counted)
         assert run(["dynamics", dynamics_path]).all_passed
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert len(calls[0][0]) == 2
+
+    def test_one_step_loop_call_counts(self, dynamics_path, monkeypatch):
+        # one force evaluation per step for the whole batch, one energy pass
+        # after the loop, one call of each dynamics layer
+        events = []
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                events.append(name)
+                return original(*args, **kwargs)
+            return counted
+
+        pot = bargmann.HarmonicPairPotential
+        for name in ("forces", "energy"):
+            monkeypatch.setattr(pot, name, counting(pot, name))
+        for name in ("extended_dynamics", "dynamics_symmetry_check"):
+            wrapped = counting(bargmann, name)
+            monkeypatch.setattr(bargmann, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        with open(dynamics_path, encoding="utf-8") as fh:
+            steps = json.load(fh)["steps"]
+        assert run(["dynamics", dynamics_path]).all_passed
+        assert events == (["extended_dynamics"] + ["forces"] * (steps + 1)
+                          + ["energy", "dynamics_symmetry_check"])
 
 
 class TestRuntimeDependencies:

@@ -327,6 +327,47 @@ class TestSpanResidual:
         assert span_residual(basis, m) == pytest.approx(np.linalg.norm(off), rel=1e-12)
 
 
+class TestSpanEqual:
+    @staticmethod
+    def two_residual_form(a, b, tol):
+        thresh = 10 * tol.rank_tol
+        return (a.algebra_dim == b.algebra_dim and a.dim == b.dim
+                and _max_span_residual(a.basis, b.basis) <= thresh
+                and _max_span_residual(b.basis, a.basis) <= thresh)
+
+    @staticmethod
+    def random_span(rng, n, q):
+        z = rng.standard_normal((n * n, q)) + 1j * rng.standard_normal((n * n, q))
+        return np.linalg.qr(z)[0].T  # q orthonormal rows
+
+    def test_agrees_with_the_two_residual_form(self, tol):
+        rng = np.random.default_rng(81)
+        for n, q in ((3, 1), (3, 5), (4, 9), (5, 16)):
+            qa = self.random_span(rng, n, q)
+            mix = np.linalg.qr(rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q)))[0]
+            qb = mix @ qa  # the same span in another orthonormal basis
+            a, b = (OperatorAlgebra(dim=n, basis=v.reshape(q, n, n), contains_identity=False)
+                    for v in (qa, qb))
+            other = OperatorAlgebra(dim=n, basis=self.random_span(rng, n, q).reshape(q, n, n),
+                                    contains_identity=False)
+            for x, y in ((a, b), (b, a), (a, other), (other, b)):
+                assert span_equal(x, y, tol) == self.two_residual_form(x, y, tol)
+            assert span_equal(a, b, tol) and not span_equal(a, other, tol)
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-3, 0.5])
+    def test_one_direction_rotated_out_of_the_span_fails(self, tol, angle):
+        rng = np.random.default_rng(82)
+        n, q = 4, 6
+        full = self.random_span(rng, n, q + 1)
+        qa = full[:q]
+        qb = qa.copy()
+        qb[2] = np.cos(angle) * qa[2] + np.sin(angle) * full[q]  # still orthonormal
+        a, b = (OperatorAlgebra(dim=n, basis=v.reshape(q, n, n), contains_identity=False)
+                for v in (qa, qb))
+        assert not span_equal(a, b, tol) and not span_equal(b, a, tol)
+        assert not self.two_residual_form(a, b, tol)
+
+
 class TestCenter:
     def test_no_combination_found_is_typed(self, tol, monkeypatch):
         # a nullspace solve that keeps nothing leaves an empty center basis,
