@@ -214,13 +214,17 @@ def mass_superselection_report(m1: float, m2: float, samples: int = 100,
 
     Evaluates |xi(g1, g2) - xi(g2, g1)| for the mass-m1 exponent, the
     mass-m2 exponent, and their difference over commuting boost/translation
-    pairs (plus the canonical x-boost / x-translation pair).  All three must
-    exceed 0.1; since coboundaries are symmetric on an abelian subgroup,
-    this rules out any common ray representation on the direct sum.
+    pairs (plus the canonical x-boost / x-translation pair).  Each exponent
+    is linear in its mass, so each obstruction is its mass (m1, m2 and
+    |m1 - m2|) times one common factor; each must exceed 0.1 times its own
+    mass.  Since coboundaries are symmetric on an abelian subgroup, this
+    rules out any common ray representation on the direct sum.  Masses
+    equal to within roundoff (|m1 - m2| <= 1e-9 max(m1, m2)) are rejected:
+    their difference exponent is mostly rounding error.
     """
     if m1 <= 0 or m2 <= 0:
         raise ValueError("masses must be positive")
-    if m1 == m2:
+    if abs(m1 - m2) <= 1e-9 * max(m1, m2):
         raise ValueError("mass_superselection_report needs two distinct masses")
     _require_samples(samples)
     rng = np.random.default_rng([seed, 402])
@@ -253,7 +257,8 @@ def mass_superselection_report(m1: float, m2: float, samples: int = 100,
         "obstruction_m2": ob2,
         "obstruction_difference": obd,
         "canonical_pair_obstructions": canonical_triple,
-        "inequivalent": bool(min(ob1, ob2, obd) > 0.1),
+        "inequivalent": bool(ob1 > 0.1 * m1 and ob2 > 0.1 * m2
+                             and obd > 0.1 * abs(m1 - m2)),
         "consequence": (
             "multipliers of distinct total mass are inequivalent on the abelian "
             "boost/translation subgroup; no single ray representation exists on the "

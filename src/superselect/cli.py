@@ -12,6 +12,7 @@ Exit codes: 0 when every check passed, 2 when checks ran but some failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -246,12 +247,14 @@ def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> An
 
     checks = [
         _check("multiplier cocycle residual", cocycle_resid, 1e-9, cocycle_resid <= 1e-9),
-        _check("obstruction m1 > 0.1", mass_rep["obstruction_m1"], 0.1,
-               mass_rep["obstruction_m1"] > 0.1),
-        _check("obstruction m2 > 0.1", mass_rep["obstruction_m2"], 0.1,
-               mass_rep["obstruction_m2"] > 0.1),
-        _check("obstruction of difference > 0.1", mass_rep["obstruction_difference"],
-               0.1, mass_rep["obstruction_difference"] > 0.1),
+        # each obstruction is linear in its mass, so each is held to its own mass
+        _check("obstruction m1 > 0.1 m1", mass_rep["obstruction_m1"], 0.1 * m1,
+               mass_rep["obstruction_m1"] > 0.1 * m1),
+        _check("obstruction m2 > 0.1 m2", mass_rep["obstruction_m2"], 0.1 * m2,
+               mass_rep["obstruction_m2"] > 0.1 * m2),
+        _check("obstruction of difference > 0.1 |m1 - m2|",
+               mass_rep["obstruction_difference"], 0.1 * abs(m1 - m2),
+               mass_rep["obstruction_difference"] > 0.1 * abs(m1 - m2)),
         _check("ray composition deviation", ray["max_deviation"], 1e-12, ray["ok"]),
         _check("extended action composition residual", action_resid, 1e-12,
                action_resid <= 1e-12),
@@ -418,7 +421,14 @@ def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    It holds no per-call state: ``SUPERSELECT_OUTDIR`` is read by
+    :func:`main` when it runs, and every default is immutable.  Every caller
+    shares it, so callers parse with it and never add to it.
+    """
     parser = argparse.ArgumentParser(
         prog="superselect",
         description="Superselection-structure analyses on finite-dimensional models")
@@ -428,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative singular-value cutoff (default 1e-10)")
     parser.add_argument("--tol-cluster", type=float, default=1e-8,
                         help="relative eigenvalue clustering width (default 1e-8)")
-    parser.add_argument("--outdir", default=os.environ.get("SUPERSELECT_OUTDIR"),
+    parser.add_argument("--outdir",
                         help="write <command>_report.json/.txt here instead of stdout "
                              "(env: SUPERSELECT_OUTDIR)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -452,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flux", help="flux multipoles of a moving charge")
     p.add_argument("--e", type=float, default=1.0, help="charge")
     p.add_argument("--m", type=float, default=1.0, help="mass")
-    p.add_argument("--p", type=float, nargs=3, default=[0.0, 0.0, 0.0],
+    p.add_argument("--p", type=float, nargs=3, default=(0.0, 0.0, 0.0),
                    metavar=("PX", "PY", "PZ"))
     p.add_argument("--lmax", type=int, default=8)
     p.add_argument("--ntheta", type=int, default=64)
@@ -494,9 +504,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     payload = report.to_json_bytes()
-    if args.outdir:
-        os.makedirs(args.outdir, exist_ok=True)
-        base = os.path.join(args.outdir, f"{args.command}_report")
+    outdir = args.outdir if args.outdir is not None else os.environ.get("SUPERSELECT_OUTDIR")
+    if outdir:
+        os.makedirs(outdir, exist_ok=True)
+        base = os.path.join(outdir, f"{args.command}_report")
         with open(base + ".json", "wb") as fh:
             fh.write(payload)
         with open(base + ".txt", "w", encoding="utf-8") as fh:

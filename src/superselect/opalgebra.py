@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 ABELIAN_TOL = 1e-8  # relative commutator norm below which a pair counts as commuting
-# smallest relative gap between the eigenvalue clusters of the word closure's seed
+# smallest relative gap between the eigenvalue clusters of a kept generic element
 SEED_SEPARATION = 1e-3
 # fraction of the commutant's nullspace cutoff above which an inter-cluster
 # block of a constraint member couples two eigenvalue clusters
@@ -278,6 +278,32 @@ def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
         f"clusters of sizes {[int(g.size) for g in groups]}")
 
 
+def _cluster_separation(split) -> float:
+    """Smallest gap between adjacent eigenvalue clusters over the spectral diameter."""
+    w, _, groups = split
+    if len(groups) < 2:
+        return np.inf
+    return min(w[g[0]] - w[g[0] - 1] for g in groups[1:]) / (w[-1] - w[0])
+
+
+def _separated_split(members: np.ndarray, tol: ToleranceConfig, salts):
+    """``(w, v, groups)`` of the first draw whose clusters lie well apart.
+
+    Draws one seeded generic element per salt, in order, and keeps the
+    first whose clusters lie at least ``SEED_SEPARATION`` apart
+    (:func:`_cluster_separation`), or else the best separated one.  An
+    eigenvector whose cluster lies a relative gap ``s`` from the next
+    carries roundoff of about ``eps / s`` into the other cluster
+    (Davis-Kahan), which a rank decision at ``rank_tol`` can read.
+    """
+    splits = []
+    for salt in salts:
+        splits.append(_generic_split(members, tol, [salt], lambda g: True))
+        if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
+            break
+    return max(splits, key=_cluster_separation)
+
+
 def _pattern_constraints(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Matrix of the map (pattern coords) -> vec([A, B]) over a ``(k, n, n)`` member stack.
 
@@ -409,6 +435,14 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     restriction is exact and the result is verified to commute with every
     generator.  A failed verification adds the worst member to the
     constraints and solves again.
+
+    The pattern element is drawn as the word closure's seed is
+    (:func:`_separated_split`): the first of up to four seeded draws whose
+    eigenvalue clusters lie at least ``SEED_SEPARATION`` of its spectral
+    diameter apart, or else the best separated one.  Two
+    clusters from different sectors a relative 6e-7 apart mixed their
+    eigenvectors by about ``eps / 6e-7``, close enough to ``rank_tol`` that
+    the identity dropped out of the computed commutant.
     """
     s = star_completion(s)
     n = s.dim
@@ -421,7 +455,7 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     nonzero = norms > 0
     members = (s.members[nonzero] / norms[nonzero, None, None]
                if nonzero.any() else s.members)
-    _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
+    _, v, groups = _separated_split(members, tol, [(101,), (101, 1), (101, 2), (101, 3)])
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 
@@ -443,14 +477,6 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
         used[worst] = True
         active = np.concatenate([active, mem_rot[worst][None]])
     raise PostconditionFailure("commutant constraint loop failed to converge")
-
-
-def _cluster_separation(split) -> float:
-    """Smallest gap between adjacent eigenvalue clusters over the spectral diameter."""
-    w, _, groups = split
-    if len(groups) < 2:
-        return np.inf
-    return min(w[g[0]] - w[g[0] - 1] for g in groups[1:]) / (w[-1] - w[0])
 
 
 def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -526,9 +552,10 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     ``s`` from the next one carries roundoff of about ``eps / s`` off the
     algebra (Davis-Kahan), and the rounds can amplify it past ``rank_tol``;
     one draw with ``s = 1.1e-5`` filled the matrix space.  So the seed comes
-    from the first of up to four draws whose clusters lie at least
-    ``SEED_SEPARATION`` apart, or else from the best separated one.  For a
-    single generator every draw has the generator's own gaps.
+    from :func:`_separated_split`: the first of up to four draws whose
+    clusters lie at least ``SEED_SEPARATION`` apart, or else the best
+    separated one.  For a single generator every draw has the generator's
+    own gaps.
 
     As a guard, a block wider than its ``n * r_k``-dimensional share of the
     matrix space raises :class:`PostconditionFailure`.
@@ -537,12 +564,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     n = s.dim
     norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
     gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
-    splits = []
-    for a in range(4):
-        splits.append(_generic_split(gens, tol, [(104, a)], lambda g: True))
-        if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
-            break
-    _, v, groups = max(splits, key=_cluster_separation)
+    _, v, groups = _separated_split(gens, tol, [(104, a) for a in range(4)])
     ranks = sorted({g.size for g in groups})
     q = [np.stack([v[:, g] for g in groups if g.size == r]).reshape(-1, n * r, 1) / np.sqrt(r)
          for r in ranks]

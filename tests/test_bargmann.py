@@ -210,8 +210,18 @@ class TestMassSuperselection:
         assert rep["inequivalent"]
 
     def test_equal_masses_rejected(self):
-        with pytest.raises(ValueError):
-            bg.mass_superselection_report(1.0, 1.0)
+        for m2 in (1.0, 1.0 + 1e-12):
+            with pytest.raises(ValueError, match="two distinct masses"):
+                bg.mass_superselection_report(1.0, m2)
+
+    @pytest.mark.parametrize("m1, m2", [(2.0, 1.0), (0.5, 3.0), (1.383646, 1.383169)])
+    def test_obstructions_are_linear_in_mass(self, m1, m2):
+        # one factor per sample set, so each obstruction is held to its own mass
+        rep = bg.mass_superselection_report(m1, m2, samples=100, seed=0)
+        ratios = [rep["obstruction_m1"] / m1, rep["obstruction_m2"] / m2,
+                  rep["obstruction_difference"] / abs(m1 - m2)]
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-9)
+        assert rep["inequivalent"]
 
     def test_rotation_only_pairs_contribute_nothing(self):
         # rotations about a shared axis commute and the exponent has no

@@ -87,3 +87,35 @@ def test_perturbed_input_with_a_one_dimensional_center(workloads, tmp_path):
     structure = report.sections["structure"]
     assert report.all_passed
     assert (structure["generated_dim"], structure["center_dim"]) == (25, 1)
+
+
+def test_commutant_redraws_a_poorly_separated_pattern_element(workloads, tmp_path):
+    # planted-sweep seed 1901, item 58: the observables' first pattern element
+    # has two clusters from different sectors a relative 6.1e-7 apart, and the
+    # commutant solved on its eigenbasis lost the identity
+    items, _ = workloads.build("planted-sweep", 1901, str(tmp_path))
+    item = items[58]
+    assert item.label == "algebra 1x1+2x2+2x3"
+    run_twice(workloads, item)
+
+    # a different seed leaves the algebra, hence the report's structure, alone
+    def structure(seed):
+        argv = ["--seed", seed, *item.argv[2:]]
+        doc = json.loads(cli.run_command(cli.build_parser().parse_args(argv)).to_json_bytes())
+        assert workloads.check(item, doc) is None, seed
+        st = doc["sections"]["structure"]
+        return (sorted((s["d"], s["ntilde"]) for s in doc["sections"]["sectors"]),
+                st["observable_dim"], st["generated_dim"])
+
+    planted = ([(1, 1), (2, 2), (3, 2)], 9, 14)
+    for seed in (item.argv[1], "0", "1", "2", "3"):
+        assert structure(seed) == planted, seed
+
+
+def test_near_equal_bargmann_masses_pass_their_oracle(workloads, tmp_path):
+    # case-studies seed 322 draws m1 = 1.383646 and m2 = 1.383169: the
+    # difference's obstruction is 0.0054, small only because |m1 - m2| is
+    items, _ = workloads.build("case-studies", 322, str(tmp_path))
+    item = next(it for it in items if it.label == "bargmann")
+    assert item.argv[-4:] == ("--m1", "1.383646", "--m2", "1.383169")
+    run_twice(workloads, item)

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -354,7 +355,26 @@ class TestBargmannCommand:
 
     def test_equal_masses_rejected(self, capsys):
         assert main(["bargmann", "--m1", "1.0", "--m2", "1.0"]) == 1
+        assert main(["bargmann", "--m1", "1.0", "--m2", "1.0000000000001"]) == 1
         capsys.readouterr()
+
+    def test_near_equal_masses_pass(self):
+        report = run(["bargmann", "--m1", "1.383646", "--m2", "1.383169",
+                      "--samples", "100"])
+        assert report.all_passed
+        assert report.sections["mass_superselection"]["inequivalent"]
+
+    def test_vanishing_difference_exponent_fails(self, monkeypatch):
+        # a planted fault: both masses get the mass-2 exponent, so the
+        # difference's exponent, and with it its obstruction, is zero
+        real = bargmann.bargmann_exponent
+        monkeypatch.setattr(bargmann, "bargmann_exponent",
+                            lambda mass, g1, g2: real(2.0, g1, g2))
+        report = run(["bargmann", "--m1", "2", "--m2", "1", "--samples", "100"])
+        failed = {c["name"] for c in report.checks if not c["passed"]}
+        assert "obstruction of difference > 0.1 |m1 - m2|" in failed
+        assert not failed & {"obstruction m1 > 0.1 m1", "obstruction m2 > 0.1 m2"}
+        assert not report.sections["mass_superselection"]["inequivalent"]
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sample_count_below_one_is_an_input_error(self, samples, capsys):
@@ -596,11 +616,54 @@ class TestDeterminism:
 
     def test_outdir_environment_override(self, tmp_path, opset_path, capsys,
                                          monkeypatch):
+        build_parser()  # the variable is read when main runs, not when the parser is built
         out = tmp_path / "envreports"
         monkeypatch.setenv("SUPERSELECT_OUTDIR", str(out))
         assert main(["algebra", opset_path]) == 0
-        capsys.readouterr()
         assert (out / "algebra_report.json").exists()
+        # --outdir takes precedence over the environment
+        monkeypatch.setenv("SUPERSELECT_OUTDIR", str(tmp_path / "unused"))
+        assert main(["--outdir", str(tmp_path / "flag"), "algebra", opset_path]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "flag" / "algebra_report.json").exists()
+        assert not (tmp_path / "unused").exists()
+
+
+class TestSharedParser:
+    """``build_parser`` returns one parser per process, holding no per-call state."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(["flux"]).p == (0.0, 0.0, 0.0)
+
+    def test_reports_match_a_freshly_built_parser(self, opset_path):
+        commands = [["algebra", opset_path],
+                    ["flux", "--lmax", "4"],  # --p from its default
+                    ["parastat", "--n", "2", "--d", "2"],
+                    ["algebra", opset_path]]
+        for argv in commands:
+            shared = run_command(build_parser().parse_args(argv)).to_json_bytes()
+            fresh = run_command(build_parser.__wrapped__().parse_args(argv)).to_json_bytes()
+            assert shared == fresh, argv[0]
+
+    def test_parser_constructed_once(self, opset_path, capsys, monkeypatch):
+        # main builds the top-level parser and its six sub-parsers on its
+        # first call only, whatever the commands that follow
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        for argv in (["algebra", opset_path], ["parastat", "--n", "2", "--d", "2"],
+                     ["bargmann", "--samples", "10"]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        commands = ["algebra", "parastat", "bargmann", "extension", "flux", "dynamics"]
+        assert built == ["superselect", *(f"superselect {c}" for c in commands)]
 
 
 class TestStructureCallCounts:
