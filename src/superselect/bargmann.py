@@ -499,6 +499,7 @@ class Trajectory:
     lam: np.ndarray       # (steps + 1, n)
     m: np.ndarray         # (n,), exactly constant
     energy: np.ndarray    # (steps + 1,), (x, p)-sector energy
+    drift: float          # relative drift of the centre-of-mass-frame energy
 
     def final(self) -> ExtendedPhasePoint:
         return ExtendedPhasePoint(x=self.x[-1], p=self.p[-1], m=self.m,
@@ -519,9 +520,17 @@ def extended_dynamics(initial, potential, dt: float, steps: int):
     dependence, so the lambda integrand is -p_i^2 / (2 m_i^2), accumulated
     by the trapezoidal rule on the Verlet grid as a cumulative sum, which
     adds the increments in the same order as a step-by-step update; the
-    masses are constants of motion by construction.  Raises
-    :class:`UnstableStep` when the (x, p) energy of any member drifts by
-    more than 1e-2 relative.
+    masses are constants of motion by construction.
+
+    Each trajectory's ``drift`` is the largest change of its internal
+    energy, the (x, p) energy in the centre-of-mass frame, relative to its
+    initial value.  The total ``energy`` also holds the centre-of-mass
+    kinetic energy ``P^2 / 2M``, a constant that a boost changes at will, so
+    a drift relative to it would depend on the Galilei frame; velocity
+    Verlet commutes with boosts, so the internal energy does not.  It is
+    summed from the centre-of-mass momenta ``p_i - m_i P / M``, not taken as
+    ``E - P^2 / 2M``, which cancels badly under a large boost.  Raises
+    :class:`UnstableStep` when the drift of any member exceeds 1e-2.
     """
     points = (initial,) if isinstance(initial, ExtendedPhasePoint) else tuple(initial)
     if not (dt > 0 and np.isfinite(dt)):  # NaN fails the comparison
@@ -550,19 +559,27 @@ def extended_dynamics(initial, potential, dt: float, steps: int):
         p[k + 1] = p[k] + 0.5 * dt * (f + f_new)
         f = f_new
 
-    kinetic = np.sum((p * p * minv).reshape(steps + 1, len(points), -1), axis=-1) / 2.0
-    energy = kinetic + _potential_energy(potential, x)
+    def kinetic(mom):
+        return np.sum((mom * mom * minv).reshape(steps + 1, len(points), -1), axis=-1) / 2.0
+
+    pot_energy = _potential_energy(potential, x)
+    energy = kinetic(p) + pot_energy
+    total_p = p.sum(axis=-2, keepdims=True)  # (steps + 1, batch, 1, 3)
+    internal = kinetic(p - m[..., None] * (total_p / m.sum(axis=-1)[:, None, None])) + pot_energy
+    drifts = []
+    for e in internal.T:
+        scale = abs(e[0]) if abs(e[0]) > 1e-12 else 1.0
+        drifts.append(float(np.max(np.abs(e - e[0]))) / scale)
+        if not (drifts[-1] <= 1e-2):  # catches NaN from blown-up trajectories too
+            raise UnstableStep(f"relative internal energy drift {drifts[-1]:.3e} exceeds "
+                               "1e-2; reduce dt")
     rate = -np.sum(p * p, axis=-1) / (2.0 * m * m)  # dV/dm_i vanishes for the built-in family
     lam = np.cumsum(np.concatenate([np.stack([pt.lam for pt in points])[None],
                                     0.5 * dt * (rate[:-1] + rate[1:])]), axis=0)
-    for e in energy.T:
-        scale = abs(e[0]) if abs(e[0]) > 1e-12 else 1.0
-        drift = float(np.max(np.abs(e - e[0]))) / scale
-        if not (drift <= 1e-2):  # catches NaN from blown-up trajectories too
-            raise UnstableStep(f"relative energy drift {drift:.3e} exceeds 1e-2; reduce dt")
     steps_t = dt * np.arange(steps + 1)
     out = tuple(Trajectory(times=pt.t + steps_t, x=x[:, b], p=p[:, b], lam=lam[:, b],
-                           m=m[b], energy=energy[:, b]) for b, pt in enumerate(points))
+                           m=m[b], energy=energy[:, b], drift=drifts[b])
+                for b, pt in enumerate(points))
     return out[0] if isinstance(initial, ExtendedPhasePoint) else out
 
 

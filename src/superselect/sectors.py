@@ -5,8 +5,9 @@ the observable algebra's center.  On each block the algebra acts as
 ``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; since the
 block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
 projector acting on the two algebras, read off their orthonormal bases.
-A block with ``d = 1`` is checked irreducible by taking the commutant of
-the restricted stack ``W^* B_i W`` as it is, never orthonormalised.
+A block with ``d = 1`` is checked irreducible by taking the commutant of a
+seeded generic pair drawn from the restricted stack ``W^* B_i W``, which is
+never orthonormalised.
 Truncation keeps a single multiplicity copy per block, which restores an
 abelian commutant.
 """
@@ -34,7 +35,7 @@ from .numkernel import (
 from .opalgebra import (
     DiracReport,
     OperatorAlgebra,
-    OperatorSet,
+    _generic_pair,
     _generic_split,
     algebra_from_span,
     center,
@@ -171,9 +172,11 @@ def central_decomposition(o: OperatorAlgebra,
     (:func:`_restricted_trace`), with no rank decision.  That reading needs
     the projector to be central, so each block first checks that it leaks
     no basis element of either algebra by more than ``10 * rank_tol``.
-    Blocks with ``d = 1`` are verified irreducible: the commutant of the
-    restricted stack, passed as it is less its roundoff members, must be
-    the scalars; no restricted span is orthonormalised.
+    Blocks with ``d = 1`` are verified irreducible: the commutant of a
+    seeded generic pair drawn from the restricted stack less its roundoff
+    members (salt ``(204, k)`` for block ``k``) must be the scalars; it
+    contains the commutant of the whole restricted algebra, so scalars
+    there prove irreducibility.  No restricted span is orthonormalised.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -213,16 +216,15 @@ def central_decomposition(o: OperatorAlgebra,
                 "reseed the decomposition")
         if d == 1:
             # irreducibility on the block: the commutant of W* O W is scalar.  The
-            # restricted stack spans it (*-closed, as P is central).  Roundoff members
-            # are dropped: commutant scales each member to unit norm, so one would act
-            # as a spurious constraint, while a dropped member only enlarges the
-            # commutant and so can make the check fail, never pass
+            # restricted stack spans it (*-closed, as P is central), and a seeded
+            # generic pair drawn from it stands in for it: the pair's commutant
+            # contains that of W* O W, so scalars there prove it.  Roundoff members
+            # are dropped before the draw; a dropped member or a pair generating
+            # less only enlarges the commutant and so can make the check fail,
+            # never pass
             norms = np.linalg.norm(restricted.reshape(len(restricted), -1), axis=1)
             kept = restricted[norms > tol.rank_tol * np.max(norms)]
-            block = OperatorSet(dim=block_dim, members=kept,
-                                names=tuple(f"g{i}" for i in range(len(kept))),
-                                self_adjoint_closed=True)
-            if commutant(block, tol).algebra_dim != 1:
+            if commutant(_generic_pair(kept, tol, (204, k)), tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
         sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,

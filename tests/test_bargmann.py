@@ -500,18 +500,22 @@ class TestBatchedIntegrator:
 
     def test_drift_check_covers_the_transformed_member(self):
         # velocity Verlet at omega dt = 1.8 is stable but its energy error is
-        # large against the relative motion alone: carried by a large centre
-        # of mass momentum it stays under 1e-2, boosted to rest it does not
+        # large against the relative motion.  The drift is measured on the
+        # centre-of-mass-frame energy, so a point carried by a large
+        # centre-of-mass momentum and its boost to rest get the same verdict,
+        # alone or batched; at a small step both pass with the same drift
         pt = bg.ExtendedPhasePoint(x=[[0, 0, 0], [1.1, 0, 0]], p=[[5.0, 0, 0], [5.0, 0, 0]],
                                    m=[1.0, 1.0], lam=[0.0, 0.0])
         pot = bg.HarmonicPairPotential(1.0, 1.0)
         rest = bg.transform_phase_point(
             bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(v=[-5.0, 0, 0])), pt)
-        bg.extended_dynamics(pt, pot, 0.9, 200)
-        with pytest.raises(UnstableStep):
-            bg.extended_dynamics(rest, pot, 0.9, 200)
-        with pytest.raises(UnstableStep):
-            bg.extended_dynamics([pt, rest], pot, 0.9, 200)
+        for start in (pt, rest, [pt, rest], [rest, pt]):
+            with pytest.raises(UnstableStep):
+                bg.extended_dynamics(start, pot, 0.9, 200)
+        moving, still = bg.extended_dynamics([pt, rest], pot, 1e-3, 2000)
+        assert 0 < still.drift < 1e-6
+        assert moving.drift == pytest.approx(still.drift, rel=1e-6)
+        assert moving.energy[0] - still.energy[0] == pytest.approx(25.0)
 
     def test_zero_steps(self):
         pt = random_point(np.random.default_rng(73), 2)

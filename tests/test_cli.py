@@ -199,9 +199,11 @@ class TestAlgebraAtDimension64:
     """A planted n = 64 item through the CLI, with dim S'' = 1280.
 
     The README calls the defaults safe up to ambient dimension 64; this is
-    the largest planted item that claim covers.  Budget: 90 s (about 3 s on
-    one core, peak RSS about 500 MB; about 21 s and 640 MB while the word
-    closure ran in the n^2-dimensional matrix space).
+    the largest planted item that claim covers.  Budget: 90 s (about 1.5 s
+    on one core, peak RSS about 280 MB; 2.3 s and 500 MB while the triple
+    commutant took the commutant of all 1280 basis elements of S'', and
+    about 21 s and 640 MB while the word closure ran in the n^2-dimensional
+    matrix space).
     """
 
     BUDGET_SECONDS = 90.0
@@ -259,7 +261,7 @@ class TestAbelianAt56:
 
     O = M_20 + M_36 has dimension 1696, and both of its sectors have d = 1.
     Budget: 30 s, the target for planted items at n <= 64.  Measured on one
-    core with one BLAS thread: 7.6-7.9 s, most of it in the triple
+    core with one BLAS thread: 4.8-6.0 s, most of it in the triple
     commutant's span comparison; 11.4-12.4 s while each d = 1 check
     orthonormalised its restricted span.  Peak RSS about 507 MB.
     """
@@ -281,6 +283,73 @@ class TestAbelianAt56:
         assert st["generated_dim"] == 2
         assert st["dirac_v2_holds"]
         assert elapsed <= self.BUDGET_SECONDS
+
+
+class TestLargeObservablesAt64:
+    """The abelian planted item ((32, 1), (32, 1)) at n = 64 through the CLI.
+
+    O = M_32 + M_32 has dimension 2048, the large-O side of the README's
+    "safe up to dimension 64" claim.  Budget: 30 s, the target for planted
+    items at n <= 64.  Measured on one core with one BLAS thread: 10.7-11.9 s,
+    peak RSS about 700 MB.
+    """
+
+    BUDGET_SECONDS = 30.0
+
+    def test_matches_planted(self, tmp_path, capsys):
+        pattern = [(32, 1), (32, 1)]
+        path = planted_file(tmp_path, pattern)
+        t0 = time.perf_counter()
+        code = main(["algebra", path])
+        elapsed = time.perf_counter() - t0
+        out = capsys.readouterr()
+        assert code == 0, out.err
+        doc = json.loads(out.out)
+        assert doc["sections"]["input"]["dim"] == 64
+        assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
+        st = doc["sections"]["structure"]
+        assert (st["observable_dim"], st["generated_dim"]) == (2048, 2)
+        assert st["dirac_v2_holds"]
+        assert elapsed <= self.BUDGET_SECONDS
+
+
+class TestAlgebraReportInvariance:
+    """Inputs that generate the same algebra give the same ``algebra`` verdict.
+
+    Transforms: one generator scaled by 1e3, the generators reversed, one
+    generator duplicated, a unitary change of basis, and CLI seeds 1-3.
+    Each must leave ``all_passed``, the (d, ntilde) multiset and the
+    observable and generated dimensions as they are.  Inputs: every 7th
+    planted sweep pattern and two wide patterns, as the benchmark draws them.
+    """
+
+    @staticmethod
+    def summary(path, seed):
+        report = run(["--seed", str(seed), "algebra", path])
+        st = report.sections["structure"]
+        return (report.all_passed,
+                sorted((s["d"], s["ntilde"]) for s in report.sections["sectors"]),
+                st["observable_dim"], st["generated_dim"])
+
+    def test_transforms_keep_the_verdict(self, workloads, tmp_path):
+        rng = np.random.default_rng(4)
+        patterns = workloads.sweep_pattern_quota(200)[::7] + list(workloads.WIDE_PATTERNS[:2])
+        for k, pattern in enumerate(patterns):
+            gens = workloads.planted_generators(rng, pattern)
+            u = random_unitary(rng, gens[0].shape[0])
+            variants = {"scaled": [1e3 * gens[0], *gens[1:]], "reversed": gens[::-1],
+                        "duplicated": [*gens, gens[0]],
+                        "rotated": [u @ g @ u.conj().T for g in gens]}
+            base = str(tmp_path / f"p{k}.json")
+            workloads.write_operator_file(base, gens)
+            want = self.summary(base, 1)
+            assert want[0], pattern
+            for seed in (2, 3):
+                assert self.summary(base, seed) == want, (pattern, seed)
+            for name, mats in variants.items():
+                path = str(tmp_path / f"p{k}_{name}.json")
+                workloads.write_operator_file(path, mats)
+                assert self.summary(path, 1) == want, (pattern, name)
 
 
 class TestComponentSizes:
@@ -667,7 +736,14 @@ class TestSharedParser:
 
 
 class TestStructureCallCounts:
-    """One structure pass per input: O', the center and the sectors are computed once."""
+    """One structure pass per input: O', the center and the sectors are computed once.
+
+    Each ``commutant`` call's member count after star completion is pinned
+    too.  Only S' = commutant(S) and S'' = commutant(O) take the commutant
+    of a whole set or basis; every cross-check (the triple commutant, each
+    d = 1 irreducibility check, the witness's A = A') takes it of a generic
+    pair, 2 members, so a full-basis cross-check cannot creep back unseen.
+    """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
                "check_dirac": "opalgebra", "generated_algebra": "opalgebra",
@@ -675,13 +751,19 @@ class TestStructureCallCounts:
                "is_abelian": "opalgebra"}  # function -> defining module
 
     def count_calls(self, monkeypatch, args):
-        """Run a command with the counted functions wrapped wherever a module binds them."""
-        counts = dict.fromkeys(self.COUNTED, 0)
+        """Run a command with the counted functions wrapped wherever a module binds them.
+
+        Returns the call counts and, per ``commutant`` call in order, the
+        number of members it received after star completion.
+        """
+        counts, members = dict.fromkeys(self.COUNTED, 0), []
         for name, home in self.COUNTED.items():
             original = getattr(importlib.import_module(f"superselect.{home}"), name)
 
             def wrapper(*a, _name=name, _fn=original, **kw):
                 counts[_name] += 1
+                if _name == "commutant":
+                    members.append(len(opalgebra.star_completion(a[0])))
                 return _fn(*a, **kw)
 
             for modname, mod in list(sys.modules.items()):
@@ -691,27 +773,34 @@ class TestStructureCallCounts:
                     if value is original:
                         monkeypatch.setattr(mod, attr, wrapper)
         assert run(args).all_passed
-        return counts
+        return counts, members
 
     def test_algebra_non_abelian(self, tmp_path, monkeypatch):
         # S' -> one decomposition (holds S'') -> triple commutant
         path = planted_file(tmp_path, [(1, 2), (3, 3)])
-        counts = self.count_calls(monkeypatch, ["algebra", path])
+        counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 0}
+        # two Hermitian generators; dim O = 1 + 9; the triple commutant's pair
+        assert members == [2, 10, 2]
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
         # adds one irreducibility commutant per d = 1 block and one for A = A'
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
-        counts = self.count_calls(monkeypatch, ["algebra", path])
+        counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 6, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 1}
+        # S, O = M_1 + M_3, two irreducibility pairs, the witness pair, the triple pair
+        assert members == [2, 10, 2, 2, 2, 2]
 
     def test_parastat(self, monkeypatch):
         # the invariant algebra and the truncated one are each decomposed once
-        counts = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
+        counts, members = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 7, "central_decomposition": 2, "check_dirac": 1,
                           "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
+        # 6 permutations, O = M_4 + M_2 and the pair of its one d = 1 block; then
+        # the truncated algebra M_4 + M_2, its 2 irreducibility pairs and its witness pair
+        assert members == [6, 20, 2, 20, 2, 2, 2]
 
     # No decomposition orthonormalises a restricted span: the d = 1 check
     # hands the restricted stack to commutant as it is, and d > 1 blocks

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from superselect.opalgebra import (
     OperatorAlgebra,
     _coupled_components,
     _generic_hermitian_combo,
+    _generic_pair,
     _generic_split,
     _max_span_residual,
     _word_closure_dim,
@@ -679,6 +682,111 @@ class TestCheckDirac:
         assert np.allclose(vecs.conj() @ vecs.T, np.eye(5), atol=1e-12)
         assert np.allclose(basis.sum(axis=0), np.eye(5), atol=1e-12)
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
+
+
+def commutant_matches(target, members, tol):
+    """Whether the commutant of a generator set spans ``target``; a failed solve counts as no."""
+    try:
+        return span_equal(target, commutant(members, tol), tol)
+    except PostconditionFailure:
+        return False
+
+
+class TestGenericPairCrossChecks:
+    """Planted faults against the cross-checks that take a generic pair's commutant.
+
+    The triple commutant, each d = 1 irreducibility check and the witness's
+    ``A = A'`` compare the commutant of a seeded generic pair drawn from an
+    algebra.  The full-basis form, the commutant of the whole basis, is the
+    reference: every fault it catches, the pair must catch too.
+    """
+
+    def test_pair_is_seeded_hermitian_and_star_closed(self, tol):
+        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol).basis
+        pair = _generic_pair(basis, tol, (105,))
+        assert len(pair) == 2 and pair.self_adjoint_closed
+        assert np.array_equal(pair.members, pair.members.conj().transpose(0, 2, 1))
+        assert np.array_equal(pair.members, _generic_pair(basis, tol, (105,)).members)
+        assert not np.allclose(pair.members, _generic_pair(basis, tol, (106,)).members)
+
+    @staticmethod
+    def planted_generated(workloads, count):
+        """``(tol, S', S'')`` of planted sweep and wide items whose S'' is not M_n."""
+        rng = np.random.default_rng(19)
+        quota = [p for p in workloads.sweep_pattern_quota(200)
+                 if not (len(p) == 1 and p[0][0] == 1)]  # S'' = M_n has no outside
+        patterns = quota[::len(quota) // count][:count] + list(workloads.WIDE_PATTERNS)
+        for pattern in patterns:
+            tol = ToleranceConfig(seed=int(rng.integers(2 ** 31)))
+            s = operator_set(workloads.planted_generators(rng, pattern), tol=tol)
+            obs = commutant(s, tol)
+            yield tol, obs, central_decomposition(obs, tol).commutant
+
+    @staticmethod
+    def triple_forms(obs, gen_basis, tol):
+        """(full-basis reference, generic pair) verdicts of the triple commutant identity."""
+        full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True).as_set()
+        return (commutant_matches(obs, full, tol),
+                commutant_matches(obs, _generic_pair(gen_basis, tol, (105,)), tol))
+
+    def test_triple_commutant_direction_rotated_out_of_the_span(self, workloads):
+        # one basis direction of S'' turned toward a unit direction outside
+        # its span: the set generates more than S'', its commutant is smaller
+        # than S', and both forms must fail
+        cases = 0
+        for tol, obs, gen in self.planted_generated(workloads, 16):
+            assert self.triple_forms(obs, gen.basis, tol) == (True, True)
+            rng = tol.rng(7)
+            x = rng.standard_normal(gen.basis.shape[1:]) + 1j * rng.standard_normal(
+                gen.basis.shape[1:])
+            x -= np.tensordot(np.tensordot(gen.basis.conj(), x, axes=2), gen.basis, axes=1)
+            x /= np.linalg.norm(x)
+            for angle in (1e-6, 1e-3, 0.5):
+                faulty = gen.basis.copy()
+                faulty[0] = np.cos(angle) * gen.basis[0] + np.sin(angle) * x
+                assert self.triple_forms(obs, faulty, tol) == (False, False), angle
+                cases += 1
+        assert cases >= 60
+
+    def test_triple_commutant_with_a_dropped_basis_element_passes(self, workloads):
+        # not a fault: the commutant of a set depends only on the algebra it
+        # generates, and the rest of a basis of S'' still generates S''
+        for tol, obs, gen in self.planted_generated(workloads, 6):
+            if gen.algebra_dim > 2:
+                assert self.triple_forms(obs, gen.basis[1:], tol) == (True, True)
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    def test_witness_with_a_rotated_vector_is_not_maximal_abelian(self, tol, n):
+        # O = M_n has one d = 1 sector, whose isometry is swapped for a random
+        # unitary with e_0 turned toward e_1: the rank-one projectors no
+        # longer commute, so the witness is not its own commutant
+        o = commutant(operator_set([np.eye(n)]), tol)
+        dec = central_decomposition(o, tol)
+        u = random_unitary(np.random.default_rng(n), n)
+        for angle in (0.0, 1e-8, 1e-6, 1e-3, 0.5):
+            w = u.copy()
+            w[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * u[:, 1]
+            sector = dataclasses.replace(dec.sectors[0], isometry=w)
+            rep = check_dirac(dataclasses.replace(dec, sectors=(sector,)), tol)
+            full = commutant_matches(rep.witness, rep.witness.as_set(), tol)
+            assert rep.v2_holds and rep.witness_in_observables
+            assert (full, rep.witness_is_maximal_abelian) == (angle == 0.0,) * 2, angle
+
+    @pytest.mark.parametrize("blocks", [(1, 1, 1), (1, 2), (2, 2), (1, 3)])
+    def test_reducible_restricted_stack_has_a_non_scalar_commutant(self, tol, blocks):
+        # the d = 1 check's fault: a restricted stack that spans a reducible
+        # algebra, a direct sum of full matrix blocks, in a random basis
+        m = sum(blocks)
+        u = random_unitary(np.random.default_rng(m), m)
+        units = []
+        for off, b in zip(np.cumsum((0,) + blocks[:-1]), blocks):
+            for i in range(off, off + b):
+                for j in range(off, off + b):
+                    units.append(np.outer(u[:, i], u[:, j].conj()))
+        stack = np.stack(units)
+        full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True).as_set()
+        assert commutant(full, tol).algebra_dim == len(blocks)
+        assert commutant(_generic_pair(stack, tol, (204, 0)), tol).algebra_dim == len(blocks)
 
 
 class TestPlantedStructure:

@@ -119,9 +119,9 @@ class TestCentralDecomposition:
     def test_reducible_d_one_block_raises(self, tol, monkeypatch):
         # M_3 is one sector with d = 1.  Its restricted stack is swapped for
         # its diagonal part, whose commutant is the diagonal algebra, plus one
-        # Hermitian member of norm 1e-17.  Scaled to unit norm, that roundoff
-        # member would act as a generic constraint and leave only the scalars;
-        # dropped as roundoff, it leaves the block reducible, and the check says so.
+        # Hermitian member of norm 1e-17, which is dropped as roundoff.  The
+        # generic pair drawn from the rest generates the diagonal algebra, and
+        # the check says the block is reducible.
         o = commutant(operator_set([np.eye(3)]), tol)
         h = random_hermitian(np.random.default_rng(3), 3)
         noise = 1e-17 * h / np.linalg.norm(h)
