@@ -25,6 +25,7 @@ from .opalgebra import (
     OperatorAlgebra,
     _abelian_commutant,
     _max_commutator,
+    algebra_from_span,
     commutant,
     operator_set,
 )
@@ -145,6 +146,16 @@ def invariant_algebra(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> Ope
     return commutant(s, tol)
 
 
+def _group_span(rep: TensorRep, tol: ToleranceConfig) -> OperatorAlgebra:
+    """The span of the group unitaries, which is the commutant of the invariant algebra.
+
+    The span is closed under products and adjoints, ``U(g) U(h) = U(gh)`` and
+    ``U(g)^* = U(g^-1)``, and contains the identity, so it is the algebra the
+    unitaries generate: their double commutant ``S'' = O'``.
+    """
+    return algebra_from_span([rep.unitaries[g] for g in rep.group()], tol)
+
+
 def character_oracle(rep: TensorRep) -> list[tuple[tuple[int, ...], int, int]]:
     """Isotypic data (partition, irrep dim d, multiplicity ntilde) for every irrep.
 
@@ -185,9 +196,9 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     the permutation unitaries, which generate that commutant.
     """
     o = invariant_algebra(rep, tol)
-    dec = central_decomposition(o, tol)
+    dec = central_decomposition(o, tol, commutant_algebra=_group_span(rep, tol))
     pre_abelian = _abelian_commutant(dec, tol)
-    v_iso, _, post = truncate(dec, tol)  # raises unless post.commutant_dim == len(dec)
+    v_iso, _, post = truncate(dec, tol)  # post: the truncated algebra's commutant
 
     oracle = character_oracle(rep)
     present = tuple(sorted((d, nt) for _, d, nt in oracle if nt > 0))
@@ -211,8 +222,11 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
         ],
         "oracle_agrees": dec.multiset() == present,
         "dim_truncated": int(v_iso.shape[1]),
-        "post_truncation_v2": bool(post.v2_holds),
-        "post_truncation_commutant_dim": int(post.commutant_dim),
+        # truncate checked that post holds the len(dec) truncated sector
+        # projectors, so it is their (abelian) span exactly when it has that
+        # dimension; truncate raises otherwise
+        "post_truncation_v2": post.algebra_dim == len(dec.sectors),
+        "post_truncation_commutant_dim": int(post.algebra_dim),
     }
 
 
@@ -223,4 +237,5 @@ def sector_oracle_multiset(rep: TensorRep) -> tuple[tuple[int, int], ...]:
 
 def decomposition_for(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:
     """Spectral sector decomposition of the invariant algebra."""
-    return central_decomposition(invariant_algebra(rep, tol), tol)
+    return central_decomposition(invariant_algebra(rep, tol), tol,
+                                 commutant_algebra=_group_span(rep, tol))

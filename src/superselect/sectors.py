@@ -7,9 +7,13 @@ block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
 projector acting on the two algebras, read off their orthonormal bases.
 A block with ``d = 1`` is checked irreducible by taking the commutant of a
 seeded generic pair drawn from the restricted stack ``W^* B_i W``, which is
-never orthonormalised.
+never orthonormalised.  A caller that knows the commutant in closed form
+(the span of a group's unitaries, say) passes it instead of a solve.
 Truncation keeps a single multiplicity copy per block, which restores an
-abelian commutant.
+abelian commutant.  The truncated algebra's basis is the image of the
+algebra's basis under an HS isometry, so it needs no orthonormalisation, and
+the abelian verdict comes from the commutant of a seeded generic pair of it,
+not from a second decomposition.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ from .numkernel import (
     random_hermitian,
 )
 from .opalgebra import (
-    DiracReport,
     OperatorAlgebra,
     _generic_pair,
     _generic_split,
-    algebra_from_span,
+    _max_span_residual,
     center,
-    check_dirac,
     commutant,
+    is_abelian,
+    span_residual,
 )
 
 __all__ = [
@@ -155,12 +159,18 @@ def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
     return restricted, float(np.vdot(restricted, restricted).real), leak
 
 
-def central_decomposition(o: OperatorAlgebra,
-                          tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:
+def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
+                          commutant_algebra: OperatorAlgebra | None = None
+                          ) -> SectorDecomposition:
     """Minimal central projectors of an algebra plus per-block (d, ntilde) data.
 
     The commutant and the center are computed once here and kept on the
-    result.  A one-dimensional center gives one sector, the whole space,
+    result.  A precomputed commutant may be passed, as to :func:`center`, in
+    place of the solve ``commutant(o.as_set())``.  It must be an
+    HS-orthonormal basis of the algebra's commutant: ``algebra_from_span``
+    of a group's unitaries is one when ``o`` is the group's commutant, as
+    their span is closed under products and adjoints and so is the double
+    commutant.  A one-dimensional center gives one sector, the whole space,
     with no draw.  Otherwise a seeded generic Hermitian element of the
     center is diagonalized and its eigenvalue clusters give the minimal
     central projectors; it is redrawn, up to 16 times, until it shows one
@@ -173,10 +183,10 @@ def central_decomposition(o: OperatorAlgebra,
     the projector to be central, so each block first checks that it leaks
     no basis element of either algebra by more than ``10 * rank_tol``.
     Blocks with ``d = 1`` are verified irreducible: the commutant of a
-    seeded generic pair drawn from the restricted stack less its roundoff
-    members (salt ``(204, k)`` for block ``k``) must be the scalars; it
-    contains the commutant of the whole restricted algebra, so scalars
-    there prove irreducibility.  No restricted span is orthonormalised.
+    seeded generic pair drawn from the restricted stack (salt ``(204, k)``
+    for block ``k``) must be the scalars; it contains the commutant of the
+    whole restricted algebra, so scalars there prove irreducibility.  No
+    restricted span is orthonormalised.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -186,7 +196,9 @@ def central_decomposition(o: OperatorAlgebra,
     if not o.contains_identity:
         raise ValueError("central_decomposition requires an algebra with identity")
     n = o.dim
-    cp = commutant(o.as_set(), tol)
+    cp = commutant_algebra
+    if cp is None:
+        cp = commutant(o.as_set(), tol)
     z = center(o, tol, commutant_algebra=cp)
 
     if z.algebra_dim == 1:
@@ -218,13 +230,11 @@ def central_decomposition(o: OperatorAlgebra,
             # irreducibility on the block: the commutant of W* O W is scalar.  The
             # restricted stack spans it (*-closed, as P is central), and a seeded
             # generic pair drawn from it stands in for it: the pair's commutant
-            # contains that of W* O W, so scalars there prove it.  Roundoff members
-            # are dropped before the draw; a dropped member or a pair generating
-            # less only enlarges the commutant and so can make the check fail,
-            # never pass
-            norms = np.linalg.norm(restricted.reshape(len(restricted), -1), axis=1)
-            kept = restricted[norms > tol.rank_tol * np.max(norms)]
-            if commutant(_generic_pair(kept, tol, (204, k)), tol).algebra_dim != 1:
+            # contains that of W* O W, so scalars there prove it.  A roundoff
+            # member is not rescaled by the generic combination, so it adds only
+            # roundoff to the pair; a pair generating less only enlarges the
+            # commutant and so can make the check fail, never pass
+            if commutant(_generic_pair(restricted, tol, (204, k)), tol).algebra_dim != 1:
                 raise PostconditionFailure(
                     "block with d = 1 is not irreducible; tolerance pathology")
         sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,
@@ -301,39 +311,74 @@ def expectation_functional(rho: DensityState, o: OperatorAlgebra) -> np.ndarray:
     return np.einsum("kij,ji->k", o.basis, rho.rho)
 
 
-def truncate(dec: SectorDecomposition,
-             tol: ToleranceConfig = DEFAULT_TOL) -> tuple[np.ndarray, OperatorAlgebra, DiracReport]:
+def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+             ) -> tuple[np.ndarray, OperatorAlgebra, OperatorAlgebra]:
     """Keep one multiplicity copy per sector.
 
-    Returns the isometry V, the restricted algebra and its abelian-commutant
-    report.  Per sector, the commutant restricted to the block,
-    ``W^* O' W = M_d (x) 1_ntilde``, is formed on the spot from the sector's
-    isometry ``W`` and the decomposition's commutant basis (it need not be
-    orthonormal to draw from).  A seeded generic Hermitian element of it,
-    redrawn up to 16 times, must show ``d`` spectral clusters of size
-    ``ntilde`` each; the lowest cluster's eigenspace is the copy kept.  The
-    stacked isometry satisfies ``V^* V = 1`` on the truncated space, and the
-    restricted algebra passes the abelian-commutant check with commutant
-    dimension equal to the number of sectors.
+    Returns the isometry ``V``, the truncated algebra ``V^* O V`` and its
+    commutant ``T'``, the scalars on each truncated sector.  Per sector, the
+    commutant restricted to the block, ``W^* O' W = M_d (x) 1_ntilde``, is
+    formed on the spot from the sector's isometry ``W`` and the
+    decomposition's commutant basis (it need not be orthonormal to draw
+    from).  A seeded generic Hermitian element of it, redrawn up to 16
+    times, must show ``d`` spectral clusters of size ``ntilde`` each; the
+    lowest cluster's eigenspace ``V_s = W u_s`` is the copy kept.  The
+    stacked isometry satisfies ``V^* V = 1`` on the truncated space.
+
+    The truncated basis is written down, not orthonormalised: element ``i``
+    is the block diagonal of ``sqrt(d_s) V_s^* B_i V_s`` over the sectors.
+    Each ``P_s`` is central (the decomposition checked its leak), so ``B``
+    acts on block ``s`` as ``1_d (x) b_s`` with ``||P_s B P_s||^2 = d_s
+    ||b_s||^2`` and ``V_s^* B V_s = b_s``; hence ``B -> (+)_s sqrt(d_s) V_s^*
+    B V_s`` is an HS isometry of ``O`` onto ``V^* O V`` and carries an
+    orthonormal basis to one.  Its Gram matrix is held to the identity at
+    1e-10, and the identity must lie in its span.
+
+    The verdict comes from the commutant ``T'`` of a seeded generic pair of
+    the truncated basis (salt 205).  The pair generates ``T`` inside ``V^* O
+    V``, so ``T'`` contains ``(V^* O V)'``, which contains every ``V^* P_s
+    V``.  ``T'`` must be abelian, of dimension the number of sectors, and
+    contain each ``V^* P_s V``; then it is their span and equals ``(V^* O
+    V)'``, abelian, with every truncated block irreducible.  A pair that
+    generates less can only make the check fail, never pass.
     """
-    columns = []
+    columns, blocks = [], []
     for sidx, sec in enumerate(dec.sectors):
         restricted_cp = sec.isometry.conj().T @ dec.commutant.basis @ sec.isometry
         _, v, groups = _generic_split(
             restricted_cp, tol, ((202, sidx, a) for a in range(16)),
             lambda g: len(g) == sec.d and all(c.size == sec.ntilde for c in g))
-        columns.append(sec.isometry @ v[:, groups[0]])  # lowest spectral cluster
+        v_s = sec.isometry @ v[:, groups[0]]  # lowest spectral cluster
+        columns.append(v_s)
+        blocks.append(np.sqrt(sec.d) * (v_s.conj().T @ dec.algebra.basis @ v_s))
     v_full = np.hstack(columns)
+    m = v_full.shape[1]
     gram = v_full.conj().T @ v_full
-    if np.max(np.abs(gram - np.eye(v_full.shape[1]))) > 1e-10:
+    if np.max(np.abs(gram - np.eye(m))) > 1e-10:
         raise PostconditionFailure("stacked truncation isometry is not isometric")
 
-    restricted_ops = v_full.conj().T @ dec.algebra.basis @ v_full
-    o_tilde = algebra_from_span(restricted_ops, tol)
-    report = check_dirac(central_decomposition(o_tilde, tol), tol)
-    if not report.v2_holds or report.commutant_dim != len(dec.sectors):
+    # HS products of block-diagonal matrices add up block by block
+    q = dec.algebra.algebra_dim
+    packed = np.concatenate([b.reshape(q, -1) for b in blocks], axis=1)
+    if np.max(np.abs(packed.conj() @ packed.T - np.eye(q))) > 1e-10:
+        raise PostconditionFailure("truncated algebra basis is not HS-orthonormal")
+    basis = np.zeros((q, m, m), dtype=complex)
+    lo = 0
+    for b in blocks:
+        hi = lo + b.shape[1]
+        basis[:, lo:hi, lo:hi] = b
+        lo = hi
+    if span_residual(basis, np.eye(m, dtype=complex)) > 10 * tol.rank_tol:
+        raise PostconditionFailure("identity not in the truncated algebra's span")
+    o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
+
+    t_cp = commutant(_generic_pair(basis, tol, (205,)), tol)
+    abelian, worst = is_abelian(t_cp, tol)
+    projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
+    missing = _max_span_residual(t_cp.basis, projectors)
+    if not abelian or t_cp.algebra_dim != len(dec.sectors) or missing > 10 * tol.rank_tol:
         raise PostconditionFailure(
             "truncated algebra failed the abelian-commutant check "
-            f"(v2={report.v2_holds}, commutant dim {report.commutant_dim}, "
-            f"expected {len(dec.sectors)})")
-    return v_full, o_tilde, report
+            f"(relative commutator {worst:.3e}, commutant dim {t_cp.algebra_dim}, "
+            f"expected {len(dec.sectors)}, sector projector residual {missing:.3e})")
+    return v_full, o_tilde, t_cp

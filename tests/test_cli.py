@@ -740,9 +740,11 @@ class TestStructureCallCounts:
 
     Each ``commutant`` call's member count after star completion is pinned
     too.  Only S' = commutant(S) and S'' = commutant(O) take the commutant
-    of a whole set or basis; every cross-check (the triple commutant, each
-    d = 1 irreducibility check, the witness's A = A') takes it of a generic
-    pair, 2 members, so a full-basis cross-check cannot creep back unseen.
+    of a whole set or basis (parastat takes S'' as the span of the group
+    unitaries instead); every cross-check (the triple commutant, each d = 1
+    irreducibility check, the witness's A = A', the truncated algebra's
+    verdict) takes it of a generic pair, 2 members, so a full-basis
+    cross-check cannot creep back unseen.
     """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
@@ -794,13 +796,14 @@ class TestStructureCallCounts:
         assert members == [2, 10, 2, 2, 2, 2]
 
     def test_parastat(self, monkeypatch):
-        # the invariant algebra and the truncated one are each decomposed once
+        # the invariant algebra is decomposed once, its commutant being the span
+        # of the permutation unitaries; the truncation is checked by the
+        # commutant of a generic pair of the truncated algebra
         counts, members = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
-        assert counts == {"commutant": 7, "central_decomposition": 2, "check_dirac": 1,
+        assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 0,
                           "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
-        # 6 permutations, O = M_4 + M_2 and the pair of its one d = 1 block; then
-        # the truncated algebra M_4 + M_2, its 2 irreducibility pairs and its witness pair
-        assert members == [6, 20, 2, 20, 2, 2, 2]
+        # 6 permutations, the pair of O's one d = 1 block, the truncated algebra's pair
+        assert members == [6, 2, 2]
 
     # No decomposition orthonormalises a restricted span: the d = 1 check
     # hands the restricted stack to commutant as it is, and d > 1 blocks
@@ -841,9 +844,9 @@ class TestStructureCallCounts:
 
     def test_parastat_orthonormalisations(self, monkeypatch):
         # the invariant algebra of S_3 on (C^2)^3 has sectors with d = 1 and
-        # d = 2; its truncation has two d = 1 sectors
+        # d = 2; its truncation is not decomposed again
         seen = self.orthonormalisations(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
-        assert seen == [([1, 2], 0), ([1, 1], 0)]
+        assert seen == [([1, 2], 0)]
 
 
 class TestGaugeFreeCommutators:

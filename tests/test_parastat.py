@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from superselect.errors import SizeLimit
-from superselect.opalgebra import commutant, is_abelian, operator_set, span_residual
+from superselect import opalgebra, sectors
+from superselect.errors import PostconditionFailure, SizeLimit
+from superselect.opalgebra import (
+    algebra_from_span,
+    commutant,
+    is_abelian,
+    operator_set,
+    span_equal,
+    span_residual,
+)
 from superselect.parastat import (
     CHARACTER_TABLES,
     Permutation,
@@ -14,6 +22,7 @@ from superselect.parastat import (
     sector_oracle_multiset,
     symmetric_group,
 )
+from superselect.sectors import truncate
 
 ALL_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
 
@@ -145,19 +154,82 @@ class TestInvariantAlgebra:
         for g in rep.group():
             assert span_residual(cp.basis, rep.unitaries[g]) <= 1e-9
 
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_commutant_is_the_group_span(self, n, d, tol):
+        # the decomposition takes O' as the span of the unitaries; the full
+        # solve must agree with it
+        rep = permutation_unitaries(n, d)
+        solved = commutant(invariant_algebra(rep, tol).as_set(), tol)
+        group_span = algebra_from_span([rep.unitaries[g] for g in rep.group()], tol)
+        assert span_equal(solved, group_span, tol)
+
 
 class TestTruncation:
+    SECTOR_TABLES = {  # (n, d) -> sorted (d_i, ntilde_i) of the present blocks
+        (2, 2): [(1, 1), (1, 3)],
+        (2, 3): [(1, 3), (1, 6)],
+        (3, 2): [(1, 4), (2, 2)],
+        (3, 3): [(1, 1), (1, 10), (2, 8)],
+        (4, 2): [(1, 5), (2, 1), (3, 3)],
+    }
+
     @pytest.mark.parametrize("n,d,expect_dim,expect_sectors", [
-        (2, 2, 4, 2), (3, 2, 6, 2), (4, 2, 9, 3), (3, 3, 19, 3),
+        (2, 2, 4, 2), (2, 3, 9, 2), (3, 2, 6, 2), (4, 2, 9, 3), (3, 3, 19, 3),
     ])
     def test_case_study(self, n, d, expect_dim, expect_sectors, tol):
         rep = permutation_unitaries(n, d)
         result = parastat_truncation(rep, tol)
+        assert result["sector_table"] == self.SECTOR_TABLES[(n, d)]
         assert result["dim_truncated"] == expect_dim
         assert result["post_truncation_v2"]
         assert result["post_truncation_commutant_dim"] == expect_sectors
         assert result["oracle_agrees"]
         assert result["pre_truncation_abelian"] == (n == 2)
+
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_closed_form_basis(self, n, d, tol):
+        # the truncated basis is written down as an HS isometry's image; an
+        # orthonormalised span of V* B_i V is the reference
+        dec = decomposition_for(permutation_unitaries(n, d), tol)
+        v, o_t, _ = truncate(dec, tol)
+        o_t.validate(tol)
+        assert span_equal(o_t, algebra_from_span(v.conj().T @ dec.algebra.basis @ v, tol), tol)
+
+    def test_truncation_neither_orthonormalises_nor_decomposes(self, tol, monkeypatch):
+        dec = decomposition_for(permutation_unitaries(3, 3), tol)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("truncate orthonormalised a span or decomposed again")
+
+        for mod, name in [(opalgebra, "_orthonormalize_stack"),
+                          (opalgebra, "algebra_from_span"),
+                          (sectors, "central_decomposition")]:
+            monkeypatch.setattr(mod, name, forbidden)
+        truncate(dec, tol)
+
+    def test_both_copies_kept_raises(self, tol, monkeypatch):
+        # V keeps both multiplicity copies of the d = 2 block of (C^2)^3: still
+        # an isometry, but not one copy, so the check must fail
+        dec = decomposition_for(permutation_unitaries(3, 2), tol)
+        real = sectors._generic_split
+
+        def both_copies(members, tol, salts, accept):
+            w, v, groups = real(members, tol, salts, accept)
+            return w, v, [np.concatenate(groups)]
+
+        monkeypatch.setattr(sectors, "_generic_split", both_copies)
+        with pytest.raises(PostconditionFailure):
+            truncate(dec, tol)
+
+    def test_pair_generating_less_raises(self, tol, monkeypatch):
+        # a pair drawn from one basis member generates less than the truncated
+        # algebra, so its commutant is too large and the check must fail
+        dec = decomposition_for(permutation_unitaries(3, 2), tol)
+        real = opalgebra._generic_pair
+        monkeypatch.setattr(sectors, "_generic_pair",
+                            lambda members, tol, salt: real(members[:1], tol, salt))
+        with pytest.raises(PostconditionFailure, match="abelian-commutant check"):
+            truncate(dec, tol)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3)])
     def test_spectral_matches_oracle(self, n, d, tol):

@@ -119,9 +119,9 @@ class TestCentralDecomposition:
     def test_reducible_d_one_block_raises(self, tol, monkeypatch):
         # M_3 is one sector with d = 1.  Its restricted stack is swapped for
         # its diagonal part, whose commutant is the diagonal algebra, plus one
-        # Hermitian member of norm 1e-17, which is dropped as roundoff.  The
-        # generic pair drawn from the rest generates the diagonal algebra, and
-        # the check says the block is reducible.
+        # Hermitian member of norm 1e-17, which adds only roundoff to the
+        # generic pair.  The pair still has the diagonal algebra's commutant,
+        # and the check says the block is reducible.
         o = commutant(operator_set([np.eye(3)]), tol)
         h = random_hermitian(np.random.default_rng(3), 3)
         noise = 1e-17 * h / np.linalg.norm(h)
