@@ -58,9 +58,9 @@ from .numkernel import ToleranceConfig
 from .opalgebra import (
     _generic_pair,
     _max_commutator,
-    _verify_word_closure,
     check_dirac,
     commutant,
+    generated_algebra,
     span_equal,
     span_residual,
     star_completion,
@@ -147,11 +147,11 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     generators); the observables analyzed are everything commuting with
     them, mirroring the identical-particle construction."""
     s, raw = load_operator_file(path)
-    completed = star_completion(s)
-    obs = commutant(s, tol)               # the observable algebra O = S'
-    dec = central_decomposition(obs, tol)
-    gen = dec.commutant                   # algebra generated by the inputs, S'' = O'
-    _verify_word_closure(s, gen, tol)
+    completed = star_completion(s)        # S*, the one star completion of the input
+    obs = commutant(completed, tol)       # the observable algebra O = S'
+    # the algebra generated by the inputs, S'' = O', checked against word closure
+    gen = generated_algebra(completed, tol, commutant_algebra=obs)
+    dec = central_decomposition(obs, tol, commutant_algebra=gen)
     dirac = check_dirac(dec, tol)
     n = s.dim
     sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
@@ -293,7 +293,7 @@ def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
         }
 
     # extension associativity over sampled triples mirrors the cocycle identity
-    rng = np.random.default_rng([tol.seed, 404])
+    rng = tol.rng(404)
     assoc_resid = 0.0
     for _ in range(min(1000, group.order ** 3)):
         th = rng.uniform(-np.pi, np.pi, size=3)

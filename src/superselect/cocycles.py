@@ -214,11 +214,16 @@ class CoboundaryResult:
 def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
                      tol: ToleranceConfig = DEFAULT_TOL,
                      mode: str = "strict") -> CoboundaryResult:
-    """Solve xi' = xi + delta(gamma) for gamma with gamma(1) = 0, least squares.
+    """Solve xi' = xi + delta(gamma) for gamma with gamma(1) = 0, in closed form.
 
-    Returns gamma when the residual is at most 1e-10 (the multipliers are
-    then equivalent); otherwise reports the best-fit residual.  Both inputs
-    must pass the strict cocycle check.  Circle-valued (mod 2 pi)
+    ``omega = xi' - xi`` is a strict cocycle.  Averaging its cocycle
+    identity over ``g3`` gives ``omega = delta(gamma)`` exactly for
+    ``gamma(g) = mean_h omega(g, h)`` (Bargmann 1954: every real multiplier
+    on a finite group is a coboundary), and ``gamma(1) = 0`` because the
+    identity row of ``omega`` is exactly zero.  Returns gamma when the
+    residual ``max |delta(gamma) - omega|`` is at most 1e-10 (the
+    multipliers are then equivalent); otherwise reports that residual.
+    Both inputs must pass the strict cocycle check.  Circle-valued (mod 2 pi)
     equivalence is out of scope and raises :class:`Unsupported`.
     """
     if mode == "mod2pi":
@@ -232,21 +237,9 @@ def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
             raise NotACocycle(
                 f"{name} multiplier fails the strict cocycle identity "
                 f"(residual {rep.max_residual:.3e})")
-    group = mult.group
-    n = group.order
-    rhs = (mult_prime.xi - mult.xi).ravel()
-    rows = n * n
-    a = np.zeros((rows, n))
-    row = np.arange(rows)
-    g1 = np.repeat(np.arange(n), n)
-    g2 = np.tile(np.arange(n), n)
-    np.add.at(a, (row, g1), 1.0)
-    np.add.at(a, (row, group.table[g1, g2]), -1.0)
-    np.add.at(a, (row, g2), 1.0)
-    a = np.delete(a, group.identity, axis=1)  # gauge: gamma(identity) = 0
-    sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    gamma = np.insert(sol, group.identity, 0.0)
-    resid = float(np.max(np.abs(coboundary(group, gamma).ravel() - rhs)))
+    omega = mult_prime.xi - mult.xi
+    gamma = omega.mean(axis=1)
+    resid = float(np.max(np.abs(coboundary(mult.group, gamma) - omega)))
     if resid <= COBOUNDARY_TOL:
         return CoboundaryResult(gamma=gamma, max_residual=resid)
     return CoboundaryResult(gamma=None, max_residual=resid)

@@ -78,6 +78,17 @@ def _load_json(path) -> tuple[dict, bytes]:
     return doc, raw
 
 
+def _count(doc: dict, key: str, path) -> int:
+    """``doc[key]`` as an int; a fraction or a boolean is a :class:`ParseError` naming the key.
+
+    An integral float such as ``3.0`` is accepted.
+    """
+    value = doc[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ParseError(f"{path}: {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_from_parts(re_part, im_part, n: int, name: str) -> np.ndarray:
     def shape(part, label):
         arr = np.asarray(part, dtype=float)
@@ -95,7 +106,7 @@ def load_operator_file(path) -> tuple[OperatorSet, bytes]:
     """Parse an operator-set document; returns the set and the raw input bytes."""
     doc, raw = _load_json(path)
     try:
-        n = int(doc["dim"])
+        n = _count(doc, "dim", path)
         ops = doc["operators"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: expected keys 'dim' (int) and 'operators' (list)") from exc
@@ -127,7 +138,7 @@ def load_group_file(path) -> tuple[FiniteGroup, MultiplierTable, bytes]:
     """Parse a group/multiplier document {"order", "table", "xi"}."""
     doc, raw = _load_json(path)
     try:
-        order = int(doc["order"])
+        order = _count(doc, "order", path)
         table = np.asarray(doc["table"], dtype=int)
         xi = np.asarray(doc["xi"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
@@ -162,7 +173,7 @@ def load_dynamics_file(path) -> tuple[dict, bytes]:
             t=float(doc.get("t", 0.0)),
         )
         dt = float(doc["dt"])
-        steps = int(doc["steps"])
+        steps = _count(doc, "steps", path)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: bad dynamics configuration: {exc}") from exc
     if steps < 0:

@@ -20,7 +20,6 @@ __all__ = [
     "as_complex_matrix",
     "hermitian_eig",
     "orthonormal_nullspace",
-    "hs_inner",
     "hermitian_part",
     "cluster_eigenvalues",
     "random_hermitian",
@@ -67,11 +66,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(a^* b)."""
-    return complex(np.vdot(a, b))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:

@@ -148,13 +148,12 @@ def operator_set(mats, names=None, tol: ToleranceConfig = DEFAULT_TOL) -> Operat
         names = tuple(names)
         if len(names) != len(mats):
             raise ValueError("number of names must match number of operators")
-    # Decide *-closure on the members scaled to unit HS norm, zero members
-    # dropped, as commutant does: the orthonormalisation cutoff is relative
-    # to the largest member, so a member many decades smaller would
-    # otherwise drop out and its missing adjoint go unseen.
-    norms = np.linalg.norm(members.reshape(len(mats), -1), axis=1)
-    unit = members[norms > 0] / norms[norms > 0, None, None]
-    closed = not len(unit) or _max_span_residual(
+    # Decide *-closure on the unit members, as commutant does: the
+    # orthonormalisation cutoff is relative to the largest member, so a
+    # member many decades smaller would otherwise drop out and its missing
+    # adjoint go unseen.
+    unit = _unit_members(members)
+    closed = _max_span_residual(
         _orthonormalize_stack(unit, tol), unit.conj().transpose(0, 2, 1)) <= tol.rank_tol
     return OperatorSet(dim=n, members=members, names=names, self_adjoint_closed=closed)
 
@@ -184,6 +183,19 @@ def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgeb
 
 # ---------------------------------------------------------------------------
 # span utilities
+
+def _unit_members(members: np.ndarray) -> np.ndarray:
+    """The non-zero members of a ``(k, n, n)`` stack, each scaled to unit HS norm.
+
+    The span is unchanged.  A stack with no non-zero member is returned as
+    it is.
+    """
+    norms = np.linalg.norm(members.reshape(len(members), -1), axis=1)
+    nonzero = norms > 0
+    if not nonzero.any():
+        return members
+    return members[nonzero] / norms[nonzero, None, None]
+
 
 def _orthonormalize_stack(mats: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     k, n, _ = mats.shape
@@ -471,10 +483,7 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     # the largest would otherwise fall below it and drop out of the
     # constraints.  Zero members carry no constraint; an all-zero set stays
     # as it is and yields the full matrix algebra.
-    norms = np.linalg.norm(s.members.reshape(len(s), -1), axis=1)
-    nonzero = norms > 0
-    members = (s.members[nonzero] / norms[nonzero, None, None]
-               if nonzero.any() else s.members)
+    members = _unit_members(s.members)
     _, v, groups = _separated_split(members, tol, [(101,), (101, 1), (101, 2), (101, 3)])
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
@@ -606,25 +615,24 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     return int(sum(_block_widths(b).sum() for b in q))
 
 
-def _verify_word_closure(s: OperatorSet, double: OperatorAlgebra,
-                         tol: ToleranceConfig) -> None:
-    """Cross-check a double commutant ``s''`` against the word closure of ``s``.
+def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
+                      commutant_algebra: OperatorAlgebra | None = None) -> OperatorAlgebra:
+    """The *-algebra generated by a set: its double commutant, verified by word closure.
 
-    The word closure (repeatedly adjoining left products by the
-    star-completed members, see :func:`_word_closure_dim`) is an independent
-    route to the generated algebra; a dimension disagreement signals a
-    tolerance failure and raises :class:`ClosureMismatch`.
+    A precomputed commutant ``S'`` may be passed, as to :func:`center`, in
+    place of the solve ``commutant(s)``.  The word closure of the
+    star-completed members (:func:`_word_closure_dim`) is an independent
+    route to the same algebra; a dimension disagreement signals a tolerance
+    failure and raises :class:`ClosureMismatch`.
     """
+    cp = commutant_algebra
+    if cp is None:
+        cp = commutant(s, tol)
+    double = commutant(cp.as_set(), tol)
     wdim = _word_closure_dim(s, tol)
     if wdim != double.algebra_dim:
         raise ClosureMismatch(
             f"double commutant dim {double.algebra_dim} != word closure dim {wdim}")
-
-
-def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
-    """The *-algebra generated by a set: its double commutant, verified by word closure."""
-    double = commutant(commutant(s, tol).as_set(), tol)
-    _verify_word_closure(s, double, tol)
     return double
 
 

@@ -159,23 +159,19 @@ def _group_span(rep: TensorRep, tol: ToleranceConfig) -> OperatorAlgebra:
 def character_oracle(rep: TensorRep) -> list[tuple[tuple[int, ...], int, int]]:
     """Isotypic data (partition, irrep dim d, multiplicity ntilde) for every irrep.
 
-    Built from the character projectors (d/|G|) sum_g chi(g) U(g); the
-    multiplicity is rank(projector)/d and must be an integer within 0.01.
-    This is the independent oracle against which the spectral sector
-    decomposition is validated.
+    The character projector (d/|G|) sum_g chi(g) U(g) has rank equal to its
+    trace, (d/|G|) sum_g chi(g) tr U(g), so no projector is formed; the
+    multiplicity is rank/d and must be an integer within 0.01.  This is the
+    independent oracle against which the spectral sector decomposition is
+    validated.
     """
     table = CHARACTER_TABLES.get(rep.n_particles)
     if table is None:
         raise SizeLimit(f"character table not built in for n={rep.n_particles}")
-    group = rep.group()
-    order = len(group)
+    traces = {g: float(np.trace(u).real) for g, u in rep.unitaries.items()}
     out = []
     for partition, d, chars in table:
-        proj = np.zeros((rep.dim, rep.dim), dtype=complex)
-        for g in group:
-            proj += chars[g.cycle_type()] * rep.unitaries[g]
-        proj *= d / order
-        rank = float(np.trace(proj).real)
+        rank = d / len(traces) * sum(chars[g.cycle_type()] * tr for g, tr in traces.items())
         ntilde = rank / d
         if abs(ntilde - round(ntilde)) > 0.01:
             raise NonIntegerRank(
@@ -195,8 +191,7 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     ``pre_truncation_max_commutator`` is the largest relative commutator of
     the permutation unitaries, which generate that commutant.
     """
-    o = invariant_algebra(rep, tol)
-    dec = central_decomposition(o, tol, commutant_algebra=_group_span(rep, tol))
+    dec = decomposition_for(rep, tol)
     pre_abelian = _abelian_commutant(dec, tol)
     v_iso, _, post = truncate(dec, tol)  # post: the truncated algebra's commutant
 
@@ -211,7 +206,7 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
         "n_particles": rep.n_particles,
         "d_single": rep.d_single,
         "dim": rep.dim,
-        "algebra_dim": o.algebra_dim,
+        "algebra_dim": dec.algebra.algebra_dim,
         "commutant_dim": dec.commutant.algebra_dim,
         "pre_truncation_abelian": pre_abelian,
         "pre_truncation_max_commutator": _max_commutator(

@@ -167,14 +167,15 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     The commutant and the center are computed once here and kept on the
     result.  A precomputed commutant may be passed, as to :func:`center`, in
     place of the solve ``commutant(o.as_set())``.  It must be an
-    HS-orthonormal basis of the algebra's commutant: ``algebra_from_span``
-    of a group's unitaries is one when ``o`` is the group's commutant, as
-    their span is closed under products and adjoints and so is the double
-    commutant.  A one-dimensional center gives one sector, the whole space,
-    with no draw.  Otherwise a seeded generic Hermitian element of the
-    center is diagonalized and its eigenvalue clusters give the minimal
-    central projectors; it is redrawn, up to 16 times, until it shows one
-    cluster per center dimension.
+    HS-orthonormal basis of the algebra's commutant: ``generated_algebra``
+    of a set is one when ``o`` is the set's commutant, and so is
+    ``algebra_from_span`` of a group's unitaries when ``o`` is the group's
+    commutant, as their span is closed under products and adjoints and so
+    is the double commutant.  A one-dimensional center gives one sector,
+    the whole space, with no draw.  Otherwise a seeded generic Hermitian
+    element of the center is diagonalized and its eigenvalue clusters give
+    the minimal central projectors; it is redrawn, up to 16 times, until it
+    shows one cluster per center dimension.
 
     On a block with isometry ``W``, ``ntilde^2`` and ``d^2`` are traces of
     the block's projector on the algebra and on its commutant: the squared

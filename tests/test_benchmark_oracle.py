@@ -8,6 +8,7 @@ broke the word closure is kept as a regression case.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import time
@@ -65,6 +66,40 @@ def test_traced_functions_resolve():
                if not callable(getattr(importlib.import_module(f"superselect.{module}"),
                                        fn, None))]
     assert names and missing == []
+
+
+def perfbench_module(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = os.path.join(os.path.dirname(WORKLOADS_PATH), f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_is_reached(workloads, tmp_path):
+    # the harness self-check's reachability condition: the seed-3 tiny items
+    # of the three workloads call every function layers.json traces, and the
+    # planted items call no case-study layer
+    tracing, selfcheck = perfbench_module("tracing"), perfbench_module("selfcheck")
+    tracer = tracing.Tracer(tracing.traced_functions())
+    called = set()
+    tracer.install()
+    try:
+        for name in workloads.WORKLOADS:
+            workdir = tmp_path / name
+            workdir.mkdir()
+            items, _ = workloads.build(name, 3, str(workdir), tiny=True)
+            first = len(tracer.spans)
+            for item in items:
+                cli.run_command(cli.build_parser().parse_args(list(item.argv)))
+            hit = {tracer.names[span[0]] for span in tracer.spans[first:]}
+            if name.startswith("planted"):
+                assert sorted(f for f in hit if f.startswith(selfcheck.CASE_STUDY_LAYERS)) == []
+            called |= hit
+    finally:
+        tracer.uninstall()
+    assert sorted(set(tracer.names) - called) == []
 
 
 def test_perturbed_input_with_a_one_dimensional_center(workloads, tmp_path):

@@ -778,11 +778,12 @@ class TestStructureCallCounts:
         return counts, members
 
     def test_algebra_non_abelian(self, tmp_path, monkeypatch):
-        # S' -> one decomposition (holds S'') -> triple commutant
+        # S' -> S'' (generated_algebra, with the word closure) -> one
+        # decomposition that is handed both -> triple commutant
         path = planted_file(tmp_path, [(1, 2), (3, 3)])
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 0}
+                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 0}
         # two Hermitian generators; dim O = 1 + 9; the triple commutant's pair
         assert members == [2, 10, 2]
 
@@ -791,7 +792,7 @@ class TestStructureCallCounts:
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 6, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 0, "_word_closure_dim": 1, "is_abelian": 1}
+                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1}
         # S, O = M_1 + M_3, two irreducibility pairs, the witness pair, the triple pair
         assert members == [2, 10, 2, 2, 2, 2]
 

@@ -30,6 +30,37 @@ def random_gamma(group, rng):
     return g
 
 
+def lstsq_gamma(group, omega):
+    """Reference solve of omega = delta(gamma), gamma(1) = 0, by least squares.
+
+    One row per pair (g1, g2) of the design matrix of delta, with the
+    identity's column deleted as the gauge.
+    """
+    n = group.order
+    rows = np.arange(n * n)
+    g1, g2 = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+    a = np.zeros((n * n, n))
+    np.add.at(a, (rows, g1), 1.0)
+    np.add.at(a, (rows, group.table[g1, g2]), -1.0)
+    np.add.at(a, (rows, g2), 1.0)
+    sol, *_ = np.linalg.lstsq(np.delete(a, group.identity, axis=1), omega.ravel(), rcond=None)
+    return np.insert(sol, group.identity, 0.0)
+
+
+def relabelled_s3():
+    """S3 with its elements renumbered so that the identity is not index 0."""
+    t = symmetric_group_s3().table
+    new = np.array([3, 5, 0, 1, 4, 2])  # element i becomes new[i]
+    table = np.empty_like(t)
+    table[new[:, None], new[None, :]] = new[t]
+    group = finite_group(table)
+    assert group.identity == 3
+    return group
+
+
+GROUPS = {**BUILTIN_GROUPS, "S3 relabelled": relabelled_s3}
+
+
 class TestFiniteGroup:
     def test_builtin_groups_valid(self):
         for name, mk in BUILTIN_GROUPS.items():
@@ -93,6 +124,21 @@ class TestCoboundarySolve:
         assert np.allclose(res.gamma, gamma0, atol=1e-12)
         # substitution cross-check
         assert np.max(np.abs(coboundary(g, res.gamma) - xi_prime.xi)) <= 1e-12
+
+    @pytest.mark.parametrize("name", GROUPS)
+    def test_matches_least_squares_reference(self, name, tol):
+        # both tables are coboundaries; the unique gamma with gamma(1) = 0
+        # (a finite group has no non-zero homomorphism to R) is their difference
+        g = GROUPS[name]()
+        rng = np.random.default_rng(11)
+        beta, gamma0 = random_gamma(g, rng), random_gamma(g, rng)
+        xi = MultiplierTable(group=g, xi=coboundary(g, beta))
+        xi_prime = MultiplierTable(group=g, xi=coboundary(g, beta + gamma0))
+        res = coboundary_solve(xi, xi_prime, tol)
+        assert res.equivalent and res.max_residual <= 1e-12
+        assert res.gamma[g.identity] == 0.0
+        assert np.max(np.abs(res.gamma - lstsq_gamma(g, xi_prime.xi - xi.xi))) <= 1e-12
+        assert np.max(np.abs(res.gamma - gamma0)) <= 1e-12
 
     def test_rejects_non_cocycles(self, tol):
         pm = pauli_multiplier()

@@ -118,6 +118,38 @@ class TestDynamicsFiles:
             load_dynamics_file(write(tmp_path, "dyn3.json", {"masses": [1.0]}))
 
 
+GROUP_DOC = {"order": 2, "table": [[0, 1], [1, 0]], "xi": [[0, 0], [0, 0]]}
+DYNAMICS_DOC = {"masses": [1.0], "x": [[0, 0, 0]], "p": [[0, 0, 0]],
+                "lambda": [0.0], "dt": 1e-3, "steps": 3}
+
+
+@pytest.mark.parametrize("loader,key,value,expected", [
+    ("operator", "dim", 2.9, None),
+    ("operator", "dim", True, None),
+    ("operator", "dim", 3.0, 3),
+    ("group", "order", 1.5, None),
+    ("group", "order", True, None),
+    ("group", "order", 2.0, 2),
+    ("dynamics", "steps", 3.7, None),
+    ("dynamics", "steps", False, None),
+    ("dynamics", "steps", 3.0, 3),
+])
+def test_counts_must_be_integral(tmp_path, opset_doc, loader, key, value, expected):
+    # a fraction or a boolean is refused with the key named, never truncated
+    # by int(); an integral float is read as its integer
+    base, load, read = {
+        "operator": (opset_doc, load_operator_file, lambda out: out[0].dim),
+        "group": (GROUP_DOC, load_group_file, lambda out: out[0].order),
+        "dynamics": (DYNAMICS_DOC, load_dynamics_file, lambda out: out[0]["steps"]),
+    }[loader]
+    path = write(tmp_path, "doc.json", {**base, key: value})
+    if expected is None:
+        with pytest.raises(ParseError, match=f"'{key}' must be an integer"):
+            load(path)
+    else:
+        assert read(load(path)) == expected
+
+
 class TestCanonicalJson:
     def test_float_round_trip(self):
         vals = [0.1, 1 / 3, np.pi, 1e-300, 123456.789e12]

@@ -121,6 +121,22 @@ class TestCharacterOracle:
         rep = permutation_unitaries(n, d)
         assert sum(dd * nt for _, dd, nt in character_oracle(rep)) == d ** n
 
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_trace_formula_matches_explicit_projectors(self, n, d):
+        # the oracle reads each rank from traces; here the character projectors
+        # are formed and their ranks taken numerically
+        rep = permutation_unitaries(n, d)
+        group = rep.group()
+        expected = []
+        for partition, dim_i, chars in CHARACTER_TABLES[n]:
+            proj = sum(chars[g.cycle_type()] * rep.unitaries[g] for g in group)
+            proj = (dim_i / len(group)) * proj
+            assert np.max(np.abs(proj @ proj - proj)) <= 1e-12, partition
+            rank = np.linalg.matrix_rank(proj, tol=1e-8)
+            assert rank % dim_i == 0, partition
+            expected.append((partition, dim_i, rank // dim_i))
+        assert character_oracle(rep) == expected
+
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2)])
     def test_projectors_commute_with_observables(self, n, d, tol):
         rep = permutation_unitaries(n, d)
