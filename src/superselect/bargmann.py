@@ -59,6 +59,8 @@ __all__ = [
     "dynamics_symmetry_check",
 ]
 
+RAY_COMPOSE_TOL = 1e-12  # roundoff bound on the ray composition's largest deviation
+
 
 def _rotate(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """R x for one element or per sample along the leading axis."""
@@ -293,7 +295,7 @@ def ray_compose_check(mass: float, grid, g1: GalileiElement, g2: GalileiElement,
     Applies the transformation for g2 then g1 and compares with the single
     transformation for g1 g2 times exp(i xi), xi = M v1 a2.  Both elements
     must be pure boost/translations along x (b = 0, R = 1) with shifts on
-    the grid; the comparison is exact up to roundoff (1e-12).
+    the grid; the comparison is exact up to roundoff (``RAY_COMPOSE_TOL``).
     """
     x = np.asarray(grid, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -323,7 +325,7 @@ def ray_compose_check(mass: float, grid, g1: GalileiElement, g2: GalileiElement,
         "exponent": xi,
         "phase": complex(np.exp(1j * xi)),
         "max_deviation": deviation,
-        "ok": deviation <= 1e-12,
+        "ok": deviation <= RAY_COMPOSE_TOL,
     }
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__
 from .bargmann import (
+    RAY_COMPOSE_TOL,
     GalileiElement,
     bargmann_cocycle_check,
     dynamics_symmetry_check,
@@ -31,6 +32,7 @@ from .bargmann import (
     transform_phase_point,
 )
 from .cocycles import (
+    COCYCLE_TOL,
     CocycleReport,
     check_cocycle,
     coboundary_solve,
@@ -56,8 +58,8 @@ from .fluxsectors import (
 )
 from .numkernel import ToleranceConfig
 from .opalgebra import (
-    _generic_pair,
     _max_commutator,
+    _pair_commutant,
     check_dirac,
     commutant,
     generated_algebra,
@@ -89,11 +91,12 @@ class AnalysisReport:
         return all(c["passed"] for c in self.checks)
 
     def to_document(self) -> dict:
+        """The report as a dict; :func:`canonical_json_bytes` converts its numpy values."""
         return {
             "tool_version": self.tool_version,
             "seed": self.seed,
             "input_digest": self.input_digest,
-            "sections": jsonable(self.sections),
+            "sections": self.sections,
         }
 
     def to_json_bytes(self) -> bytes:
@@ -130,6 +133,18 @@ def _check(name: str, value, threshold, passed) -> dict:
             "threshold": jsonable(threshold), "passed": bool(passed)}
 
 
+def _at_most(name: str, value, threshold) -> dict:
+    return _check(name, value, threshold, value <= threshold)
+
+
+def _above(name: str, value, threshold) -> dict:
+    return _check(name, value, threshold, value > threshold)
+
+
+def _equal(name: str, value, threshold) -> dict:
+    return _check(name, value, threshold, value == threshold)
+
+
 def _args_digest(**params) -> str:
     return sha256_hex(canonical_json_bytes(params))
 
@@ -162,7 +177,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     # already checked every basis element of O = S' against every one of S'',
     # so S' lies in S''' and S''' in T': T' = S' proves the identity.  A pair
     # generating less than S'' can only make T' larger and the check fail
-    triple_ok = span_equal(obs, commutant(_generic_pair(gen.basis, tol, (105,)), tol), tol)
+    triple_ok = span_equal(obs, _pair_commutant(gen.basis, tol, (105,)), tol)
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
     norms = np.linalg.norm(s.members, axis=(1, 2))
@@ -170,22 +185,18 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
                         for m, nm in zip(s.members, norms) if nm > 0), default=0.0)
 
     checks = [
-        _check("sum d_i * ntilde_i == dim", sum_dn, n, sum_dn == n),
-        _check("dim(observables) == sum ntilde_i^2", obs.algebra_dim, sum_n2,
-               obs.algebra_dim == sum_n2),
-        _check("dim(generated) == sum d_i^2", gen.algebra_dim, sum_d2,
-               gen.algebra_dim == sum_d2),
-        _check("generators lie in generated algebra (residual)", member_resid,
-               100 * tol.rank_tol, member_resid <= 100 * tol.rank_tol),
-        _check("triple commutant equals commutant", triple_ok, True, triple_ok),
+        _equal("sum d_i * ntilde_i == dim", sum_dn, n),
+        _equal("dim(observables) == sum ntilde_i^2", obs.algebra_dim, sum_n2),
+        _equal("dim(generated) == sum d_i^2", gen.algebra_dim, sum_d2),
+        _at_most("generators lie in generated algebra (residual)", member_resid,
+                 100 * tol.rank_tol),
+        _equal("triple commutant equals commutant", triple_ok, True),
     ]
     if dirac.v2_holds:
-        checks.append(_check("witness is maximal abelian (A = A')",
-                             dirac.witness_is_maximal_abelian, True,
-                             bool(dirac.witness_is_maximal_abelian)))
-        checks.append(_check("witness contained in observables",
-                             dirac.witness_in_observables, True,
-                             bool(dirac.witness_in_observables)))
+        checks.append(_equal("witness is maximal abelian (A = A')",
+                             dirac.witness_is_maximal_abelian, True))
+        checks.append(_equal("witness contained in observables",
+                             dirac.witness_in_observables, True))
     sections = {
         "input": {
             "path": os.path.basename(str(path)),
@@ -220,14 +231,12 @@ def cmd_parastat(n: int, d: int, tol: ToleranceConfig) -> AnalysisReport:
     checks = [
         _check("spectral sectors match character oracle", result["sector_table"],
                "oracle multiset", result["oracle_agrees"]),
-        _check("post-truncation commutant abelian (Dirac v2)",
-               result["post_truncation_v2"], True, result["post_truncation_v2"]),
-        _check("post-truncation commutant dim == number of sectors",
-               result["post_truncation_commutant_dim"], len(result["sector_table"]),
-               result["post_truncation_commutant_dim"] == len(result["sector_table"])),
-        _check("sum d_i * ntilde_i == d^n",
-               sum(a * b for a, b in result["sector_table"]), rep.dim,
-               sum(a * b for a, b in result["sector_table"]) == rep.dim),
+        _equal("post-truncation commutant abelian (Dirac v2)",
+               result["post_truncation_v2"], True),
+        _equal("post-truncation commutant dim == number of sectors",
+               result["post_truncation_commutant_dim"], len(result["sector_table"])),
+        _equal("sum d_i * ntilde_i == d^n",
+               sum(a * b for a, b in result["sector_table"]), rep.dim),
     ]
     sections = {"parastatistics": result, "checks": checks}
     return AnalysisReport(tool_version=__version__, seed=tol.seed,
@@ -251,18 +260,14 @@ def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> An
         np.array([m1 / 2.0, m1 / 2.0]), samples, tol.seed)
 
     checks = [
-        _check("multiplier cocycle residual", cocycle_resid, 1e-9, cocycle_resid <= 1e-9),
+        _at_most("multiplier cocycle residual", cocycle_resid, 1e-9),
         # each obstruction is linear in its mass, so each is held to its own mass
-        _check("obstruction m1 > 0.1 m1", mass_rep["obstruction_m1"], 0.1 * m1,
-               mass_rep["obstruction_m1"] > 0.1 * m1),
-        _check("obstruction m2 > 0.1 m2", mass_rep["obstruction_m2"], 0.1 * m2,
-               mass_rep["obstruction_m2"] > 0.1 * m2),
-        _check("obstruction of difference > 0.1 |m1 - m2|",
-               mass_rep["obstruction_difference"], 0.1 * abs(m1 - m2),
-               mass_rep["obstruction_difference"] > 0.1 * abs(m1 - m2)),
-        _check("ray composition deviation", ray["max_deviation"], 1e-12, ray["ok"]),
-        _check("extended action composition residual", action_resid, 1e-12,
-               action_resid <= 1e-12),
+        _above("obstruction m1 > 0.1 m1", mass_rep["obstruction_m1"], 0.1 * m1),
+        _above("obstruction m2 > 0.1 m2", mass_rep["obstruction_m2"], 0.1 * m2),
+        _above("obstruction of difference > 0.1 |m1 - m2|",
+               mass_rep["obstruction_difference"], 0.1 * abs(m1 - m2)),
+        _at_most("ray composition deviation", ray["max_deviation"], RAY_COMPOSE_TOL),
+        _at_most("extended action composition residual", action_resid, 1e-12),
     ]
     sections = {
         "mass_superselection": mass_rep,
@@ -306,10 +311,9 @@ def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
             assoc_resid = float("inf")
 
     checks = [
-        _check(f"cocycle identity ({mode})", requested.max_residual, 1e-10,
-               requested.holds),
+        _at_most(f"cocycle identity ({mode})", requested.max_residual, COCYCLE_TOL),
         _check("extension associativity iff strict cocycle",
-               assoc_resid, 1e-10, (assoc_resid <= 1e-10) == strict.holds),
+               assoc_resid, COCYCLE_TOL, (assoc_resid <= COCYCLE_TOL) == strict.holds),
     ]
     sections = {
         "input": {"path": os.path.basename(str(path)), "order": group.order},
@@ -347,14 +351,11 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
             if l % 2 == 1:
                 max_odd_l = max(max_odd_l, v)
 
-    checks = [_check("recovered charge matches e", abs(charge - e), 1e-8,
-                     abs(charge - e) <= 1e-8)]
+    checks = [_at_most("recovered charge matches e", abs(charge - e), 1e-8)]
     if axial:
-        checks.append(_check("m != 0 moments vanish (p along z)", max_m_nonzero,
-                             1e-10, max_m_nonzero <= 1e-10))
+        checks.append(_at_most("m != 0 moments vanish (p along z)", max_m_nonzero, 1e-10))
     if formula == "instantaneous":
-        checks.append(_check("odd-l moments vanish (flux even in n)", max_odd_l,
-                             1e-10, max_odd_l <= 1e-10))
+        checks.append(_at_most("odd-l moments vanish (flux even in n)", max_odd_l, 1e-10))
 
     table = [{"l": l, "m": mm, "f": fm.coeff(l, mm)}
              for l in range(lmax + 1) for mm in range(-l, l + 1)]
@@ -385,23 +386,22 @@ def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
     drift = traj.drift  # of the centre-of-mass-frame energy, so a boost leaves it alone
 
     checks = [
-        _check("relative energy drift", drift, 1e-6, drift <= 1e-6),
-        _check("masses constant", float(np.max(np.abs(traj.m - point.m))), 0.0,
-               bool(np.all(traj.m == point.m))),
+        _at_most("relative energy drift", drift, 1e-6),
+        _at_most("masses constant", float(np.max(np.abs(traj.m - point.m))), 0.0),
     ]
     free_lambda_err = None
     if potential is None:
         rate = -np.sum(point.p * point.p, axis=1) / (2.0 * point.m ** 2)
         expect = point.lam + rate * (traj.times[-1] - traj.times[0])
         free_lambda_err = float(np.max(np.abs(traj.lam[-1] - expect)))
-        checks.append(_check("free-particle lambda matches closed form",
-                             free_lambda_err, 1e-10, free_lambda_err <= 1e-10))
+        checks.append(_at_most("free-particle lambda matches closed form",
+                               free_lambda_err, 1e-10))
     symmetry_dev = None
     if element is not None:
         symmetry_dev = dynamics_symmetry_check(traj, element, potential, cfg["dt"],
                                                moved=moved[0])
-        checks.append(_check("extension element maps solutions to solutions",
-                             symmetry_dev, 1e-5, symmetry_dev <= 1e-5))
+        checks.append(_at_most("extension element maps solutions to solutions",
+                               symmetry_dev, 1e-5))
 
     sections = {
         "input": {"path": os.path.basename(str(path)),

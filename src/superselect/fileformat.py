@@ -78,15 +78,32 @@ def _load_json(path) -> tuple[dict, bytes]:
     return doc, raw
 
 
-def _count(doc: dict, key: str, path) -> int:
-    """``doc[key]`` as an int; a fraction or a boolean is a :class:`ParseError` naming the key.
+def _not_an_integer(value) -> bool:
+    """Whether a parsed value is anything but an integer or an integral float.
 
-    An integral float such as ``3.0`` is accepted.
+    ``int()`` would truncate a fraction and read a boolean or a numeric
+    string without complaint; an integral float such as ``3.0`` is accepted.
     """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return True
+    return isinstance(value, float) and not value.is_integer()
+
+
+def _count(doc: dict, key: str, path) -> int:
+    """``doc[key]`` as an int; any other value is a :class:`ParseError` naming the key."""
     value = doc[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if _not_an_integer(value):
         raise ParseError(f"{path}: {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _integers(doc: dict, key: str, path) -> np.ndarray:
+    """``doc[key]`` as an int array; any other entry is a :class:`ParseError` naming the key."""
+    entries = np.asarray(doc[key], dtype=object)
+    bad = [v for v in entries.flat if _not_an_integer(v)]
+    if bad:
+        raise ParseError(f"{path}: {key!r} entries must be integers, got {bad[0]!r}")
+    return entries.astype(int)
 
 
 def _matrix_from_parts(re_part, im_part, n: int, name: str) -> np.ndarray:
@@ -139,7 +156,7 @@ def load_group_file(path) -> tuple[FiniteGroup, MultiplierTable, bytes]:
     doc, raw = _load_json(path)
     try:
         order = _count(doc, "order", path)
-        table = np.asarray(doc["table"], dtype=int)
+        table = _integers(doc, "table", path)
         xi = np.asarray(doc["xi"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: expected keys 'order', 'table', 'xi'") from exc

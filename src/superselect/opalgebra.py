@@ -275,36 +275,28 @@ def _generic_hermitian_combo(members: np.ndarray, rng: np.random.Generator) -> n
     return y + y.conj().T
 
 
-def _generic_pair(members: np.ndarray, tol: ToleranceConfig, salt) -> OperatorSet:
-    """Two seeded generic Hermitian elements of a stack's span, as a *-closed set.
-
-    Both come from one stream ``tol.rng(*salt)``
-    (:func:`_generic_hermitian_combo`).  Every finite-dimensional
-    C*-algebra is generated by two Hermitian elements, and a generic pair
-    drawn from a spanning set of a *-closed algebra generates all of it with
-    probability 1, so the pair has the algebra's commutant.  A cross-check
-    that only compares a commutant takes it of the pair instead of a whole
-    basis: ``T`` inside ``A`` gives ``T'`` containing ``A'``, so a pair that
-    misses part of the algebra can only make such a check fail, never pass.
-    """
-    rng = tol.rng(*salt)
-    pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
-    return OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
-                       self_adjoint_closed=True)
-
-
 def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
-    """``(w, v, groups)`` of the first seeded generic element whose clusters pass ``accept``.
+    """``(w, v, groups)`` of a seeded generic element whose clusters pass ``accept``.
 
-    Per salt, the element drawn from ``tol.rng(*salt)`` is diagonalized and
-    its ascending eigenvalues clustered at ``cluster_tol``.  When no draw
-    passes, :class:`DegenerateGenericElement` names the last salt.
+    Per salt, in order, the element drawn from ``tol.rng(*salt)`` is
+    diagonalized and its ascending eigenvalues clustered at ``cluster_tol``.
+    Of the draws that pass, the first whose clusters lie at least
+    ``SEED_SEPARATION`` apart (:func:`_cluster_separation`) is kept, or else
+    the best separated one: an eigenvector whose cluster lies a relative gap
+    ``s`` from the next carries roundoff of about ``eps / s`` into the other
+    cluster (Davis-Kahan), which a rank decision at ``rank_tol`` can read.
+    When no draw passes, :class:`DegenerateGenericElement` names the last salt.
     """
+    splits = []
     for salt in salts:
         w, v = np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))
         groups = cluster_eigenvalues(w, tol.cluster_tol)
         if accept(groups):
-            return w, v, groups
+            splits.append((w, v, groups))
+            if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
+                break
+    if splits:
+        return max(splits, key=_cluster_separation)
     raise DegenerateGenericElement(
         f"no generic element split as required; the last draw (salt {salt}) gave "
         f"clusters of sizes {[int(g.size) for g in groups]}")
@@ -316,24 +308,6 @@ def _cluster_separation(split) -> float:
     if len(groups) < 2:
         return np.inf
     return min(w[g[0]] - w[g[0] - 1] for g in groups[1:]) / (w[-1] - w[0])
-
-
-def _separated_split(members: np.ndarray, tol: ToleranceConfig, salts):
-    """``(w, v, groups)`` of the first draw whose clusters lie well apart.
-
-    Draws one seeded generic element per salt, in order, and keeps the
-    first whose clusters lie at least ``SEED_SEPARATION`` apart
-    (:func:`_cluster_separation`), or else the best separated one.  An
-    eigenvector whose cluster lies a relative gap ``s`` from the next
-    carries roundoff of about ``eps / s`` into the other cluster
-    (Davis-Kahan), which a rank decision at ``rank_tol`` can read.
-    """
-    splits = []
-    for salt in salts:
-        splits.append(_generic_split(members, tol, [salt], lambda g: True))
-        if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
-            break
-    return max(splits, key=_cluster_separation)
 
 
 def _pattern_constraints(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -468,10 +442,8 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     generator.  A failed verification adds the worst member to the
     constraints and solves again.
 
-    The pattern element is drawn as the word closure's seed is
-    (:func:`_separated_split`): the first of up to four seeded draws whose
-    eigenvalue clusters lie at least ``SEED_SEPARATION`` of its spectral
-    diameter apart, or else the best separated one.  Two
+    The pattern element, like the word closure's seed, is the draw that
+    :func:`_generic_split` keeps from up to four, any split accepted.  Two
     clusters from different sectors a relative 6e-7 apart mixed their
     eigenvectors by about ``eps / 6e-7``, close enough to ``rank_tol`` that
     the identity dropped out of the computed commutant.
@@ -484,7 +456,8 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     # constraints.  Zero members carry no constraint; an all-zero set stays
     # as it is and yields the full matrix algebra.
     members = _unit_members(s.members)
-    _, v, groups = _separated_split(members, tol, [(101,), (101, 1), (101, 2), (101, 3)])
+    _, v, groups = _generic_split(members, tol, [(101,), (101, 1), (101, 2), (101, 3)],
+                                  lambda g: True)
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 
@@ -506,6 +479,24 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
         used[worst] = True
         active = np.concatenate([active, mem_rot[worst][None]])
     raise PostconditionFailure("commutant constraint loop failed to converge")
+
+
+def _pair_commutant(members: np.ndarray, tol: ToleranceConfig, salt) -> OperatorAlgebra:
+    """Commutant of two seeded generic Hermitian elements of a stack's span.
+
+    Both come from one stream ``tol.rng(*salt)``
+    (:func:`_generic_hermitian_combo`).  Every finite-dimensional
+    C*-algebra is generated by two Hermitian elements, and a generic pair
+    drawn from a spanning set of a *-closed algebra generates all of it with
+    probability 1, so the pair has the algebra's commutant.  A cross-check
+    that only compares a commutant takes it of the pair instead of a whole
+    basis: ``T`` inside ``A`` gives ``T'`` containing ``A'``, so a pair that
+    misses part of the algebra can only make such a check fail, never pass.
+    """
+    rng = tol.rng(*salt)
+    pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
+    return commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
+                                 self_adjoint_closed=True), tol)
 
 
 def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -581,7 +572,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     ``s`` from the next one carries roundoff of about ``eps / s`` off the
     algebra (Davis-Kahan), and the rounds can amplify it past ``rank_tol``;
     one draw with ``s = 1.1e-5`` filled the matrix space.  So the seed comes
-    from :func:`_separated_split`: the first of up to four draws whose
+    from :func:`_generic_split`, over up to four draws: the first whose
     clusters lie at least ``SEED_SEPARATION`` apart, or else the best
     separated one.  For a single generator every draw has the generator's
     own gaps.
@@ -593,7 +584,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     n = s.dim
     norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
     gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
-    _, v, groups = _separated_split(gens, tol, [(104, a) for a in range(4)])
+    _, v, groups = _generic_split(gens, tol, [(104, a) for a in range(4)], lambda g: True)
     ranks = sorted({g.size for g in groups})
     q = [np.stack([v[:, g] for g in groups if g.size == r]).reshape(-1, n * r, 1) / np.sqrt(r)
          for r in ranks]
@@ -756,7 +747,7 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     the stacked sector isometries are ``n`` HS-orthonormal elements of it
     summing to the identity.  They span the witness.  ``A = A'`` is
     verified independently, by comparing spans with the commutant of a
-    seeded generic pair of the witness (:func:`_generic_pair`, salt 106):
+    seeded generic pair of the witness (:func:`_pair_commutant`, salt 106):
     that commutant ``T'`` contains ``A'``, and ``A`` lies in ``A'`` by
     construction, so ``T' = A`` proves ``A' = A``.  Containment of the
     witness in the observables is checked too.
@@ -768,7 +759,7 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
     witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
                               contains_identity=True)
-    wcomm = commutant(_generic_pair(witness.basis, tol, (106,)), tol)
+    wcomm = _pair_commutant(witness.basis, tol, (106,))
     return DiracReport(
         v2_holds=True,
         witness=witness,

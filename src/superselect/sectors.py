@@ -5,10 +5,10 @@ the observable algebra's center.  On each block the algebra acts as
 ``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; since the
 block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
 projector acting on the two algebras, read off their orthonormal bases.
-A block with ``d = 1`` is checked irreducible by taking the commutant of a
-seeded generic pair drawn from the restricted stack ``W^* B_i W``, which is
-never orthonormalised.  A caller that knows the commutant in closed form
-(the span of a group's unitaries, say) passes it instead of a solve.
+The blocks with ``d = 1`` are checked irreducible together by the commutant
+of a seeded generic pair drawn from the algebra restricted to their sum,
+which is never orthonormalised.  A caller that knows the commutant in closed
+form (the span of a group's unitaries, say) passes it instead of a solve.
 Truncation keeps a single multiplicity copy per block, which restores an
 abelian commutant.  The truncated algebra's basis is the image of the
 algebra's basis under an HS isometry, so it needs no orthonormalisation, and
@@ -38,9 +38,9 @@ from .numkernel import (
 )
 from .opalgebra import (
     OperatorAlgebra,
-    _generic_pair,
     _generic_split,
     _max_span_residual,
+    _pair_commutant,
     center,
     commutant,
     is_abelian,
@@ -141,10 +141,10 @@ def _as_int(value: float, what: str) -> int:
 
 
 def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
-    """``(restricted, trace, leak)`` of an HS-orthonormal basis stack on one block.
+    """``(trace, leak)`` of an HS-orthonormal basis stack on one block.
 
-    With ``x_i = W^* B_i``, ``restricted`` is the stack ``x_i W`` and
-    ``trace`` is its squared Frobenius norm, ``sum_i ||P B_i P||^2``.  When
+    With ``x_i = W^* B_i``, ``trace`` is the squared Frobenius norm of the
+    stack ``x_i W``, ``sum_i ||P B_i P||^2``.  When
     ``P = W W^*`` is central, ``B -> P B`` is the HS-orthogonal projection
     of the algebra onto ``P O``, so ``trace`` is the dimension of the
     restricted algebra ``W^* O W``.  ``leak`` is ``max_i ||x_i - x_i W W^*||``, the part
@@ -156,7 +156,7 @@ def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
     x -= restricted @ w_iso.conj().T
     xv = x.reshape(x.shape[0], -1).view(float)
     leak = float(np.sqrt(np.max(np.einsum("ij,ij->i", xv, xv))))
-    return restricted, float(np.vdot(restricted, restricted).real), leak
+    return float(np.vdot(restricted, restricted).real), leak
 
 
 def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
@@ -174,8 +174,8 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     is the double commutant.  A one-dimensional center gives one sector,
     the whole space, with no draw.  Otherwise a seeded generic Hermitian
     element of the center is diagonalized and its eigenvalue clusters give
-    the minimal central projectors; it is redrawn, up to 16 times, until it
-    shows one cluster per center dimension.
+    the minimal central projectors: of up to 16 draws that show one cluster
+    per center dimension, :func:`_generic_split` keeps a well separated one.
 
     On a block with isometry ``W``, ``ntilde^2`` and ``d^2`` are traces of
     the block's projector on the algebra and on its commutant: the squared
@@ -183,11 +183,12 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     (:func:`_restricted_trace`), with no rank decision.  That reading needs
     the projector to be central, so each block first checks that it leaks
     no basis element of either algebra by more than ``10 * rank_tol``.
-    Blocks with ``d = 1`` are verified irreducible: the commutant of a
-    seeded generic pair drawn from the restricted stack (salt ``(204, k)``
-    for block ``k``) must be the scalars; it contains the commutant of the
-    whole restricted algebra, so scalars there prove irreducibility.  No
-    restricted span is orthonormalised.
+    The blocks with ``d = 1`` are verified irreducible at once, after the
+    loop: with ``W`` the isometry onto their sum, the commutant of ``W^* O
+    W``, the direct sum of the blocks' restrictions, has one dimension per
+    block exactly when each is irreducible.  The commutant of a seeded
+    generic pair drawn from the stack ``W^* B_i W`` (salt ``(204,)``)
+    contains it, so one dimension per block there proves it.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -210,11 +211,11 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
         isometries = [v[:, idx] for idx in groups]
     h = random_hermitian(tol.rng(CENTRAL_VALUE_SALT), n)
     leak_tol = 10 * tol.rank_tol
-    sectors = []
+    sectors, irreducible = [], []
     for k, w_iso in enumerate(isometries):
         block_dim = w_iso.shape[1]
-        restricted, ntilde2, leak = _restricted_trace(o.basis, w_iso)
-        _, d2, leak_cp = _restricted_trace(cp.basis, w_iso)
+        ntilde2, leak = _restricted_trace(o.basis, w_iso)
+        d2, leak_cp = _restricted_trace(cp.basis, w_iso)
         leak = max(leak, leak_cp)
         if leak > leak_tol:
             raise NonIntegerStructure(
@@ -228,21 +229,19 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
                 f"block of dimension {block_dim} resolved to d={d}, ntilde={ntilde}; "
                 "reseed the decomposition")
         if d == 1:
-            # irreducibility on the block: the commutant of W* O W is scalar.  The
-            # restricted stack spans it (*-closed, as P is central), and a seeded
-            # generic pair drawn from it stands in for it: the pair's commutant
-            # contains that of W* O W, so scalars there prove it.  A roundoff
-            # member is not rescaled by the generic combination, so it adds only
-            # roundoff to the pair; a pair generating less only enlarges the
-            # commutant and so can make the check fail, never pass
-            if commutant(_generic_pair(restricted, tol, (204, k)), tol).algebra_dim != 1:
-                raise PostconditionFailure(
-                    "block with d = 1 is not irreducible; tolerance pathology")
+            irreducible.append(w_iso)
         sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,
                               block_dim=block_dim, d=d, ntilde=ntilde,
                               central_value=float(np.vdot(w_iso, h @ w_iso).real) / block_dim))
     if sum(s.block_dim for s in sectors) != n:
         raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
+    if irreducible:
+        # the stack spans W* O W (*-closed, as each P is central); a pair that
+        # generates less only enlarges the commutant, so can fail, never pass
+        w1 = np.hstack(irreducible)
+        if _pair_commutant(w1.conj().T @ o.basis @ w1, tol, (204,)).algebra_dim \
+                != len(irreducible):
+            raise PostconditionFailure("d = 1 blocks are not irreducible; tolerance pathology")
     sectors.sort(key=lambda sec: sec.central_value)
     return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
                                center=z)
@@ -321,9 +320,10 @@ def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
     commutant restricted to the block, ``W^* O' W = M_d (x) 1_ntilde``, is
     formed on the spot from the sector's isometry ``W`` and the
     decomposition's commutant basis (it need not be orthonormal to draw
-    from).  A seeded generic Hermitian element of it, redrawn up to 16
-    times, must show ``d`` spectral clusters of size ``ntilde`` each; the
-    lowest cluster's eigenspace ``V_s = W u_s`` is the copy kept.  The
+    from).  Of up to 16 seeded generic Hermitian elements of it that show
+    ``d`` spectral clusters of size ``ntilde`` each, :func:`_generic_split`
+    keeps a well separated one; its lowest cluster's eigenspace ``V_s = W
+    u_s`` is the copy kept.  The
     stacked isometry satisfies ``V^* V = 1`` on the truncated space.
 
     The truncated basis is written down, not orthonormalised: element ``i``
@@ -373,7 +373,7 @@ def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
-    t_cp = commutant(_generic_pair(basis, tol, (205,)), tol)
+    t_cp = _pair_commutant(basis, tol, (205,))
     abelian, worst = is_abelian(t_cp, tol)
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
     missing = _max_span_residual(t_cp.basis, projectors)

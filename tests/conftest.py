@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from superselect import opalgebra
 from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
+from superselect.opalgebra import _generic_hermitian_combo
 
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -56,6 +58,27 @@ def brute_force_commutant(mats, rank_tol=1e-10):
     null_mask = np.ones(n * n, dtype=bool)
     null_mask[: s.size] = s <= rank_tol * scale
     return vh.conj().T[:, null_mask].T.reshape(-1, n, n)
+
+
+def generic_eigenvalues(members, tol, salt):
+    """Eigenvalues of the seeded generic element ``_generic_split`` draws at one salt.
+
+    They are the ``w`` it returns when it keeps that draw, bit for bit.
+    """
+    return np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))[0]
+
+
+def fake_separations(monkeypatch, members, tol, fakes):
+    """Make ``_cluster_separation`` read ``fakes[salt]`` for the draw at each given salt.
+
+    A draw is recognised by its eigenvalues; every other split keeps its
+    real separation.
+    """
+    real = opalgebra._cluster_separation
+    by_draw = {generic_eigenvalues(members, tol, salt).tobytes(): sep
+               for salt, sep in fakes.items()}
+    monkeypatch.setattr(opalgebra, "_cluster_separation",
+                        lambda split: by_draw.get(split[0].tobytes(), real(split)))
 
 
 def sample_pattern(rng):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import planted_block_algebra
 import superselect
-from superselect import bargmann, cli, parastat
+from superselect import bargmann, cli, cocycles, parastat
 from superselect import opalgebra, sectors
 from superselect.cli import build_parser, main, run_command
 from superselect.errors import PostconditionFailure
@@ -445,6 +445,12 @@ class TestBargmannCommand:
         assert not failed & {"obstruction m1 > 0.1 m1", "obstruction m2 > 0.1 m2"}
         assert not report.sections["mass_superselection"]["inequivalent"]
 
+    def test_ray_check_prints_the_library_bound(self):
+        check = next(c for c in run(["bargmann", "--samples", "100"]).checks
+                     if c["name"] == "ray composition deviation")
+        assert check["threshold"] == bargmann.RAY_COMPOSE_TOL
+        assert check["passed"] and check["value"] <= check["threshold"]
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_sample_count_below_one_is_an_input_error(self, samples, capsys):
         assert main(["bargmann", "--samples", samples]) == 1
@@ -461,6 +467,24 @@ class TestExtensionCommand:
     def test_pauli_strict_fails_with_exit_2(self, pauli_group_path, capsys):
         assert main(["extension", pauli_group_path]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("table, code, message", [
+        ([[0, 1.9], [1.2, 0]], 1, "'table' entries must be integers, got 1.9"),
+        ([[False, True], [True, False]], 1, "'table' entries must be integers, got False"),
+        ([[0, "1"], ["1", 0]], 1, "'table' entries must be integers, got '1'"),
+        ([[0.0, 1.0], [1.0, 0.0]], 0, ""),
+    ], ids=["fraction", "boolean", "string", "integral-float"])
+    def test_table_entries_must_be_integers(self, tmp_path, capsys, table, code, message):
+        # the first three were read as the Z2 table and ran to exit 0
+        path = write(tmp_path, "g.json", {"order": 2, "table": table, "xi": [[0, 0], [0, 0]]})
+        assert main(["extension", path]) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["strict", "mod2pi"])
+    def test_cocycle_check_prints_the_library_bound(self, pauli_group_path, mode):
+        check = run(["extension", pauli_group_path, "--mode", mode]).checks[0]
+        assert check["threshold"] == cocycles.COCYCLE_TOL
+        assert check["passed"] == (check["value"] <= check["threshold"]) == (mode == "mod2pi")
 
 
 class TestFluxCommand:
@@ -741,10 +765,10 @@ class TestStructureCallCounts:
     Each ``commutant`` call's member count after star completion is pinned
     too.  Only S' = commutant(S) and S'' = commutant(O) take the commutant
     of a whole set or basis (parastat takes S'' as the span of the group
-    unitaries instead); every cross-check (the triple commutant, each d = 1
-    irreducibility check, the witness's A = A', the truncated algebra's
-    verdict) takes it of a generic pair, 2 members, so a full-basis
-    cross-check cannot creep back unseen.
+    unitaries instead); every cross-check (the triple commutant, the one
+    irreducibility check of all d = 1 blocks, the witness's A = A', the
+    truncated algebra's verdict) takes it of a generic pair, 2 members, so a
+    full-basis cross-check cannot creep back unseen.
     """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
@@ -788,13 +812,13 @@ class TestStructureCallCounts:
         assert members == [2, 10, 2]
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
-        # adds one irreducibility commutant per d = 1 block and one for A = A'
+        # adds one irreducibility commutant for both d = 1 blocks and one for A = A'
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
-        assert counts == {"commutant": 6, "central_decomposition": 1, "check_dirac": 1,
+        assert counts == {"commutant": 5, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1}
-        # S, O = M_1 + M_3, two irreducibility pairs, the witness pair, the triple pair
-        assert members == [2, 10, 2, 2, 2, 2]
+        # S, O = M_1 + M_3, the irreducibility pair, the witness pair, the triple pair
+        assert members == [2, 10, 2, 2, 2]
 
     def test_parastat(self, monkeypatch):
         # the invariant algebra is decomposed once, its commutant being the span
@@ -803,12 +827,12 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 0,
                           "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
-        # 6 permutations, the pair of O's one d = 1 block, the truncated algebra's pair
+        # 6 permutations, the pair of O's d = 1 blocks, the truncated algebra's pair
         assert members == [6, 2, 2]
 
     # No decomposition orthonormalises a restricted span: the d = 1 check
-    # hands the restricted stack to commutant as it is, and d > 1 blocks
-    # read (d, ntilde) from traces.
+    # draws its pair from the restricted stack as it is, and every block
+    # reads (d, ntilde) from traces.
 
     def orthonormalisations(self, monkeypatch, args):
         """Per decomposition: its sectors' d and the orthonormalisations run inside it."""

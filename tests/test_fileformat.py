@@ -127,6 +127,7 @@ DYNAMICS_DOC = {"masses": [1.0], "x": [[0, 0, 0]], "p": [[0, 0, 0]],
     ("operator", "dim", 2.9, None),
     ("operator", "dim", True, None),
     ("operator", "dim", 3.0, 3),
+    ("operator", "dim", "3", None),
     ("group", "order", 1.5, None),
     ("group", "order", True, None),
     ("group", "order", 2.0, 2),
@@ -135,8 +136,8 @@ DYNAMICS_DOC = {"masses": [1.0], "x": [[0, 0, 0]], "p": [[0, 0, 0]],
     ("dynamics", "steps", 3.0, 3),
 ])
 def test_counts_must_be_integral(tmp_path, opset_doc, loader, key, value, expected):
-    # a fraction or a boolean is refused with the key named, never truncated
-    # by int(); an integral float is read as its integer
+    # a fraction, a boolean or a string is refused with the key named, never
+    # read by int(); an integral float is read as its integer
     base, load, read = {
         "operator": (opset_doc, load_operator_file, lambda out: out[0].dim),
         "group": (GROUP_DOC, load_group_file, lambda out: out[0].order),

@@ -337,3 +337,67 @@ class TestOneSvdPath:
                            and any(alias.name == "svd" for alias in node.names)
                            for node in ast.walk(tree)), path.name
         assert found == self.ALLOWED
+
+
+class TestSeededStreams:
+    """Every seeded stream in the package starts from a leading salt of its own.
+
+    A cross-check that draws a generic pair can only fail, never pass, when
+    its draw is independent of the draws it checks, so no two call sites may
+    share a leading salt.  Streams come from ``tol.rng(salt, ...)``, the
+    salts handed to ``opalgebra._generic_split`` and ``_pair_commutant``, and
+    ``np.random.default_rng([seed, salt, ...])``.  A helper passing its
+    caller's salt on (``*salt``) is not a call site.
+    """
+
+    # leading salt -> module; a new stream is added here with a salt of its own
+    CENSUS = {101: "opalgebra", 102: "opalgebra", 104: "opalgebra", 105: "cli",
+              106: "opalgebra", 201: "sectors", 202: "sectors", 203: "sectors",
+              204: "sectors", 205: "sectors", 301: "cocycles", 401: "bargmann",
+              402: "bargmann", 403: "bargmann", 404: "cli"}
+    SALT_ARG = {"rng": 0, "default_rng": 0, "_generic_split": 2, "_pair_commutant": 2}
+
+    @classmethod
+    def leading(cls, node, consts):
+        """The leading salt of a salt expression; None for a forwarded ``*salt``."""
+        if isinstance(node, ast.Starred):
+            return None
+        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):  # one salt per draw
+            return cls.leading(node.elt, consts)
+        if isinstance(node, ast.List):
+            leads = {cls.leading(elt, consts) for elt in node.elts}
+            assert len(leads) == 1, ast.unparse(node)
+            return leads.pop()
+        if isinstance(node, ast.Tuple):
+            return cls.leading(node.elts[0], consts)
+        if isinstance(node, ast.Name):
+            return consts[node.id]
+        return ast.literal_eval(node)
+
+    def call_sites(self):
+        """``(leading salt, "module:line")`` of every seeded stream in the package."""
+        for path in sorted(pathlib.Path(superselect.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            consts = {t.id: node.value.value for node in tree.body
+                      if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                      for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name not in self.SALT_ARG:
+                    continue
+                salt = node.args[self.SALT_ARG[name]]
+                if name == "default_rng":  # [seed, salt, ...]
+                    assert isinstance(salt, ast.List), f"{path.stem}:{node.lineno}"
+                    salt = ast.Tuple(elts=salt.elts[1:])
+                lead = self.leading(salt, consts)
+                if lead is not None:
+                    yield lead, f"{path.stem}:{node.lineno}"
+
+    def test_no_two_call_sites_share_a_leading_salt(self):
+        sites = {}
+        for lead, site in self.call_sites():
+            sites.setdefault(lead, []).append(site)
+        assert {lead: s for lead, s in sites.items() if len(s) > 1} == {}
+        assert {lead: s[0].split(":")[0] for lead, s in sites.items()} == self.CENSUS

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_commutant, planted_block_algebra, sample_pattern
+from conftest import (
+    brute_force_commutant,
+    fake_separations,
+    generic_eigenvalues,
+    planted_block_algebra,
+    sample_pattern,
+)
 from superselect import opalgebra
 from superselect.errors import (
     DegenerateGenericElement,
@@ -23,9 +29,9 @@ from superselect.opalgebra import (
     OperatorAlgebra,
     _coupled_components,
     _generic_hermitian_combo,
-    _generic_pair,
     _generic_split,
     _max_span_residual,
+    _pair_commutant,
     _word_closure_dim,
     algebra_from_span,
     center,
@@ -260,6 +266,18 @@ class TestGenericSplit:
     def test_exhausted_salts_raise_naming_the_last(self, members, tol):
         with pytest.raises(DegenerateGenericElement, match=r"salt \(9, 2\)"):
             _generic_split(members, tol, ((9, a) for a in range(3)), lambda g: False)
+
+    @pytest.mark.parametrize("accepted, seps, kept", [
+        ((True, True, True), (1e-5, 1e-2, 1.0), 1),   # the first well separated draw
+        ((True, True, True), (1e-6, 1e-4, 1e-5), 1),  # none is: the best separated
+        ((False, True, True), (1.0, 1e-5, 1e-4), 2),  # a rejected draw is never kept
+    ])
+    def test_separation_policy(self, members, tol, monkeypatch, accepted, seps, kept):
+        salts = [(7, a) for a in range(3)]
+        fake_separations(monkeypatch, members, tol, dict(zip(salts, seps)))
+        verdicts = iter(accepted)
+        w, _, _ = _generic_split(members, tol, salts, lambda g: next(verdicts))
+        assert np.array_equal(w, generic_eigenvalues(members, tol, salts[kept]))
 
 
 class TestGeneratedAlgebra:
@@ -684,10 +702,10 @@ class TestCheckDirac:
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
 
 
-def commutant_matches(target, members, tol):
-    """Whether the commutant of a generator set spans ``target``; a failed solve counts as no."""
+def commutant_matches(target, solve, tol):
+    """Whether the commutant ``solve()`` returns spans ``target``; a failed solve counts as no."""
     try:
-        return span_equal(target, commutant(members, tol), tol)
+        return span_equal(target, solve(), tol)
     except PostconditionFailure:
         return False
 
@@ -695,19 +713,27 @@ def commutant_matches(target, members, tol):
 class TestGenericPairCrossChecks:
     """Planted faults against the cross-checks that take a generic pair's commutant.
 
-    The triple commutant, each d = 1 irreducibility check and the witness's
+    The triple commutant, the d = 1 irreducibility check and the witness's
     ``A = A'`` compare the commutant of a seeded generic pair drawn from an
-    algebra.  The full-basis form, the commutant of the whole basis, is the
-    reference: every fault it catches, the pair must catch too.
+    algebra (:func:`_pair_commutant`).  The full-basis form, the commutant of
+    the whole basis, is the reference: every fault it catches, the pair must
+    catch too.
     """
 
-    def test_pair_is_seeded_hermitian_and_star_closed(self, tol):
+    def test_pair_is_seeded_hermitian_and_star_closed(self, tol, monkeypatch):
+        # the commutant of M_2 + M_1, solved from the two members of one stream
         basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol).basis
-        pair = _generic_pair(basis, tol, (105,))
+        sets, real = [], opalgebra.commutant
+        monkeypatch.setattr(opalgebra, "commutant", lambda s, t: sets.append(s) or real(s, t))
+        first = _pair_commutant(basis, tol, (105,))
+        assert np.array_equal(first.basis, _pair_commutant(basis, tol, (105,)).basis)
+        assert first.algebra_dim == 2
+        _pair_commutant(basis, tol, (106,))
+        pair, again, other = sets
         assert len(pair) == 2 and pair.self_adjoint_closed
         assert np.array_equal(pair.members, pair.members.conj().transpose(0, 2, 1))
-        assert np.array_equal(pair.members, _generic_pair(basis, tol, (105,)).members)
-        assert not np.allclose(pair.members, _generic_pair(basis, tol, (106,)).members)
+        assert np.array_equal(pair.members, again.members)
+        assert not np.allclose(pair.members, other.members)
 
     @staticmethod
     def planted_generated(workloads, count):
@@ -726,8 +752,8 @@ class TestGenericPairCrossChecks:
     def triple_forms(obs, gen_basis, tol):
         """(full-basis reference, generic pair) verdicts of the triple commutant identity."""
         full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True).as_set()
-        return (commutant_matches(obs, full, tol),
-                commutant_matches(obs, _generic_pair(gen_basis, tol, (105,)), tol))
+        return (commutant_matches(obs, lambda: commutant(full, tol), tol),
+                commutant_matches(obs, lambda: _pair_commutant(gen_basis, tol, (105,)), tol))
 
     def test_triple_commutant_direction_rotated_out_of_the_span(self, workloads):
         # one basis direction of S'' turned toward a unit direction outside
@@ -768,14 +794,16 @@ class TestGenericPairCrossChecks:
             w[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * u[:, 1]
             sector = dataclasses.replace(dec.sectors[0], isometry=w)
             rep = check_dirac(dataclasses.replace(dec, sectors=(sector,)), tol)
-            full = commutant_matches(rep.witness, rep.witness.as_set(), tol)
+            full = commutant_matches(rep.witness, lambda: commutant(rep.witness.as_set(), tol),
+                                     tol)
             assert rep.v2_holds and rep.witness_in_observables
             assert (full, rep.witness_is_maximal_abelian) == (angle == 0.0,) * 2, angle
 
     @pytest.mark.parametrize("blocks", [(1, 1, 1), (1, 2), (2, 2), (1, 3)])
     def test_reducible_restricted_stack_has_a_non_scalar_commutant(self, tol, blocks):
-        # the d = 1 check's fault: a restricted stack that spans a reducible
-        # algebra, a direct sum of full matrix blocks, in a random basis
+        # the d = 1 check counts blocks: a restricted stack that spans a direct
+        # sum of full matrix blocks, in a random basis, has a pair commutant of
+        # one dimension per block, so a block that splits in two adds one
         m = sum(blocks)
         u = random_unitary(np.random.default_rng(m), m)
         units = []
@@ -786,7 +814,7 @@ class TestGenericPairCrossChecks:
         stack = np.stack(units)
         full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True).as_set()
         assert commutant(full, tol).algebra_dim == len(blocks)
-        assert commutant(_generic_pair(stack, tol, (204, 0)), tol).algebra_dim == len(blocks)
+        assert _pair_commutant(stack, tol, (204,)).algebra_dim == len(blocks)
 
 
 class TestPlantedStructure:

@@ -241,8 +241,8 @@ class TestTruncation:
         # a pair drawn from one basis member generates less than the truncated
         # algebra, so its commutant is too large and the check must fail
         dec = decomposition_for(permutation_unitaries(3, 2), tol)
-        real = opalgebra._generic_pair
-        monkeypatch.setattr(sectors, "_generic_pair",
+        real = opalgebra._pair_commutant
+        monkeypatch.setattr(sectors, "_pair_commutant",
                             lambda members, tol, salt: real(members[:1], tol, salt))
         with pytest.raises(PostconditionFailure, match="abelian-commutant check"):
             truncate(dec, tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import planted_block_algebra
+from conftest import fake_separations, generic_eigenvalues, planted_block_algebra
 from superselect import opalgebra, sectors
 from superselect.diracsets import is_cyclic
 from superselect.errors import (
@@ -116,26 +116,58 @@ class TestCentralDecomposition:
         with pytest.raises(DegenerateGenericElement, match=r"salt \(201, 15\)"):
             central_decomposition(o, tol)
 
+    @staticmethod
+    def irreducibility_pairs(monkeypatch, fault=lambda members: members):
+        """Record ``(stack shape, salt, commutant dim)`` for each d = 1 pair drawn.
+
+        ``fault`` replaces the stack before the pair is drawn from it.
+        """
+        seen, real = [], sectors._pair_commutant
+
+        def pair_commutant(members, t, salt):
+            out = real(fault(members), t, salt)
+            seen.append((members.shape, salt, out.algebra_dim))
+            return out
+
+        monkeypatch.setattr(sectors, "_pair_commutant", pair_commutant)
+        return seen
+
     def test_reducible_d_one_block_raises(self, tol, monkeypatch):
-        # M_3 is one sector with d = 1.  Its restricted stack is swapped for
-        # its diagonal part, whose commutant is the diagonal algebra, plus one
-        # Hermitian member of norm 1e-17, which adds only roundoff to the
-        # generic pair.  The pair still has the diagonal algebra's commutant,
-        # and the check says the block is reducible.
+        # M_3 is one sector with d = 1.  The stack its pair is drawn from is
+        # swapped for its diagonal part, whose commutant is the diagonal
+        # algebra, plus one Hermitian member of norm 1e-17, which adds only
+        # roundoff to the generic pair.  The pair still has the diagonal
+        # algebra's commutant, and the check says the block is reducible.
         o = commutant(operator_set([np.eye(3)]), tol)
         h = random_hermitian(np.random.default_rng(3), 3)
         noise = 1e-17 * h / np.linalg.norm(h)
-        real = sectors._restricted_trace
-
-        def diagonal_plus_noise(basis, w_iso):
-            restricted, trace, leak = real(basis, w_iso)
-            if basis is o.basis:
-                restricted = np.concatenate([restricted * np.eye(3), noise[None]])
-            return restricted, trace, leak
-
-        monkeypatch.setattr(sectors, "_restricted_trace", diagonal_plus_noise)
+        seen = self.irreducibility_pairs(
+            monkeypatch, lambda members: np.concatenate([members * np.eye(3), noise[None]]))
         with pytest.raises(PostconditionFailure, match="not irreducible"):
             central_decomposition(o, tol)
+        assert seen == [((9, 3, 3), (204,), 3)]
+
+    def test_one_reducible_block_among_two_raises(self, tol, monkeypatch):
+        # O = M_1 + M_3 has two d = 1 blocks, checked by one pair drawn from O
+        # restricted to their sum.  Dropping that stack's off-diagonal entries
+        # leaves the 1-block as it is and makes the 3-block diagonal, hence
+        # reducible: the pair's commutant has 4 dimensions, not 2
+        o = commutant(operator_set([np.diag([1.0, 2.0, 2.0, 2.0])]), tol)
+        assert central_decomposition(o, tol).multiset() == ((1, 1), (1, 3))
+        seen = self.irreducibility_pairs(monkeypatch, lambda members: members * np.eye(4))
+        with pytest.raises(PostconditionFailure, match="not irreducible"):
+            central_decomposition(o, tol)
+        assert seen == [((10, 4, 4), (204,), 4)]
+
+    def test_d_one_blocks_take_one_pair(self, tol, monkeypatch):
+        # two d = 1 blocks beside a d = 2 block: one pair, drawn from the
+        # algebra restricted to the sum of the d = 1 blocks, whose commutant
+        # has one dimension per block
+        gens, _ = planted_block_algebra(np.random.default_rng(74), [(1, 1), (2, 2), (1, 3)])
+        o = generated_algebra(operator_set(gens), tol)
+        seen = self.irreducibility_pairs(monkeypatch)
+        assert central_decomposition(o, tol).multiset() == ((1, 1), (1, 3), (2, 2))
+        assert seen == [((1 + 4 + 9, 4, 4), (204,), 2)]
 
     def test_requires_identity(self, tol):
         from superselect.opalgebra import OperatorAlgebra
@@ -187,6 +219,54 @@ class TestTraceReadMultiplicities:
             assert (sec.d, sec.ntilde) == rank_read_pair(dec, sec, tol)
         assert sum(s.ntilde ** 2 for s in dec.sectors) == dec.algebra.algebra_dim
         assert sum(s.d ** 2 for s in dec.sectors) == dec.commutant.algebra_dim
+
+
+class TestSeparationPolicy:
+    """The centre's and ``truncate``'s draws keep a well separated split if one comes.
+
+    Through ``_generic_split``, the first accepted draw whose clusters lie
+    ``SEED_SEPARATION`` apart is kept, or else the best separated accepted
+    one.  The draws' separations are faked (``fake_separations``), and the
+    kept split is recognised by its eigenvalues.
+    """
+
+    CASES = [
+        ({0: 1e-5}, 1),                                           # the next draw is kept
+        ({a: 1e-4 if a == 11 else 1e-6 for a in range(16)}, 11),  # the best of all 16
+    ]
+
+    @staticmethod
+    def kept_splits(monkeypatch):
+        kept, real = [], sectors._generic_split
+        monkeypatch.setattr(sectors, "_generic_split",
+                            lambda *args: kept.append(real(*args)) or kept[-1])
+        return kept
+
+    @pytest.mark.parametrize("fakes, kept_draw", CASES)
+    def test_center(self, three_sector, tol, monkeypatch, fakes, kept_draw):
+        o, dec = three_sector
+        z = dec.center.basis
+        fake_separations(monkeypatch, z, tol, {(201, a): sep for a, sep in fakes.items()})
+        kept = self.kept_splits(monkeypatch)
+        again = central_decomposition(o, tol, commutant_algebra=dec.commutant)
+        assert again.multiset() == dec.multiset()
+        assert np.array_equal(kept[0][0], generic_eigenvalues(z, tol, (201, kept_draw)))
+
+    @pytest.mark.parametrize("fakes, kept_draw", CASES)
+    def test_truncate(self, tol, monkeypatch, fakes, kept_draw):
+        # 1_2 (x) M_2: one sector with d = 2, whose copy is drawn from W* O' W
+        o = generated_algebra(
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
+        dec = central_decomposition(o, tol)
+        w = dec.sectors[0].isometry
+        restricted_cp = w.conj().T @ dec.commutant.basis @ w
+        fake_separations(monkeypatch, restricted_cp, tol,
+                         {(202, 0, a): sep for a, sep in fakes.items()})
+        kept = self.kept_splits(monkeypatch)
+        v, o_t, _ = truncate(dec, tol)
+        assert v.shape == (4, 2) and o_t.algebra_dim == 4
+        assert np.array_equal(kept[0][0],
+                              generic_eigenvalues(restricted_cp, tol, (202, 0, kept_draw)))
 
 
 class TestProjectorCentrality:
