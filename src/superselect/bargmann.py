@@ -172,8 +172,8 @@ def bargmann_exponent(mass: float, g1: GalileiElement, g2: GalileiElement):
 
     A float for one pair of elements, an array over the samples of a batch.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    if not (mass > 0 and np.isfinite(mass)):  # NaN fails the comparison
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     return mass * (_dot(g1.v, _rotate(g1.R, g2.a)) + 0.5 * _dot(g1.v, g1.v) * g2.b)
 
 
@@ -224,8 +224,8 @@ def mass_superselection_report(m1: float, m2: float, samples: int = 100,
     equal to within roundoff (|m1 - m2| <= 1e-9 max(m1, m2)) are rejected:
     their difference exponent is mostly rounding error.
     """
-    if m1 <= 0 or m2 <= 0:
-        raise ValueError("masses must be positive")
+    if not all(m > 0 and np.isfinite(m) for m in (m1, m2)):
+        raise ValueError(f"masses must be positive and finite, got {m1} and {m2}")
     if abs(m1 - m2) <= 1e-9 * max(m1, m2):
         raise ValueError("mass_superselection_report needs two distinct masses")
     _require_samples(samples)
@@ -366,8 +366,8 @@ def extended_action(e: ExtendedElement, xs, lambdas, t, masses):
         lam = np.asarray(lambdas, dtype=float).reshape(lead + (m.size,))
     except ValueError:
         raise ValueError("xs, lambdas and masses must have one entry per particle") from None
-    if np.any(m <= 0):
-        raise ValueError("masses must be positive")
+    if not np.all((m > 0) & np.isfinite(m)):
+        raise ValueError("masses must be positive and finite")
     total = float(m.sum())
     tt = np.asarray(t, dtype=float)[..., None]  # broadcasts over the particles
     x_rot = x @ np.swapaxes(g.R, -1, -2)

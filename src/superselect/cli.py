@@ -173,10 +173,11 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
     # triple-commutant identity S''' = S', taken as the commutant T' of a seeded
-    # generic pair T of S''.  T' contains S''', and central_decomposition has
-    # already checked every basis element of O = S' against every one of S'',
-    # so S' lies in S''' and S''' in T': T' = S' proves the identity.  A pair
-    # generating less than S'' can only make T' larger and the check fail
+    # generic pair T of S''.  generated_algebra took S'' as the commutant P' of
+    # a generic pair P of O = S': P lies in O, so P' contains O', and P' has the
+    # word closure's dimension, dim O', so P' = O'.  Then S''' = O'' = O = S',
+    # and T' contains it: T' = S' proves the identity.  A pair generating less
+    # than S'' can only make T' larger and the check fail
     triple_ok = span_equal(obs, _pair_commutant(gen.basis, tol, (105,)), tol)
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
@@ -504,10 +505,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1  # means "checks failed" here
     try:
         report = run_command(args)
+        payload = report.to_json_bytes()
     except (SuperselectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    payload = report.to_json_bytes()
     outdir = args.outdir if args.outdir is not None else os.environ.get("SUPERSELECT_OUTDIR")
     if outdir:
         os.makedirs(outdir, exist_ok=True)

@@ -77,8 +77,10 @@ def vandermonde_determinant(values) -> float:
 def has_simple_spectrum(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
     """Whether a Hermitian matrix has pairwise distinct eigenvalues.
 
-    Gaps are compared against ``cluster_tol`` times the spectral diameter;
-    returns the verdict and the minimum gap.
+    Gaps are compared against ``cluster_tol`` times the spectral diameter,
+    and a spectrum whose diameter is at most ``cluster_tol`` times its
+    largest ``|eigenvalue|`` counts as degenerate (one cluster, as in
+    :func:`cluster_eigenvalues`).  Returns the verdict and the minimum gap.
     """
     return _simple_spectrum(hermitian_eig(a)[0], tol)
 
@@ -88,7 +90,7 @@ def _simple_spectrum(w: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
     if w.size < 2:
         return True, float("inf")
     min_gap = float(np.min(np.diff(w)))
-    # shares the clustering convention, incl. the roundoff-diameter guard
+    # shares the clustering convention, incl. its relative diameter floor
     n_clusters = len(cluster_eigenvalues(w, tol.cluster_tol))
     return n_clusters == w.size, min_gap
 

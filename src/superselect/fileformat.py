@@ -57,8 +57,12 @@ def jsonable(obj):
 
 
 def canonical_json_bytes(obj) -> bytes:
-    """Deterministic JSON rendering: sorted keys, two-space indent, newline-terminated."""
-    return (json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """Deterministic JSON rendering: sorted keys, two-space indent, newline-terminated.
+
+    JSON has no NaN or infinity, so a non-finite number raises ``ValueError``.
+    """
+    return (json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
 
 
 def sha256_hex(data: bytes) -> str:

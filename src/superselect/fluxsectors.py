@@ -61,8 +61,9 @@ class ChargeKinematics:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(3))
         if not (self.m > 0):
             raise ValueError("mass must be positive")
-        if not (np.isfinite(self.e) and np.all(np.isfinite(self.p))):
-            raise ValueError("kinematics must be finite")
+        # the energy sqrt(p^2 + m^2) overflows before m or p does
+        if not (np.isfinite(self.e) and np.isfinite(self.energy)):
+            raise ValueError("kinematics must be finite, energy included")
 
     @property
     def energy(self) -> float:

@@ -199,16 +199,16 @@ def orthonormal_columns_extend(q: np.ndarray, cand: np.ndarray, rank_tol: float,
 def cluster_eigenvalues(w: np.ndarray, cluster_tol: float) -> list[np.ndarray]:
     """Group ascending eigenvalues into clusters separated by relative gaps.
 
-    The splitting threshold is ``cluster_tol`` times the spectral diameter;
-    a (numerically) zero diameter yields a single cluster.
+    The splitting threshold is ``cluster_tol`` times the spectral diameter.
+    A diameter of at most ``cluster_tol`` times the largest ``|w|`` yields a
+    single cluster: the floor scales with the spectrum, so whether a
+    near-scalar matrix splits does not depend on its scale.
     """
     w = np.asarray(w, dtype=float)
     if w.size == 0:
         return []
     diameter = float(w[-1] - w[0])
-    # a diameter at roundoff scale means a single degenerate cluster
-    noise_floor = 1e-12 * max(abs(float(w[0])), abs(float(w[-1])), 1.0)
-    if diameter <= noise_floor:
+    if diameter <= cluster_tol * max(abs(float(w[0])), abs(float(w[-1]))):
         return [np.arange(w.size)]
     gap = cluster_tol * diameter
     splits = np.nonzero(np.diff(w) > gap)[0] + 1

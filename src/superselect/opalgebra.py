@@ -109,12 +109,6 @@ class OperatorAlgebra:
     def algebra_dim(self) -> int:
         return self.basis.shape[0]
 
-    def as_set(self) -> OperatorSet:
-        """The basis as a *-closed generator set, e.g. to take the commutant."""
-        return OperatorSet(dim=self.dim, members=self.basis,
-                           names=tuple(f"g{i}" for i in range(self.algebra_dim)),
-                           self_adjoint_closed=True)
-
     def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
         q, n = self.algebra_dim, self.dim
         vecs = self.basis.reshape(q, n * n)
@@ -423,6 +417,7 @@ def _verify_commutes(members: np.ndarray, blocks):
             lv, rv = left.view(float), right.view(float)
             r2 = np.einsum("ixjy,ixjy->ij", lv, lv) + np.einsum("jxiy,jxiy->ij", rv, rv)
             np.maximum(worst[c:c + step], r2.max(axis=1), out=worst[c:c + step])
+            del left, right, lv, rv  # so the next chunk's temporaries replace these
     norms = np.linalg.norm(members.reshape(k, -1), axis=1)
     ratio = np.sqrt(worst) / np.maximum(2.0 * norms, 1e-300)
     member = int(np.argmax(ratio))
@@ -488,10 +483,12 @@ def _pair_commutant(members: np.ndarray, tol: ToleranceConfig, salt) -> Operator
     (:func:`_generic_hermitian_combo`).  Every finite-dimensional
     C*-algebra is generated by two Hermitian elements, and a generic pair
     drawn from a spanning set of a *-closed algebra generates all of it with
-    probability 1, so the pair has the algebra's commutant.  A cross-check
-    that only compares a commutant takes it of the pair instead of a whole
-    basis: ``T`` inside ``A`` gives ``T'`` containing ``A'``, so a pair that
-    misses part of the algebra can only make such a check fail, never pass.
+    probability 1, so the pair has the algebra's commutant.  It is the one
+    way an algebra's commutant is taken: S'' (:func:`generated_algebra`),
+    the decomposition's commutant when none is passed, and every
+    cross-check.  The pair ``T`` lies inside ``A``, so ``T'`` contains
+    ``A'``: a pair that misses part of the algebra makes the commutant
+    larger, never smaller, and each caller has a guard that then fails.
     """
     rng = tol.rng(*salt)
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
@@ -610,16 +607,19 @@ def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
                       commutant_algebra: OperatorAlgebra | None = None) -> OperatorAlgebra:
     """The *-algebra generated by a set: its double commutant, verified by word closure.
 
-    A precomputed commutant ``S'`` may be passed, as to :func:`center`, in
-    place of the solve ``commutant(s)``.  The word closure of the
+    A precomputed commutant ``S'`` may be passed in place of the solve
+    ``commutant(s)``.  ``S''`` is the commutant of a seeded generic pair of
+    ``S'`` (:func:`_pair_commutant`, salt 107).  The word closure of the
     star-completed members (:func:`_word_closure_dim`) is an independent
-    route to the same algebra; a dimension disagreement signals a tolerance
-    failure and raises :class:`ClosureMismatch`.
+    route to ``S''``, and the guard: the pair lies in ``S'``, so its
+    commutant contains ``S''``, and equal dimensions make the two equal.  A
+    dimension disagreement, from a tolerance failure or from a pair that
+    generates less than ``S'``, raises :class:`ClosureMismatch`.
     """
     cp = commutant_algebra
     if cp is None:
         cp = commutant(s, tol)
-    double = commutant(cp.as_set(), tol)
+    double = _pair_commutant(cp.basis, tol, (107,))
     wdim = _word_closure_dim(s, tol)
     if wdim != double.algebra_dim:
         raise ClosureMismatch(
@@ -627,20 +627,17 @@ def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
     return double
 
 
-def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
-           commutant_algebra: OperatorAlgebra | None = None) -> OperatorAlgebra:
+def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL, *,
+           commutant_algebra: OperatorAlgebra) -> OperatorAlgebra:
     """Center of an algebra: the span intersection of the algebra and its commutant.
 
-    Always contains the identity.  A precomputed commutant may be passed to
-    avoid recomputation.  Solved from the smaller side: the combinations of
-    the smaller of the two orthonormal bases that lie in the span of the
-    larger one.
+    Always contains the identity.  The caller passes the commutant it
+    holds; :func:`central_decomposition` is the one caller here.  Solved from
+    the smaller side: the combinations of the smaller of the two orthonormal
+    bases that lie in the span of the larger one.
     """
-    cp = commutant_algebra
-    if cp is None:
-        cp = commutant(a.as_set(), tol)
     n = a.dim
-    small, large = sorted((a, cp), key=lambda alg: alg.algebra_dim)
+    small, large = sorted((a, commutant_algebra), key=lambda alg: alg.algebra_dim)
     ql = large.basis.reshape(large.algebra_dim, n * n)
     vs = small.basis.reshape(small.algebra_dim, n * n).T  # columns = smaller-side elements
     resid = vs - ql.T @ (ql.conj() @ vs)

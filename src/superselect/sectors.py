@@ -7,13 +7,13 @@ block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
 projector acting on the two algebras, read off their orthonormal bases.
 The blocks with ``d = 1`` are checked irreducible together by the commutant
 of a seeded generic pair drawn from the algebra restricted to their sum,
-which is never orthonormalised.  A caller that knows the commutant in closed
-form (the span of a group's unitaries, say) passes it instead of a solve.
-Truncation keeps a single multiplicity copy per block, which restores an
-abelian commutant.  The truncated algebra's basis is the image of the
-algebra's basis under an HS isometry, so it needs no orthonormalisation, and
-the abelian verdict comes from the commutant of a seeded generic pair of it,
-not from a second decomposition.
+which is never orthonormalised.  The commutant is the one the caller passes
+(S'', or the span of a group's unitaries), else that of a seeded generic pair
+of the algebra.  Truncation keeps a single multiplicity copy per block, which
+restores an abelian commutant.  The truncated algebra's basis is the image
+of the algebra's basis under an HS isometry, so it needs no
+orthonormalisation, and the abelian verdict comes from the commutant of a
+seeded generic pair of it, not from a second decomposition.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .opalgebra import (
     _max_span_residual,
     _pair_commutant,
     center,
-    commutant,
     is_abelian,
     span_residual,
 )
@@ -165,13 +164,17 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     """Minimal central projectors of an algebra plus per-block (d, ntilde) data.
 
     The commutant and the center are computed once here and kept on the
-    result.  A precomputed commutant may be passed, as to :func:`center`, in
-    place of the solve ``commutant(o.as_set())``.  It must be an
-    HS-orthonormal basis of the algebra's commutant: ``generated_algebra``
-    of a set is one when ``o`` is the set's commutant, and so is
-    ``algebra_from_span`` of a group's unitaries when ``o`` is the group's
-    commutant, as their span is closed under products and adjoints and so
-    is the double commutant.  A one-dimensional center gives one sector,
+    result.  A passed commutant must be an HS-orthonormal basis of the
+    algebra's commutant: ``generated_algebra`` of a set is one when ``o`` is
+    the set's commutant, and so is ``algebra_from_span`` of a group's
+    unitaries when ``o`` is the group's commutant, as their span is closed
+    under products and adjoints and so is the double commutant.  Without
+    one, the commutant is that of a seeded generic pair of the algebra
+    (:func:`_pair_commutant`, salt ``(206,)``).  A pair that generates less
+    than the algebra gives too large a commutant, which fails the checks
+    below: some block's projector leaks a basis element of it, or its
+    trace there is no square, or ``d * ntilde`` exceeds the block's
+    dimension.  A one-dimensional center gives one sector,
     the whole space, with no draw.  Otherwise a seeded generic Hermitian
     element of the center is diagonalized and its eigenvalue clusters give
     the minimal central projectors: of up to 16 draws that show one cluster
@@ -200,7 +203,7 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     n = o.dim
     cp = commutant_algebra
     if cp is None:
-        cp = commutant(o.as_set(), tol)
+        cp = _pair_commutant(o.basis, tol, (206,))
     z = center(o, tol, commutant_algebra=cp)
 
     if z.algebra_dim == 1:

@@ -18,7 +18,7 @@ from scipy.linalg import block_diag
 
 from superselect import opalgebra
 from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
-from superselect.opalgebra import _generic_hermitian_combo
+from superselect.opalgebra import OperatorSet, _generic_hermitian_combo, commutant
 
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -58,6 +58,18 @@ def brute_force_commutant(mats, rank_tol=1e-10):
     null_mask = np.ones(n * n, dtype=bool)
     null_mask[: s.size] = s <= rank_tol * scale
     return vh.conj().T[:, null_mask].T.reshape(-1, n, n)
+
+
+def basis_set(alg):
+    """An algebra's whole basis as a *-closed generator set."""
+    return OperatorSet(dim=alg.dim, members=alg.basis,
+                       names=tuple(f"g{i}" for i in range(alg.algebra_dim)),
+                       self_adjoint_closed=True)
+
+
+def full_basis_commutant(alg, tol):
+    """Reference commutant of an algebra: the solve over its whole basis, no generic pair."""
+    return commutant(basis_set(alg), tol)
 
 
 def generic_eigenvalues(members, tol, salt):

@@ -261,9 +261,8 @@ class TestAbelianAt56:
 
     O = M_20 + M_36 has dimension 1696, and both of its sectors have d = 1.
     Budget: 30 s, the target for planted items at n <= 64.  Measured on one
-    core with one BLAS thread: 4.8-6.0 s, most of it in the triple
-    commutant's span comparison; 11.4-12.4 s while each d = 1 check
-    orthonormalised its restricted span.  Peak RSS about 507 MB.
+    core with one BLAS thread: 5.0 s, peak RSS about 395 MB; 11.4-12.4 s while
+    each d = 1 check orthonormalised its restricted span.
     """
 
     BUDGET_SECONDS = 30.0
@@ -290,8 +289,8 @@ class TestLargeObservablesAt64:
 
     O = M_32 + M_32 has dimension 2048, the large-O side of the README's
     "safe up to dimension 64" claim.  Budget: 30 s, the target for planted
-    items at n <= 64.  Measured on one core with one BLAS thread: 10.7-11.9 s,
-    peak RSS about 700 MB.
+    items at n <= 64.  Measured on one core with one BLAS thread: 9.4 s, peak
+    RSS about 525 MB.
     """
 
     BUDGET_SECONDS = 30.0
@@ -507,6 +506,29 @@ class TestFluxCommand:
     def test_coarse_quadrature_is_an_input_error(self, capsys):
         assert main(["flux", "--lmax", "8", "--ntheta", "8"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestNonFiniteInput:
+    """Physics input that is not finite, or that overflows a computation, exits 1.
+
+    JSON has no NaN or infinity: each of these argvs once printed a report
+    with ``NaN`` tokens and exited 2, or died with an ``OverflowError``.
+    """
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bargmann", "--m1", "nan"], "mass must be positive and finite, got nan"),
+        (["bargmann", "--m1", "1e308", "--m2", "1"], "not JSON compliant"),
+        (["flux", "--m", "inf"], "kinematics must be finite"),
+        (["flux", "--m", "1e300", "--p", "0", "0", "1"], "kinematics must be finite"),
+    ], ids=["bargmann-nan-mass", "bargmann-overflow", "flux-inf-mass", "flux-energy-overflow"])
+    def test_exits_1_with_one_error_line(self, capsys, argv, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+            assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors = [line for line in out.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and message in errors[0]
 
 
 class TestDynamicsCommand:
@@ -763,12 +785,12 @@ class TestStructureCallCounts:
     """One structure pass per input: O', the center and the sectors are computed once.
 
     Each ``commutant`` call's member count after star completion is pinned
-    too.  Only S' = commutant(S) and S'' = commutant(O) take the commutant
-    of a whole set or basis (parastat takes S'' as the span of the group
-    unitaries instead); every cross-check (the triple commutant, the one
-    irreducibility check of all d = 1 blocks, the witness's A = A', the
-    truncated algebra's verdict) takes it of a generic pair, 2 members, so a
-    full-basis cross-check cannot creep back unseen.
+    too.  Only S' = commutant(S) takes the commutant of a whole input set
+    (parastat takes that of the group unitaries).  Every commutant of an
+    algebra -- S'' = O', the triple commutant, the one irreducibility check
+    of all d = 1 blocks, the witness's A = A', the truncated algebra's
+    verdict -- is taken of a seeded generic pair, 2 members, so a full-basis
+    commutant cannot creep back unseen.
     """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
@@ -808,8 +830,8 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 0}
-        # two Hermitian generators; dim O = 1 + 9; the triple commutant's pair
-        assert members == [2, 10, 2]
+        # two Hermitian generators; the pairs of O (for S'') and of S'' (triple)
+        assert members == [2, 2, 2]
 
     def test_algebra_abelian_two_sectors(self, tmp_path, monkeypatch):
         # adds one irreducibility commutant for both d = 1 blocks and one for A = A'
@@ -817,8 +839,9 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 5, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1}
-        # S, O = M_1 + M_3, the irreducibility pair, the witness pair, the triple pair
-        assert members == [2, 10, 2, 2, 2]
+        # S, the pair of O = M_1 + M_3, the irreducibility pair, the witness
+        # pair, the triple pair
+        assert members == [2, 2, 2, 2, 2]
 
     def test_parastat(self, monkeypatch):
         # the invariant algebra is decomposed once, its commutant being the span

@@ -306,6 +306,20 @@ class TestClustering:
         w = 1.0 + np.array([0.0, 1e-16, 3e-16])
         assert len(cluster_eigenvalues(w, 1e-8)) == 1
 
+    def test_near_scalar_spectrum_is_one_cluster_at_every_scale(self):
+        # the floor is relative to the spectrum's own magnitude: a relative
+        # spread of 1e-10 is one cluster at scale 1 as at any other
+        spread = np.array([0.0, 3e-11, 1e-10])
+        for scale in (1e-3, 1.0, 1e3):
+            assert len(cluster_eigenvalues(scale * (1.0 + spread), 1e-8)) == 1
+            assert len(cluster_eigenvalues(-scale * (1.0 + spread)[::-1], 1e-8)) == 1
+
+    def test_clusters_a_relative_1e_minus_6_apart_split_at_every_scale(self):
+        w = np.array([1.0, 1.0, 1.0 + 1e-6, 1.0 + 1e-6])
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            groups = cluster_eigenvalues(scale * w, 1e-8)
+            assert [list(g) for g in groups] == [[0, 1], [2, 3]], scale
+
     def test_near_degenerate_pair_merges(self):
         w = np.array([0.0, 1e-12, 1.0])
         groups = cluster_eigenvalues(w, 1e-8)
@@ -352,9 +366,10 @@ class TestSeededStreams:
 
     # leading salt -> module; a new stream is added here with a salt of its own
     CENSUS = {101: "opalgebra", 102: "opalgebra", 104: "opalgebra", 105: "cli",
-              106: "opalgebra", 201: "sectors", 202: "sectors", 203: "sectors",
-              204: "sectors", 205: "sectors", 301: "cocycles", 401: "bargmann",
-              402: "bargmann", 403: "bargmann", 404: "cli"}
+              106: "opalgebra", 107: "opalgebra", 201: "sectors", 202: "sectors",
+              203: "sectors", 204: "sectors", 205: "sectors", 206: "sectors",
+              301: "cocycles", 401: "bargmann", 402: "bargmann", 403: "bargmann",
+              404: "cli"}
     SALT_ARG = {"rng": 0, "default_rng": 0, "_generic_split": 2, "_pair_commutant": 2}
 
     @classmethod
@@ -401,3 +416,40 @@ class TestSeededStreams:
             sites.setdefault(lead, []).append(site)
         assert {lead: s for lead, s in sites.items() if len(s) > 1} == {}
         assert {lead: s[0].split(":")[0] for lead, s in sites.items()} == self.CENSUS
+
+
+class TestCommutantCallSites:
+    """``commutant`` is solved only on input sets; every algebra's commutant is a pair's.
+
+    The input sets are S* in ``cli.cmd_algebra``, the set handed to
+    ``opalgebra.generated_algebra`` without a precomputed ``S'``, the
+    permutation unitaries in ``parastat.invariant_algebra`` and the generic
+    pair inside ``opalgebra._pair_commutant``.  An algebra has no method
+    that turns its basis into a generator set.
+    """
+
+    SITES = {("cli", "cmd_algebra"), ("opalgebra", "generated_algebra"),
+             ("opalgebra", "_pair_commutant"), ("parastat", "invariant_algebra")}
+
+    @staticmethod
+    def trees():
+        for path in sorted(pathlib.Path(superselect.__file__).parent.glob("*.py")):
+            yield path.stem, ast.parse(path.read_text())
+
+    def test_only_input_sets_are_solved(self):
+        sites = []
+        for module, tree in self.trees():
+            for fn in ast.walk(tree):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                sites.extend((module, fn.name) for node in ast.walk(fn)
+                             if isinstance(node, ast.Call)
+                             and getattr(node.func, "id", None) == "commutant")
+        assert sorted(sites) == sorted(self.SITES)
+
+    def test_no_as_set(self):
+        found = [f"{module}:{node.lineno}" for module, tree in self.trees()
+                 for node in ast.walk(tree)
+                 if (isinstance(node, ast.FunctionDef) and node.name == "as_set")
+                 or (isinstance(node, ast.Attribute) and node.attr == "as_set")]
+        assert found == []

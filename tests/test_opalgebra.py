@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    basis_set,
     brute_force_commutant,
     fake_separations,
+    full_basis_commutant,
     generic_eigenvalues,
     planted_block_algebra,
     sample_pattern,
 )
-from superselect import opalgebra
+from superselect import opalgebra, sectors
 from superselect.errors import (
+    ClosureMismatch,
     DegenerateGenericElement,
     DimensionMismatch,
     PostconditionFailure,
+    SuperselectError,
 )
 from superselect.numkernel import (
     ToleranceConfig,
@@ -203,7 +207,7 @@ class TestComponentSolve:
         t = ToleranceConfig(seed=seed)
         gens, _ = planted_block_algebra(np.random.default_rng(seed), list(pattern))
         obs = assert_matches_single_stack(operator_set(gens, tol=t), t)  # S'
-        assert_matches_single_stack(obs.as_set(), t)                      # S''
+        assert_matches_single_stack(basis_set(obs), t)                    # S''
 
     def test_sweep_patterns(self, workloads):
         for k, pattern in enumerate(sorted(set(workloads.sweep_pattern_quota(200)))):
@@ -216,7 +220,7 @@ class TestComponentSolve:
     def test_parastat_cases(self, workloads, tol):
         for n, d in workloads.PARASTAT_CASES:
             rep = permutation_unitaries(n, d)
-            assert_matches_single_stack(invariant_algebra(rep, tol).as_set(), tol)
+            assert_matches_single_stack(basis_set(invariant_algebra(rep, tol)), tol)
 
     def test_generic_hermitian(self, tol):
         # n singleton clusters, none coupled: every component is null in full
@@ -305,7 +309,7 @@ class TestGeneratedAlgebra:
             n = int(rng.integers(2, 6))
             alg = generated_algebra(
                 operator_set([random_hermitian(rng, n), random_hermitian(rng, n)]), tol)
-            again = generated_algebra(alg.as_set(), tol)
+            again = generated_algebra(basis_set(alg), tol)
             assert span_equal(alg, again, tol)
 
     def test_triple_commutant_identity(self, tol):
@@ -315,7 +319,7 @@ class TestGeneratedAlgebra:
             mats = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
             s = operator_set(mats)
             cp = commutant(s, tol)
-            cp3 = commutant(generated_algebra(s, tol).as_set(), tol)
+            cp3 = full_basis_commutant(generated_algebra(s, tol), tol)
             assert span_equal(cp, cp3, tol)
 
 
@@ -394,7 +398,7 @@ class TestCenter:
         # a nullspace solve that keeps nothing leaves an empty center basis,
         # which must fail the identity check, not an internal reshape
         o = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol)
-        cp = commutant(o.as_set(), tol)
+        cp = full_basis_commutant(o, tol)
         monkeypatch.setattr(opalgebra, "orthonormal_nullspace",
                             lambda m, *a, **kw: np.zeros((m.shape[1], 0), dtype=complex))
         with pytest.raises(PostconditionFailure, match="identity missing from computed center"):
@@ -409,7 +413,7 @@ class TestCenter:
             o = commutant(operator_set(gens, tol=tol), tol)
         else:
             o = invariant_algebra(permutation_unitaries(3, 3), tol)
-        cp = commutant(o.as_set(), tol)
+        cp = full_basis_commutant(o, tol)
         assert (o.algebra_dim < cp.algebra_dim) == (case == "planted")
         z = center(o, tol, commutant_algebra=cp)
         assert z.algebra_dim == (2 if case == "planted" else 3)
@@ -418,7 +422,7 @@ class TestCenter:
 
     def test_full_algebra_has_scalar_center(self, tol):
         full = commutant(operator_set([np.eye(4)]), tol)
-        z = center(full, tol)
+        z = center(full, tol, commutant_algebra=full_basis_commutant(full, tol))
         assert z.algebra_dim == 1 and z.contains_identity
 
     def test_two_block_algebra(self, tol):
@@ -427,17 +431,19 @@ class TestCenter:
                 for m, m2 in [(SX, SZ), (SZ, SX), (SY, SY)]]
         alg = generated_algebra(operator_set(gens), tol)
         assert alg.algebra_dim == 8
-        assert center(alg, tol).algebra_dim == 2
+        assert center(alg, tol,
+                      commutant_algebra=full_basis_commutant(alg, tol)).algebra_dim == 2
 
     def test_commutant_of_two_valued_diagonal(self, tol):
         c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), tol)
-        assert center(c, tol).algebra_dim == 2
+        assert center(c, tol, commutant_algebra=full_basis_commutant(c, tol)).algebra_dim == 2
 
     def test_center_is_abelian(self, tol):
         rng = np.random.default_rng(53)
         for _ in range(10):
             alg = generated_algebra(operator_set([random_hermitian(rng, 4)]), tol)
-            ab, _ = is_abelian(center(alg, tol), tol)
+            ab, _ = is_abelian(center(alg, tol,
+                                      commutant_algebra=full_basis_commutant(alg, tol)), tol)
             assert ab
 
 
@@ -751,8 +757,8 @@ class TestGenericPairCrossChecks:
     @staticmethod
     def triple_forms(obs, gen_basis, tol):
         """(full-basis reference, generic pair) verdicts of the triple commutant identity."""
-        full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True).as_set()
-        return (commutant_matches(obs, lambda: commutant(full, tol), tol),
+        full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True)
+        return (commutant_matches(obs, lambda: full_basis_commutant(full, tol), tol),
                 commutant_matches(obs, lambda: _pair_commutant(gen_basis, tol, (105,)), tol))
 
     def test_triple_commutant_direction_rotated_out_of_the_span(self, workloads):
@@ -794,8 +800,8 @@ class TestGenericPairCrossChecks:
             w[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * u[:, 1]
             sector = dataclasses.replace(dec.sectors[0], isometry=w)
             rep = check_dirac(dataclasses.replace(dec, sectors=(sector,)), tol)
-            full = commutant_matches(rep.witness, lambda: commutant(rep.witness.as_set(), tol),
-                                     tol)
+            full = commutant_matches(rep.witness,
+                                     lambda: full_basis_commutant(rep.witness, tol), tol)
             assert rep.v2_holds and rep.witness_in_observables
             assert (full, rep.witness_is_maximal_abelian) == (angle == 0.0,) * 2, angle
 
@@ -812,9 +818,105 @@ class TestGenericPairCrossChecks:
                 for j in range(off, off + b):
                     units.append(np.outer(u[:, i], u[:, j].conj()))
         stack = np.stack(units)
-        full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True).as_set()
-        assert commutant(full, tol).algebra_dim == len(blocks)
+        full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True)
+        assert full_basis_commutant(full, tol).algebra_dim == len(blocks)
         assert _pair_commutant(stack, tol, (204,)).algebra_dim == len(blocks)
+
+
+# ``_pair_commutant`` faults: the pair is drawn from a proper subalgebra of
+# the algebra it should generate.  "scalars": two multiples of the identity,
+# whose commutant is the whole matrix algebra.  "one element": two multiples
+# of one generic Hermitian element h, which generate the abelian C*(h).
+PAIR_FAULTS = {
+    "scalars": lambda members, t, salt: np.eye(members.shape[-1], dtype=complex)[None],
+    "one element": lambda members, t, salt: _generic_hermitian_combo(members, t.rng(*salt))[None],
+}
+
+
+def plant_pair_fault(monkeypatch, module, fault, salt):
+    """Draw the pair at ``salt`` from the subalgebra ``PAIR_FAULTS[fault]`` picks."""
+    real = module._pair_commutant
+
+    def pair_commutant(members, t, s):
+        if s == salt:
+            members = PAIR_FAULTS[fault](members, t, s)
+        return real(members, t, s)
+
+    monkeypatch.setattr(module, "_pair_commutant", pair_commutant)
+
+
+class TestPairDoubleCommutant:
+    """S'' = O' and the decomposition's default commutant are taken of a seeded generic pair.
+
+    The reference is the commutant of the algebra's whole basis.  A pair
+    that generates less than the algebra has too large a commutant; the word
+    closure must then raise :class:`ClosureMismatch`, and the decomposition
+    a typed error, never a wrong multiset.
+    """
+
+    # the planted patterns of the CLI's n = 40 and 56 items, drawn as it draws them
+    LARGE = ([(1, 20), (2, 10)], [(1, 8), (2, 8), (4, 4)], [(3, 6), (2, 11)],
+             [(1, 28), (2, 14)], [(1, 10), (2, 9), (3, 6), (1, 10)], [(4, 7), (2, 14)],
+             [(10, 1), (14, 1), (16, 1), (16, 1)])
+
+    @staticmethod
+    def inputs(workloads, which):
+        """``(pattern, tol, S)`` of every sweep, wide or large pattern."""
+        if which == "large":
+            for pattern in TestPairDoubleCommutant.LARGE:
+                gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
+                yield pattern, ToleranceConfig(), gens
+            return
+        patterns = (sorted(set(workloads.sweep_pattern_quota(200))) if which == "sweep"
+                    else workloads.WIDE_PATTERNS)
+        for k, pattern in enumerate(patterns):
+            gens, _ = planted_block_algebra(np.random.default_rng(k), list(pattern))
+            yield pattern, ToleranceConfig(seed=k), gens
+
+    @pytest.mark.parametrize("which", ["sweep", "wide", "large"])
+    def test_pair_equals_the_full_basis_commutant(self, workloads, which):
+        for pattern, t, gens in self.inputs(workloads, which):
+            s = operator_set(gens, tol=t)
+            obs = commutant(s, t)
+            gen = generated_algebra(s, t, commutant_algebra=obs)
+            assert gen.algebra_dim == sum(nt * nt for _, nt in pattern), pattern
+            assert span_equal(gen, full_basis_commutant(obs, t), t), pattern
+
+    @pytest.mark.parametrize("fault", PAIR_FAULTS)
+    def test_pair_generating_less_fails_the_word_closure(self, workloads, monkeypatch, fault):
+        cases = 0
+        for pattern, t, gens in self.inputs(workloads, "sweep"):
+            # the pair is drawn from O = S', the sum of the M_d
+            if fault == "one element" and all(d == 1 for d, _ in pattern):
+                continue  # O is abelian, and one generic element generates it
+            if fault == "scalars" and len(pattern) == 1 and pattern[0][0] == 1:
+                continue  # S'' is the whole matrix algebra
+            s = operator_set(gens, tol=t)
+            obs = commutant(s, t)
+            with monkeypatch.context() as m:
+                plant_pair_fault(m, opalgebra, fault, (107,))
+                with pytest.raises(ClosureMismatch):
+                    generated_algebra(s, t, commutant_algebra=obs)
+            cases += 1
+        assert cases >= 15
+
+    @pytest.mark.parametrize("fault", PAIR_FAULTS)
+    def test_pair_generating_less_fails_the_decomposition(self, workloads, monkeypatch, fault):
+        cases = 0
+        for pattern, t, gens in self.inputs(workloads, "sweep"):
+            # the pair is drawn from S'' = the sum of the 1_d (x) M_ntilde
+            if fault == "one element" and all(nt == 1 for _, nt in pattern):
+                continue
+            if fault == "scalars" and len(pattern) == 1 and pattern[0][1] == 1:
+                continue  # S'' is the scalars, with the whole matrix algebra as commutant
+            o = generated_algebra(operator_set(gens, tol=t), t)
+            assert central_decomposition(o, t).multiset() == tuple(sorted(pattern))
+            with monkeypatch.context() as m:
+                plant_pair_fault(m, sectors, fault, (206,))
+                with pytest.raises(SuperselectError):
+                    central_decomposition(o, t)
+            cases += 1
+        assert cases >= 15
 
 
 class TestPlantedStructure:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import full_basis_commutant
 from superselect import opalgebra, sectors
 from superselect.errors import PostconditionFailure, SizeLimit
 from superselect.opalgebra import (
     algebra_from_span,
-    commutant,
     is_abelian,
-    operator_set,
     span_equal,
     span_residual,
 )
@@ -154,7 +153,7 @@ class TestInvariantAlgebra:
         rep = permutation_unitaries(2, 2)
         o = invariant_algebra(rep, tol)
         assert o.algebra_dim == 10  # 3^2 + 1^2
-        cp = commutant(operator_set(list(o.basis), tol=tol), tol)
+        cp = full_basis_commutant(o, tol)
         abelian, _ = is_abelian(cp, tol)
         assert abelian  # S2 is abelian: compatibility holds untruncated
 
@@ -162,7 +161,7 @@ class TestInvariantAlgebra:
         rep = permutation_unitaries(3, 2)
         o = invariant_algebra(rep, tol)
         assert o.algebra_dim == 20  # 4^2 + 2^2
-        cp = commutant(operator_set(list(o.basis), tol=tol), tol)
+        cp = full_basis_commutant(o, tol)
         assert cp.algebra_dim == 5  # 1^2 + 2^2
         abelian, resid = is_abelian(cp, tol)
         assert not abelian and resid > 0.01
@@ -175,7 +174,7 @@ class TestInvariantAlgebra:
         # the decomposition takes O' as the span of the unitaries; the full
         # solve must agree with it
         rep = permutation_unitaries(n, d)
-        solved = commutant(invariant_algebra(rep, tol).as_set(), tol)
+        solved = full_basis_commutant(invariant_algebra(rep, tol), tol)
         group_span = algebra_from_span([rep.unitaries[g] for g in rep.group()], tol)
         assert span_equal(solved, group_span, tol)
 
@@ -262,7 +261,7 @@ class TestNonPureVectors:
         o = invariant_algebra(rep, tol)
         dec = decomposition_for(rep, tol)
         sec = next(s for s in dec.sectors if s.d > 1)
-        cp = commutant(operator_set(list(o.basis), tol=tol), tol)
+        cp = full_basis_commutant(o, tol)
         w_iso = sec.isometry
         restricted = np.einsum("ia,kij,jb->kab", w_iso.conj(), cp.basis, w_iso)
         herm = sum(np.random.default_rng(7).standard_normal() * (r + r.conj().T)

@@ -120,11 +120,15 @@ class TestCentralDecomposition:
     def irreducibility_pairs(monkeypatch, fault=lambda members: members):
         """Record ``(stack shape, salt, commutant dim)`` for each d = 1 pair drawn.
 
-        ``fault`` replaces the stack before the pair is drawn from it.
+        ``fault`` replaces the stack before the pair is drawn from it.  Only
+        the d = 1 check's salt ``(204,)`` is seen: the decomposition's own
+        commutant (salt ``(206,)``) is drawn as it is.
         """
         seen, real = [], sectors._pair_commutant
 
         def pair_commutant(members, t, salt):
+            if salt != (204,):
+                return real(members, t, salt)
             out = real(fault(members), t, salt)
             seen.append((members.shape, salt, out.algebra_dim))
             return out
