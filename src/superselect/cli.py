@@ -504,8 +504,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; that code
         return 0 if exc.code in (0, None) else 1  # means "checks failed" here
     try:
-        report = run_command(args)
-        payload = report.to_json_bytes()
+        # an overflow or invalid operation is an input error, not a warning
+        # on stderr followed by a NaN in the report
+        with np.errstate(over="raise", invalid="raise"):
+            report = run_command(args)
+            payload = report.to_json_bytes()
+    except FloatingPointError as exc:
+        print(f"error: {args.command}: floating-point {exc}", file=sys.stderr)
+        return 1
     except (SuperselectError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,11 +2,15 @@
 
 ``n`` identical particles, each with a C^d internal space, carry the obvious
 permutation action on (C^d)^(x n).  The observables are everything commuting
-with that action; their commutant is the group-algebra image, non-abelian
-for n >= 3, and the block structure is cross-checked against character
-projectors built from hard-coded S_2..S_4 tables (partitions listed in
-lexicographic order).  Truncating to one multiplicity copy per block
-restores an abelian commutant.
+with that action.  Each U(g) is a 0/1 permutation matrix of the basis words,
+so U(g) E_ij U(g)* = E_{g.i, g.j}: the observables are spanned by the orbit
+sums of matrix units under the group's action on index pairs (the orbital
+basis of a permutation group's centraliser algebra), and are written down
+rather than solved for.  Their commutant is the group-algebra image,
+non-abelian for n >= 3, and the block structure is cross-checked against
+character projectors built from hard-coded S_2..S_4 tables (partitions
+listed in lexicographic order).  Truncating to one multiplicity copy per
+block restores an abelian commutant.
 
 Absent blocks (multiplicity zero, e.g. the alternating one for d = 2,
 n = 3) are reported explicitly rather than dropped.
@@ -21,14 +25,7 @@ import numpy as np
 
 from .errors import NonIntegerRank, PostconditionFailure, SizeLimit
 from .numkernel import DEFAULT_TOL, ToleranceConfig
-from .opalgebra import (
-    OperatorAlgebra,
-    _abelian_commutant,
-    _max_commutator,
-    algebra_from_span,
-    commutant,
-    operator_set,
-)
+from .opalgebra import OperatorAlgebra, _abelian_commutant, _max_commutator, algebra_from_span
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
 __all__ = [
@@ -139,11 +136,41 @@ def permutation_unitaries(n: int, d: int) -> TensorRep:
 
 
 def invariant_algebra(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
-    """Observables of identical particles: the commutant of all permutation unitaries."""
+    """Observables of identical particles: the commutant of all permutation unitaries.
+
+    Written down, not solved for.  With U(g) e_j = e_{g.j} a permutation
+    matrix, U(g) E_ij U(g)* = E_{g.i, g.j}, so B commutes with every U(g)
+    exactly when its entries are constant on the orbits of the index pairs
+    (i, j).  Each orbit is labelled by its least flat index ``g.i * dim + g.j``
+    over the group, and its indicator divided by sqrt(orbit size) is one basis
+    element.  Distinct orbits have disjoint supports, so the basis is exactly
+    HS-orthonormal and no rank is decided; the identity is the sum of the
+    diagonal orbits' indicators.
+
+    Precondition: every U(g) is a 0/1 permutation matrix and the index maps
+    form a group, so that the least image is the same across an orbit; a
+    ``ValueError`` names the first element that breaks it.  ``tol`` is unused
+    and kept for the signature the other structure functions share.
+    """
+    n = rep.dim
     group = rep.group()
-    s = operator_set([rep.unitaries[g] for g in group],
-                     names=[str(g.images) for g in group], tol=tol)
-    return commutant(s, tol)
+    images = np.empty((len(group), n), dtype=np.intp)
+    for k, g in enumerate(group):
+        u = rep.unitaries[g]
+        image = np.argmax(np.abs(u), axis=0)
+        if u.shape != (n, n) or not np.array_equal(u, np.eye(n)[:, image]):
+            raise ValueError(f"U{g.images} is not a {n}x{n} 0/1 permutation matrix")
+        images[k] = image
+    pairs = images[:, :, None] * n + images[:, None, :]  # flat index of (g.i, g.j)
+    labels = pairs.min(axis=0)
+    moved = np.any(labels.ravel()[pairs] != labels, axis=(1, 2))
+    if moved.any():
+        raise ValueError(f"the index maps are not a group: U{group[int(np.argmax(moved))].images} "
+                         "moves an orbit label")
+    _, orbit, sizes = np.unique(labels.ravel(), return_inverse=True, return_counts=True)
+    basis = np.zeros((len(sizes), n * n), dtype=complex)
+    basis[orbit, np.arange(n * n)] = 1.0 / np.sqrt(sizes[orbit])
+    return OperatorAlgebra(dim=n, basis=basis.reshape(-1, n, n), contains_identity=True)
 
 
 def _group_span(rep: TensorRep, tol: ToleranceConfig) -> OperatorAlgebra:
@@ -223,11 +250,6 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
         "post_truncation_v2": post.algebra_dim == len(dec.sectors),
         "post_truncation_commutant_dim": int(post.algebra_dim),
     }
-
-
-def sector_oracle_multiset(rep: TensorRep) -> tuple[tuple[int, int], ...]:
-    """Present-block (d, ntilde) multiset from the character oracle."""
-    return tuple(sorted((d, nt) for _, d, nt in character_oracle(rep) if nt > 0))
 
 
 def decomposition_for(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:

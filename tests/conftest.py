@@ -2,8 +2,10 @@
 
 The brute-force commutant below is the reference stacked-kron nullspace with
 a full SVD, kept free of the library's pattern reduction so it can serve as
-an independent oracle.  The ``workloads`` fixture loads the benchmark's
-input generators and report oracle from ``perfbench/workloads.py``.
+an independent oracle; ``sector_oracle_multiset`` reads the parastat sector
+table off the character oracle.  The ``workloads`` fixture loads the
+benchmark's input generators and report oracle from
+``perfbench/workloads.py``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from scipy.linalg import block_diag
 from superselect import opalgebra
 from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
 from superselect.opalgebra import OperatorSet, _generic_hermitian_combo, commutant
+from superselect.parastat import character_oracle
 
 
 WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
@@ -30,17 +33,22 @@ def tol():
     return ToleranceConfig()
 
 
-@pytest.fixture(scope="module")
-def workloads():
+def load_workloads():
+    """Import ``perfbench/workloads.py`` by path as ``perfbench_workloads``."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
     module = importlib.util.module_from_spec(spec)
     # the dataclass decorator looks its module up in sys.modules
     sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
     try:
-        spec.loader.exec_module(module)
-        yield module
+        yield load_workloads()
     finally:
-        del sys.modules[spec.name]
+        del sys.modules["perfbench_workloads"]
 
 
 def brute_force_commutant(mats, rank_tol=1e-10):
@@ -70,6 +78,11 @@ def basis_set(alg):
 def full_basis_commutant(alg, tol):
     """Reference commutant of an algebra: the solve over its whole basis, no generic pair."""
     return commutant(basis_set(alg), tol)
+
+
+def sector_oracle_multiset(rep):
+    """Present-block (d, ntilde) multiset from the character oracle, as ``multiset()`` sorts it."""
+    return tuple(sorted((d, nt) for _, d, nt in character_oracle(rep) if nt > 0))
 
 
 def generic_eigenvalues(members, tol, salt):

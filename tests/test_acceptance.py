@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import planted_block_algebra, sample_pattern
+from conftest import planted_block_algebra, sample_pattern, sector_oracle_multiset
 from superselect import bargmann as bg
 from superselect.cocycles import (
     BUILTIN_GROUPS,
@@ -52,11 +52,7 @@ from superselect.opalgebra import (
     span_equal,
     span_residual,
 )
-from superselect.parastat import (
-    parastat_truncation,
-    permutation_unitaries,
-    sector_oracle_multiset,
-)
+from superselect.parastat import parastat_truncation, permutation_unitaries
 from superselect.sectors import central_decomposition
 
 N_PLANTED = 1000

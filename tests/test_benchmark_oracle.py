@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 
+import twilight
 from conftest import WORKLOADS_PATH
-from superselect import cli, opalgebra
+from superselect import cli, errors, opalgebra
 from superselect.fileformat import load_operator_file
 from superselect.numkernel import ToleranceConfig
 
@@ -122,6 +123,16 @@ def test_perturbed_input_with_a_one_dimensional_center(workloads, tmp_path):
     structure = report.sections["structure"]
     assert report.all_passed
     assert (structure["generated_dim"], structure["center_dim"]) == (25, 1)
+
+
+def test_twilight_recipe_ends_in_a_pass_or_a_typed_error(workloads, tmp_path):
+    # run_recipe lets any exception other than a SuperselectError through;
+    # a report whose checks fail is not an accepted outcome either
+    outcomes = twilight.run_recipe(workloads, str(tmp_path))
+    assert len(outcomes) == len(twilight.EPSILONS) * twilight.TRIALS
+    typed = {name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.SuperselectError)}
+    assert sorted({o for _, _, o in outcomes} - typed - {"pass"}) == []
 
 
 def test_commutant_redraws_a_poorly_separated_pattern_element(workloads, tmp_path):

@@ -422,14 +422,14 @@ class TestCommutantCallSites:
     """``commutant`` is solved only on input sets; every algebra's commutant is a pair's.
 
     The input sets are S* in ``cli.cmd_algebra``, the set handed to
-    ``opalgebra.generated_algebra`` without a precomputed ``S'``, the
-    permutation unitaries in ``parastat.invariant_algebra`` and the generic
-    pair inside ``opalgebra._pair_commutant``.  An algebra has no method
-    that turns its basis into a generator set.
+    ``opalgebra.generated_algebra`` without a precomputed ``S'`` and the
+    generic pair inside ``opalgebra._pair_commutant``; the permutation
+    unitaries' commutant is written down as orbit sums.  An algebra has no
+    method that turns its basis into a generator set.
     """
 
     SITES = {("cli", "cmd_algebra"), ("opalgebra", "generated_algebra"),
-             ("opalgebra", "_pair_commutant"), ("parastat", "invariant_algebra")}
+             ("opalgebra", "_pair_commutant")}
 
     @staticmethod
     def trees():

@@ -1,24 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import full_basis_commutant
+from conftest import full_basis_commutant, sector_oracle_multiset
 from superselect import opalgebra, sectors
 from superselect.errors import PostconditionFailure, SizeLimit
 from superselect.opalgebra import (
     algebra_from_span,
+    commutant,
     is_abelian,
+    operator_set,
     span_equal,
     span_residual,
 )
 from superselect.parastat import (
     CHARACTER_TABLES,
     Permutation,
+    TensorRep,
     character_oracle,
     decomposition_for,
     invariant_algebra,
     parastat_truncation,
     permutation_unitaries,
-    sector_oracle_multiset,
     symmetric_group,
 )
 from superselect.sectors import truncate
@@ -149,6 +151,53 @@ class TestCharacterOracle:
 
 
 class TestInvariantAlgebra:
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_orbit_basis_is_an_exactly_orthonormal_algebra(self, n, d, tol):
+        o = invariant_algebra(permutation_unitaries(n, d), tol)
+        o.validate(tol)
+        vecs = o.basis.reshape(o.algebra_dim, -1)
+        assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(o.algebra_dim))) <= 1e-14
+
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_orbit_basis_spans_the_solved_commutant(self, n, d, tol):
+        # the numerical commutant of the group unitaries is the reference
+        rep = permutation_unitaries(n, d)
+        solved = commutant(operator_set([rep.unitaries[g] for g in rep.group()], tol=tol), tol)
+        assert span_equal(invariant_algebra(rep, tol), solved, tol)
+
+    @pytest.mark.parametrize("n,d,expect", [
+        (2, 2, 10), (3, 2, 20), (2, 3, 45), (4, 2, 35), (3, 3, 165),
+    ])
+    def test_dimension_is_the_oracle_sum_of_squares(self, n, d, expect, tol):
+        rep = permutation_unitaries(n, d)
+        assert sum(nt * nt for _, _, nt in character_oracle(rep)) == expect
+        assert invariant_algebra(rep, tol).algebra_dim == expect
+
+    def test_solves_no_commutant(self, tol, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("invariant_algebra solved for what it writes down")
+
+        for mod, name in [(opalgebra, "commutant"), (np.linalg, "svd"), (np.linalg, "eigh"),
+                          (np.linalg, "eigvalsh")]:
+            monkeypatch.setattr(mod, name, forbidden)
+        invariant_algebra(permutation_unitaries(3, 3), tol)
+
+    def test_refuses_a_unitary_that_is_not_a_permutation_matrix(self, tol):
+        rep = permutation_unitaries(3, 2)
+        g = Permutation((1, 2, 0))
+        u = rep.unitaries[g].copy()
+        u[np.argmax(u[:, 0]), 0] = 0.5
+        bad = TensorRep(3, 2, 8, {**rep.unitaries, g: u})
+        with pytest.raises(ValueError, match=r"U\(1, 2, 0\) is not a 8x8 0/1 permutation"):
+            invariant_algebra(bad, tol)
+
+    def test_refuses_index_maps_that_are_not_a_group(self, tol):
+        # the identity and one 3-cycle: the 3-cycle moves some pair's least image
+        rep = permutation_unitaries(3, 2)
+        part = {g: u for g, u in rep.unitaries.items() if g.images in {(0, 1, 2), (1, 2, 0)}}
+        with pytest.raises(ValueError, match="not a group"):
+            invariant_algebra(TensorRep(3, 2, 8, part), tol)
+
     def test_two_qubit_dimensions(self, tol):
         rep = permutation_unitaries(2, 2)
         o = invariant_algebra(rep, tol)
