@@ -2,10 +2,16 @@
 
 Decides whether a set of observables admits superselection sectors,
 decomposes the state space into coherent blocks, checks for a maximal
-abelian subalgebra (equivalently an abelian commutant), and carries three
-worked case studies: permutation-invariant observables on tensor powers,
-the mass multiplier of Galilei boosts, and asymptotic charge-flux
-multipoles.
+abelian subalgebra (equivalently an abelian commutant), writes an
+observable commuting with a simple-spectrum one as a polynomial in it, and
+carries three worked case studies: permutation-invariant observables on
+tensor powers, the mass multiplier of Galilei boosts, and asymptotic
+charge-flux multipoles.
+
+States are plain vectors and density matrices, not toolkit objects: a
+superposition of vectors from different sectors gives every observable the
+expectation of the mixture weighted by ``||P_s phi||^2``, with ``P_s`` the
+sectors' projectors (``Sector.projector``).
 """
 
 from .numkernel import (
@@ -26,16 +32,7 @@ from .opalgebra import (
     is_abelian,
     operator_set,
 )
-from .sectors import (
-    DensityState,
-    SectorDecomposition,
-    are_disjoint,
-    central_decomposition,
-    density_state,
-    expectation_functional,
-    extremal_decomposition,
-    truncate,
-)
+from .sectors import SectorDecomposition, central_decomposition, truncate
 from .diracsets import (
     Polynomial,
     cyclic_vector_for,
@@ -52,9 +49,7 @@ __all__ = [
     "DiracReport", "OperatorAlgebra", "OperatorSet", "algebra_from_span",
     "center", "check_dirac", "commutant", "generated_algebra", "is_abelian",
     "operator_set",
-    "DensityState", "SectorDecomposition", "are_disjoint",
-    "central_decomposition", "density_state", "expectation_functional",
-    "extremal_decomposition", "truncate",
+    "SectorDecomposition", "central_decomposition", "truncate",
     "Polynomial", "cyclic_vector_for", "has_simple_spectrum",
     "interpolate_commuting", "is_cyclic",
 ]

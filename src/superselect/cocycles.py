@@ -19,12 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    NonCommutingPair,
-    NotACocycle,
-    NotARayRep,
-    Unsupported,
-)
+from .errors import NotACocycle, Unsupported
 from .numkernel import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "MultiplierTable",
     "CocycleReport",
     "CoboundaryResult",
-    "LiftReport",
     "finite_group",
     "cyclic_group",
     "klein_four_group",
@@ -41,19 +35,15 @@ __all__ = [
     "coboundary",
     "zero_multiplier",
     "pauli_multiplier",
-    "pauli_projective_rep",
     "check_cocycle",
     "coboundary_solve",
-    "antisym_obstruction",
     "extension_product",
     "extension_identity",
     "extension_inverse",
-    "lift_check",
 ]
 
 COCYCLE_TOL = 1e-10
 COBOUNDARY_TOL = 1e-10
-RAY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,9 +54,6 @@ class FiniteGroup:
     table: np.ndarray          # table[i, j] = index of g_i g_j
     identity: int
     inverse: np.ndarray        # inverse[i] = index of g_i^{-1}
-
-    def commutes(self, i: int, j: int) -> bool:
-        return self.table[i, j] == self.table[j, i]
 
 
 def finite_group(table) -> FiniteGroup:
@@ -163,17 +150,6 @@ def pauli_multiplier() -> MultiplierTable:
     return MultiplierTable(group=group, xi=xi)
 
 
-def pauli_projective_rep() -> dict[int, np.ndarray]:
-    """Klein four-group unitaries X^a Z^b realizing the Pauli-type multiplier."""
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    rep = {}
-    for i in range(4):
-        a, b = i // 2, i % 2
-        rep[i] = np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
-    return rep
-
-
 @dataclass(frozen=True)
 class CocycleReport:
     holds: bool
@@ -245,21 +221,6 @@ def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
     return CoboundaryResult(gamma=None, max_residual=resid)
 
 
-def antisym_obstruction(xi_eval: Callable, pairs, commutes: Callable) -> float:
-    """Largest |xi(a, b) - xi(b, a)| over supplied commuting pairs.
-
-    On commuting pairs every coboundary is symmetric, so a non-zero value
-    certifies that the multiplier is not a coboundary; applied to a
-    difference of two multipliers it certifies their inequivalence.
-    """
-    worst = 0.0
-    for g1, g2 in pairs:
-        if not commutes(g1, g2):
-            raise NonCommutingPair(f"pair ({g1!r}, {g2!r}) does not commute")
-        worst = max(worst, abs(float(xi_eval(g1, g2)) - float(xi_eval(g2, g1))))
-    return worst
-
-
 def extension_identity(mult: MultiplierTable) -> tuple[float, int]:
     return (0.0, mult.group.identity)
 
@@ -276,54 +237,3 @@ def extension_inverse(e: tuple[float, int], mult: MultiplierTable) -> tuple[floa
     th, i = e
     j = int(mult.group.inverse[i])
     return (-th - float(mult.xi[i, j]), j)
-
-
-@dataclass(frozen=True)
-class LiftReport:
-    holds: bool
-    max_ray_residual: float
-    max_lift_residual: float
-    mode: str
-
-
-def lift_check(rep: dict[int, np.ndarray], mult: MultiplierTable,
-               mode: str = "strict", samples: int = 64,
-               tol: ToleranceConfig = DEFAULT_TOL) -> LiftReport:
-    """Verify that theta-augmented unitaries represent the central extension.
-
-    The unitaries must first form a genuine ray representation for the given
-    multiplier (checked over all pairs; failure raises :class:`NotARayRep`),
-    and the multiplier must pass the cocycle identity in the requested mode.
-    Then exp(i theta) U_g is checked to compose according to the extension
-    product over seeded (theta, g) samples.
-    """
-    group = mult.group
-    n = group.order
-    if sorted(rep) != list(range(n)):
-        raise ValueError("rep must map every group index to a unitary")
-    worst_ray = 0.0
-    for i in range(n):
-        for j in range(n):
-            lhs = rep[i] @ rep[j]
-            rhs = np.exp(1j * mult.xi[i, j]) * rep[group.table[i, j]]
-            worst_ray = max(worst_ray, float(np.linalg.norm(lhs - rhs)))
-    if worst_ray > RAY_TOL:
-        raise NotARayRep(
-            f"unitaries miss the ray composition law by {worst_ray:.3e}")
-    cocycle = check_cocycle(mult, mode)
-    if not cocycle.holds:
-        raise NotACocycle(
-            f"multiplier fails the {mode} cocycle identity "
-            f"(residual {cocycle.max_residual:.3e})")
-
-    rng = tol.rng(301)
-    worst_lift = 0.0
-    for _ in range(samples):
-        th1, th2 = rng.uniform(-np.pi, np.pi, size=2)
-        i1, i2 = rng.integers(0, n, size=2)
-        lhs = (np.exp(1j * th1) * rep[i1]) @ (np.exp(1j * th2) * rep[int(i2)])
-        th12, i12 = extension_product((float(th1), int(i1)), (float(th2), int(i2)), mult)
-        rhs = np.exp(1j * th12) * rep[i12]
-        worst_lift = max(worst_lift, float(np.linalg.norm(lhs - rhs)))
-    return LiftReport(holds=worst_lift <= RAY_TOL, max_ray_residual=worst_ray,
-                      max_lift_residual=worst_lift, mode=mode)

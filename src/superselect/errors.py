@@ -26,10 +26,6 @@ class NonIntegerStructure(SuperselectError):
     """Restricted algebra dimensions are not squares of integers (clustering failure)."""
 
 
-class CriteriaDisagree(SuperselectError):
-    """The matrix-element and projector-support disjointness criteria disagree."""
-
-
 class ZeroVector(SuperselectError):
     """A state vector required to be non-zero is (numerically) zero."""
 
@@ -60,14 +56,6 @@ class NonIntegerRank(SuperselectError):
 
 class NotACocycle(SuperselectError):
     """A multiplier table fails the strict cocycle identity."""
-
-
-class NonCommutingPair(SuperselectError):
-    """A pair supplied as commuting does not commute in the group."""
-
-
-class NotARayRep(SuperselectError):
-    """Unitaries fail the ray-representation composition law for the given multiplier."""
 
 
 class Unsupported(SuperselectError):

@@ -31,7 +31,6 @@ __all__ = [
     "sha256_hex",
     "jsonable",
     "load_operator_file",
-    "operator_set_document",
     "load_group_file",
     "load_dynamics_file",
 ]
@@ -142,17 +141,6 @@ def load_operator_file(path) -> tuple[OperatorSet, bytes]:
         names.append(str(op["name"]))
         mats.append(_matrix_from_parts(op["re"], op["im"], n, op["name"]))
     return operator_set(mats, names=names), raw
-
-
-def operator_set_document(s: OperatorSet) -> dict:
-    """Document form of an operator set (nested row-major re/im arrays)."""
-    return {
-        "dim": s.dim,
-        "operators": [
-            {"name": name, "re": m.real.tolist(), "im": m.imag.tolist()}
-            for name, m in zip(s.names, s.members)
-        ],
-    }
 
 
 def load_group_file(path) -> tuple[FiniteGroup, MultiplierTable, bytes]:

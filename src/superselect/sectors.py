@@ -1,4 +1,4 @@
-"""Coherent-sector decomposition, disjointness of states, truncation.
+"""Coherent-sector decomposition and truncation.
 
 The ambient space splits into blocks cut out by the minimal projectors of
 the observable algebra's center.  On each block the algebra acts as
@@ -22,20 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CriteriaDisagree,
-    DimensionMismatch,
-    NonIntegerStructure,
-    PostconditionFailure,
-    ZeroVector,
-)
-from .numkernel import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_complex_matrix,
-    hermitian_part,
-    random_hermitian,
-)
+from .errors import NonIntegerStructure, PostconditionFailure
+from .numkernel import DEFAULT_TOL, ToleranceConfig, random_hermitian
 from .opalgebra import (
     OperatorAlgebra,
     _generic_split,
@@ -49,19 +37,10 @@ from .opalgebra import (
 __all__ = [
     "Sector",
     "SectorDecomposition",
-    "DensityState",
-    "density_state",
-    "vector_state",
     "central_decomposition",
-    "are_disjoint",
-    "extremal_decomposition",
-    "expectation_functional",
     "truncate",
 ]
 
-SUPPORT_RTOL = 1e-6      # relative cutoff for projector-support membership
-MATRIX_ELEMENT_RTOL = 1e-9
-EXTREMAL_CUTOFF = 1e-12
 INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted trace) from an integer
 CENTRAL_VALUE_SALT = 203  # seeded stream of the Hermitian H behind Sector.central_value
 
@@ -99,35 +78,6 @@ class SectorDecomposition:
     def multiset(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of (d, ntilde) pairs, for oracle comparisons."""
         return tuple(sorted((s.d, s.ntilde) for s in self.sectors))
-
-
-@dataclass(frozen=True)
-class DensityState:
-    rho: np.ndarray
-
-
-def density_state(rho) -> DensityState:
-    """Validated density matrix: Hermitian, positive, unit trace."""
-    m = as_complex_matrix(rho, "density matrix")
-    scale = max(float(np.linalg.norm(m)), 1e-300)
-    if np.linalg.norm(m - m.conj().T) > 1e-12 * scale:
-        raise ValueError("density matrix must be Hermitian within 1e-12")
-    evals = np.linalg.eigvalsh(hermitian_part(m))
-    if float(evals[0]) < -1e-10:
-        raise ValueError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
-    if abs(float(np.trace(m).real) - 1.0) > 1e-10:
-        raise ValueError("density matrix trace must equal 1 within 1e-10")
-    return DensityState(rho=m)
-
-
-def vector_state(phi) -> DensityState:
-    """Rank-one density matrix of a (non-zero) vector."""
-    v = np.asarray(phi, dtype=complex).ravel()
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroVector("cannot form a state from the zero vector")
-    v = v / nrm
-    return DensityState(rho=np.outer(v, v.conj()))
 
 
 def _as_int(value: float, what: str) -> int:
@@ -248,70 +198,6 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     sectors.sort(key=lambda sec: sec.central_value)
     return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
                                center=z)
-
-
-def are_disjoint(phi1, phi2, o: OperatorAlgebra, dec: SectorDecomposition,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether two vector states are separated by the superselection structure.
-
-    Primary criterion: every observable matrix element between the vectors
-    vanishes.  Cross-checked against disjointness of the projector supports;
-    a disagreement (possible for borderline vectors or multiplicity blocks)
-    raises :class:`CriteriaDisagree` rather than guessing.
-    """
-    v1 = np.asarray(phi1, dtype=complex).ravel()
-    v2 = np.asarray(phi2, dtype=complex).ravel()
-    if v1.size != o.dim or v2.size != o.dim:
-        raise ValueError("vectors must match the algebra dimension")
-    n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroVector("disjointness needs non-zero vectors")
-
-    elems = np.abs(np.einsum("i,kij,j->k", v1.conj(), o.basis, v2))
-    by_elements = bool(np.max(elems) <= MATRIX_ELEMENT_RTOL * n1 * n2)
-
-    sup1 = {i for i, s in enumerate(dec.sectors)
-            if np.linalg.norm(s.isometry.conj().T @ v1) > SUPPORT_RTOL * n1}
-    sup2 = {i for i, s in enumerate(dec.sectors)
-            if np.linalg.norm(s.isometry.conj().T @ v2) > SUPPORT_RTOL * n2}
-    by_support = not (sup1 & sup2)
-
-    if by_elements != by_support:
-        raise CriteriaDisagree(
-            f"matrix-element criterion says {by_elements}, projector supports say "
-            f"{by_support}; vectors sit too close to a tolerance boundary "
-            "(or share a multiplicity block)")
-    return by_elements
-
-
-def extremal_decomposition(phi, dec: SectorDecomposition) -> list[tuple[float, np.ndarray]]:
-    """Unique convex split of a vector state across sectors.
-
-    Returns ``(lambda_i, phi_i)`` pairs with ``phi_i`` the normalized
-    projection into sector ``i`` and ``lambda_i = |P_i phi|^2 / |phi|^2``,
-    keeping sectors with relative weight above 1e-12.
-    """
-    v = np.asarray(phi, dtype=complex).ravel()
-    if v.size != dec.dim:
-        raise DimensionMismatch(f"vector has length {v.size}, expected the decomposition's "
-                                f"dimension {dec.dim}")
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        raise ZeroVector("extremal decomposition needs a non-zero vector")
-    out = []
-    for s in dec.sectors:
-        comp = s.projector @ v
-        cn = np.linalg.norm(comp)
-        if cn > EXTREMAL_CUTOFF * nrm:
-            out.append((float((cn / nrm) ** 2), comp / cn))
-    return out
-
-
-def expectation_functional(rho: DensityState, o: OperatorAlgebra) -> np.ndarray:
-    """Values tr(rho B) over the algebra basis, as a complex vector."""
-    if rho.rho.shape[0] != o.dim:
-        raise ValueError("state and algebra dimensions differ")
-    return np.einsum("kij,ji->k", o.basis, rho.rho)
 
 
 def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL

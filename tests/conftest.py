@@ -3,7 +3,8 @@
 The brute-force commutant below is the reference stacked-kron nullspace with
 a full SVD, kept free of the library's pattern reduction so it can serve as
 an independent oracle; ``sector_oracle_multiset`` reads the parastat sector
-table off the character oracle.  The ``workloads`` fixture loads the
+table off the character oracle, and ``vector_functional`` gives the values
+of a vector state on an algebra's basis.  The ``workloads`` fixture loads the
 benchmark's input generators and report oracle from
 ``perfbench/workloads.py``.
 """
@@ -83,6 +84,13 @@ def full_basis_commutant(alg, tol):
 def sector_oracle_multiset(rep):
     """Present-block (d, ntilde) multiset from the character oracle, as ``multiset()`` sorts it."""
     return tuple(sorted((d, nt) for _, d, nt in character_oracle(rep) if nt > 0))
+
+
+def vector_functional(alg, phi):
+    """tr(rho B) over an algebra's basis for the vector state rho = |phi><phi| / ||phi||^2."""
+    v = np.asarray(phi, dtype=complex)
+    rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    return np.einsum("kij,ji->k", alg.basis, rho)
 
 
 def generic_eigenvalues(members, tol, salt):

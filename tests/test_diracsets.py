@@ -7,13 +7,13 @@ from superselect.diracsets import (
     has_simple_spectrum,
     interpolate_commuting,
     is_cyclic,
-    vandermonde_determinant,
 )
 from superselect.errors import (
     DegenerateSpectrum,
     NotCommuting,
     NotHermitian,
     NotJointlyDiagonal,
+    PostconditionFailure,
     ZeroVector,
 )
 from superselect.numkernel import random_hermitian, random_unitary
@@ -22,6 +22,26 @@ from superselect.opalgebra import commutant, generated_algebra, operator_set, sp
 
 def diag(*vals):
     return np.diag(np.asarray(vals, dtype=complex))
+
+
+def pair_on_nodes(rng, alpha):
+    """Hermitian A with eigenvalues alpha and B = f(A) with values uniform in [-5, 5]."""
+    u = random_unitary(rng, len(alpha))
+    a = (u * alpha) @ u.conj().T
+    b = (u * rng.uniform(-5, 5, len(alpha))) @ u.conj().T
+    return 0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)
+
+
+def criterion_3_pairs():
+    """The 100 interpolation draws of acceptance criterion 3 (seed 33), in order."""
+    rng = np.random.default_rng(33)
+    pairs = []
+    while len(pairs) < 100:
+        n = int(rng.integers(2, 11))
+        alpha = np.sort(rng.uniform(-3, 3, n))
+        if np.min(np.diff(alpha)) >= 1e-3:
+            pairs.append(pair_on_nodes(rng, alpha))
+    return pairs
 
 
 class TestSimpleSpectrum:
@@ -87,6 +107,23 @@ class TestInterpolateCommuting:
             err = np.linalg.norm(p.of_matrix(a) - b)
             assert err <= 1e-8 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_scale_of_a_does_not_matter(self, scale, tol):
+        # p(x) interpolates (alpha, beta) iff p(x / scale) interpolates
+        # (scale * alpha, beta): neither the simplicity verdict nor the
+        # trimmed degree may depend on the units of A
+        for a, b in criterion_3_pairs():
+            p = interpolate_commuting(scale * a, b, tol)
+            assert np.linalg.norm(p.of_matrix(scale * a) - b) <= 1e-8 * np.linalg.norm(b)
+
+    def test_miss_at_n_24_raises(self, tol):
+        # the monomial coefficients of 24 nodes spread over [-3, 3] are too
+        # ill-conditioned for p(A) to reproduce B at 1e-8
+        rng = np.random.default_rng(0)
+        a, b = pair_on_nodes(rng, np.sort(rng.uniform(-3, 3, 24)))
+        with pytest.raises(PostconditionFailure, match=r"misses B by .* at n = 24"):
+            interpolate_commuting(a, b, tol)
+
     def test_rejects_non_commuting(self, tol):
         with pytest.raises(NotCommuting):
             interpolate_commuting(diag(0, 1), np.array([[0, 1], [1, 0]], dtype=complex), tol)
@@ -106,11 +143,6 @@ class TestInterpolateCommuting:
         assert comm <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)  # gate passes
         with pytest.raises(NotJointlyDiagonal):
             interpolate_commuting(a, b, tol)
-
-    def test_vandermonde_determinant(self):
-        # (0-1)(0-2)(1-2) = -2... sign depends on pair order; magnitude 2
-        assert abs(abs(vandermonde_determinant([0.0, 1.0, 2.0])) - 2.0) <= 1e-14
-        assert vandermonde_determinant([0.0, 0.0, 1.0]) == 0.0
 
 
 class TestCyclicVectors:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import full_basis_commutant, sector_oracle_multiset
+from conftest import full_basis_commutant, sector_oracle_multiset, vector_functional
 from superselect import opalgebra, sectors
 from superselect.errors import PostconditionFailure, SizeLimit
 from superselect.opalgebra import (
@@ -323,12 +323,7 @@ class TestNonPureVectors:
         c1, c2 = c1 / np.linalg.norm(c1), c2 / np.linalg.norm(c2)
         v = (c1 + c2) / np.sqrt(2)
 
-        from superselect.sectors import expectation_functional, vector_state
-        f_v = expectation_functional(vector_state(v), o)
-        mix = 0.5 * expectation_functional(vector_state(c1), o) \
-            + 0.5 * expectation_functional(vector_state(c2), o)
-        assert np.max(np.abs(f_v - mix)) <= 1e-12
+        f1, f2 = vector_functional(o, c1), vector_functional(o, c2)
+        assert np.max(np.abs(vector_functional(o, v) - 0.5 * (f1 + f2))) <= 1e-12
         # strictness: the two components are distinguishable on the observables
-        f1 = expectation_functional(vector_state(c1), o)
-        f2 = expectation_functional(vector_state(c2), o)
         assert np.max(np.abs(f1 - f2)) > 1e-3

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import fake_separations, generic_eigenvalues, planted_block_algebra
+from conftest import (
+    fake_separations,
+    generic_eigenvalues,
+    planted_block_algebra,
+    vector_functional,
+)
 from superselect import opalgebra, sectors
 from superselect.diracsets import is_cyclic
 from superselect.errors import (
-    CriteriaDisagree,
     DegenerateGenericElement,
     DimensionMismatch,
     NonIntegerStructure,
     PostconditionFailure,
-    ZeroVector,
 )
 from superselect.numkernel import ToleranceConfig, random_hermitian
 from superselect.opalgebra import (
@@ -22,15 +25,7 @@ from superselect.opalgebra import (
     span_equal,
 )
 from superselect.parastat import invariant_algebra, permutation_unitaries
-from superselect.sectors import (
-    are_disjoint,
-    central_decomposition,
-    density_state,
-    expectation_functional,
-    extremal_decomposition,
-    truncate,
-    vector_state,
-)
+from superselect.sectors import central_decomposition, truncate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -296,53 +291,28 @@ class TestProjectorCentrality:
             central_decomposition(o, tol)
 
 
-class TestAreDisjoint:
-    def test_vectors_in_different_blocks(self, two_block, tol):
-        o, dec = two_block
-        assert are_disjoint([1.0, 0.0, 0.0], [0.0, 0.0, 1.0], o, dec, tol)
-
-    def test_vectors_in_one_irreducible_sector(self, tol):
-        full = commutant(operator_set([np.eye(3)]), tol)
-        dec = central_decomposition(full, tol)
-        assert not are_disjoint([1, 0, 0], [0, 1, 0], full, dec, tol)
-
-    def test_self_overlap(self, two_block, tol):
-        o, dec = two_block
-        phi = np.array([1.0, 0.5, 0.0])
-        assert not are_disjoint(phi, phi, o, dec, tol)
-
-    def test_multiplicity_copies_disagree(self, tol):
-        # observables 1 (x) M2: vectors in orthogonal copies have vanishing
-        # matrix elements yet share the block, so the two criteria clash
-        o = generated_algebra(
-            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
-        dec = central_decomposition(o, tol)
-        e00 = np.array([1.0, 0.0, 0.0, 0.0])
-        e10 = np.array([0.0, 0.0, 1.0, 0.0])
-        with pytest.raises(CriteriaDisagree):
-            are_disjoint(e00, e10, o, dec, tol)
-
-    def test_rejects_zero_vector(self, two_block, tol):
-        o, dec = two_block
-        with pytest.raises(ZeroVector):
-            are_disjoint(np.zeros(3), [1.0, 0, 0], o, dec, tol)
+def sector_weights(dec, phi):
+    """``||P_s phi||^2 / ||phi||^2`` for each sector, in the decomposition's order."""
+    v = np.asarray(phi, dtype=complex)
+    return np.array([np.linalg.norm(sec.projector @ v) ** 2
+                     for sec in dec.sectors]) / np.vdot(v, v).real
 
 
 class TestExtremalDecomposition:
+    """A vector state splits over the sectors with weights ``||P_s phi||^2 / ||phi||^2``."""
+
     def test_single_sector(self, two_block):
         _, dec = two_block
-        terms = extremal_decomposition([1.0, 1.0, 0.0], dec)
-        assert len(terms) == 1 and abs(terms[0][0] - 1.0) <= 1e-12
+        assert np.allclose(sorted(sector_weights(dec, [1.0, 1.0, 0.0])), [0.0, 1.0],
+                           atol=1e-12)
 
     def test_equal_superposition(self, two_block):
         _, dec = two_block
-        terms = extremal_decomposition([1.0, 0.0, 1.0], dec)
-        assert sorted(round(lam, 12) for lam, _ in terms) == [0.5, 0.5]
+        assert sorted(np.round(sector_weights(dec, [1.0, 0.0, 1.0]), 12)) == [0.5, 0.5]
 
     def test_one_two_two(self, three_sector):
         _, dec = three_sector
-        terms = extremal_decomposition([1.0, 2.0, 2.0], dec)
-        lams = sorted(lam for lam, _ in terms)
+        lams = sorted(sector_weights(dec, [1.0, 2.0, 2.0]))
         assert np.allclose(lams, [1 / 9, 4 / 9, 4 / 9], atol=1e-12)
         assert abs(sum(lams) - 1.0) <= 1e-10
 
@@ -350,26 +320,12 @@ class TestExtremalDecomposition:
         _, dec = three_sector
         phi = np.array([0.3, -0.7, 0.2], dtype=complex)
         for j, sec in enumerate(dec.sectors):
-            terms = extremal_decomposition(sec.projector @ phi, dec)
-            assert len(terms) == 1
-            lam, comp = terms[0]
-            assert abs(lam - 1.0) <= 1e-12
-            assert np.linalg.norm(sec.projector @ comp - comp) <= 1e-12
-
-    def test_zero_vector(self, three_sector):
-        _, dec = three_sector
-        with pytest.raises(ZeroVector):
-            extremal_decomposition(np.zeros(3), dec)
+            assert np.allclose(sector_weights(dec, sec.projector @ phi), np.eye(len(dec))[j],
+                               atol=1e-12)
 
 
 class TestExpectationFunctional:
-    def test_identity_state_arithmetic(self, tol):
-        from superselect.opalgebra import OperatorAlgebra
-        n = 4
-        alg = OperatorAlgebra(dim=n, basis=np.eye(n, dtype=complex)[None] / np.sqrt(n),
-                              contains_identity=True)
-        vals = expectation_functional(density_state(np.eye(n) / n), alg)
-        assert np.allclose(vals, [np.sqrt(n) / n])
+    """Vector states read as tr(rho B) on an algebra's basis; sector weights ||P_s phi||^2."""
 
     def test_convex_combination_identity(self, two_block, tol):
         o, dec = two_block
@@ -382,9 +338,8 @@ class TestExpectationFunctional:
             phi = phi1 + phi2
             lam1 = np.linalg.norm(phi1) ** 2 / np.linalg.norm(phi) ** 2
             lam2 = np.linalg.norm(phi2) ** 2 / np.linalg.norm(phi) ** 2
-            lhs = expectation_functional(vector_state(phi), o)
-            rhs = lam1 * expectation_functional(vector_state(phi1), o) \
-                + lam2 * expectation_functional(vector_state(phi2), o)
+            lhs = vector_functional(o, phi)
+            rhs = lam1 * vector_functional(o, phi1) + lam2 * vector_functional(o, phi2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_pure_state_is_not_a_mixture(self, tol):
@@ -395,10 +350,9 @@ class TestExpectationFunctional:
         phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        f = expectation_functional(vector_state(phi), full)
+        f = vector_functional(full, phi)
         for lam in (0.3, 0.5, 0.7):
-            mix = lam * expectation_functional(vector_state(psi1), full) \
-                + (1 - lam) * expectation_functional(vector_state(psi2), full)
+            mix = lam * vector_functional(full, psi1) + (1 - lam) * vector_functional(full, psi2)
             assert np.max(np.abs(f - mix)) > 1e-6
 
     def test_weights_invariant_across_seeds(self, tol):
@@ -410,24 +364,10 @@ class TestExpectationFunctional:
             t = ToleranceConfig(seed=seed)
             o = generated_algebra(operator_set(gens, tol=t), t)
             dec = central_decomposition(o, t)
-            lams = sorted(lam for lam, _ in extremal_decomposition(phi, dec))
+            lams = sorted(sector_weights(dec, phi))
             if reference is None:
                 reference = lams
             assert np.allclose(lams, reference, atol=1e-12)
-
-
-class TestDensityState:
-    def test_validates_trace(self):
-        with pytest.raises(ValueError):
-            density_state(np.eye(2))
-
-    def test_validates_positivity(self):
-        with pytest.raises(ValueError):
-            density_state(np.diag([1.5, -0.5]))
-
-    def test_vector_state_normalizes(self):
-        rho = vector_state([3.0, 0.0]).rho
-        assert np.allclose(rho, np.diag([1.0, 0.0]))
 
 
 class TestTruncate:
@@ -474,9 +414,7 @@ class TestInputSizes:
     @pytest.mark.parametrize("call, error, match", [
         (lambda o, dec: algebra_from_span([]), ValueError, "at least one matrix"),
         (lambda o, dec: is_cyclic(np.ones(4), o), DimensionMismatch, "expected .* 3"),
-        (lambda o, dec: extremal_decomposition(np.ones(2), dec), DimensionMismatch,
-         "expected .* 3"),
-    ], ids=["algebra_from_span", "is_cyclic", "extremal_decomposition"])
+    ], ids=["algebra_from_span", "is_cyclic"])
     def test_raises_typed_error(self, three_sector, call, error, match):
         o, dec = three_sector
         with pytest.raises(error, match=match):
