@@ -56,7 +56,7 @@ from .fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from .numkernel import ToleranceConfig
+from .numkernel import MEMBER_TOL, ToleranceConfig
 from .opalgebra import (
     _max_commutator,
     _pair_commutant,
@@ -149,11 +149,6 @@ def _args_digest(**params) -> str:
     return sha256_hex(canonical_json_bytes(params))
 
 
-def _tol_from_args(args) -> ToleranceConfig:
-    return ToleranceConfig(rank_tol=args.tol_rank, cluster_tol=args.tol_cluster,
-                           seed=args.seed)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -178,7 +173,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     # word closure's dimension, dim O', so P' = O'.  Then S''' = O'' = O = S',
     # and T' contains it: T' = S' proves the identity.  A pair generating less
     # than S'' can only make T' larger and the check fail
-    triple_ok = span_equal(obs, _pair_commutant(gen.basis, tol, (105,)), tol)
+    triple_ok = span_equal(obs, _pair_commutant(gen.basis, tol, (105,)))
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
     norms = np.linalg.norm(s.members, axis=(1, 2))
@@ -190,7 +185,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
         _equal("dim(observables) == sum ntilde_i^2", obs.algebra_dim, sum_n2),
         _equal("dim(generated) == sum d_i^2", gen.algebra_dim, sum_d2),
         _at_most("generators lie in generated algebra (residual)", member_resid,
-                 100 * tol.rank_tol),
+                 MEMBER_TOL),
         _equal("triple commutant equals commutant", triple_ok, True),
     ]
     if dirac.v2_holds:
@@ -291,7 +286,7 @@ def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
 
     triviality = None
     if strict.holds:
-        res = coboundary_solve(zero_multiplier(group), mult, tol)
+        res = coboundary_solve(zero_multiplier(group), mult)
         triviality = {
             "is_coboundary": res.equivalent,
             "residual": res.max_residual,
@@ -439,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Superselection-structure analyses on finite-dimensional models")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for every generic-element draw (default 0)")
-    parser.add_argument("--tol-rank", type=float, default=1e-10,
-                        help="relative singular-value cutoff (default 1e-10)")
-    parser.add_argument("--tol-cluster", type=float, default=1e-8,
-                        help="relative eigenvalue clustering width (default 1e-8)")
     parser.add_argument("--outdir",
                         help="write <command>_report.json/.txt here instead of stdout "
                              "(env: SUPERSELECT_OUTDIR)")
@@ -481,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args) -> AnalysisReport:
-    tol = _tol_from_args(args)
+    tol = ToleranceConfig(seed=args.seed)
     if args.command == "algebra":
         return cmd_algebra(args.file, tol)
     if args.command == "parastat":

@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NotACocycle, Unsupported
-from .numkernel import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "FiniteGroup",
@@ -188,7 +187,6 @@ class CoboundaryResult:
 
 
 def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
-                     tol: ToleranceConfig = DEFAULT_TOL,
                      mode: str = "strict") -> CoboundaryResult:
     """Solve xi' = xi + delta(gamma) for gamma with gamma(1) = 0, in closed form.
 

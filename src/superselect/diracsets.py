@@ -25,8 +25,6 @@ from .errors import (
     ZeroVector,
 )
 from .numkernel import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     cluster_eigenvalues,
     hermitian_eig,
     orthonormal_nullspace,
@@ -68,24 +66,24 @@ class Polynomial:
         return out
 
 
-def has_simple_spectrum(a, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+def has_simple_spectrum(a) -> tuple[bool, float]:
     """Whether a Hermitian matrix has pairwise distinct eigenvalues.
 
-    Gaps are compared against ``cluster_tol`` times the spectral diameter,
-    and a spectrum whose diameter is at most ``cluster_tol`` times its
+    Gaps are compared against ``CLUSTER_TOL`` times the spectral diameter,
+    and a spectrum whose diameter is at most ``CLUSTER_TOL`` times its
     largest ``|eigenvalue|`` counts as degenerate (one cluster, as in
     :func:`cluster_eigenvalues`).  Returns the verdict and the minimum gap.
     """
-    return _simple_spectrum(hermitian_eig(a)[0], tol)
+    return _simple_spectrum(hermitian_eig(a)[0])
 
 
-def _simple_spectrum(w: np.ndarray, tol: ToleranceConfig) -> tuple[bool, float]:
+def _simple_spectrum(w: np.ndarray) -> tuple[bool, float]:
     """:func:`has_simple_spectrum` on ascending eigenvalues already computed."""
     if w.size < 2:
         return True, float("inf")
     min_gap = float(np.min(np.diff(w)))
     # shares the clustering convention, incl. its relative diameter floor
-    n_clusters = len(cluster_eigenvalues(w, tol.cluster_tol))
+    n_clusters = len(cluster_eigenvalues(w))
     return n_clusters == w.size, min_gap
 
 
@@ -106,7 +104,7 @@ def _newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return poly
 
 
-def interpolate_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Polynomial:
+def interpolate_commuting(a, b) -> Polynomial:
     """Polynomial p of degree < n with p(A) = B, for commuting Hermitian A, B.
 
     Requires a simple spectrum of A; B is rotated into A's eigenbasis and
@@ -126,7 +124,7 @@ def interpolate_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Polynomia
     if np.linalg.norm(comm) > COMMUTE_RTOL * max(float(np.linalg.norm(a)) * wb_norm, 1e-300):
         raise NotCommuting(
             f"commutator norm {np.linalg.norm(comm):.3e} above {COMMUTE_RTOL:.0e} * |A||B|")
-    simple, min_gap = _simple_spectrum(wa, tol)
+    simple, min_gap = _simple_spectrum(wa)
     if not simple:
         raise DegenerateSpectrum(
             f"spectrum of A is not simple (min gap {min_gap:.3e}); "
@@ -156,7 +154,7 @@ def interpolate_commuting(a, b, tol: ToleranceConfig = DEFAULT_TOL) -> Polynomia
     return p
 
 
-def cyclic_vector_for(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def cyclic_vector_for(a) -> np.ndarray:
     """Normalized sum of the eigenvectors of a simple-spectrum Hermitian matrix.
 
     This vector generates the whole space under the algebra of polynomials
@@ -164,7 +162,7 @@ def cyclic_vector_for(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     :class:`DegenerateSpectrum` is raised.
     """
     w, v = hermitian_eig(a)
-    simple, min_gap = _simple_spectrum(w, tol)
+    simple, min_gap = _simple_spectrum(w)
     if not simple:
         raise DegenerateSpectrum(
             f"spectrum is degenerate (min gap {min_gap:.3e}); no cyclic vector exists")
@@ -172,12 +170,12 @@ def cyclic_vector_for(a, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def is_cyclic(g, a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def is_cyclic(g, a: OperatorAlgebra) -> bool:
     """Whether the algebra orbit {B g} spans the full space (numerical rank n).
 
     The orbit has full rank exactly when no vector of C^n is orthogonal to
     every ``B_k g``, i.e. when the adjoint of the orbit matrix has an empty
-    nullspace at ``rank_tol``.
+    nullspace at ``RANK_TOL``.
     """
     v = np.asarray(g, dtype=complex).ravel()
     if v.size != a.dim:
@@ -186,4 +184,4 @@ def is_cyclic(g, a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> bool
     if np.linalg.norm(v) == 0.0:
         raise ZeroVector("cyclicity needs a non-zero vector")
     orbit = np.einsum("kij,j->ik", a.basis, v)  # columns B_k g
-    return orthonormal_nullspace(orbit.conj().T, tol).shape[1] == 0
+    return orthonormal_nullspace(orbit.conj().T).shape[1] == 0

@@ -38,6 +38,9 @@ from .errors import (
 )
 from .numkernel import (
     DEFAULT_TOL,
+    MEMBER_TOL,
+    RANK_TOL,
+    SPAN_TOL,
     ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
@@ -109,24 +112,24 @@ class OperatorAlgebra:
     def algebra_dim(self) -> int:
         return self.basis.shape[0]
 
-    def validate(self, tol: ToleranceConfig = DEFAULT_TOL) -> None:
+    def validate(self) -> None:
         q, n = self.algebra_dim, self.dim
         vecs = self.basis.reshape(q, n * n)
         gram = vecs.conj() @ vecs.T
         if np.max(np.abs(gram - np.eye(q))) > 1e-10:
             raise PostconditionFailure("algebra basis is not HS-orthonormal")
         adj = self.basis.conj().transpose(0, 2, 1)
-        if _max_span_residual(self.basis, adj) > 10 * tol.rank_tol:
+        if _max_span_residual(self.basis, adj) > SPAN_TOL:
             raise PostconditionFailure("algebra basis is not closed under adjoints")
         for _, left, right in _pair_products(self.basis):
             if max(_max_span_residual(self.basis, left),
                    _max_span_residual(self.basis, right)) > 1e-8:
                 raise PostconditionFailure("algebra basis is not closed under products")
-        if span_residual(self.basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
+        if span_residual(self.basis, np.eye(n, dtype=complex)) > SPAN_TOL:
             raise PostconditionFailure("identity not in algebra span")
 
 
-def operator_set(mats, names=None, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorSet:
+def operator_set(mats, names=None) -> OperatorSet:
     """Build a validated OperatorSet from an iterable of square matrices."""
     mats = [as_complex_matrix(m, f"operator {i}") for i, m in enumerate(mats)]
     if not mats:
@@ -148,7 +151,7 @@ def operator_set(mats, names=None, tol: ToleranceConfig = DEFAULT_TOL) -> Operat
     # adjoint go unseen.
     unit = _unit_members(members)
     closed = _max_span_residual(
-        _orthonormalize_stack(unit, tol), unit.conj().transpose(0, 2, 1)) <= tol.rank_tol
+        _orthonormalize_stack(unit), unit.conj().transpose(0, 2, 1)) <= RANK_TOL
     return OperatorSet(dim=n, members=members, names=names, self_adjoint_closed=closed)
 
 
@@ -162,7 +165,7 @@ def star_completion(s: OperatorSet) -> OperatorSet:
     return OperatorSet(dim=s.dim, members=members, names=names, self_adjoint_closed=True)
 
 
-def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
+def algebra_from_span(mats) -> OperatorAlgebra:
     """Orthonormalize a spanning set into an OperatorAlgebra (no closure applied)."""
     mats = [as_complex_matrix(m) for m in mats]
     if not mats:
@@ -170,8 +173,8 @@ def algebra_from_span(mats, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgeb
     n = mats[0].shape[0]
     if any(m.shape[0] != n for m in mats[1:]):
         raise DimensionMismatch("all matrices must share one dimension")
-    basis = _orthonormalize_stack(np.stack(mats), tol)
-    ident = span_residual(basis, np.eye(n, dtype=complex)) <= tol.rank_tol * 10
+    basis = _orthonormalize_stack(np.stack(mats))
+    ident = span_residual(basis, np.eye(n, dtype=complex)) <= SPAN_TOL
     return OperatorAlgebra(dim=n, basis=basis, contains_identity=bool(ident))
 
 
@@ -191,10 +194,10 @@ def _unit_members(members: np.ndarray) -> np.ndarray:
     return members[nonzero] / norms[nonzero, None, None]
 
 
-def _orthonormalize_stack(mats: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+def _orthonormalize_stack(mats: np.ndarray) -> np.ndarray:
     k, n, _ = mats.shape
     q = orthonormal_columns_extend(np.zeros((n * n, 0), dtype=complex),
-                                   mats.reshape(k, n * n).T, tol.rank_tol)
+                                   mats.reshape(k, n * n).T)
     return q.T.reshape(-1, n, n)
 
 
@@ -219,24 +222,22 @@ def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
     return _residual_norm(v, v @ q.conj().T, q)
 
 
-def span_equal(a: OperatorAlgebra, b: OperatorAlgebra,
-               tol: ToleranceConfig = DEFAULT_TOL) -> bool:
+def span_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
     """Span equality of two algebras: equal dimension and mutual containment.
 
     One Gram matrix G = Q_b Q_a* of the orthonormal bases serves both
-    projection residuals, Q_b - G Q_a and Q_a - G* Q_b, each held to the
-    threshold that :func:`_max_span_residual` is held to elsewhere.
+    projection residuals, Q_b - G Q_a and Q_a - G* Q_b, each held to
+    ``SPAN_TOL``, as :func:`_max_span_residual` is held elsewhere.
     """
     if a.algebra_dim != b.algebra_dim or a.dim != b.dim:
         return False
     if not a.algebra_dim:
         return True
-    thresh = 10 * tol.rank_tol
     nn = a.dim * a.dim
     qa, qb = a.basis.reshape(-1, nn), b.basis.reshape(-1, nn)
     gram = qb @ qa.conj().T
-    return (_residual_norm(qb, gram, qa) <= thresh
-            and _residual_norm(qa, np.conj(gram, out=gram).T, qb) <= thresh)
+    return (_residual_norm(qb, gram, qa) <= SPAN_TOL
+            and _residual_norm(qa, np.conj(gram, out=gram).T, qb) <= SPAN_TOL)
 
 
 def _residual_norm(target: np.ndarray, gram: np.ndarray, basis: np.ndarray) -> float:
@@ -273,18 +274,18 @@ def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
     """``(w, v, groups)`` of a seeded generic element whose clusters pass ``accept``.
 
     Per salt, in order, the element drawn from ``tol.rng(*salt)`` is
-    diagonalized and its ascending eigenvalues clustered at ``cluster_tol``.
+    diagonalized and its ascending eigenvalues clustered at ``CLUSTER_TOL``.
     Of the draws that pass, the first whose clusters lie at least
     ``SEED_SEPARATION`` apart (:func:`_cluster_separation`) is kept, or else
     the best separated one: an eigenvector whose cluster lies a relative gap
     ``s`` from the next carries roundoff of about ``eps / s`` into the other
-    cluster (Davis-Kahan), which a rank decision at ``rank_tol`` can read.
+    cluster (Davis-Kahan), which a rank decision at ``RANK_TOL`` can read.
     When no draw passes, :class:`DegenerateGenericElement` names the last salt.
     """
     splits = []
     for salt in salts:
         w, v = np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))
-        groups = cluster_eigenvalues(w, tol.cluster_tol)
+        groups = cluster_eigenvalues(w)
         if accept(groups):
             splits.append((w, v, groups))
             if _cluster_separation(splits[-1]) >= SEED_SEPARATION:
@@ -345,7 +346,7 @@ def _coupled_components(active: np.ndarray, groups, threshold: float):
     return np.argsort(comp, kind="stable"), sizes[sizes > 0]
 
 
-def _solve_components(active: np.ndarray, groups, tol: ToleranceConfig, scale: float):
+def _solve_components(active: np.ndarray, groups, scale: float):
     """``(perm, blocks)``: the commutant candidates, one coupled component at a time.
 
     In the eigenbasis of the generic element the candidates are block
@@ -366,7 +367,7 @@ def _solve_components(active: np.ndarray, groups, tol: ToleranceConfig, scale: f
     range ``lo:hi``; ``blocks`` holds ``(lo, hi, cands)`` with ``cands`` of
     shape ``(q, hi - lo, hi - lo)`` in that order.
     """
-    cutoff = tol.rank_tol * scale
+    cutoff = RANK_TOL * scale
     perm, sizes = _coupled_components(active, groups, JOIN_FRACTION * cutoff)
     labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])[perm]
     active = active[:, perm[:, None], perm]
@@ -378,7 +379,7 @@ def _solve_components(active: np.ndarray, groups, tol: ToleranceConfig, scale: f
         if np.linalg.norm(cmat) <= cutoff:
             coeffs = np.eye(rows.size, dtype=complex)
         else:
-            coeffs = orthonormal_nullspace(cmat, tol, scale=scale)
+            coeffs = orthonormal_nullspace(cmat, scale=scale)
         cands = np.zeros((coeffs.shape[1], hi - lo, hi - lo), dtype=complex)
         cands[:, rows, cols] = coeffs.T
         blocks.append((lo, hi, cands))
@@ -440,7 +441,7 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     The pattern element, like the word closure's seed, is the draw that
     :func:`_generic_split` keeps from up to four, any split accepted.  Two
     clusters from different sectors a relative 6e-7 apart mixed their
-    eigenvectors by about ``eps / 6e-7``, close enough to ``rank_tol`` that
+    eigenvectors by about ``eps / 6e-7``, close enough to ``RANK_TOL`` that
     the identity dropped out of the computed commutant.
     """
     s = star_completion(s)
@@ -459,16 +460,16 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     active = (v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v)[None]
     used = np.zeros(len(members), dtype=bool)
     for _ in range(len(members) + 1):
-        perm, blocks = _solve_components(active, groups, tol, scale)
+        perm, blocks = _solve_components(active, groups, scale)
         worst, ratio = _verify_commutes(mem_rot[:, perm[:, None], perm], blocks)
-        if ratio <= tol.rank_tol or bool(used.all()):
-            if ratio > tol.rank_tol:
+        if ratio <= RANK_TOL or bool(used.all()):
+            if ratio > RANK_TOL:
                 raise PostconditionFailure(
-                    f"commutant verification residual {ratio:.3e} above rank_tol")
+                    f"commutant verification residual {ratio:.3e} above RANK_TOL")
             vp = v[:, perm]
             basis = np.concatenate([vp[:, lo:hi] @ cands @ vp[:, lo:hi].conj().T
                                     for lo, hi, cands in blocks])
-            if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
+            if span_residual(basis, np.eye(n, dtype=complex)) > SPAN_TOL:
                 raise PostconditionFailure("identity missing from computed commutant")
             return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
         used[worst] = True
@@ -549,7 +550,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     surplus columns, which add nothing.  A smaller block is never
     zero-padded to a larger rank: the padded rows lie outside ``M_n E_k``,
     and roundoff from directions kept near the cutoff accumulates there.
-    All blocks of a round share one cutoff, ``rank_tol``
+    All blocks of a round share one cutoff, ``RANK_TOL``
     times the largest candidate norm of the round, as when the whole span
     was extended at once.  A cutoff per rank group is wrong: a group whose
     candidates are all roundoff (the kernel projector of a Hermitian
@@ -567,7 +568,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
 
     Which draw: a projector whose eigenvalue cluster lies a relative gap
     ``s`` from the next one carries roundoff of about ``eps / s`` off the
-    algebra (Davis-Kahan), and the rounds can amplify it past ``rank_tol``;
+    algebra (Davis-Kahan), and the rounds can amplify it past ``RANK_TOL``;
     one draw with ``s = 1.1e-5`` filled the matrix space.  So the seed comes
     from :func:`_generic_split`, over up to four draws: the first whose
     clusters lie at least ``SEED_SEPARATION`` apart, or else the best
@@ -592,7 +593,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
         scale = max(float(np.max(np.linalg.norm(c, axis=-2))) for c in cands.values())
         for i, cand in cands.items():
             width, r = q[i].shape[-1], ranks[i]
-            q[i] = orthonormal_columns_extend(q[i], cand, tol.rank_tol, scale)
+            q[i] = orthonormal_columns_extend(q[i], cand, scale)
             frontier[i] = q[i][..., width:]
             # a block is never wider than the padded stack
             if q[i].shape[-1] > n * r and np.max(_block_widths(q[i])) > n * r:
@@ -627,8 +628,7 @@ def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
     return double
 
 
-def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL, *,
-           commutant_algebra: OperatorAlgebra) -> OperatorAlgebra:
+def center(a: OperatorAlgebra, *, commutant_algebra: OperatorAlgebra) -> OperatorAlgebra:
     """Center of an algebra: the span intersection of the algebra and its commutant.
 
     Always contains the identity.  The caller passes the commutant it
@@ -641,9 +641,9 @@ def center(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL, *,
     ql = large.basis.reshape(large.algebra_dim, n * n)
     vs = small.basis.reshape(small.algebra_dim, n * n).T  # columns = smaller-side elements
     resid = vs - ql.T @ (ql.conj() @ vs)
-    coeffs = orthonormal_nullspace(resid, tol, scale=1.0)  # combos lying in the larger span
+    coeffs = orthonormal_nullspace(resid, scale=1.0)  # combos lying in the larger span
     basis = np.tensordot(coeffs, small.basis, axes=(0, 0))
-    if span_residual(basis, np.eye(n, dtype=complex)) > 10 * tol.rank_tol:
+    if span_residual(basis, np.eye(n, dtype=complex)) > SPAN_TOL:
         raise PostconditionFailure("identity missing from computed center")
     return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
 
@@ -683,7 +683,7 @@ def _max_commutator(stack: np.ndarray) -> float:
     return worst
 
 
-def is_abelian(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+def is_abelian(a: OperatorAlgebra) -> tuple[bool, float]:
     """Whether all basis pairs commute; also reports the worst relative residual.
 
     A pairwise scan of the basis, ``O(q^2 n^3)`` for a ``q``-dimensional
@@ -694,7 +694,7 @@ def is_abelian(a: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[
     return worst <= ABELIAN_TOL, worst
 
 
-def _abelian_commutant(dec: SectorDecomposition, tol: ToleranceConfig) -> bool:
+def _abelian_commutant(dec: SectorDecomposition) -> bool:
     """Whether the commutant of a decomposed algebra is abelian, read from its sectors.
 
     The commutant acts as ``M_d`` on each sector, so it is abelian exactly
@@ -707,7 +707,7 @@ def _abelian_commutant(dec: SectorDecomposition, tol: ToleranceConfig) -> bool:
     """
     if any(sec.d != 1 for sec in dec.sectors):
         return False
-    abelian, worst = is_abelian(dec.commutant, tol)
+    abelian, worst = is_abelian(dec.commutant)
     if not abelian:
         raise PostconditionFailure(
             f"every sector has d = 1 but the commutant's basis pairs do not commute: "
@@ -750,7 +750,7 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     witness in the observables is checked too.
     """
     cp = dec.commutant
-    if not _abelian_commutant(dec, tol):
+    if not _abelian_commutant(dec):
         return DiracReport(v2_holds=False, witness=None, commutant_dim=cp.algebra_dim)
 
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
@@ -761,7 +761,7 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
         v2_holds=True,
         witness=witness,
         commutant_dim=cp.algebra_dim,
-        witness_is_maximal_abelian=span_equal(witness, wcomm, tol),
+        witness_is_maximal_abelian=span_equal(witness, wcomm),
         witness_in_observables=(_max_span_residual(dec.algebra.basis, witness.basis)
-                                <= 100 * tol.rank_tol),
+                                <= MEMBER_TOL),
     )

@@ -53,12 +53,6 @@ class Permutation:
         # (g * h)(x) = g(h(x))
         return Permutation(tuple(self.images[i] for i in other.images))
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     def cycle_type(self) -> tuple[int, ...]:
         seen = [False] * len(self.images)
         lengths = []
@@ -135,7 +129,7 @@ def permutation_unitaries(n: int, d: int) -> TensorRep:
     return TensorRep(n_particles=n, d_single=d, dim=dim, unitaries=unitaries)
 
 
-def invariant_algebra(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
+def invariant_algebra(rep: TensorRep) -> OperatorAlgebra:
     """Observables of identical particles: the commutant of all permutation unitaries.
 
     Written down, not solved for.  With U(g) e_j = e_{g.j} a permutation
@@ -149,8 +143,7 @@ def invariant_algebra(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> Ope
 
     Precondition: every U(g) is a 0/1 permutation matrix and the index maps
     form a group, so that the least image is the same across an orbit; a
-    ``ValueError`` names the first element that breaks it.  ``tol`` is unused
-    and kept for the signature the other structure functions share.
+    ``ValueError`` names the first element that breaks it.
     """
     n = rep.dim
     group = rep.group()
@@ -173,14 +166,14 @@ def invariant_algebra(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> Ope
     return OperatorAlgebra(dim=n, basis=basis.reshape(-1, n, n), contains_identity=True)
 
 
-def _group_span(rep: TensorRep, tol: ToleranceConfig) -> OperatorAlgebra:
+def _group_span(rep: TensorRep) -> OperatorAlgebra:
     """The span of the group unitaries, which is the commutant of the invariant algebra.
 
     The span is closed under products and adjoints, ``U(g) U(h) = U(gh)`` and
     ``U(g)^* = U(g^-1)``, and contains the identity, so it is the algebra the
     unitaries generate: their double commutant ``S'' = O'``.
     """
-    return algebra_from_span([rep.unitaries[g] for g in rep.group()], tol)
+    return algebra_from_span([rep.unitaries[g] for g in rep.group()])
 
 
 def character_oracle(rep: TensorRep) -> list[tuple[tuple[int, ...], int, int]]:
@@ -219,7 +212,7 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     the permutation unitaries, which generate that commutant.
     """
     dec = decomposition_for(rep, tol)
-    pre_abelian = _abelian_commutant(dec, tol)
+    pre_abelian = _abelian_commutant(dec)
     v_iso, _, post = truncate(dec, tol)  # post: the truncated algebra's commutant
 
     oracle = character_oracle(rep)
@@ -254,5 +247,5 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
 
 def decomposition_for(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:
     """Spectral sector decomposition of the invariant algebra."""
-    return central_decomposition(invariant_algebra(rep, tol), tol,
-                                 commutant_algebra=_group_span(rep, tol))
+    return central_decomposition(invariant_algebra(rep), tol,
+                                 commutant_algebra=_group_span(rep))

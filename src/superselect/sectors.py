@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonIntegerStructure, PostconditionFailure
-from .numkernel import DEFAULT_TOL, ToleranceConfig, random_hermitian
+from .numkernel import DEFAULT_TOL, SPAN_TOL, ToleranceConfig, random_hermitian
 from .opalgebra import (
     OperatorAlgebra,
     _generic_split,
@@ -135,7 +135,7 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     Frobenius norms of the stacks ``W^* B W`` over their orthonormal bases
     (:func:`_restricted_trace`), with no rank decision.  That reading needs
     the projector to be central, so each block first checks that it leaks
-    no basis element of either algebra by more than ``10 * rank_tol``.
+    no basis element of either algebra by more than ``SPAN_TOL``.
     The blocks with ``d = 1`` are verified irreducible at once, after the
     loop: with ``W`` the isometry onto their sum, the commutant of ``W^* O
     W``, the direct sum of the blocks' restrictions, has one dimension per
@@ -154,7 +154,7 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     cp = commutant_algebra
     if cp is None:
         cp = _pair_commutant(o.basis, tol, (206,))
-    z = center(o, tol, commutant_algebra=cp)
+    z = center(o, commutant_algebra=cp)
 
     if z.algebra_dim == 1:
         isometries = [np.eye(n, dtype=complex)]
@@ -163,17 +163,16 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
                                       lambda g: len(g) == z.algebra_dim)
         isometries = [v[:, idx] for idx in groups]
     h = random_hermitian(tol.rng(CENTRAL_VALUE_SALT), n)
-    leak_tol = 10 * tol.rank_tol
     sectors, irreducible = [], []
     for k, w_iso in enumerate(isometries):
         block_dim = w_iso.shape[1]
         ntilde2, leak = _restricted_trace(o.basis, w_iso)
         d2, leak_cp = _restricted_trace(cp.basis, w_iso)
         leak = max(leak, leak_cp)
-        if leak > leak_tol:
+        if leak > SPAN_TOL:
             raise NonIntegerStructure(
                 f"sector {k} (block dimension {block_dim}) is not central: its projector "
-                f"leaks {leak:.3e} of a basis element out of the block, above {leak_tol:.0e}; "
+                f"leaks {leak:.3e} of a basis element out of the block, above {SPAN_TOL:.0e}; "
                 "reseed the decomposition")
         ntilde = _as_int(float(np.sqrt(ntilde2)), "sqrt(trace of the projector on the algebra)")
         d = _as_int(float(np.sqrt(d2)), "sqrt(trace of the projector on the commutant)")
@@ -258,15 +257,15 @@ def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
         hi = lo + b.shape[1]
         basis[:, lo:hi, lo:hi] = b
         lo = hi
-    if span_residual(basis, np.eye(m, dtype=complex)) > 10 * tol.rank_tol:
+    if span_residual(basis, np.eye(m, dtype=complex)) > SPAN_TOL:
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
     t_cp = _pair_commutant(basis, tol, (205,))
-    abelian, worst = is_abelian(t_cp, tol)
+    abelian, worst = is_abelian(t_cp)
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
     missing = _max_span_residual(t_cp.basis, projectors)
-    if not abelian or t_cp.algebra_dim != len(dec.sectors) or missing > 10 * tol.rank_tol:
+    if not abelian or t_cp.algebra_dim != len(dec.sectors) or missing > SPAN_TOL:
         raise PostconditionFailure(
             "truncated algebra failed the abelian-commutant check "
             f"(relative commutator {worst:.3e}, commutant dim {t_cp.algebra_dim}, "

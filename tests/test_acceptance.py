@@ -70,7 +70,7 @@ def planted_sweep():
         gens, _ = planted_block_algebra(rng, pattern)
         tol = ToleranceConfig(seed=trial)
         t0 = time.perf_counter()
-        s = operator_set(gens, tol=tol)
+        s = operator_set(gens)
         cp = commutant(s, tol)
         o = generated_algebra(s, tol)
         dec = central_decomposition(o, tol)  # dec.commutant is the triple commutant
@@ -86,7 +86,7 @@ def planted_sweep():
             "commutant": cp,
             "decomposition": dec,
             "member_residual": member_resid,
-            "triple_commutant_ok": span_equal(cp, dec.commutant, tol),
+            "triple_commutant_ok": span_equal(cp, dec.commutant),
         })
     return records, t_structure
 
@@ -150,7 +150,7 @@ def test_criterion_3_vandermonde_cyclic_suite():
         beta = rng.uniform(-5, 5, n)
         b = (u * beta) @ u.conj().T
         b = 0.5 * (b + b.conj().T)
-        p = interpolate_commuting(a, b, tol)
+        p = interpolate_commuting(a, b)
         if np.linalg.norm(p.of_matrix(a) - b) > 1e-8 * np.linalg.norm(b):
             interp_failures += 1
         count += 1
@@ -168,20 +168,20 @@ def test_criterion_3_vandermonde_cyclic_suite():
         u = random_unitary(rng, n)
         a = (u * vals) @ u.conj().T
         a = 0.5 * (a + a.conj().T)
-        simple, _ = has_simple_spectrum(a, tol)
+        simple, _ = has_simple_spectrum(a)
         if simple != (not planted_degenerate):
             cyclic_failures += 1
             continue
         if planted_degenerate:
             try:
-                cyclic_vector_for(a, tol)
+                cyclic_vector_for(a)
                 cyclic_failures += 1
             except DegenerateSpectrum:
                 pass
         else:
-            g = cyclic_vector_for(a, tol)
-            alg = generated_algebra(operator_set([a], tol=tol), tol)
-            if not is_cyclic(g, alg, tol):
+            g = cyclic_vector_for(a)
+            alg = generated_algebra(operator_set([a]), tol)
+            if not is_cyclic(g, alg):
                 cyclic_failures += 1
     assert cyclic_failures == 0
     print("\n[PASS] criterion 3: 100 interpolations at 1e-8, cyclic vector exists "
@@ -226,7 +226,7 @@ def test_criterion_5_cocycle_suite():
         gamma0 = rng.standard_normal(g.order)
         gamma0[g.identity] = 0.0
         xi_prime = MultiplierTable(group=g, xi=coboundary(g, gamma0))
-        res = coboundary_solve(zero_multiplier(g), xi_prime, tol)
+        res = coboundary_solve(zero_multiplier(g), xi_prime)
         assert res.equivalent and res.max_residual <= 1e-10
 
     # extension associativity holds iff the cocycle identity does

@@ -720,6 +720,14 @@ class TestDeterminism:
         assert main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-cluster"])
+    def test_tolerance_flags_are_usage_errors(self, flag, capsys):
+        # the cutoffs are constants: a setting would change verdicts that
+        # the report, which records only the seed, could not show
+        assert main([flag, "1e-9", "parastat", "--n", "2", "--d", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
     def test_report_embeds_seed_and_digest(self, opset_path):
         from superselect.fileformat import sha256_hex
         report = run(["--seed", "3", "algebra", opset_path])
@@ -951,7 +959,7 @@ class TestVerdictDisagreement:
                                                               capsys):
         # every d is 1 here, so a scan that finds non-commuting pairs is a fault
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
-        monkeypatch.setattr(opalgebra, "is_abelian", lambda a, tol=None: (False, 1.0))
+        monkeypatch.setattr(opalgebra, "is_abelian", lambda a: (False, 1.0))
         s, _ = cli.load_operator_file(path)
         tol = ToleranceConfig()
         dec = central_decomposition(commutant(s, tol), tol)

@@ -104,25 +104,25 @@ class TestCheckCocycle:
 
 
 class TestCoboundarySolve:
-    def test_identical_tables_give_zero(self, tol):
+    def test_identical_tables_give_zero(self):
         g = cyclic_group(4)
         xi = zero_multiplier(g)
-        res = coboundary_solve(xi, xi, tol)
+        res = coboundary_solve(xi, xi)
         assert res.equivalent and np.allclose(res.gamma, 0.0, atol=1e-12)
 
-    def test_recovers_planted_gamma_on_z3(self, tol):
+    def test_recovers_planted_gamma_on_z3(self):
         # unique solution: the only homomorphism Z3 -> R is zero
         g = cyclic_group(3)
         gamma0 = np.array([0.0, 0.7, -0.3])
         xi_prime = MultiplierTable(group=g, xi=coboundary(g, gamma0))
-        res = coboundary_solve(zero_multiplier(g), xi_prime, tol)
+        res = coboundary_solve(zero_multiplier(g), xi_prime)
         assert res.equivalent
         assert np.allclose(res.gamma, gamma0, atol=1e-12)
         # substitution cross-check
         assert np.max(np.abs(coboundary(g, res.gamma) - xi_prime.xi)) <= 1e-12
 
     @pytest.mark.parametrize("name", GROUPS)
-    def test_matches_least_squares_reference(self, name, tol):
+    def test_matches_least_squares_reference(self, name):
         # both tables are coboundaries; the unique gamma with gamma(1) = 0
         # (a finite group has no non-zero homomorphism to R) is their difference
         g = GROUPS[name]()
@@ -130,21 +130,21 @@ class TestCoboundarySolve:
         beta, gamma0 = random_gamma(g, rng), random_gamma(g, rng)
         xi = MultiplierTable(group=g, xi=coboundary(g, beta))
         xi_prime = MultiplierTable(group=g, xi=coboundary(g, beta + gamma0))
-        res = coboundary_solve(xi, xi_prime, tol)
+        res = coboundary_solve(xi, xi_prime)
         assert res.equivalent and res.max_residual <= 1e-12
         assert res.gamma[g.identity] == 0.0
         assert np.max(np.abs(res.gamma - lstsq_gamma(g, xi_prime.xi - xi.xi))) <= 1e-12
         assert np.max(np.abs(res.gamma - gamma0)) <= 1e-12
 
-    def test_rejects_non_cocycles(self, tol):
+    def test_rejects_non_cocycles(self):
         pm = pauli_multiplier()
         with pytest.raises(NotACocycle):
-            coboundary_solve(zero_multiplier(pm.group), pm, tol)
+            coboundary_solve(zero_multiplier(pm.group), pm)
 
-    def test_mod2pi_equivalence_unsupported(self, tol):
+    def test_mod2pi_equivalence_unsupported(self):
         g = cyclic_group(2)
         with pytest.raises(Unsupported):
-            coboundary_solve(zero_multiplier(g), zero_multiplier(g), tol, mode="mod2pi")
+            coboundary_solve(zero_multiplier(g), zero_multiplier(g), mode="mod2pi")
 
 
 class TestAntisymObstruction:
@@ -222,14 +222,14 @@ class TestExtensionProduct:
 
 
 class TestDirectSumObstruction:
-    def test_equivalent_multipliers_extend_to_the_sum(self, tol):
+    def test_equivalent_multipliers_extend_to_the_sum(self):
         # rep1 carries the zero multiplier, rep2 a planted coboundary of it;
         # the solver recovers gamma and the rephased block sum composes with
         # one common multiplier
         g = cyclic_group(3)
         gamma0 = np.array([0.0, 1.1, -0.4])
         xi2 = MultiplierTable(group=g, xi=coboundary(g, gamma0))
-        res = coboundary_solve(zero_multiplier(g), xi2, tol)
+        res = coboundary_solve(zero_multiplier(g), xi2)
         assert res.equivalent
 
         omega = np.exp(2j * np.pi / 3)
@@ -243,14 +243,14 @@ class TestDirectSumObstruction:
                     for i in range(3) for j in range(3))
         assert worst <= 1e-12  # proper representation: common multiplier zero
 
-    def test_obstructed_multiplier_blocks_the_sum(self, tol):
+    def test_obstructed_multiplier_blocks_the_sum(self):
         # rep1 trivial on C^1, rep2 the Pauli projective rep: the multipliers
         # are not equivalent (the second is not even a strict cocycle) and no
         # single phase can reconcile the block sum
         pm = pauli_multiplier()
         g = pm.group
         with pytest.raises(NotACocycle):
-            coboundary_solve(zero_multiplier(g), pm, tol)
+            coboundary_solve(zero_multiplier(g), pm)
         worst = 0.0
         for i in range(4):
             for j in range(4):

@@ -45,52 +45,52 @@ def criterion_3_pairs():
 
 
 class TestSimpleSpectrum:
-    def test_distinct_diagonal(self, tol):
-        simple, gap = has_simple_spectrum(diag(0, 1, 2), tol)
+    def test_distinct_diagonal(self):
+        simple, gap = has_simple_spectrum(diag(0, 1, 2))
         assert simple and abs(gap - 1.0) <= 1e-12
 
-    def test_degenerate_diagonal(self, tol):
-        simple, gap = has_simple_spectrum(diag(1, 1, 2), tol)
+    def test_degenerate_diagonal(self):
+        simple, gap = has_simple_spectrum(diag(1, 1, 2))
         assert not simple and gap <= 1e-12
 
-    def test_generic_hermitian(self, tol):
+    def test_generic_hermitian(self):
         a = random_hermitian(np.random.default_rng(5), 8)
-        simple, _ = has_simple_spectrum(a, tol)
+        simple, _ = has_simple_spectrum(a)
         assert simple
 
-    def test_rejects_non_hermitian(self, tol):
+    def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            has_simple_spectrum(np.array([[0, 1], [0, 0]]), tol)
+            has_simple_spectrum(np.array([[0, 1], [0, 0]]))
 
 
 class TestOneEigendecomposition:
-    @pytest.mark.parametrize("call", [lambda a, tol: interpolate_commuting(a, a @ a, tol),
+    @pytest.mark.parametrize("call", [lambda a: interpolate_commuting(a, a @ a),
                                       cyclic_vector_for],
                              ids=["interpolate_commuting", "cyclic_vector_for"])
-    def test_simplicity_read_from_held_eigenvalues(self, call, tol, monkeypatch):
+    def test_simplicity_read_from_held_eigenvalues(self, call, monkeypatch):
         calls, original = [], diracsets.hermitian_eig
         monkeypatch.setattr(diracsets, "hermitian_eig",
                             lambda a: calls.append(a) or original(a))
-        call(diag(0, 1, 3), tol)
+        call(diag(0, 1, 3))
         assert len(calls) == 1
 
 
 class TestInterpolateCommuting:
-    def test_quadratic_through_three_points(self, tol):
+    def test_quadratic_through_three_points(self):
         # Lagrange by hand through (0,1), (1,2), (2,5): p(x) = x^2 + 1
-        p = interpolate_commuting(diag(0, 1, 2), diag(1, 2, 5), tol)
+        p = interpolate_commuting(diag(0, 1, 2), diag(1, 2, 5))
         assert np.allclose(p.coefficients, [1.0, 0.0, 1.0], atol=1e-12)
 
-    def test_identity_polynomial(self, tol):
-        p = interpolate_commuting(diag(0, 1, 2), diag(0, 1, 2), tol)
+    def test_identity_polynomial(self):
+        p = interpolate_commuting(diag(0, 1, 2), diag(0, 1, 2))
         assert np.allclose(p.coefficients, [0.0, 1.0], atol=1e-12)
 
-    def test_constant_polynomial(self, tol):
-        p = interpolate_commuting(diag(0, 1, 2), np.eye(3), tol)
+    def test_constant_polynomial(self):
+        p = interpolate_commuting(diag(0, 1, 2), np.eye(3))
         assert p.coefficients.shape == (1,)
         assert abs(p.coefficients[0] - 1.0) <= 1e-12
 
-    def test_interpolation_property(self, tol):
+    def test_interpolation_property(self):
         rng = np.random.default_rng(17)
         for _ in range(40):
             n = int(rng.integers(2, 11))
@@ -102,37 +102,37 @@ class TestInterpolateCommuting:
             a = (u * alpha) @ u.conj().T
             b = (u * beta) @ u.conj().T
             a, b = 0.5 * (a + a.conj().T), 0.5 * (b + b.conj().T)
-            p = interpolate_commuting(a, b, tol)
+            p = interpolate_commuting(a, b)
             assert p.degree <= n - 1
             err = np.linalg.norm(p.of_matrix(a) - b)
             assert err <= 1e-8 * np.linalg.norm(b)
 
     @pytest.mark.parametrize("scale", [1e-8, 1e8])
-    def test_scale_of_a_does_not_matter(self, scale, tol):
+    def test_scale_of_a_does_not_matter(self, scale):
         # p(x) interpolates (alpha, beta) iff p(x / scale) interpolates
         # (scale * alpha, beta): neither the simplicity verdict nor the
         # trimmed degree may depend on the units of A
         for a, b in criterion_3_pairs():
-            p = interpolate_commuting(scale * a, b, tol)
+            p = interpolate_commuting(scale * a, b)
             assert np.linalg.norm(p.of_matrix(scale * a) - b) <= 1e-8 * np.linalg.norm(b)
 
-    def test_miss_at_n_24_raises(self, tol):
+    def test_miss_at_n_24_raises(self):
         # the monomial coefficients of 24 nodes spread over [-3, 3] are too
         # ill-conditioned for p(A) to reproduce B at 1e-8
         rng = np.random.default_rng(0)
         a, b = pair_on_nodes(rng, np.sort(rng.uniform(-3, 3, 24)))
         with pytest.raises(PostconditionFailure, match=r"misses B by .* at n = 24"):
-            interpolate_commuting(a, b, tol)
+            interpolate_commuting(a, b)
 
-    def test_rejects_non_commuting(self, tol):
+    def test_rejects_non_commuting(self):
         with pytest.raises(NotCommuting):
-            interpolate_commuting(diag(0, 1), np.array([[0, 1], [1, 0]], dtype=complex), tol)
+            interpolate_commuting(diag(0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
 
-    def test_rejects_degenerate(self, tol):
+    def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
-            interpolate_commuting(diag(1, 1, 2), diag(1, 2, 3), tol)
+            interpolate_commuting(diag(1, 1, 2), diag(1, 2, 3))
 
-    def test_near_degenerate_off_diagonal_detected(self, tol):
+    def test_near_degenerate_off_diagonal_detected(self):
         # tiny gap lets a large off-diagonal block slip past the commutator
         # gate; the joint-diagonalization check must catch it
         gap = 1e-7
@@ -142,21 +142,21 @@ class TestInterpolateCommuting:
         comm = np.linalg.norm(a @ b - b @ a)
         assert comm <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)  # gate passes
         with pytest.raises(NotJointlyDiagonal):
-            interpolate_commuting(a, b, tol)
+            interpolate_commuting(a, b)
 
 
 class TestCyclicVectors:
-    def test_explicit_construction(self, tol):
-        g = cyclic_vector_for(diag(0, 1, 2), tol)
+    def test_explicit_construction(self):
+        g = cyclic_vector_for(diag(0, 1, 2))
         assert np.allclose(np.abs(g), np.full(3, 1 / np.sqrt(3)), atol=1e-12)
 
-    def test_degenerate_has_no_cyclic_vector(self, tol):
+    def test_degenerate_has_no_cyclic_vector(self):
         with pytest.raises(DegenerateSpectrum):
-            cyclic_vector_for(diag(1, 1, 2), tol)
+            cyclic_vector_for(diag(1, 1, 2))
 
-    def test_two_dimensional_case(self, tol):
+    def test_two_dimensional_case(self):
         a = np.array([[0, 1], [1, 0]], dtype=complex)
-        g = cyclic_vector_for(a, tol)
+        g = cyclic_vector_for(a)
         _, v = np.linalg.eigh(a)
         expect = (v[:, 0] + v[:, 1])
         expect /= np.linalg.norm(expect)
@@ -164,17 +164,17 @@ class TestCyclicVectors:
 
     def test_is_cyclic_on_diagonal_algebra(self, tol):
         alg = generated_algebra(operator_set([diag(1, 2, 3)]), tol)
-        assert not is_cyclic([1.0, 0.0, 0.0], alg, tol)
-        assert is_cyclic(np.full(3, 1 / np.sqrt(3)), alg, tol)
+        assert not is_cyclic([1.0, 0.0, 0.0], alg)
+        assert is_cyclic(np.full(3, 1 / np.sqrt(3)), alg)
 
     def test_full_algebra_any_vector_cyclic(self, tol):
         full = commutant(operator_set([np.eye(3)]), tol)
-        assert is_cyclic([0.0, 0.0, 1.0], full, tol)
+        assert is_cyclic([0.0, 0.0, 1.0], full)
 
     def test_zero_vector_rejected(self, tol):
         full = commutant(operator_set([np.eye(2)]), tol)
         with pytest.raises(ZeroVector):
-            is_cyclic(np.zeros(2), full, tol)
+            is_cyclic(np.zeros(2), full)
 
     def test_cyclic_iff_simple_with_planted_degeneracies(self, tol):
         rng = np.random.default_rng(19)
@@ -189,14 +189,14 @@ class TestCyclicVectors:
             u = random_unitary(rng, n)
             a = (u * vals) @ u.conj().T
             a = 0.5 * (a + a.conj().T)
-            simple, _ = has_simple_spectrum(a, tol)
+            simple, _ = has_simple_spectrum(a)
             assert simple == (not degenerate)
             if degenerate:
                 with pytest.raises(DegenerateSpectrum):
-                    cyclic_vector_for(a, tol)
+                    cyclic_vector_for(a)
             else:
-                g = cyclic_vector_for(a, tol)
-                assert is_cyclic(g, generated_algebra(operator_set([a], tol=tol), tol), tol)
+                g = cyclic_vector_for(a)
+                assert is_cyclic(g, generated_algebra(operator_set([a]), tol))
 
 
 class TestAlgebraStructure:
@@ -206,7 +206,7 @@ class TestAlgebraStructure:
             u = random_unitary(rng, len(vals))
             a = (u * np.asarray(vals, dtype=float)) @ u.conj().T
             a = 0.5 * (a + a.conj().T)
-            alg = generated_algebra(operator_set([a], tol=tol), tol)
+            alg = generated_algebra(operator_set([a]), tol)
             assert alg.algebra_dim == len(set(vals))
 
     def test_maximality_of_simple_spectrum_generator(self, tol):
@@ -214,6 +214,6 @@ class TestAlgebraStructure:
         for _ in range(10):
             n = int(rng.integers(2, 7))
             a = random_hermitian(rng, n)
-            alg = generated_algebra(operator_set([a], tol=tol), tol)
-            cp = commutant(operator_set(list(alg.basis), tol=tol), tol)
-            assert span_equal(alg, cp, tol)  # A = A'
+            alg = generated_algebra(operator_set([a]), tol)
+            cp = commutant(operator_set(list(alg.basis)), tol)
+            assert span_equal(alg, cp)  # A = A'

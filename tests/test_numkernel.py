@@ -8,6 +8,8 @@ import pytest
 import superselect
 from superselect.errors import DimensionMismatch, NotHermitian
 from superselect.numkernel import (
+    CLUSTER_TOL,
+    RANK_TOL,
     ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
@@ -21,12 +23,11 @@ from superselect.opalgebra import algebra_from_span, span_residual
 
 class TestToleranceConfig:
     def test_defaults(self):
-        t = ToleranceConfig()
-        assert t.rank_tol == 1e-10 and t.cluster_tol == 1e-8 and t.seed == 0
+        assert RANK_TOL == 1e-10 and CLUSTER_TOL == 1e-8 and ToleranceConfig().seed == 0
 
     @pytest.mark.parametrize("kwargs", [
-        {"rank_tol": 0.0}, {"rank_tol": 1.0}, {"cluster_tol": -0.1},
-        {"cluster_tol": 2.0}, {"seed": -1},
+        {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None},
+        {"seed": -(1 << 40)},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -79,50 +80,50 @@ class TestHermitianEig:
 
 
 class TestNullspace:
-    def test_zero_matrix_full_space(self, tol):
-        ns = orthonormal_nullspace(np.zeros((2, 2)), tol)
+    def test_zero_matrix_full_space(self):
+        ns = orthonormal_nullspace(np.zeros((2, 2)))
         assert ns.shape == (2, 2)
 
-    def test_identity_empty(self, tol):
-        assert orthonormal_nullspace(np.eye(3), tol).shape == (3, 0)
+    def test_identity_empty(self):
+        assert orthonormal_nullspace(np.eye(3)).shape == (3, 0)
 
-    def test_rank_one(self, tol):
+    def test_rank_one(self):
         # hand row reduction: kernel of [[1,1],[1,1]] is span (1,-1)/sqrt(2)
-        ns = orthonormal_nullspace(np.ones((2, 2)), tol)
+        ns = orthonormal_nullspace(np.ones((2, 2)))
         assert ns.shape == (2, 1)
         target = np.array([1.0, -1.0]) / np.sqrt(2)
         assert np.allclose(np.abs(ns[:, 0] @ target), 1.0)
 
-    def test_rank_nullity(self, tol):
+    def test_rank_nullity(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             rows = int(rng.integers(1, 9))
             cols = int(rng.integers(1, 9))
             m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
             s = np.linalg.svd(m, compute_uv=False)
-            rank = int(np.sum(s > tol.rank_tol * s[0]))
-            assert orthonormal_nullspace(m, tol).shape[1] + rank == cols
+            rank = int(np.sum(s > RANK_TOL * s[0]))
+            assert orthonormal_nullspace(m).shape[1] + rank == cols
 
     @pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (6, 6, 4), (3, 7, 2)])
-    def test_known_rank_tall_square_wide(self, tol, rows, cols, rank):
+    def test_known_rank_tall_square_wide(self, rows, cols, rank):
         rng = np.random.default_rng(rows * cols)
         left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
         right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
         m = left @ right
-        ns = orthonormal_nullspace(m, tol)
+        ns = orthonormal_nullspace(m)
         assert ns.shape == (cols, cols - rank)
         assert np.max(np.abs(ns.conj().T @ ns - np.eye(cols - rank))) <= 1e-12
         smax = np.linalg.norm(m, 2)
-        assert np.max(np.linalg.norm(m @ ns, axis=0)) <= tol.rank_tol * smax
+        assert np.max(np.linalg.norm(m @ ns, axis=0)) <= RANK_TOL * smax
 
     @pytest.mark.parametrize("rows, cols, rank", [(12, 5, 3), (6, 6, 4), (3, 7, 2)])
-    def test_svd_failure_falls_back_to_the_adjoint(self, tol, monkeypatch, rows, cols, rank):
+    def test_svd_failure_falls_back_to_the_adjoint(self, monkeypatch, rows, cols, rank):
         # LAPACK's divide-and-conquer SVD can fail to converge; the first call raises
         rng = np.random.default_rng(rows + cols)
         left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
         right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
         m = left @ right
-        expected = orthonormal_nullspace(m, tol)
+        expected = orthonormal_nullspace(m)
         svd, failed = np.linalg.svd, []
 
         def fails_once(a, *args, **kwargs):
@@ -132,7 +133,7 @@ class TestNullspace:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", fails_once)
-        ns = orthonormal_nullspace(m, tol)
+        ns = orthonormal_nullspace(m)
         assert failed == [(rows, cols)]
         assert ns.shape == expected.shape == (cols, cols - rank)
         assert np.max(np.abs(ns.conj().T @ ns - np.eye(cols - rank))) <= 1e-12
@@ -142,28 +143,28 @@ class TestNullspace:
 class TestGramSchmidtHS:
     """Hilbert-Schmidt orthonormalization of a spanning set, by ``algebra_from_span``."""
 
-    def test_dependent_pair_collapses(self, tol):
-        out = algebra_from_span([np.eye(3), 2.0 * np.eye(3)], tol).basis
+    def test_dependent_pair_collapses(self):
+        out = algebra_from_span([np.eye(3), 2.0 * np.eye(3)]).basis
         assert len(out) == 1
         assert abs(abs(np.vdot(out[0], np.eye(3) / np.sqrt(3))) - 1.0) <= 1e-10
 
-    def test_orthogonal_pair_kept(self, tol):
-        out = algebra_from_span([np.eye(2), np.diag([1.0, -1.0])], tol).basis
+    def test_orthogonal_pair_kept(self):
+        out = algebra_from_span([np.eye(2), np.diag([1.0, -1.0])]).basis
         assert len(out) == 2
         assert abs(np.vdot(out[0], out[1])) <= 1e-10
 
-    def test_generic_four_matrices_span_everything(self, tol):
+    def test_generic_four_matrices_span_everything(self):
         rng = np.random.default_rng(3)
         mats = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
                 for _ in range(4)]
-        out = algebra_from_span(mats, tol).basis
+        out = algebra_from_span(mats).basis
         # independent rank oracle on the stacked vectorizations
         rank = np.linalg.matrix_rank(np.stack([m.ravel() for m in mats]), tol=1e-10)
         assert len(out) == rank == 4
         gram = np.array([[np.vdot(a, b) for b in out] for a in out])
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-10
 
-    def test_output_dim_matches_numerical_rank(self, tol):
+    def test_output_dim_matches_numerical_rank(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             n = int(rng.integers(2, 5))
@@ -172,14 +173,14 @@ class TestGramSchmidtHS:
                     for _ in range(k)]
             if k > 2 and rng.random() < 0.5:
                 mats[-1] = mats[0] + mats[1]  # plant a dependency
-            out = algebra_from_span(mats, tol).basis
+            out = algebra_from_span(mats).basis
             rank = np.linalg.matrix_rank(np.stack([m.ravel() for m in mats]), tol=1e-8)
             assert len(out) == rank
             assert max(span_residual(out, m) / np.linalg.norm(m) for m in mats) <= 1e-10
 
-    def test_mixed_dimensions_rejected(self, tol):
+    def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            algebra_from_span([np.eye(2), np.eye(3)], tol)
+            algebra_from_span([np.eye(2), np.eye(3)])
 
 
 
@@ -210,7 +211,7 @@ class TestColumnsExtend:
         q, big, small = basis[:, :12], basis[:, 12:14], basis[:, 14:]
         coeffs = rng.standard_normal((16, 30))
         cand = q @ coeffs[:12] + big @ coeffs[12:14] + 1e-9 * small @ coeffs[14:]
-        out = orthonormal_columns_extend(q, cand, 1e-10)
+        out = orthonormal_columns_extend(q, cand)
         assert out.shape == (40, 16)
         assert np.max(np.abs(out.conj().T @ out - np.eye(16))) <= 1e-12
         assert np.array_equal(out[:, :12], q)
@@ -220,7 +221,7 @@ class TestColumnsExtend:
         rng = np.random.default_rng(12)
         q, _ = np.linalg.qr(rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5)))
         cand = rng.standard_normal((30, 8)) + 1j * rng.standard_normal((30, 8))
-        expected = orthonormal_columns_extend(q, cand, 1e-10)
+        expected = orthonormal_columns_extend(q, cand)
         svd = np.linalg.svd
 
         def tall_fails(a, *args, **kwargs):
@@ -229,7 +230,7 @@ class TestColumnsExtend:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", tall_fails)
-        out = orthonormal_columns_extend(q, cand, 1e-10)
+        out = orthonormal_columns_extend(q, cand)
         assert out.shape == expected.shape == (30, 13)
         assert np.max(np.abs(out.conj().T @ out - np.eye(13))) <= 1e-12
         new = out[:, 5:]
@@ -246,11 +247,11 @@ class TestColumnsExtend:
         for b, (qb, cb) in enumerate(cases):
             q[b, :, :qb.shape[1]] = qb
             cand[b, :, :cb.shape[1]] = cb
-        out = orthonormal_columns_extend(q, cand, 1e-10)
+        out = orthonormal_columns_extend(q, cand)
         assert out.shape == (3, 30, 10)
         assert np.array_equal(out[..., :6], q)
         for b, (qb, cb) in enumerate(cases):
-            assert_same_span(nonzero_columns(out[b]), orthonormal_columns_extend(qb, cb, 1e-10))
+            assert_same_span(nonzero_columns(out[b]), orthonormal_columns_extend(qb, cb))
 
     def test_explicit_scale_moves_only_the_cutoff(self):
         # two new directions at O(1) and one at 1e-7: the default cutoff
@@ -261,15 +262,15 @@ class TestColumnsExtend:
         coeffs = rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12))
         coeffs[7:] *= 1e-7
         q, cand = basis[:, :5], basis @ coeffs
-        default = orthonormal_columns_extend(q, cand, 1e-10)
+        default = orthonormal_columns_extend(q, cand)
         top = float(np.max(np.linalg.norm(cand, axis=0)))
-        assert np.array_equal(orthonormal_columns_extend(q, cand, 1e-10, scale=top), default)
-        coarse = orthonormal_columns_extend(q, cand, 1e-10, scale=1e4 * top)
+        assert np.array_equal(orthonormal_columns_extend(q, cand, scale=top), default)
+        coarse = orthonormal_columns_extend(q, cand, scale=1e4 * top)
         assert default.shape == (40, 8) and coarse.shape == (40, 7)
         assert np.max(np.abs(coarse - default[:, :7])) <= 1e-12
         # on a stack the one scale applies to every block
         stacked = orthonormal_columns_extend(np.stack([q, q]), np.stack([cand, 1e3 * cand]),
-                                             1e-10, scale=1e4 * top)
+                                             scale=1e4 * top)
         assert stacked.shape == (2, 40, 8)
         assert np.max(np.abs(stacked[0] - np.hstack([coarse, np.zeros((40, 1))]))) <= 1e-12
         # the second block keeps its third direction too (1e-4 times its largest
@@ -282,7 +283,7 @@ class TestColumnsExtend:
         cases = [extension_case(rng, 30, 5, k, 8) for k in (3, 1)]
         q = np.stack([qb for qb, _ in cases])
         cand = np.stack([cb for _, cb in cases])
-        expected = orthonormal_columns_extend(q, cand, 1e-10)
+        expected = orthonormal_columns_extend(q, cand)
         svd = np.linalg.svd
 
         def tall_fails(a, *args, **kwargs):
@@ -291,7 +292,7 @@ class TestColumnsExtend:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", tall_fails)
-        out = orthonormal_columns_extend(q, cand, 1e-10)
+        out = orthonormal_columns_extend(q, cand)
         assert out.shape == expected.shape == (2, 30, 8)
         for b in range(2):
             assert_same_span(nonzero_columns(out[b]), nonzero_columns(expected[b]))
@@ -300,30 +301,30 @@ class TestColumnsExtend:
 
 class TestClustering:
     def test_distinct_values_separate(self):
-        groups = cluster_eigenvalues(np.array([0.0, 1.0, 2.0]), 1e-8)
+        groups = cluster_eigenvalues(np.array([0.0, 1.0, 2.0]))
         assert [list(g) for g in groups] == [[0], [1], [2]]
 
     def test_roundoff_diameter_is_one_cluster(self):
         w = 1.0 + np.array([0.0, 1e-16, 3e-16])
-        assert len(cluster_eigenvalues(w, 1e-8)) == 1
+        assert len(cluster_eigenvalues(w)) == 1
 
     def test_near_scalar_spectrum_is_one_cluster_at_every_scale(self):
         # the floor is relative to the spectrum's own magnitude: a relative
         # spread of 1e-10 is one cluster at scale 1 as at any other
         spread = np.array([0.0, 3e-11, 1e-10])
         for scale in (1e-3, 1.0, 1e3):
-            assert len(cluster_eigenvalues(scale * (1.0 + spread), 1e-8)) == 1
-            assert len(cluster_eigenvalues(-scale * (1.0 + spread)[::-1], 1e-8)) == 1
+            assert len(cluster_eigenvalues(scale * (1.0 + spread))) == 1
+            assert len(cluster_eigenvalues(-scale * (1.0 + spread)[::-1])) == 1
 
     def test_clusters_a_relative_1e_minus_6_apart_split_at_every_scale(self):
         w = np.array([1.0, 1.0, 1.0 + 1e-6, 1.0 + 1e-6])
         for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
-            groups = cluster_eigenvalues(scale * w, 1e-8)
+            groups = cluster_eigenvalues(scale * w)
             assert [list(g) for g in groups] == [[0, 1], [2, 3]], scale
 
     def test_near_degenerate_pair_merges(self):
         w = np.array([0.0, 1e-12, 1.0])
-        groups = cluster_eigenvalues(w, 1e-8)
+        groups = cluster_eigenvalues(w)
         assert [list(g) for g in groups] == [[0, 1], [2]]
 
 
@@ -429,6 +430,50 @@ class TestSeededStreams:
             sites.setdefault(lead, []).append(site)
         assert {lead: s for lead, s in sites.items() if len(s) > 1} == {}
         assert {lead: s[0].split(":")[0] for lead, s in sites.items()} == self.CENSUS
+
+
+class TestTolMeansASeededDraw:
+    """A function takes ``tol`` only when its answer can depend on the seed.
+
+    ``tol`` carries nothing but the seed, so a function with a ``tol``
+    parameter must call ``tol.rng``, read ``tol.seed``, or pass ``tol`` on to
+    a package function that meets the same rule.  Functions are matched by
+    name; the rule is closed over the package as a fixpoint.
+    """
+
+    @staticmethod
+    def functions():
+        """``{name: (draws, callees)}`` of every package function with a ``tol`` parameter."""
+        found = {}
+        for path in sorted(pathlib.Path(superselect.__file__).parent.glob("*.py")):
+            for fn in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                if "tol" not in {a.arg for a in params}:
+                    continue
+                draws, callees = False, set()
+                for node in ast.walk(fn):
+                    if (isinstance(node, ast.Attribute) and node.attr in ("rng", "seed")
+                            and getattr(node.value, "id", None) == "tol"):
+                        draws = True
+                    if isinstance(node, ast.Call) and any(
+                            getattr(arg, "id", None) == "tol"
+                            for arg in [*node.args, *(kw.value for kw in node.keywords)]):
+                        callees.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+                found[f"{path.stem}.{fn.name}"] = (draws, callees)
+        return found
+
+    def test_every_tol_parameter_reaches_a_draw(self):
+        found = self.functions()
+        drawing = {name for name, (draws, _) in found.items() if draws}
+        while True:
+            short = {name.split(".")[1] for name in drawing}
+            more = {name for name, (_, callees) in found.items() if callees & short}
+            if more <= drawing:
+                break
+            drawing |= more
+        assert sorted(set(found) - drawing) == []
 
 
 class TestCommutantCallSites:

@@ -58,7 +58,7 @@ class TestCentralDecomposition:
         # M_3 and 1_2 (x) M_3 are factors: one sector, the whole space, with no
         # generic central element drawn (salts (201, a))
         o = algebra_from_span([np.kron(factor, m) for m in
-                               commutant(operator_set([np.eye(3)]), tol).basis], tol)
+                               commutant(operator_set([np.eye(3)]), tol).basis])
         salts = []
         real = sectors._generic_split
 
@@ -107,7 +107,7 @@ class TestCentralDecomposition:
     def test_merged_clusters_raise_typed_error(self, three_sector, tol, monkeypatch):
         o, _ = three_sector
         monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
-                            lambda w, cluster_tol: [np.arange(w.size)])
+                            lambda w: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(201, 15\)"):
             central_decomposition(o, tol)
 
@@ -176,7 +176,7 @@ class TestCentralDecomposition:
             central_decomposition(bogus, tol)
 
 
-def rank_read_pair(dec, sec, tol):
+def rank_read_pair(dec, sec):
     """Reference (d, ntilde): the numerical ranks of the orthonormalised restricted spans.
 
     Orthonormalise ``W^* B W`` over the commutant's and the algebra's bases
@@ -184,7 +184,7 @@ def rank_read_pair(dec, sec, tol):
     span, independent of the projector traces the decomposition reads.
     """
     w = sec.isometry
-    ranks = [_orthonormalize_stack(w.conj().T @ alg.basis @ w, tol).shape[0]
+    ranks = [_orthonormalize_stack(w.conj().T @ alg.basis @ w).shape[0]
              for alg in (dec.commutant, dec.algebra)]
     roots = [int(round(np.sqrt(r))) for r in ranks]
     assert [x * x for x in roots] == ranks
@@ -204,18 +204,18 @@ class TestTraceReadMultiplicities:
         gens, _ = planted_block_algebra(np.random.default_rng(91), pattern)
         dec = central_decomposition(generated_algebra(operator_set(gens), tol), tol)
         assert dec.multiset() == tuple(sorted(pattern))
-        self.check(dec, tol)
+        self.check(dec)
 
     @pytest.mark.parametrize("n, d", [(3, 2), (4, 2)])
     def test_parastat(self, tol, n, d):
-        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d), tol), tol)
+        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d)), tol)
         assert any(s.d == 1 for s in dec.sectors) and any(s.d > 1 for s in dec.sectors)
-        self.check(dec, tol)
+        self.check(dec)
 
     @staticmethod
-    def check(dec, tol):
+    def check(dec):
         for sec in dec.sectors:
-            assert (sec.d, sec.ntilde) == rank_read_pair(dec, sec, tol)
+            assert (sec.d, sec.ntilde) == rank_read_pair(dec, sec)
         assert sum(s.ntilde ** 2 for s in dec.sectors) == dec.algebra.algebra_dim
         assert sum(s.d ** 2 for s in dec.sectors) == dec.commutant.algebra_dim
 
@@ -362,7 +362,7 @@ class TestExpectationFunctional:
         reference = None
         for seed in range(10):
             t = ToleranceConfig(seed=seed)
-            o = generated_algebra(operator_set(gens, tol=t), t)
+            o = generated_algebra(operator_set(gens), t)
             dec = central_decomposition(o, t)
             lams = sorted(sector_weights(dec, phi))
             if reference is None:
@@ -376,7 +376,7 @@ class TestTruncate:
         dec = central_decomposition(full, tol)
         v, o_t, _ = truncate(dec, tol)
         assert v.shape == (3, 3)
-        assert span_equal(full, o_t, tol)
+        assert span_equal(full, o_t)
 
     def test_multiplicity_two_drops_half(self, tol):
         o = generated_algebra(
@@ -403,7 +403,7 @@ class TestTruncate:
             operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
         dec = central_decomposition(o, tol)
         monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
-                            lambda w, cluster_tol: [np.arange(w.size)])
+                            lambda w: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(202, 0, 15\)"):
             truncate(dec, tol)
 
