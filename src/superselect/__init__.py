@@ -15,7 +15,6 @@ sectors' projectors (``Sector.projector``).
 """
 
 from .numkernel import (
-    ToleranceConfig,
     as_complex_matrix,
     hermitian_eig,
     orthonormal_nullspace,
@@ -44,7 +43,7 @@ from .diracsets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ToleranceConfig", "as_complex_matrix", "hermitian_eig",
+    "as_complex_matrix", "hermitian_eig",
     "orthonormal_nullspace",
     "DiracReport", "OperatorAlgebra", "OperatorSet", "algebra_from_span",
     "center", "check_dirac", "commutant", "generated_algebra", "is_abelian",

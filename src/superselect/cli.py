@@ -56,7 +56,7 @@ from .fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from .numkernel import MEMBER_TOL, ToleranceConfig
+from .numkernel import MEMBER_TOL
 from .opalgebra import (
     _max_commutator,
     _pair_commutant,
@@ -152,17 +152,17 @@ def _args_digest(**params) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
+def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     """The input operators are the distinguished set (charges, symmetry
     generators); the observables analyzed are everything commuting with
     them, mirroring the identical-particle construction."""
     s, raw = load_operator_file(path)
     completed = star_completion(s)        # S*, the one star completion of the input
-    obs = commutant(completed, tol)       # the observable algebra O = S'
+    obs = commutant(completed, seed)      # the observable algebra O = S'
     # the algebra generated by the inputs, S'' = O', checked against word closure
-    gen = generated_algebra(completed, tol, commutant_algebra=obs)
-    dec = central_decomposition(obs, tol, commutant_algebra=gen)
-    dirac = check_dirac(dec, tol)
+    gen = generated_algebra(completed, seed, commutant_algebra=obs)
+    dec = central_decomposition(obs, seed, commutant_algebra=gen)
+    dirac = check_dirac(dec, seed)
     n = s.dim
     sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
@@ -173,7 +173,7 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
     # word closure's dimension, dim O', so P' = O'.  Then S''' = O'' = O = S',
     # and T' contains it: T' = S' proves the identity.  A pair generating less
     # than S'' can only make T' larger and the check fail
-    triple_ok = span_equal(obs, _pair_commutant(gen.basis, tol, (105,)))
+    triple_ok = span_equal(obs, _pair_commutant(gen.basis, seed, (105,)))
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
     norms = np.linalg.norm(s.members, axis=(1, 2))
@@ -217,13 +217,13 @@ def cmd_algebra(path: str, tol: ToleranceConfig) -> AnalysisReport:
         ],
         "checks": checks,
     }
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=sha256_hex(raw), sections=sections)
 
 
-def cmd_parastat(n: int, d: int, tol: ToleranceConfig) -> AnalysisReport:
+def cmd_parastat(n: int, d: int, seed: int) -> AnalysisReport:
     rep = permutation_unitaries(n, d)
-    result = parastat_truncation(rep, tol)
+    result = parastat_truncation(rep, seed)
     checks = [
         _check("spectral sectors match character oracle", result["sector_table"],
                "oracle multiset", result["oracle_agrees"]),
@@ -235,14 +235,14 @@ def cmd_parastat(n: int, d: int, tol: ToleranceConfig) -> AnalysisReport:
                sum(a * b for a, b in result["sector_table"]), rep.dim),
     ]
     sections = {"parastatistics": result, "checks": checks}
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=_args_digest(command="parastat", n=n, d=d),
                           sections=sections)
 
 
-def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> AnalysisReport:
-    cocycle_resid = bargmann_cocycle_check((m1, m2), samples, tol.seed)
-    mass_rep = mass_superselection_report(m1, m2, samples, tol.seed)
+def cmd_bargmann(m1: float, m2: float, samples: int, seed: int) -> AnalysisReport:
+    cocycle_resid = bargmann_cocycle_check((m1, m2), samples, seed)
+    mass_rep = mass_superselection_report(m1, m2, samples, seed)
 
     grid = np.linspace(-16.0, 16.0, 641)
     psi = np.exp(-(grid ** 2))
@@ -253,7 +253,7 @@ def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> An
         psi)
 
     action_resid = extended_action_composition_check(
-        np.array([m1 / 2.0, m1 / 2.0]), samples, tol.seed)
+        np.array([m1 / 2.0, m1 / 2.0]), samples, seed)
 
     checks = [
         _at_most("multiplier cocycle residual", cocycle_resid, 1e-9),
@@ -272,13 +272,13 @@ def cmd_bargmann(m1: float, m2: float, samples: int, tol: ToleranceConfig) -> An
         "cocycle_residual": cocycle_resid,
         "checks": checks,
     }
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=_args_digest(command="bargmann", m1=m1, m2=m2,
                                                     samples=samples),
                           sections=sections)
 
 
-def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
+def cmd_extension(path: str, mode: str, seed: int) -> AnalysisReport:
     group, mult, raw = load_group_file(path)
     strict = check_cocycle(mult, "strict")
     mod2pi = check_cocycle(mult, "mod2pi")
@@ -294,7 +294,7 @@ def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
         }
 
     # extension associativity over sampled triples mirrors the cocycle identity
-    rng = tol.rng(404)
+    rng = np.random.default_rng([seed, 404])
     assoc_resid = 0.0
     for _ in range(min(1000, group.order ** 3)):
         th = rng.uniform(-np.pi, np.pi, size=3)
@@ -323,12 +323,12 @@ def cmd_extension(path: str, mode: str, tol: ToleranceConfig) -> AnalysisReport:
         "extension_associativity_residual": assoc_resid,
         "checks": checks,
     }
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=sha256_hex(raw), sections=sections)
 
 
 def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
-             formula: str, tol: ToleranceConfig) -> AnalysisReport:
+             formula: str, seed: int) -> AnalysisReport:
     formula = {"inst": "instantaneous", "ret": "retarded"}.get(formula, formula)
     kin = ChargeKinematics(e=e, m=m, p=p)
     q = sphere_quadrature(ntheta, nphi)
@@ -365,7 +365,7 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
         "multipoles": table,
         "checks": checks,
     }
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=_args_digest(command="flux", e=e, m=m,
                                                     p=list(map(float, kin.p)),
                                                     lmax=lmax, ntheta=ntheta,
@@ -373,7 +373,7 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
                           sections=sections)
 
 
-def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
+def cmd_dynamics(path: str, seed: int) -> AnalysisReport:
     cfg, raw = load_dynamics_file(path)
     point, potential, element = cfg["point"], cfg["potential"], cfg["element"]
     # one batch: the point and, for the symmetry check, its transform
@@ -414,7 +414,7 @@ def cmd_dynamics(path: str, tol: ToleranceConfig) -> AnalysisReport:
         },
         "checks": checks,
     }
-    return AnalysisReport(tool_version=__version__, seed=tol.seed,
+    return AnalysisReport(tool_version=__version__, seed=seed,
                           input_digest=sha256_hex(raw), sections=sections)
 
 
@@ -472,20 +472,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(args) -> AnalysisReport:
-    tol = ToleranceConfig(seed=args.seed)
+    if args.seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     if args.command == "algebra":
-        return cmd_algebra(args.file, tol)
+        return cmd_algebra(args.file, args.seed)
     if args.command == "parastat":
-        return cmd_parastat(args.n, args.d, tol)
+        return cmd_parastat(args.n, args.d, args.seed)
     if args.command == "bargmann":
-        return cmd_bargmann(args.m1, args.m2, args.samples, tol)
+        return cmd_bargmann(args.m1, args.m2, args.samples, args.seed)
     if args.command == "extension":
-        return cmd_extension(args.file, args.mode, tol)
+        return cmd_extension(args.file, args.mode, args.seed)
     if args.command == "flux":
         return cmd_flux(args.e, args.m, args.p, args.lmax, args.ntheta,
-                        args.nphi, args.formula, tol)
+                        args.nphi, args.formula, args.seed)
     if args.command == "dynamics":
-        return cmd_dynamics(args.file, tol)
+        return cmd_dynamics(args.file, args.seed)
     raise ValueError(f"unknown command {args.command!r}")
 
 

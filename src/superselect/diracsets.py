@@ -4,10 +4,12 @@ A Hermitian matrix with pairwise distinct eigenvalues generates a maximal
 abelian algebra; anything commuting with it is a polynomial in it, found by
 interpolation through the paired eigenvalues.  The Newton divided-difference
 form replaces the raw Vandermonde solve (unstable past n of about 8).  The
-monomial coefficients it expands to still lose accuracy as n grows (from
-about n = 12 for nodes drawn uniformly over the spectrum), so every result
-is checked: p(A) must match B within 1e-8 relative, else
-:class:`PostconditionFailure` is raised.
+monomial coefficients it expands to still lose accuracy as n grows, so
+every result is checked: p(A) must match B within 1e-8 relative, else
+:class:`PostconditionFailure` is raised.  With sorted nodes uniform in
+[-3, 3] and standard normal target values, all 20 draws from
+``default_rng(1)`` meet the check up to n = 10; one misses at n = 11, two
+at n = 12 and 12 at n = 14.
 """
 
 from __future__ import annotations

@@ -6,22 +6,18 @@ dimensions into plain numerical-rank computations.  The rank and cluster
 cutoffs are the constants ``RANK_TOL`` and ``CLUSTER_TOL``: every verdict,
 and the claim that they are safe up to n = 64, is verified at these values
 only, so they are part of the algorithm, not settings.  Randomness enters
-only through generators derived from the seed stored in
-:class:`ToleranceConfig`, so every "generic element" draw is reproducible
-byte for byte.
+only through ``np.random.default_rng([seed, salt, ...])``, with the seed a
+plain non-negative int and one leading salt per call site, so every
+"generic element" draw is reproducible byte for byte.
 """
 
 from __future__ import annotations
-
-import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 
 __all__ = [
-    "ToleranceConfig",
     "as_complex_matrix",
     "hermitian_eig",
     "orthonormal_nullspace",
@@ -36,28 +32,6 @@ RANK_TOL = 1e-10  # singular-value cutoff, relative to the largest singular valu
 CLUSTER_TOL = 1e-8  # eigenvalue clustering width, relative to the spectral diameter
 SPAN_TOL = 10 * RANK_TOL  # span residual below which a matrix lies in an orthonormal span
 MEMBER_TOL = 100 * RANK_TOL  # relative residual below which a given matrix lies in an algebra
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The seed of every generic-element draw.
-
-    A function takes one exactly when its answer can depend on a draw;
-    the cutoffs are the module constants ``RANK_TOL`` and ``CLUSTER_TOL``.
-    """
-
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-
-    def rng(self, *salt: int) -> np.random.Generator:
-        """Derived generator; distinct salts give independent reproducible streams."""
-        return np.random.default_rng([int(self.seed), *map(int, salt)])
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -37,11 +37,9 @@ from .errors import (
     PostconditionFailure,
 )
 from .numkernel import (
-    DEFAULT_TOL,
     MEMBER_TOL,
     RANK_TOL,
     SPAN_TOL,
-    ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
     orthonormal_columns_extend,
@@ -270,11 +268,11 @@ def _generic_hermitian_combo(members: np.ndarray, rng: np.random.Generator) -> n
     return y + y.conj().T
 
 
-def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
+def _generic_split(members: np.ndarray, seed: int, salts, accept):
     """``(w, v, groups)`` of a seeded generic element whose clusters pass ``accept``.
 
-    Per salt, in order, the element drawn from ``tol.rng(*salt)`` is
-    diagonalized and its ascending eigenvalues clustered at ``CLUSTER_TOL``.
+    Per salt, in order, the element drawn from ``default_rng([seed, *salt])``
+    is diagonalized and its ascending eigenvalues clustered at ``CLUSTER_TOL``.
     Of the draws that pass, the first whose clusters lie at least
     ``SEED_SEPARATION`` apart (:func:`_cluster_separation`) is kept, or else
     the best separated one: an eigenvector whose cluster lies a relative gap
@@ -284,7 +282,8 @@ def _generic_split(members: np.ndarray, tol: ToleranceConfig, salts, accept):
     """
     splits = []
     for salt in salts:
-        w, v = np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))
+        rng = np.random.default_rng([seed, *salt])
+        w, v = np.linalg.eigh(_generic_hermitian_combo(members, rng))
         groups = cluster_eigenvalues(w)
         if accept(groups):
             splits.append((w, v, groups))
@@ -425,7 +424,7 @@ def _verify_commutes(members: np.ndarray, blocks):
     return member, float(ratio[member])
 
 
-def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlgebra:
+def commutant(s: OperatorSet, seed: int = 0) -> OperatorAlgebra:
     """Commutant {B : BA = AB for every A in the set} as an OperatorAlgebra.
 
     Non-*-closed sets are star-completed first, so the result is always a
@@ -452,12 +451,13 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     # constraints.  Zero members carry no constraint; an all-zero set stays
     # as it is and yields the full matrix algebra.
     members = _unit_members(s.members)
-    _, v, groups = _generic_split(members, tol, [(101,), (101, 1), (101, 2), (101, 3)],
+    _, v, groups = _generic_split(members, seed, [(101,), (101, 1), (101, 2), (101, 3)],
                                   lambda g: True)
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * float(np.max(np.linalg.norm(mem_rot.reshape(len(members), -1), axis=1)))
 
-    active = (v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v)[None]
+    rng = np.random.default_rng([seed, 102])
+    active = (v.conj().T @ _generic_hermitian_combo(members, rng) @ v)[None]
     used = np.zeros(len(members), dtype=bool)
     for _ in range(len(members) + 1):
         perm, blocks = _solve_components(active, groups, scale)
@@ -477,10 +477,10 @@ def commutant(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL) -> OperatorAlg
     raise PostconditionFailure("commutant constraint loop failed to converge")
 
 
-def _pair_commutant(members: np.ndarray, tol: ToleranceConfig, salt) -> OperatorAlgebra:
+def _pair_commutant(members: np.ndarray, seed: int, salt) -> OperatorAlgebra:
     """Commutant of two seeded generic Hermitian elements of a stack's span.
 
-    Both come from one stream ``tol.rng(*salt)``
+    Both come from one stream ``default_rng([seed, *salt])``
     (:func:`_generic_hermitian_combo`).  Every finite-dimensional
     C*-algebra is generated by two Hermitian elements, and a generic pair
     drawn from a spanning set of a *-closed algebra generates all of it with
@@ -491,10 +491,10 @@ def _pair_commutant(members: np.ndarray, tol: ToleranceConfig, salt) -> Operator
     ``A'``: a pair that misses part of the algebra makes the commutant
     larger, never smaller, and each caller has a guard that then fails.
     """
-    rng = tol.rng(*salt)
+    rng = np.random.default_rng([seed, *salt])
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
     return commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
-                                 self_adjoint_closed=True), tol)
+                                 self_adjoint_closed=True), seed)
 
 
 def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -516,7 +516,7 @@ def _block_widths(q: np.ndarray) -> np.ndarray:
     return np.count_nonzero(np.any(q != 0, axis=-2), axis=-1)
 
 
-def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
+def _word_closure_dim(s: OperatorSet, seed: int) -> int:
     """Dimension of the span closure of words in the (star-completed) members.
 
     Generators are normalized to unit operator norm (the span is scale
@@ -582,7 +582,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     n = s.dim
     norms = np.linalg.norm(s.members, ord=2, axis=(1, 2))
     gens = s.members / np.where(norms > 0, norms, 1.0)[:, None, None]
-    _, v, groups = _generic_split(gens, tol, [(104, a) for a in range(4)], lambda g: True)
+    _, v, groups = _generic_split(gens, seed, [(104, a) for a in range(4)], lambda g: True)
     ranks = sorted({g.size for g in groups})
     q = [np.stack([v[:, g] for g in groups if g.size == r]).reshape(-1, n * r, 1) / np.sqrt(r)
          for r in ranks]
@@ -604,7 +604,7 @@ def _word_closure_dim(s: OperatorSet, tol: ToleranceConfig) -> int:
     return int(sum(_block_widths(b).sum() for b in q))
 
 
-def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
+def generated_algebra(s: OperatorSet, seed: int = 0,
                       commutant_algebra: OperatorAlgebra | None = None) -> OperatorAlgebra:
     """The *-algebra generated by a set: its double commutant, verified by word closure.
 
@@ -619,9 +619,9 @@ def generated_algebra(s: OperatorSet, tol: ToleranceConfig = DEFAULT_TOL,
     """
     cp = commutant_algebra
     if cp is None:
-        cp = commutant(s, tol)
-    double = _pair_commutant(cp.basis, tol, (107,))
-    wdim = _word_closure_dim(s, tol)
+        cp = commutant(s, seed)
+    double = _pair_commutant(cp.basis, seed, (107,))
+    wdim = _word_closure_dim(s, seed)
     if wdim != double.algebra_dim:
         raise ClosureMismatch(
             f"double commutant dim {double.algebra_dim} != word closure dim {wdim}")
@@ -733,7 +733,7 @@ class DiracReport:
     witness_in_observables: bool | None = None
 
 
-def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) -> DiracReport:
+def check_dirac(dec: SectorDecomposition, seed: int = 0) -> DiracReport:
     """Abelian-commutant verdict on a decomposed algebra, plus a maximal abelian witness.
 
     The verdict comes from the sector multiplicities the decomposition
@@ -756,7 +756,7 @@ def check_dirac(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL) ->
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
     witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
                               contains_identity=True)
-    wcomm = _pair_commutant(witness.basis, tol, (106,))
+    wcomm = _pair_commutant(witness.basis, seed, (106,))
     return DiracReport(
         v2_holds=True,
         witness=witness,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonIntegerRank, PostconditionFailure, SizeLimit
-from .numkernel import DEFAULT_TOL, ToleranceConfig
 from .opalgebra import OperatorAlgebra, _abelian_commutant, _max_commutator, algebra_from_span
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
@@ -201,7 +200,7 @@ def character_oracle(rep: TensorRep) -> list[tuple[tuple[int, ...], int, int]]:
     return out
 
 
-def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> dict:
+def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
     """Full case study for one (n, d): decomposition, truncation, compatibility.
 
     Returns a report with the sector table, the character-oracle table, the
@@ -211,9 +210,9 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     ``pre_truncation_max_commutator`` is the largest relative commutator of
     the permutation unitaries, which generate that commutant.
     """
-    dec = decomposition_for(rep, tol)
+    dec = decomposition_for(rep, seed)
     pre_abelian = _abelian_commutant(dec)
-    v_iso, _, post = truncate(dec, tol)  # post: the truncated algebra's commutant
+    v_iso, _, post = truncate(dec, seed)  # post: the truncated algebra's commutant
 
     oracle = character_oracle(rep)
     present = tuple(sorted((d, nt) for _, d, nt in oracle if nt > 0))
@@ -245,7 +244,7 @@ def parastat_truncation(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> d
     }
 
 
-def decomposition_for(rep: TensorRep, tol: ToleranceConfig = DEFAULT_TOL) -> SectorDecomposition:
+def decomposition_for(rep: TensorRep, seed: int = 0) -> SectorDecomposition:
     """Spectral sector decomposition of the invariant algebra."""
-    return central_decomposition(invariant_algebra(rep), tol,
+    return central_decomposition(invariant_algebra(rep), seed,
                                  commutant_algebra=_group_span(rep))

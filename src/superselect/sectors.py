@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonIntegerStructure, PostconditionFailure
-from .numkernel import DEFAULT_TOL, SPAN_TOL, ToleranceConfig, random_hermitian
+from .numkernel import SPAN_TOL, random_hermitian
 from .opalgebra import (
     OperatorAlgebra,
     _generic_split,
@@ -108,7 +108,7 @@ def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
     return float(np.vdot(restricted, restricted).real), leak
 
 
-def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL,
+def central_decomposition(o: OperatorAlgebra, seed: int = 0,
                           commutant_algebra: OperatorAlgebra | None = None
                           ) -> SectorDecomposition:
     """Minimal central projectors of an algebra plus per-block (d, ntilde) data.
@@ -153,16 +153,16 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
     n = o.dim
     cp = commutant_algebra
     if cp is None:
-        cp = _pair_commutant(o.basis, tol, (206,))
+        cp = _pair_commutant(o.basis, seed, (206,))
     z = center(o, commutant_algebra=cp)
 
     if z.algebra_dim == 1:
         isometries = [np.eye(n, dtype=complex)]
     else:
-        _, v, groups = _generic_split(z.basis, tol, ((201, a) for a in range(16)),
+        _, v, groups = _generic_split(z.basis, seed, ((201, a) for a in range(16)),
                                       lambda g: len(g) == z.algebra_dim)
         isometries = [v[:, idx] for idx in groups]
-    h = random_hermitian(tol.rng(CENTRAL_VALUE_SALT), n)
+    h = random_hermitian(np.random.default_rng([seed, CENTRAL_VALUE_SALT]), n)
     sectors, irreducible = [], []
     for k, w_iso in enumerate(isometries):
         block_dim = w_iso.shape[1]
@@ -191,7 +191,7 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
         # the stack spans W* O W (*-closed, as each P is central); a pair that
         # generates less only enlarges the commutant, so can fail, never pass
         w1 = np.hstack(irreducible)
-        if _pair_commutant(w1.conj().T @ o.basis @ w1, tol, (204,)).algebra_dim \
+        if _pair_commutant(w1.conj().T @ o.basis @ w1, seed, (204,)).algebra_dim \
                 != len(irreducible):
             raise PostconditionFailure("d = 1 blocks are not irreducible; tolerance pathology")
     sectors.sort(key=lambda sec: sec.central_value)
@@ -199,7 +199,7 @@ def central_decomposition(o: OperatorAlgebra, tol: ToleranceConfig = DEFAULT_TOL
                                center=z)
 
 
-def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
+def truncate(dec: SectorDecomposition, seed: int = 0
              ) -> tuple[np.ndarray, OperatorAlgebra, OperatorAlgebra]:
     """Keep one multiplicity copy per sector.
 
@@ -235,7 +235,7 @@ def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
     for sidx, sec in enumerate(dec.sectors):
         restricted_cp = sec.isometry.conj().T @ dec.commutant.basis @ sec.isometry
         _, v, groups = _generic_split(
-            restricted_cp, tol, ((202, sidx, a) for a in range(16)),
+            restricted_cp, seed, ((202, sidx, a) for a in range(16)),
             lambda g: len(g) == sec.d and all(c.size == sec.ntilde for c in g))
         v_s = sec.isometry @ v[:, groups[0]]  # lowest spectral cluster
         columns.append(v_s)
@@ -261,7 +261,7 @@ def truncate(dec: SectorDecomposition, tol: ToleranceConfig = DEFAULT_TOL
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
-    t_cp = _pair_commutant(basis, tol, (205,))
+    t_cp = _pair_commutant(basis, seed, (205,))
     abelian, worst = is_abelian(t_cp)
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
     missing = _max_span_residual(t_cp.basis, projectors)

@@ -20,7 +20,7 @@ import pytest
 from scipy.linalg import block_diag
 
 from superselect import opalgebra
-from superselect.numkernel import ToleranceConfig, random_hermitian, random_unitary
+from superselect.numkernel import random_hermitian, random_unitary
 from superselect.opalgebra import OperatorSet, _generic_hermitian_combo, commutant
 from superselect.parastat import character_oracle
 
@@ -30,8 +30,8 @@ WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 
 
 @pytest.fixture
-def tol():
-    return ToleranceConfig()
+def seed():
+    return 0
 
 
 def load_workloads():
@@ -76,9 +76,9 @@ def basis_set(alg):
                        self_adjoint_closed=True)
 
 
-def full_basis_commutant(alg, tol):
+def full_basis_commutant(alg, seed):
     """Reference commutant of an algebra: the solve over its whole basis, no generic pair."""
-    return commutant(basis_set(alg), tol)
+    return commutant(basis_set(alg), seed)
 
 
 def sector_oracle_multiset(rep):
@@ -93,22 +93,23 @@ def vector_functional(alg, phi):
     return np.einsum("kij,ji->k", alg.basis, rho)
 
 
-def generic_eigenvalues(members, tol, salt):
+def generic_eigenvalues(members, seed, salt):
     """Eigenvalues of the seeded generic element ``_generic_split`` draws at one salt.
 
     They are the ``w`` it returns when it keeps that draw, bit for bit.
     """
-    return np.linalg.eigh(_generic_hermitian_combo(members, tol.rng(*salt)))[0]
+    rng = np.random.default_rng([seed, *salt])
+    return np.linalg.eigh(_generic_hermitian_combo(members, rng))[0]
 
 
-def fake_separations(monkeypatch, members, tol, fakes):
+def fake_separations(monkeypatch, members, seed, fakes):
     """Make ``_cluster_separation`` read ``fakes[salt]`` for the draw at each given salt.
 
     A draw is recognised by its eigenvalues; every other split keeps its
     real separation.
     """
     real = opalgebra._cluster_separation
-    by_draw = {generic_eigenvalues(members, tol, salt).tobytes(): sep
+    by_draw = {generic_eigenvalues(members, seed, salt).tobytes(): sep
                for salt, sep in fakes.items()}
     monkeypatch.setattr(opalgebra, "_cluster_separation",
                         lambda split: by_draw.get(split[0].tobytes(), real(split)))

@@ -43,7 +43,7 @@ from superselect.fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from superselect.numkernel import ToleranceConfig, random_unitary
+from superselect.numkernel import random_unitary
 from superselect.opalgebra import (
     check_dirac,
     commutant,
@@ -68,12 +68,11 @@ def planted_sweep():
     for trial in range(N_PLANTED):
         pattern = sorted(sample_pattern(rng))
         gens, _ = planted_block_algebra(rng, pattern)
-        tol = ToleranceConfig(seed=trial)
         t0 = time.perf_counter()
         s = operator_set(gens)
-        cp = commutant(s, tol)
-        o = generated_algebra(s, tol)
-        dec = central_decomposition(o, tol)  # dec.commutant is the triple commutant
+        cp = commutant(s, trial)
+        o = generated_algebra(s, trial)
+        dec = central_decomposition(o, trial)  # dec.commutant is the triple commutant
         member_resid = max(span_residual(o.basis, m) / float(np.linalg.norm(m))
                            for m in s.members)
         t_structure += time.perf_counter() - t0
@@ -81,7 +80,7 @@ def planted_sweep():
             "trial": trial,
             "pattern": pattern,
             "n": gens[0].shape[0],
-            "tol": tol,
+            "seed": trial,
             "algebra": o,
             "commutant": cp,
             "decomposition": dec,
@@ -120,7 +119,7 @@ def test_criterion_2_dirac_equivalence(planted_sweep):
     records, _ = planted_sweep
     disagreements = []
     for rec in records:
-        rep = check_dirac(rec["decomposition"], rec["tol"])
+        rep = check_dirac(rec["decomposition"], rec["seed"])
         expect = all(d == 1 for d, _ in rec["pattern"])
         if rep.v2_holds != expect:
             disagreements.append((rec["trial"], "verdict"))
@@ -135,7 +134,6 @@ def test_criterion_2_dirac_equivalence(planted_sweep):
 
 
 def test_criterion_3_vandermonde_cyclic_suite():
-    tol = ToleranceConfig()
     rng = np.random.default_rng(33)
     interp_failures = 0
     count = 0
@@ -180,7 +178,7 @@ def test_criterion_3_vandermonde_cyclic_suite():
                 pass
         else:
             g = cyclic_vector_for(a)
-            alg = generated_algebra(operator_set([a]), tol)
+            alg = generated_algebra(operator_set([a]))
             if not is_cyclic(g, alg):
                 cyclic_failures += 1
     assert cyclic_failures == 0
@@ -192,9 +190,8 @@ def test_criterion_3_vandermonde_cyclic_suite():
     (2, 2, 4), (3, 2, 6), (3, 3, None), (4, 2, 9),
 ])
 def test_criterion_4_parastatistics(n, d, expected_truncated):
-    tol = ToleranceConfig()
     rep = permutation_unitaries(n, d)
-    result = parastat_truncation(rep, tol)
+    result = parastat_truncation(rep)
     assert result["oracle_agrees"]
     assert tuple(sorted(map(tuple, result["sector_table"]))) == sector_oracle_multiset(rep)
     if n >= 3:
@@ -209,7 +206,6 @@ def test_criterion_4_parastatistics(n, d, expected_truncated):
 
 
 def test_criterion_5_cocycle_suite():
-    tol = ToleranceConfig()
     rng = np.random.default_rng(55)
     # coboundaries are cocycles, on every built-in group
     for name, mk in BUILTIN_GROUPS.items():

@@ -19,7 +19,6 @@ import twilight
 from conftest import WORKLOADS_PATH
 from superselect import cli, errors, opalgebra
 from superselect.fileformat import load_operator_file
-from superselect.numkernel import ToleranceConfig
 
 def run_twice(workloads, item):
     runs = [cli.run_command(cli.build_parser().parse_args(list(item.argv))).to_json_bytes()
@@ -47,13 +46,13 @@ def test_closure_seed_skips_a_poorly_separated_draw(workloads, tmp_path):
     # the 400-dimensional matrix space
     items, _ = workloads.build("planted-wide", 3, str(tmp_path))
     item = next(it for it in items if it.pattern == ((1, 7), (1, 7), (3, 2)))
-    tol = ToleranceConfig(seed=int(item.argv[1]))
+    seed = int(item.argv[1])
     s, _ = load_operator_file(item.argv[-1])
     gens = opalgebra.star_completion(s).members
     gens = gens / np.linalg.norm(gens, ord=2, axis=(1, 2))[:, None, None]
-    first = opalgebra._generic_split(gens, tol, [(104,)], lambda g: True)
+    first = opalgebra._generic_split(gens, seed, [(104,)], lambda g: True)
     assert opalgebra._cluster_separation(first) < opalgebra.SEED_SEPARATION
-    assert opalgebra._word_closure_dim(s, tol) == 102
+    assert opalgebra._word_closure_dim(s, seed) == 102
 
 
 def test_traced_functions_resolve():

@@ -17,7 +17,6 @@ from superselect import opalgebra, sectors
 from superselect.cli import build_parser, main, run_command
 from superselect.errors import PostconditionFailure
 from superselect.numkernel import random_hermitian, random_unitary
-from superselect.numkernel import ToleranceConfig
 from superselect.opalgebra import check_dirac, commutant
 from superselect.sectors import central_decomposition
 
@@ -71,6 +70,33 @@ def planted_file(tmp_path, pattern, scales=None):
         "dim": gens[0].shape[0],
         "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
                       for i, g in enumerate(gens)]})
+
+
+# main in a fresh interpreter, which reports its own time in main and its own
+# peak RSS, so that the figures are this item's alone
+MEASURED_MAIN = """
+import json, resource, sys, time
+from superselect.cli import main
+t0 = time.perf_counter()
+code = main(sys.argv[1:])
+elapsed = time.perf_counter() - t0
+print(json.dumps({"code": code, "seconds": elapsed,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}),
+      file=sys.stderr)
+"""
+
+
+def measured_main(argv):
+    """``(exit code, stdout, stderr, seconds in main, peak RSS in MB)`` of ``main(argv)``."""
+    src = os.path.dirname(os.path.dirname(superselect.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", MEASURED_MAIN, *argv], capture_output=True,
+                         text=True, env=env, check=False, timeout=120)
+    assert out.returncode == 0, out.stderr
+    *err, last = out.stderr.splitlines()
+    stats = json.loads(last)
+    return stats["code"], out.stdout, "\n".join(err), stats["seconds"], stats["peak_rss_mb"]
 
 
 def operator_file(tmp_path, name, gens):
@@ -260,28 +286,28 @@ class TestAbelianAt56:
     """The abelian planted item ((20, 1), (36, 1)) at n = 56 through the CLI.
 
     O = M_20 + M_36 has dimension 1696, and both of its sectors have d = 1.
-    Budget: 30 s, the target for planted items at n <= 64.  Measured on one
-    core with one BLAS thread: 5.0 s, peak RSS about 395 MB; 11.4-12.4 s while
-    each d = 1 check orthonormalised its restricted span.
+    Budget: 30 s, the target for planted items at n <= 64, and 600 MB of
+    peak RSS, both of the process that runs the item.  Measured on one core
+    with one BLAS thread: 5.7 s and 366 MB; 11.4-12.4 s while each d = 1 check
+    orthonormalised its restricted span.
     """
 
     BUDGET_SECONDS = 30.0
+    BUDGET_RSS_MB = 600.0
 
-    def test_matches_planted(self, tmp_path, capsys):
+    def test_matches_planted(self, tmp_path):
         pattern = [(20, 1), (36, 1)]
         path = planted_file(tmp_path, pattern)
-        t0 = time.perf_counter()
-        code = main(["algebra", path])
-        elapsed = time.perf_counter() - t0
-        out = capsys.readouterr()
-        assert code == 0, out.err
-        doc = json.loads(out.out)
+        code, out, err, elapsed, rss_mb = measured_main(["algebra", path])
+        assert code == 0, err
+        doc = json.loads(out)
         assert doc["sections"]["input"]["dim"] == 56
         assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
         st = doc["sections"]["structure"]
         assert st["generated_dim"] == 2
         assert st["dirac_v2_holds"]
         assert elapsed <= self.BUDGET_SECONDS
+        assert rss_mb <= self.BUDGET_RSS_MB
 
 
 class TestLargeObservablesAt64:
@@ -289,27 +315,26 @@ class TestLargeObservablesAt64:
 
     O = M_32 + M_32 has dimension 2048, the large-O side of the README's
     "safe up to dimension 64" claim.  Budget: 30 s, the target for planted
-    items at n <= 64.  Measured on one core with one BLAS thread: 9.4 s, peak
-    RSS about 525 MB.
+    items at n <= 64, and 800 MB of peak RSS, both of the process that runs
+    the item.  Measured on one core with one BLAS thread: 10.0 s and 497 MB.
     """
 
     BUDGET_SECONDS = 30.0
+    BUDGET_RSS_MB = 800.0
 
-    def test_matches_planted(self, tmp_path, capsys):
+    def test_matches_planted(self, tmp_path):
         pattern = [(32, 1), (32, 1)]
         path = planted_file(tmp_path, pattern)
-        t0 = time.perf_counter()
-        code = main(["algebra", path])
-        elapsed = time.perf_counter() - t0
-        out = capsys.readouterr()
-        assert code == 0, out.err
-        doc = json.loads(out.out)
+        code, out, err, elapsed, rss_mb = measured_main(["algebra", path])
+        assert code == 0, err
+        doc = json.loads(out)
         assert doc["sections"]["input"]["dim"] == 64
         assert sorted((s["ntilde"], s["d"]) for s in doc["sections"]["sectors"]) == pattern
         st = doc["sections"]["structure"]
         assert (st["observable_dim"], st["generated_dim"]) == (2048, 2)
         assert st["dirac_v2_holds"]
         assert elapsed <= self.BUDGET_SECONDS
+        assert rss_mb <= self.BUDGET_RSS_MB
 
 
 class TestAlgebraReportInvariance:
@@ -710,7 +735,7 @@ class TestDeterminism:
         secs = [doc["sections"]["sectors"] for doc in docs]
         assert [(sec["block_dim"], sec["d"], sec["ntilde"]) for sec in secs[0]] \
             == [(sec["block_dim"], sec["d"], sec["ntilde"]) for sec in secs[1]]
-        h = random_hermitian(ToleranceConfig().rng(sectors.CENTRAL_VALUE_SALT), 16)
+        h = random_hermitian(np.random.default_rng([0, sectors.CENTRAL_VALUE_SALT]), 16)
         for a, b in zip(*secs):
             assert abs(a["central_value"] - b["central_value"]) <= 1e-12 * np.linalg.norm(h)
 
@@ -756,6 +781,30 @@ class TestDeterminism:
         capsys.readouterr()
         assert (tmp_path / "flag" / "algebra_report.json").exists()
         assert not (tmp_path / "unused").exists()
+
+
+class TestSeedCheck:
+    """``--seed`` must be non-negative for every command, the ones that never draw too.
+
+    argparse refuses a seed that is not an int; ``run_command`` refuses a
+    negative one before any command runs.
+    """
+
+    @pytest.mark.parametrize("seed", ["-1", str(-(1 << 40))])
+    @pytest.mark.parametrize("command", ["algebra", "parastat", "bargmann", "extension",
+                                         "flux", "dynamics"])
+    def test_negative_seed_is_an_input_error(self, command, seed, opset_path,
+                                             pauli_group_path, dynamics_path, capsys):
+        argv = {"algebra": ["algebra", opset_path],
+                "parastat": ["parastat", "--n", "2", "--d", "2"],
+                "bargmann": ["bargmann"],
+                "extension": ["extension", pauli_group_path],
+                "flux": ["flux"],
+                "dynamics": ["dynamics", dynamics_path]}[command]
+        assert main(["--seed", seed, *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: seed must be a non-negative integer\n"
 
 
 class TestSharedParser:
@@ -961,9 +1010,8 @@ class TestVerdictDisagreement:
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         monkeypatch.setattr(opalgebra, "is_abelian", lambda a: (False, 1.0))
         s, _ = cli.load_operator_file(path)
-        tol = ToleranceConfig()
-        dec = central_decomposition(commutant(s, tol), tol)
+        dec = central_decomposition(commutant(s))
         with pytest.raises(PostconditionFailure, match="d = 1") as exc:
-            check_dirac(dec, tol)
+            check_dirac(dec)
         assert main(["algebra", path]) == 1
         assert capsys.readouterr().err == f"error: {exc.value}\n"

@@ -10,7 +10,6 @@ from superselect.errors import DimensionMismatch, NotHermitian
 from superselect.numkernel import (
     CLUSTER_TOL,
     RANK_TOL,
-    ToleranceConfig,
     as_complex_matrix,
     cluster_eigenvalues,
     hermitian_eig,
@@ -23,20 +22,7 @@ from superselect.opalgebra import algebra_from_span, span_residual
 
 class TestToleranceConfig:
     def test_defaults(self):
-        assert RANK_TOL == 1e-10 and CLUSTER_TOL == 1e-8 and ToleranceConfig().seed == 0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"seed": -1}, {"seed": 1.5}, {"seed": "3"}, {"seed": None},
-        {"seed": -(1 << 40)},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            ToleranceConfig(**kwargs)
-
-    def test_rng_reproducible(self):
-        t = ToleranceConfig(seed=5)
-        assert t.rng(3).integers(0, 1 << 30) == t.rng(3).integers(0, 1 << 30)
-        assert t.rng(3).integers(0, 1 << 30) != t.rng(4).integers(0, 1 << 30)
+        assert RANK_TOL == 1e-10 and CLUSTER_TOL == 1e-8
 
 
 class TestComplexMatrix:
@@ -373,10 +359,10 @@ class TestSeededStreams:
 
     A cross-check that draws a generic pair can only fail, never pass, when
     its draw is independent of the draws it checks, so no two call sites may
-    share a leading salt.  Streams come from ``tol.rng(salt, ...)``, the
-    salts handed to ``opalgebra._generic_split`` and ``_pair_commutant``, and
-    ``np.random.default_rng([seed, salt, ...])``.  A helper passing its
-    caller's salt on (``*salt``) is not a call site.
+    share a leading salt.  Streams come from ``np.random.default_rng([seed,
+    salt, ...])`` and from the salts handed to ``opalgebra._generic_split``
+    and ``_pair_commutant``.  A helper passing its caller's salt on
+    (``*salt``) is not a call site.
     """
 
     # leading salt -> module; a new stream is added here with a salt of its own
@@ -384,7 +370,7 @@ class TestSeededStreams:
               106: "opalgebra", 107: "opalgebra", 201: "sectors", 202: "sectors",
               203: "sectors", 204: "sectors", 205: "sectors", 206: "sectors",
               401: "bargmann", 402: "bargmann", 403: "bargmann", 404: "cli"}
-    SALT_ARG = {"rng": 0, "default_rng": 0, "_generic_split": 2, "_pair_commutant": 2}
+    SALT_ARG = {"default_rng": 0, "_generic_split": 2, "_pair_commutant": 2}
 
     @classmethod
     def leading(cls, node, consts):
@@ -432,39 +418,48 @@ class TestSeededStreams:
         assert {lead: s[0].split(":")[0] for lead, s in sites.items()} == self.CENSUS
 
 
-class TestTolMeansASeededDraw:
-    """A function takes ``tol`` only when its answer can depend on the seed.
+class TestSeedMeansASeededDraw:
+    """Every ``seed`` parameter in the package reaches a draw or a report.
 
-    ``tol`` carries nothing but the seed, so a function with a ``tol``
-    parameter must call ``tol.rng``, read ``tol.seed``, or pass ``tol`` on to
-    a package function that meets the same rule.  Functions are matched by
-    name; the rule is closed over the package as a fixpoint.
+    A function with a ``seed`` parameter must pass it into
+    ``np.random.default_rng([seed, ...])``, pass it on to a package function
+    that meets the same rule, or record it as ``AnalysisReport(seed=...)``.
+    Functions are matched by name; the rule is closed over the package as a
+    fixpoint.
     """
 
     @staticmethod
     def functions():
-        """``{name: (draws, callees)}`` of every package function with a ``tol`` parameter."""
+        """``{name: (draws, callees)}`` of every package function with a ``seed`` parameter."""
+        def is_seed(node):
+            return isinstance(node, ast.Name) and node.id == "seed"
+
         found = {}
         for path in sorted(pathlib.Path(superselect.__file__).parent.glob("*.py")):
             for fn in ast.walk(ast.parse(path.read_text())):
                 if not isinstance(fn, ast.FunctionDef):
                     continue
                 params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
-                if "tol" not in {a.arg for a in params}:
+                if "seed" not in {a.arg for a in params}:
                     continue
                 draws, callees = False, set()
                 for node in ast.walk(fn):
-                    if (isinstance(node, ast.Attribute) and node.attr in ("rng", "seed")
-                            and getattr(node.value, "id", None) == "tol"):
-                        draws = True
-                    if isinstance(node, ast.Call) and any(
-                            getattr(arg, "id", None) == "tol"
-                            for arg in [*node.args, *(kw.value for kw in node.keywords)]):
-                        callees.add(getattr(node.func, "attr", getattr(node.func, "id", None)))
+                    if not isinstance(node, ast.Call):
+                        continue
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name == "default_rng":
+                        first = node.args[0]
+                        draws |= isinstance(first, ast.List) and is_seed(first.elts[0])
+                    elif name == "AnalysisReport":
+                        draws |= any(kw.arg == "seed" and is_seed(kw.value)
+                                     for kw in node.keywords)
+                    elif any(is_seed(arg)
+                             for arg in [*node.args, *(kw.value for kw in node.keywords)]):
+                        callees.add(name)
                 found[f"{path.stem}.{fn.name}"] = (draws, callees)
         return found
 
-    def test_every_tol_parameter_reaches_a_draw(self):
+    def test_every_seed_parameter_reaches_a_draw(self):
         found = self.functions()
         drawing = {name for name, (draws, _) in found.items() if draws}
         while True:

@@ -26,7 +26,6 @@ from superselect.numkernel import (
     MEMBER_TOL,
     RANK_TOL,
     SPAN_TOL,
-    ToleranceConfig,
     orthonormal_nullspace,
     random_hermitian,
     random_unitary,
@@ -78,15 +77,15 @@ class TestOperatorSet:
         s2 = operator_set([raising, raising.conj().T])
         assert s2.self_adjoint_closed
 
-    def test_star_closure_at_mixed_scales(self, tol):
+    def test_star_closure_at_mixed_scales(self, seed):
         # {1e6 I, 1e-6 E_01} lacks E_10 however small the raising member is;
         # at unit scale the set is not *-closed and generates all of M_2
         raising = np.array([[0, 1], [0, 0]], dtype=complex)
         s = operator_set([1e6 * np.eye(2), 1e-6 * raising])
         assert s.self_adjoint_closed is False
         assert len(star_completion(s)) == 4
-        assert generated_algebra(s, tol).algebra_dim == 4
-        assert generated_algebra(operator_set([np.eye(2), raising]), tol).algebra_dim == 4
+        assert generated_algebra(s, seed).algebra_dim == 4
+        assert generated_algebra(operator_set([np.eye(2), raising]), seed).algebra_dim == 4
 
     def test_zero_members_do_not_decide_star_closure(self):
         zero = np.zeros((2, 2), dtype=complex)
@@ -97,23 +96,23 @@ class TestOperatorSet:
 
 
 class TestCommutant:
-    def test_identity_gives_full_algebra(self, tol):
-        c = commutant(operator_set([np.eye(2)]), tol)
+    def test_identity_gives_full_algebra(self, seed):
+        c = commutant(operator_set([np.eye(2)]), seed)
         assert c.algebra_dim == 4
         c.validate()
 
-    def test_pauli_generators_give_scalars(self, tol):
-        c = commutant(operator_set([SX, SY, SZ]), tol)
+    def test_pauli_generators_give_scalars(self, seed):
+        c = commutant(operator_set([SX, SY, SZ]), seed)
         assert c.algebra_dim == 1
         assert span_residual(c.basis, np.eye(2) / np.sqrt(2)) <= 1e-10
 
-    def test_block_diagonal_example(self, tol):
+    def test_block_diagonal_example(self, seed):
         # diag(1,1,2): commutes with M2 (+) M1, dimension 5
-        c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), tol)
+        c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), seed)
         assert c.algebra_dim == 5
         c.validate()
 
-    def test_against_brute_force(self, tol):
+    def test_against_brute_force(self, seed):
         rng = np.random.default_rng(21)
         for trial in range(25):
             n = int(rng.integers(2, 7))
@@ -128,39 +127,39 @@ class TestCommutant:
             if rng.random() < 0.4:  # plant some block structure
                 d = np.diag(rng.integers(0, 3, size=n).astype(complex))
                 mats.append(d)
-            got = commutant(operator_set(mats), tol)
+            got = commutant(operator_set(mats), seed)
             oracle = brute_force_commutant(mats, RANK_TOL)
             assert got.algebra_dim == oracle.shape[0], f"trial {trial}"
             assert span_equal(got, algebra_from_span(list(oracle)))
 
-    def test_all_zero_set_gives_full_algebra(self, tol):
-        assert commutant(operator_set([np.zeros((3, 3))]), tol).algebra_dim == 9
+    def test_all_zero_set_gives_full_algebra(self, seed):
+        assert commutant(operator_set([np.zeros((3, 3))]), seed).algebra_dim == 9
 
-    def test_mixed_scale_generators(self, tol):
+    def test_mixed_scale_generators(self, seed):
         # rescaling a generator leaves the span, hence the commutant, unchanged;
         # the 1e-6 generator must not fall below the absolute nullspace cutoff
-        for seed in range(5):
-            gens, _ = planted_block_algebra(np.random.default_rng(seed), [(1, 2), (2, 3)])
-            ref = commutant(operator_set(gens), tol)
-            got = commutant(operator_set([1e6 * gens[0], 1e-6 * gens[1]]), tol)
+        for k in range(5):
+            gens, _ = planted_block_algebra(np.random.default_rng(k), [(1, 2), (2, 3)])
+            ref = commutant(operator_set(gens), seed)
+            got = commutant(operator_set([1e6 * gens[0], 1e-6 * gens[1]]), seed)
             assert got.algebra_dim == ref.algebra_dim == 5
             assert span_equal(got, ref)
-            assert central_decomposition(got, tol).multiset() \
-                == central_decomposition(ref, tol).multiset()
+            assert central_decomposition(got, seed).multiset() \
+                == central_decomposition(ref, seed).multiset()
 
-    def test_inclusion_reversal(self, tol):
+    def test_inclusion_reversal(self, seed):
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(2, 6))
             small = [random_hermitian(rng, n)]
             big = small + [random_hermitian(rng, n)]
-            c_small = commutant(operator_set(small), tol)
-            c_big = commutant(operator_set(big), tol)
+            c_small = commutant(operator_set(small), seed)
+            c_big = commutant(operator_set(big), seed)
             worst = max(span_residual(c_small.basis, b) for b in c_big.basis)
             assert worst <= 1e-9
 
 
-def single_stack_commutant(s, tol):
+def single_stack_commutant(s, seed):
     """Reference commutant: one nullspace solve over the whole block pattern.
 
     The generic element's clusters give the pattern, as in ``commutant``;
@@ -174,13 +173,14 @@ def single_stack_commutant(s, tol):
     n = s.dim
     norms = np.linalg.norm(s.members.reshape(len(s), -1), axis=1)
     members = s.members[norms > 0] / norms[norms > 0, None, None]
-    _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
+    _, v, groups = _generic_split(members, seed, [(101,)], lambda g: True)
     labels = np.repeat(np.arange(len(groups)), [g.size for g in groups])
     rows, cols = np.nonzero(labels[:, None] == labels[None, :])
     mem_rot = v.conj().T @ members @ v
     scale = 2.0 * max(np.linalg.norm(m) for m in mem_rot)
     eye = np.eye(n)
-    active = [v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v]
+    rng = np.random.default_rng([seed, 102])
+    active = [v.conj().T @ _generic_hermitian_combo(members, rng) @ v]
     for _ in range(len(members) + 1):
         cmat = np.vstack([(np.kron(a, eye) - np.kron(eye, a.T))[:, rows * n + cols]
                           for a in active])
@@ -195,9 +195,9 @@ def single_stack_commutant(s, tol):
     raise AssertionError("reference constraint loop did not converge")
 
 
-def assert_matches_single_stack(s, tol):
-    got = commutant(s, tol)
-    ref = single_stack_commutant(s, tol)
+def assert_matches_single_stack(s, seed):
+    got = commutant(s, seed)
+    ref = single_stack_commutant(s, seed)
     assert got.algebra_dim == ref.algebra_dim
     assert span_equal(got, ref)
     return got
@@ -207,10 +207,9 @@ class TestComponentSolve:
     """``commutant`` solves one coupled cluster component at a time; the span must not move."""
 
     def check_planted(self, pattern, seed):
-        t = ToleranceConfig(seed=seed)
         gens, _ = planted_block_algebra(np.random.default_rng(seed), list(pattern))
-        obs = assert_matches_single_stack(operator_set(gens), t)  # S'
-        assert_matches_single_stack(basis_set(obs), t)                    # S''
+        obs = assert_matches_single_stack(operator_set(gens), seed)  # S'
+        assert_matches_single_stack(basis_set(obs), seed)            # S''
 
     def test_sweep_patterns(self, workloads):
         for k, pattern in enumerate(sorted(set(workloads.sweep_pattern_quota(200)))):
@@ -220,17 +219,17 @@ class TestComponentSolve:
         for k, pattern in enumerate(workloads.WIDE_PATTERNS):
             self.check_planted(pattern, k)
 
-    def test_parastat_cases(self, workloads, tol):
+    def test_parastat_cases(self, workloads, seed):
         for n, d in workloads.PARASTAT_CASES:
             rep = permutation_unitaries(n, d)
-            assert_matches_single_stack(basis_set(invariant_algebra(rep)), tol)
+            assert_matches_single_stack(basis_set(invariant_algebra(rep)), seed)
 
-    def test_generic_hermitian(self, tol):
+    def test_generic_hermitian(self, seed):
         # n singleton clusters, none coupled: every component is null in full
         h = random_hermitian(np.random.default_rng(3), 9)
-        assert assert_matches_single_stack(operator_set([h]), tol).algebra_dim == 9
+        assert assert_matches_single_stack(operator_set([h]), seed).algebra_dim == 9
 
-    def test_weak_coupling_merges_clusters(self, tol):
+    def test_weak_coupling_merges_clusters(self, seed):
         # diag(0, 1) and diag(0, 1) + eps * sigma_x generate M_2: the generic
         # element's two clusters are tied only by an O(eps) block of the second
         # constraint element, here 1e3 times the join threshold
@@ -240,8 +239,9 @@ class TestComponentSolve:
         def coupling(eps):
             members = np.stack([diag, diag + eps * SX])
             members /= np.linalg.norm(members, axis=(1, 2))[:, None, None]
-            _, v, groups = _generic_split(members, tol, [(101,)], lambda g: True)
-            x2 = v.conj().T @ _generic_hermitian_combo(members, tol.rng(102)) @ v
+            _, v, groups = _generic_split(members, seed, [(101,)], lambda g: True)
+            rng = np.random.default_rng([seed, 102])
+            x2 = v.conj().T @ _generic_hermitian_combo(members, rng) @ v
             return members, groups, x2, abs(x2[0, 1])
 
         eps = 1e-6 * 1e3 * threshold / coupling(1e-6)[3]
@@ -250,7 +250,7 @@ class TestComponentSolve:
         assert tie == pytest.approx(1e3 * threshold, rel=1e-3)
         _, sizes = _coupled_components(x2[None], groups, threshold)
         assert sizes.tolist() == [2]
-        got = assert_matches_single_stack(operator_set(list(members)), tol)
+        got = assert_matches_single_stack(operator_set(list(members)), seed)
         assert got.algebra_dim == 1
 
 
@@ -260,69 +260,69 @@ class TestGenericSplit:
         rng = np.random.default_rng(13)
         return np.stack([random_hermitian(rng, 5) for _ in range(3)])
 
-    def test_returns_first_accepted_draw(self, members, tol):
+    def test_returns_first_accepted_draw(self, members, seed):
         seen = []
         salts = iter([(7, 0), (7, 1), (7, 2)])
-        w, v, groups = _generic_split(members, tol, salts,
+        w, v, groups = _generic_split(members, seed, salts,
                                       lambda g: seen.append(g) or len(seen) == 2)
         assert len(seen) == 2 and next(salts) == (7, 2)  # stopped at the first accepted
-        w1, v1, groups1 = _generic_split(members, tol, [(7, 1)], lambda g: True)
+        w1, v1, groups1 = _generic_split(members, seed, [(7, 1)], lambda g: True)
         assert np.array_equal(w, w1) and np.array_equal(v, v1)
         assert [g.tolist() for g in groups] == [g.tolist() for g in groups1]
 
-    def test_exhausted_salts_raise_naming_the_last(self, members, tol):
+    def test_exhausted_salts_raise_naming_the_last(self, members, seed):
         with pytest.raises(DegenerateGenericElement, match=r"salt \(9, 2\)"):
-            _generic_split(members, tol, ((9, a) for a in range(3)), lambda g: False)
+            _generic_split(members, seed, ((9, a) for a in range(3)), lambda g: False)
 
     @pytest.mark.parametrize("accepted, seps, kept", [
         ((True, True, True), (1e-5, 1e-2, 1.0), 1),   # the first well separated draw
         ((True, True, True), (1e-6, 1e-4, 1e-5), 1),  # none is: the best separated
         ((False, True, True), (1.0, 1e-5, 1e-4), 2),  # a rejected draw is never kept
     ])
-    def test_separation_policy(self, members, tol, monkeypatch, accepted, seps, kept):
+    def test_separation_policy(self, members, seed, monkeypatch, accepted, seps, kept):
         salts = [(7, a) for a in range(3)]
-        fake_separations(monkeypatch, members, tol, dict(zip(salts, seps)))
+        fake_separations(monkeypatch, members, seed, dict(zip(salts, seps)))
         verdicts = iter(accepted)
-        w, _, _ = _generic_split(members, tol, salts, lambda g: next(verdicts))
-        assert np.array_equal(w, generic_eigenvalues(members, tol, salts[kept]))
+        w, _, _ = _generic_split(members, seed, salts, lambda g: next(verdicts))
+        assert np.array_equal(w, generic_eigenvalues(members, seed, salts[kept]))
 
 
 class TestGeneratedAlgebra:
-    def test_single_reflection(self, tol):
-        assert generated_algebra(operator_set([SZ]), tol).algebra_dim == 2
+    def test_single_reflection(self, seed):
+        assert generated_algebra(operator_set([SZ]), seed).algebra_dim == 2
 
-    def test_two_anticommuting_generators_fill_m2(self, tol):
-        assert generated_algebra(operator_set([SX, SZ]), tol).algebra_dim == 4
+    def test_two_anticommuting_generators_fill_m2(self, seed):
+        assert generated_algebra(operator_set([SX, SZ]), seed).algebra_dim == 4
 
-    def test_identity_alone(self, tol):
-        assert generated_algebra(operator_set([np.eye(2)]), tol).algebra_dim == 1
+    def test_identity_alone(self, seed):
+        assert generated_algebra(operator_set([np.eye(2)]), seed).algebra_dim == 1
 
-    def test_contains_generators(self, tol):
+    def test_contains_generators(self, seed):
         rng = np.random.default_rng(41)
         for _ in range(100):
             n = int(rng.integers(2, 6))
             mats = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 4)))]
-            alg = generated_algebra(operator_set(mats), tol)
+            alg = generated_algebra(operator_set(mats), seed)
             worst = max(span_residual(alg.basis, m) / np.linalg.norm(m) for m in mats)
             assert worst <= 1e-10
 
-    def test_idempotent_on_algebras(self, tol):
+    def test_idempotent_on_algebras(self, seed):
         rng = np.random.default_rng(43)
         for _ in range(10):
             n = int(rng.integers(2, 6))
             alg = generated_algebra(
-                operator_set([random_hermitian(rng, n), random_hermitian(rng, n)]), tol)
-            again = generated_algebra(basis_set(alg), tol)
+                operator_set([random_hermitian(rng, n), random_hermitian(rng, n)]), seed)
+            again = generated_algebra(basis_set(alg), seed)
             assert span_equal(alg, again)
 
-    def test_triple_commutant_identity(self, tol):
+    def test_triple_commutant_identity(self, seed):
         rng = np.random.default_rng(47)
         for _ in range(30):
             n = int(rng.integers(2, 7))
             mats = [random_hermitian(rng, n) for _ in range(int(rng.integers(1, 3)))]
             s = operator_set(mats)
-            cp = commutant(s, tol)
-            cp3 = full_basis_commutant(generated_algebra(s, tol), tol)
+            cp = commutant(s, seed)
+            cp3 = full_basis_commutant(generated_algebra(s, seed), seed)
             assert span_equal(cp, cp3)
 
 
@@ -345,10 +345,10 @@ class TestSpanResidual:
         assert _max_span_residual(empty, mats) == pytest.approx(
             max(np.linalg.norm(m) for m in mats))
 
-    def test_one_matrix_is_the_stack_case(self, tol):
+    def test_one_matrix_is_the_stack_case(self, seed):
         # the commutant of diag(1, 1, 2) is M_2 (+) M_1: the residual is the
         # part of m outside those blocks
-        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol).basis
+        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), seed).basis
         m = np.arange(9.0).reshape(3, 3) + 1j
         off = np.concatenate([m[:2, 2], m[2, :2]])
         assert span_residual(basis, m) == _max_span_residual(basis, m[None])
@@ -397,56 +397,56 @@ class TestSpanEqual:
 
 
 class TestCenter:
-    def test_no_combination_found_is_typed(self, tol, monkeypatch):
+    def test_no_combination_found_is_typed(self, seed, monkeypatch):
         # a nullspace solve that keeps nothing leaves an empty center basis,
         # which must fail the identity check, not an internal reshape
-        o = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol)
-        cp = full_basis_commutant(o, tol)
+        o = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), seed)
+        cp = full_basis_commutant(o, seed)
         monkeypatch.setattr(opalgebra, "orthonormal_nullspace",
                             lambda m, *a, **kw: np.zeros((m.shape[1], 0), dtype=complex))
         with pytest.raises(PostconditionFailure, match="identity missing from computed center"):
             center(o, commutant_algebra=cp)
 
     @pytest.mark.parametrize("case", ["planted", "parastat"])
-    def test_either_side_gives_the_same_center(self, tol, case):
+    def test_either_side_gives_the_same_center(self, seed, case):
         # center() solves from the smaller of O and O'; the planted O = S' is
         # smaller than its commutant, parastat's invariant algebra is larger
         if case == "planted":
             gens, _ = planted_block_algebra(np.random.default_rng(7), [(1, 3), (2, 2)])
-            o = commutant(operator_set(gens), tol)
+            o = commutant(operator_set(gens), seed)
         else:
             o = invariant_algebra(permutation_unitaries(3, 3))
-        cp = full_basis_commutant(o, tol)
+        cp = full_basis_commutant(o, seed)
         assert (o.algebra_dim < cp.algebra_dim) == (case == "planted")
         z = center(o, commutant_algebra=cp)
         assert z.algebra_dim == (2 if case == "planted" else 3)
         for ref in (center_from(o, cp), center_from(cp, o)):
             assert span_equal(z, ref)
 
-    def test_full_algebra_has_scalar_center(self, tol):
-        full = commutant(operator_set([np.eye(4)]), tol)
-        z = center(full, commutant_algebra=full_basis_commutant(full, tol))
+    def test_full_algebra_has_scalar_center(self, seed):
+        full = commutant(operator_set([np.eye(4)]), seed)
+        z = center(full, commutant_algebra=full_basis_commutant(full, seed))
         assert z.algebra_dim == 1 and z.contains_identity
 
-    def test_two_block_algebra(self, tol):
+    def test_two_block_algebra(self, seed):
         # M2 (+) M2 inside M4
         gens = [np.kron(np.diag([1.0, 0.0]), m) + np.kron(np.diag([0.0, 1.0]), m2)
                 for m, m2 in [(SX, SZ), (SZ, SX), (SY, SY)]]
-        alg = generated_algebra(operator_set(gens), tol)
+        alg = generated_algebra(operator_set(gens), seed)
         assert alg.algebra_dim == 8
         assert center(alg,
-                      commutant_algebra=full_basis_commutant(alg, tol)).algebra_dim == 2
+                      commutant_algebra=full_basis_commutant(alg, seed)).algebra_dim == 2
 
-    def test_commutant_of_two_valued_diagonal(self, tol):
-        c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), tol)
-        assert center(c, commutant_algebra=full_basis_commutant(c, tol)).algebra_dim == 2
+    def test_commutant_of_two_valued_diagonal(self, seed):
+        c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), seed)
+        assert center(c, commutant_algebra=full_basis_commutant(c, seed)).algebra_dim == 2
 
-    def test_center_is_abelian(self, tol):
+    def test_center_is_abelian(self, seed):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            alg = generated_algebra(operator_set([random_hermitian(rng, 4)]), tol)
+            alg = generated_algebra(operator_set([random_hermitian(rng, 4)]), seed)
             ab, _ = is_abelian(center(alg,
-                                      commutant_algebra=full_basis_commutant(alg, tol)))
+                                      commutant_algebra=full_basis_commutant(alg, seed)))
             assert ab
 
 
@@ -500,32 +500,30 @@ class TestWordClosure:
     def test_matches_full_stack_on_planted_sweep(self):
         for trial in range(40):
             _, gens, planted = planted_case(8000 + trial)
-            t = ToleranceConfig(seed=trial)
             s = operator_set(gens)
-            assert _word_closure_dim(s, t) == full_stack_closure_dim(s) == planted
+            assert _word_closure_dim(s, trial) == full_stack_closure_dim(s) == planted
 
     def test_matches_full_stack_on_wide_patterns(self, workloads):
         for k, pattern in enumerate(workloads.WIDE_PATTERNS):
             gens = workloads.planted_generators(np.random.default_rng(k), pattern)
-            t = ToleranceConfig(seed=k)
             s = operator_set(gens)
             planted = sum(nt * nt for _, nt in pattern)
-            assert _word_closure_dim(s, t) == full_stack_closure_dim(s) == planted
+            assert _word_closure_dim(s, k) == full_stack_closure_dim(s) == planted
 
-    def test_raising_operator(self, tol):
+    def test_raising_operator(self, seed):
         # the 4 x 4 shift is not *-closed; with its adjoint it generates M_4
         s = operator_set([np.diag(np.ones(3), 1)])
         assert not s.self_adjoint_closed
-        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s) == 16
+        assert _word_closure_dim(s, seed) == full_stack_closure_dim(s) == 16
 
-    def test_zero_generator_alongside_nonzero(self, tol):
+    def test_zero_generator_alongside_nonzero(self, seed):
         s = operator_set([np.zeros((3, 3)), np.diag([1.0, 2.0, 2.0])])
-        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s) == 2
+        assert _word_closure_dim(s, seed) == full_stack_closure_dim(s) == 2
 
-    def test_mixed_scale_generators(self, tol):
+    def test_mixed_scale_generators(self, seed):
         gens, _ = planted_block_algebra(np.random.default_rng(89), [(1, 2), (2, 3)])
         s = operator_set([1e6 * gens[0], 1e-6 * gens[1]])
-        assert _word_closure_dim(s, tol) == full_stack_closure_dim(s) == 13
+        assert _word_closure_dim(s, seed) == full_stack_closure_dim(s) == 13
 
     def test_perturbed_generator_matches_full_stack(self):
         # a planted generator plus eps * (unit Hermitian) * ||G||: at 1e-5 the
@@ -538,9 +536,8 @@ class TestWordClosure:
                 gens, _ = planted_block_algebra(rng, sample_pattern(rng))
                 h = random_hermitian(rng, gens[0].shape[0])
                 gens[0] = gens[0] + eps * np.linalg.norm(gens[0]) * h / np.linalg.norm(h)
-                t = ToleranceConfig(seed=trial)
                 s = operator_set(gens)
-                assert _word_closure_dim(s, t) == full_stack_closure_dim(s)
+                assert _word_closure_dim(s, trial) == full_stack_closure_dim(s)
 
     @pytest.mark.parametrize("n", [12, 16, 24])
     def test_single_generic_generator(self, n):
@@ -551,8 +548,7 @@ class TestWordClosure:
             rng = np.random.default_rng(seed)
             u = random_unitary(rng, n)
             g = u @ np.diag(rng.uniform(-1.0, 1.0, n)) @ u.conj().T
-            t = ToleranceConfig(seed=seed)
-            assert _word_closure_dim(operator_set([g]), t) == n
+            assert _word_closure_dim(operator_set([g]), seed) == n
 
     @pytest.mark.parametrize("spectrum, distinct", [((0, 0, 1, 2, 3), 4),
                                                     ((0, 0, 0, 1, 2), 3),
@@ -566,26 +562,25 @@ class TestWordClosure:
             rng = np.random.default_rng(seed)
             u = random_unitary(rng, len(spectrum))
             g = u @ np.diag(np.array(spectrum, dtype=float)) @ u.conj().T
-            t = ToleranceConfig(seed=seed)
-            assert _word_closure_dim(operator_set([g]), t) == distinct
+            assert _word_closure_dim(operator_set([g]), seed) == distinct
 
-    def test_runaway_span_raises(self, tol, monkeypatch):
+    def test_runaway_span_raises(self, seed, monkeypatch):
         # a fake extension that adds one column to every block on every call
         def one_more_column(q, cand, scale=None):
             return np.concatenate([q, cand[..., :1]], axis=-1)
 
         monkeypatch.setattr(opalgebra, "orthonormal_columns_extend", one_more_column)
         with pytest.raises(PostconditionFailure, match="n\\^2"):
-            _word_closure_dim(operator_set([SX, SZ]), tol)
+            _word_closure_dim(operator_set([SX, SZ]), seed)
 
-    def test_does_not_read_the_commutant(self, tol, monkeypatch):
+    def test_does_not_read_the_commutant(self, seed, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the word closure must stay independent of S''")
 
         monkeypatch.setattr(opalgebra, "commutant", forbidden)
         monkeypatch.setattr(opalgebra, "OperatorAlgebra", forbidden)
         gens, _ = planted_block_algebra(np.random.default_rng(97), [(1, 3), (2, 2)])
-        assert _word_closure_dim(operator_set(gens), tol) == 13
+        assert _word_closure_dim(operator_set(gens), seed) == 13
 
     @METAMORPHIC
     @given(seed=st.integers(0, 2**32 - 1),
@@ -593,29 +588,26 @@ class TestWordClosure:
     def test_invariant_under_rescaling(self, seed, exponents):
         _, gens, planted = planted_case(seed)
         scaled = [10.0 ** e * g for e, g in zip(exponents, gens)]
-        tol = ToleranceConfig()
-        assert _word_closure_dim(operator_set(scaled), tol) == planted
+        assert _word_closure_dim(operator_set(scaled), 0) == planted
 
     @METAMORPHIC
     @given(seed=st.integers(0, 2**32 - 1))
     def test_invariant_under_reordering_and_duplication(self, seed):
         _, gens, planted = planted_case(seed)
-        tol = ToleranceConfig()
-        assert _word_closure_dim(operator_set(gens[::-1]), tol) == planted
-        assert _word_closure_dim(operator_set([gens[1], *gens, gens[0]]), tol) == planted
+        assert _word_closure_dim(operator_set(gens[::-1]), 0) == planted
+        assert _word_closure_dim(operator_set([gens[1], *gens, gens[0]]), 0) == planted
 
     @METAMORPHIC
     @given(seed=st.integers(0, 2**32 - 1))
     def test_invariant_under_unitary_conjugation(self, seed):
         rng, gens, planted = planted_case(seed)
         u = random_unitary(rng, gens[0].shape[0])
-        tol = ToleranceConfig()
         conj = [u @ g @ u.conj().T for g in gens]
-        assert _word_closure_dim(operator_set(conj), tol) == planted
+        assert _word_closure_dim(operator_set(conj), 0) == planted
 
 
 class TestClosureBlockSizes:
-    def test_rows_per_block_on_a_two_sector_input(self, tol, monkeypatch):
+    def test_rows_per_block_on_a_two_sector_input(self, seed, monkeypatch):
         # planted ((2,5),(2,7)) at n = 24: twelve eigenvalue clusters of rank 2,
         # so every extension is one stack of twelve 48-row blocks; the closure
         # over all of M_n passed 576 = n^2 rows
@@ -629,7 +621,7 @@ class TestClosureBlockSizes:
         gens, _ = planted_block_algebra(np.random.default_rng(5), [(2, 5), (2, 7)])
         s = operator_set(gens)  # orthonormalises its members in M_n
         monkeypatch.setattr(opalgebra, "orthonormal_columns_extend", record)
-        assert _word_closure_dim(s, tol) == 74
+        assert _word_closure_dim(s, seed) == 74
         assert shapes and set(shapes) == {(12, 48)}
         assert max(rows for _, rows in shapes) <= 24 * 2
 
@@ -642,13 +634,13 @@ def pairwise_max_commutator(basis):
 
 
 class TestIsAbelian:
-    def test_diagonal_algebra(self, tol):
-        alg = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), tol)
+    def test_diagonal_algebra(self, seed):
+        alg = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), seed)
         ab, resid = is_abelian(alg)
         assert ab and resid <= 1e-10
 
-    def test_full_matrix_algebra(self, tol):
-        full = commutant(operator_set([np.eye(2)]), tol)
+    def test_full_matrix_algebra(self, seed):
+        full = commutant(operator_set([np.eye(2)]), seed)
         ab, resid = is_abelian(full)
         assert not ab and resid > 0.1
 
@@ -656,9 +648,9 @@ class TestIsAbelian:
         ([(1, 1), (2, 1), (3, 1)], True),    # generated algebra: all ntilde = 1
         ([(1, 2), (2, 3)], False),
     ])
-    def test_matches_pairwise_reference(self, tol, pattern, abelian):
+    def test_matches_pairwise_reference(self, seed, pattern, abelian):
         gens, _ = planted_block_algebra(np.random.default_rng(71), pattern)
-        alg = generated_algebra(operator_set(gens), tol)
+        alg = generated_algebra(operator_set(gens), seed)
         got_abelian, worst = is_abelian(alg)
         ref = pairwise_max_commutator(alg.basis)
         assert got_abelian == abelian == (ref <= 1e-8)
@@ -669,33 +661,33 @@ class TestIsAbelian:
 
 
 class TestCheckDirac:
-    def test_diagonal_algebra_is_its_own_witness(self, tol):
-        o = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), tol)
-        rep = check_dirac(central_decomposition(o, tol), tol)
+    def test_diagonal_algebra_is_its_own_witness(self, seed):
+        o = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), seed)
+        rep = check_dirac(central_decomposition(o, seed), seed)
         assert rep.v2_holds
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
         assert span_equal(rep.witness, o)  # O' = O cannot grow
 
-    def test_tensor_factor_fails(self, tol):
+    def test_tensor_factor_fails(self, seed):
         o = generated_algebra(
-            operator_set([np.kron(SX, np.eye(2)), np.kron(SZ, np.eye(2))]), tol)
-        rep = check_dirac(central_decomposition(o, tol), tol)
+            operator_set([np.kron(SX, np.eye(2)), np.kron(SZ, np.eye(2))]), seed)
+        rep = check_dirac(central_decomposition(o, seed), seed)
         assert not rep.v2_holds
         assert rep.witness is None
         assert rep.commutant_dim == 4  # 1 (x) M2
 
-    def test_full_matrix_algebra(self, tol):
-        o = commutant(operator_set([np.eye(5)]), tol)
-        rep = check_dirac(central_decomposition(o, tol), tol)
+    def test_full_matrix_algebra(self, seed):
+        o = commutant(operator_set([np.eye(5)]), seed)
+        rep = check_dirac(central_decomposition(o, seed), seed)
         assert rep.v2_holds and rep.commutant_dim == 1
         assert rep.witness.algebra_dim == 5
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
 
-    def test_witness_is_rank_one_sector_projectors(self, tol):
+    def test_witness_is_rank_one_sector_projectors(self, seed):
         # O = M2 (+) M3 in a random basis: two sectors with ntilde >= 2, abelian O'
         gens, _ = planted_block_algebra(np.random.default_rng(17), [(1, 2), (1, 3)])
-        o = generated_algebra(operator_set(gens), tol)
-        rep = check_dirac(central_decomposition(o, tol), tol)
+        o = generated_algebra(operator_set(gens), seed)
+        rep = check_dirac(central_decomposition(o, seed), seed)
         assert rep.v2_holds and rep.commutant_dim == 2
         basis = rep.witness.basis
         assert basis.shape == (5, 5, 5)
@@ -728,15 +720,15 @@ class TestGenericPairCrossChecks:
     catch too.
     """
 
-    def test_pair_is_seeded_hermitian_and_star_closed(self, tol, monkeypatch):
+    def test_pair_is_seeded_hermitian_and_star_closed(self, seed, monkeypatch):
         # the commutant of M_2 + M_1, solved from the two members of one stream
-        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), tol).basis
+        basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), seed).basis
         sets, real = [], opalgebra.commutant
-        monkeypatch.setattr(opalgebra, "commutant", lambda s, t: sets.append(s) or real(s, t))
-        first = _pair_commutant(basis, tol, (105,))
-        assert np.array_equal(first.basis, _pair_commutant(basis, tol, (105,)).basis)
+        monkeypatch.setattr(opalgebra, "commutant", lambda s, seed: sets.append(s) or real(s, seed))
+        first = _pair_commutant(basis, seed, (105,))
+        assert np.array_equal(first.basis, _pair_commutant(basis, seed, (105,)).basis)
         assert first.algebra_dim == 2
-        _pair_commutant(basis, tol, (106,))
+        _pair_commutant(basis, seed, (106,))
         pair, again, other = sets
         assert len(pair) == 2 and pair.self_adjoint_closed
         assert np.array_equal(pair.members, pair.members.conj().transpose(0, 2, 1))
@@ -745,32 +737,32 @@ class TestGenericPairCrossChecks:
 
     @staticmethod
     def planted_generated(workloads, count):
-        """``(tol, S', S'')`` of planted sweep and wide items whose S'' is not M_n."""
+        """``(seed, S', S'')`` of planted sweep and wide items whose S'' is not M_n."""
         rng = np.random.default_rng(19)
         quota = [p for p in workloads.sweep_pattern_quota(200)
                  if not (len(p) == 1 and p[0][0] == 1)]  # S'' = M_n has no outside
         patterns = quota[::len(quota) // count][:count] + list(workloads.WIDE_PATTERNS)
         for pattern in patterns:
-            tol = ToleranceConfig(seed=int(rng.integers(2 ** 31)))
+            seed = int(rng.integers(2 ** 31))
             s = operator_set(workloads.planted_generators(rng, pattern))
-            obs = commutant(s, tol)
-            yield tol, obs, central_decomposition(obs, tol).commutant
+            obs = commutant(s, seed)
+            yield seed, obs, central_decomposition(obs, seed).commutant
 
     @staticmethod
-    def triple_forms(obs, gen_basis, tol):
+    def triple_forms(obs, gen_basis, seed):
         """(full-basis reference, generic pair) verdicts of the triple commutant identity."""
         full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True)
-        return (commutant_matches(obs, lambda: full_basis_commutant(full, tol)),
-                commutant_matches(obs, lambda: _pair_commutant(gen_basis, tol, (105,))))
+        return (commutant_matches(obs, lambda: full_basis_commutant(full, seed)),
+                commutant_matches(obs, lambda: _pair_commutant(gen_basis, seed, (105,))))
 
     def test_triple_commutant_direction_rotated_out_of_the_span(self, workloads):
         # one basis direction of S'' turned toward a unit direction outside
         # its span: the set generates more than S'', its commutant is smaller
         # than S', and both forms must fail
         cases = 0
-        for tol, obs, gen in self.planted_generated(workloads, 16):
-            assert self.triple_forms(obs, gen.basis, tol) == (True, True)
-            rng = tol.rng(7)
+        for seed, obs, gen in self.planted_generated(workloads, 16):
+            assert self.triple_forms(obs, gen.basis, seed) == (True, True)
+            rng = np.random.default_rng([seed, 7])
             x = rng.standard_normal(gen.basis.shape[1:]) + 1j * rng.standard_normal(
                 gen.basis.shape[1:])
             x -= np.tensordot(np.tensordot(gen.basis.conj(), x, axes=2), gen.basis, axes=1)
@@ -778,37 +770,37 @@ class TestGenericPairCrossChecks:
             for angle in (1e-6, 1e-3, 0.5):
                 faulty = gen.basis.copy()
                 faulty[0] = np.cos(angle) * gen.basis[0] + np.sin(angle) * x
-                assert self.triple_forms(obs, faulty, tol) == (False, False), angle
+                assert self.triple_forms(obs, faulty, seed) == (False, False), angle
                 cases += 1
         assert cases >= 60
 
     def test_triple_commutant_with_a_dropped_basis_element_passes(self, workloads):
         # not a fault: the commutant of a set depends only on the algebra it
         # generates, and the rest of a basis of S'' still generates S''
-        for tol, obs, gen in self.planted_generated(workloads, 6):
+        for seed, obs, gen in self.planted_generated(workloads, 6):
             if gen.algebra_dim > 2:
-                assert self.triple_forms(obs, gen.basis[1:], tol) == (True, True)
+                assert self.triple_forms(obs, gen.basis[1:], seed) == (True, True)
 
     @pytest.mark.parametrize("n", [3, 8, 16])
-    def test_witness_with_a_rotated_vector_is_not_maximal_abelian(self, tol, n):
+    def test_witness_with_a_rotated_vector_is_not_maximal_abelian(self, seed, n):
         # O = M_n has one d = 1 sector, whose isometry is swapped for a random
         # unitary with e_0 turned toward e_1: the rank-one projectors no
         # longer commute, so the witness is not its own commutant
-        o = commutant(operator_set([np.eye(n)]), tol)
-        dec = central_decomposition(o, tol)
+        o = commutant(operator_set([np.eye(n)]), seed)
+        dec = central_decomposition(o, seed)
         u = random_unitary(np.random.default_rng(n), n)
         for angle in (0.0, 1e-8, 1e-6, 1e-3, 0.5):
             w = u.copy()
             w[:, 0] = np.cos(angle) * u[:, 0] + np.sin(angle) * u[:, 1]
             sector = dataclasses.replace(dec.sectors[0], isometry=w)
-            rep = check_dirac(dataclasses.replace(dec, sectors=(sector,)), tol)
+            rep = check_dirac(dataclasses.replace(dec, sectors=(sector,)), seed)
             full = commutant_matches(rep.witness,
-                                     lambda: full_basis_commutant(rep.witness, tol))
+                                     lambda: full_basis_commutant(rep.witness, seed))
             assert rep.v2_holds and rep.witness_in_observables
             assert (full, rep.witness_is_maximal_abelian) == (angle == 0.0,) * 2, angle
 
     @pytest.mark.parametrize("blocks", [(1, 1, 1), (1, 2), (2, 2), (1, 3)])
-    def test_reducible_restricted_stack_has_a_non_scalar_commutant(self, tol, blocks):
+    def test_reducible_restricted_stack_has_a_non_scalar_commutant(self, seed, blocks):
         # the d = 1 check counts blocks: a restricted stack that spans a direct
         # sum of full matrix blocks, in a random basis, has a pair commutant of
         # one dimension per block, so a block that splits in two adds one
@@ -821,8 +813,8 @@ class TestGenericPairCrossChecks:
                     units.append(np.outer(u[:, i], u[:, j].conj()))
         stack = np.stack(units)
         full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True)
-        assert full_basis_commutant(full, tol).algebra_dim == len(blocks)
-        assert _pair_commutant(stack, tol, (204,)).algebra_dim == len(blocks)
+        assert full_basis_commutant(full, seed).algebra_dim == len(blocks)
+        assert _pair_commutant(stack, seed, (204,)).algebra_dim == len(blocks)
 
 
 # ``_pair_commutant`` faults: the pair is drawn from a proper subalgebra of
@@ -830,8 +822,9 @@ class TestGenericPairCrossChecks:
 # whose commutant is the whole matrix algebra.  "one element": two multiples
 # of one generic Hermitian element h, which generate the abelian C*(h).
 PAIR_FAULTS = {
-    "scalars": lambda members, t, salt: np.eye(members.shape[-1], dtype=complex)[None],
-    "one element": lambda members, t, salt: _generic_hermitian_combo(members, t.rng(*salt))[None],
+    "scalars": lambda members, seed, salt: np.eye(members.shape[-1], dtype=complex)[None],
+    "one element": lambda members, seed, salt: _generic_hermitian_combo(
+        members, np.random.default_rng([seed, *salt]))[None],
 }
 
 
@@ -839,10 +832,10 @@ def plant_pair_fault(monkeypatch, module, fault, salt):
     """Draw the pair at ``salt`` from the subalgebra ``PAIR_FAULTS[fault]`` picks."""
     real = module._pair_commutant
 
-    def pair_commutant(members, t, s):
+    def pair_commutant(members, seed, s):
         if s == salt:
-            members = PAIR_FAULTS[fault](members, t, s)
-        return real(members, t, s)
+            members = PAIR_FAULTS[fault](members, seed, s)
+        return real(members, seed, s)
 
     monkeypatch.setattr(module, "_pair_commutant", pair_commutant)
 
@@ -863,77 +856,76 @@ class TestPairDoubleCommutant:
 
     @staticmethod
     def inputs(workloads, which):
-        """``(pattern, tol, S)`` of every sweep, wide or large pattern."""
+        """``(pattern, seed, S)`` of every sweep, wide or large pattern."""
         if which == "large":
             for pattern in TestPairDoubleCommutant.LARGE:
                 gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
-                yield pattern, ToleranceConfig(), gens
+                yield pattern, 0, gens
             return
         patterns = (sorted(set(workloads.sweep_pattern_quota(200))) if which == "sweep"
                     else workloads.WIDE_PATTERNS)
         for k, pattern in enumerate(patterns):
             gens, _ = planted_block_algebra(np.random.default_rng(k), list(pattern))
-            yield pattern, ToleranceConfig(seed=k), gens
+            yield pattern, k, gens
 
     @pytest.mark.parametrize("which", ["sweep", "wide", "large"])
     def test_pair_equals_the_full_basis_commutant(self, workloads, which):
-        for pattern, t, gens in self.inputs(workloads, which):
+        for pattern, seed, gens in self.inputs(workloads, which):
             s = operator_set(gens)
-            obs = commutant(s, t)
-            gen = generated_algebra(s, t, commutant_algebra=obs)
+            obs = commutant(s, seed)
+            gen = generated_algebra(s, seed, commutant_algebra=obs)
             assert gen.algebra_dim == sum(nt * nt for _, nt in pattern), pattern
-            assert span_equal(gen, full_basis_commutant(obs, t)), pattern
+            assert span_equal(gen, full_basis_commutant(obs, seed)), pattern
 
     @pytest.mark.parametrize("fault", PAIR_FAULTS)
     def test_pair_generating_less_fails_the_word_closure(self, workloads, monkeypatch, fault):
         cases = 0
-        for pattern, t, gens in self.inputs(workloads, "sweep"):
+        for pattern, seed, gens in self.inputs(workloads, "sweep"):
             # the pair is drawn from O = S', the sum of the M_d
             if fault == "one element" and all(d == 1 for d, _ in pattern):
                 continue  # O is abelian, and one generic element generates it
             if fault == "scalars" and len(pattern) == 1 and pattern[0][0] == 1:
                 continue  # S'' is the whole matrix algebra
             s = operator_set(gens)
-            obs = commutant(s, t)
+            obs = commutant(s, seed)
             with monkeypatch.context() as m:
                 plant_pair_fault(m, opalgebra, fault, (107,))
                 with pytest.raises(ClosureMismatch):
-                    generated_algebra(s, t, commutant_algebra=obs)
+                    generated_algebra(s, seed, commutant_algebra=obs)
             cases += 1
         assert cases >= 15
 
     @pytest.mark.parametrize("fault", PAIR_FAULTS)
     def test_pair_generating_less_fails_the_decomposition(self, workloads, monkeypatch, fault):
         cases = 0
-        for pattern, t, gens in self.inputs(workloads, "sweep"):
+        for pattern, seed, gens in self.inputs(workloads, "sweep"):
             # the pair is drawn from S'' = the sum of the 1_d (x) M_ntilde
             if fault == "one element" and all(nt == 1 for _, nt in pattern):
                 continue
             if fault == "scalars" and len(pattern) == 1 and pattern[0][1] == 1:
                 continue  # S'' is the scalars, with the whole matrix algebra as commutant
-            o = generated_algebra(operator_set(gens), t)
-            assert central_decomposition(o, t).multiset() == tuple(sorted(pattern))
+            o = generated_algebra(operator_set(gens), seed)
+            assert central_decomposition(o, seed).multiset() == tuple(sorted(pattern))
             with monkeypatch.context() as m:
                 plant_pair_fault(m, sectors, fault, (206,))
                 with pytest.raises(SuperselectError):
-                    central_decomposition(o, t)
+                    central_decomposition(o, seed)
             cases += 1
         assert cases >= 15
 
 
 class TestPlantedStructure:
-    def test_dimension_accounting(self, tol):
+    def test_dimension_accounting(self):
         # small preview of the acceptance sweep
         rng = np.random.default_rng(61)
         for trial in range(20):
             pattern = sample_pattern(rng)
             gens, _ = planted_block_algebra(rng, pattern)
             n = gens[0].shape[0]
-            trial_tol = ToleranceConfig(seed=trial)
             s = operator_set(gens)
-            o = generated_algebra(s, trial_tol)
-            cp = commutant(s, trial_tol)
-            dec = central_decomposition(o, trial_tol)
+            o = generated_algebra(s, trial)
+            cp = commutant(s, trial)
+            dec = central_decomposition(o, trial)
             assert sorted((sec.d, sec.ntilde) for sec in dec.sectors) == sorted(pattern)
             assert sum(sec.d * sec.ntilde for sec in dec.sectors) == n
             assert o.algebra_dim == sum(t * t for _, t in pattern)

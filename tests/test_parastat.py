@@ -155,10 +155,10 @@ class TestInvariantAlgebra:
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(o.algebra_dim))) <= 1e-14
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
-    def test_orbit_basis_spans_the_solved_commutant(self, n, d, tol):
+    def test_orbit_basis_spans_the_solved_commutant(self, n, d, seed):
         # the numerical commutant of the group unitaries is the reference
         rep = permutation_unitaries(n, d)
-        solved = commutant(operator_set([rep.unitaries[g] for g in rep.group()]), tol)
+        solved = commutant(operator_set([rep.unitaries[g] for g in rep.group()]), seed)
         assert span_equal(invariant_algebra(rep), solved)
 
     @pytest.mark.parametrize("n,d,expect", [
@@ -194,19 +194,19 @@ class TestInvariantAlgebra:
         with pytest.raises(ValueError, match="not a group"):
             invariant_algebra(TensorRep(3, 2, 8, part))
 
-    def test_two_qubit_dimensions(self, tol):
+    def test_two_qubit_dimensions(self, seed):
         rep = permutation_unitaries(2, 2)
         o = invariant_algebra(rep)
         assert o.algebra_dim == 10  # 3^2 + 1^2
-        cp = full_basis_commutant(o, tol)
+        cp = full_basis_commutant(o, seed)
         abelian, _ = is_abelian(cp)
         assert abelian  # S2 is abelian: compatibility holds untruncated
 
-    def test_three_qubit_dimensions(self, tol):
+    def test_three_qubit_dimensions(self, seed):
         rep = permutation_unitaries(3, 2)
         o = invariant_algebra(rep)
         assert o.algebra_dim == 20  # 4^2 + 2^2
-        cp = full_basis_commutant(o, tol)
+        cp = full_basis_commutant(o, seed)
         assert cp.algebra_dim == 5  # 1^2 + 2^2
         abelian, resid = is_abelian(cp)
         assert not abelian and resid > 0.01
@@ -215,11 +215,11 @@ class TestInvariantAlgebra:
             assert span_residual(cp.basis, rep.unitaries[g]) <= 1e-9
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
-    def test_commutant_is_the_group_span(self, n, d, tol):
+    def test_commutant_is_the_group_span(self, n, d, seed):
         # the decomposition takes O' as the span of the unitaries; the full
         # solve must agree with it
         rep = permutation_unitaries(n, d)
-        solved = full_basis_commutant(invariant_algebra(rep), tol)
+        solved = full_basis_commutant(invariant_algebra(rep), seed)
         group_span = algebra_from_span([rep.unitaries[g] for g in rep.group()])
         assert span_equal(solved, group_span)
 
@@ -236,9 +236,9 @@ class TestTruncation:
     @pytest.mark.parametrize("n,d,expect_dim,expect_sectors", [
         (2, 2, 4, 2), (2, 3, 9, 2), (3, 2, 6, 2), (4, 2, 9, 3), (3, 3, 19, 3),
     ])
-    def test_case_study(self, n, d, expect_dim, expect_sectors, tol):
+    def test_case_study(self, n, d, expect_dim, expect_sectors, seed):
         rep = permutation_unitaries(n, d)
-        result = parastat_truncation(rep, tol)
+        result = parastat_truncation(rep, seed)
         assert result["sector_table"] == self.SECTOR_TABLES[(n, d)]
         assert result["dim_truncated"] == expect_dim
         assert result["post_truncation_v2"]
@@ -247,16 +247,16 @@ class TestTruncation:
         assert result["pre_truncation_abelian"] == (n == 2)
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
-    def test_closed_form_basis(self, n, d, tol):
+    def test_closed_form_basis(self, n, d, seed):
         # the truncated basis is written down as an HS isometry's image; an
         # orthonormalised span of V* B_i V is the reference
-        dec = decomposition_for(permutation_unitaries(n, d), tol)
-        v, o_t, _ = truncate(dec, tol)
+        dec = decomposition_for(permutation_unitaries(n, d), seed)
+        v, o_t, _ = truncate(dec, seed)
         o_t.validate()
         assert span_equal(o_t, algebra_from_span(v.conj().T @ dec.algebra.basis @ v))
 
-    def test_truncation_neither_orthonormalises_nor_decomposes(self, tol, monkeypatch):
-        dec = decomposition_for(permutation_unitaries(3, 3), tol)
+    def test_truncation_neither_orthonormalises_nor_decomposes(self, seed, monkeypatch):
+        dec = decomposition_for(permutation_unitaries(3, 3), seed)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("truncate orthonormalised a span or decomposed again")
@@ -265,48 +265,48 @@ class TestTruncation:
                           (opalgebra, "algebra_from_span"),
                           (sectors, "central_decomposition")]:
             monkeypatch.setattr(mod, name, forbidden)
-        truncate(dec, tol)
+        truncate(dec, seed)
 
-    def test_both_copies_kept_raises(self, tol, monkeypatch):
+    def test_both_copies_kept_raises(self, seed, monkeypatch):
         # V keeps both multiplicity copies of the d = 2 block of (C^2)^3: still
         # an isometry, but not one copy, so the check must fail
-        dec = decomposition_for(permutation_unitaries(3, 2), tol)
+        dec = decomposition_for(permutation_unitaries(3, 2), seed)
         real = sectors._generic_split
 
-        def both_copies(members, tol, salts, accept):
-            w, v, groups = real(members, tol, salts, accept)
+        def both_copies(members, seed, salts, accept):
+            w, v, groups = real(members, seed, salts, accept)
             return w, v, [np.concatenate(groups)]
 
         monkeypatch.setattr(sectors, "_generic_split", both_copies)
         with pytest.raises(PostconditionFailure):
-            truncate(dec, tol)
+            truncate(dec, seed)
 
-    def test_pair_generating_less_raises(self, tol, monkeypatch):
+    def test_pair_generating_less_raises(self, seed, monkeypatch):
         # a pair drawn from one basis member generates less than the truncated
         # algebra, so its commutant is too large and the check must fail
-        dec = decomposition_for(permutation_unitaries(3, 2), tol)
+        dec = decomposition_for(permutation_unitaries(3, 2), seed)
         real = opalgebra._pair_commutant
         monkeypatch.setattr(sectors, "_pair_commutant",
-                            lambda members, tol, salt: real(members[:1], tol, salt))
+                            lambda members, seed, salt: real(members[:1], seed, salt))
         with pytest.raises(PostconditionFailure, match="abelian-commutant check"):
-            truncate(dec, tol)
+            truncate(dec, seed)
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3)])
-    def test_spectral_matches_oracle(self, n, d, tol):
+    def test_spectral_matches_oracle(self, n, d, seed):
         rep = permutation_unitaries(n, d)
-        dec = decomposition_for(rep, tol)
+        dec = decomposition_for(rep, seed)
         assert dec.multiset() == sector_oracle_multiset(rep)
 
 
 class TestNonPureVectors:
-    def test_entangled_multiplicity_vector_is_a_strict_mixture(self, tol):
+    def test_entangled_multiplicity_vector_is_a_strict_mixture(self, seed):
         # in a block with d > 1, a vector entangled across the multiplicity
         # factor defines the same functional as the matching convex mixture
         rep = permutation_unitaries(3, 2)
         o = invariant_algebra(rep)
-        dec = decomposition_for(rep, tol)
+        dec = decomposition_for(rep, seed)
         sec = next(s for s in dec.sectors if s.d > 1)
-        cp = full_basis_commutant(o, tol)
+        cp = full_basis_commutant(o, seed)
         w_iso = sec.isometry
         restricted = np.einsum("ia,kij,jb->kab", w_iso.conj(), cp.basis, w_iso)
         herm = sum(np.random.default_rng(7).standard_normal() * (r + r.conj().T)

@@ -15,7 +15,7 @@ from superselect.errors import (
     NonIntegerStructure,
     PostconditionFailure,
 )
-from superselect.numkernel import ToleranceConfig, random_hermitian
+from superselect.numkernel import random_hermitian
 from superselect.opalgebra import (
     _orthonormalize_stack,
     algebra_from_span,
@@ -32,43 +32,43 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 @pytest.fixture
-def two_block(tol):
+def two_block(seed):
     """Generated algebra of diag(1,1,2): scalars on a 2-block plus a 1-block."""
-    o = generated_algebra(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), tol)
-    return o, central_decomposition(o, tol)
+    o = generated_algebra(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), seed)
+    return o, central_decomposition(o, seed)
 
 
 @pytest.fixture
-def three_sector(tol):
+def three_sector(seed):
     """Diagonal algebra on C^3: three one-dimensional sectors."""
-    o = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), tol)
-    return o, central_decomposition(o, tol)
+    o = generated_algebra(operator_set([np.diag([1.0, 2.0, 3.0]).astype(complex)]), seed)
+    return o, central_decomposition(o, seed)
 
 
 class TestCentralDecomposition:
-    def test_irreducible_single_sector(self, tol):
-        full = commutant(operator_set([np.eye(4)]), tol)
-        dec = central_decomposition(full, tol)
+    def test_irreducible_single_sector(self, seed):
+        full = commutant(operator_set([np.eye(4)]), seed)
+        dec = central_decomposition(full, seed)
         assert len(dec) == 1
         sec = dec.sectors[0]
         assert (sec.d, sec.ntilde, sec.block_dim) == (1, 4, 4)
 
     @pytest.mark.parametrize("factor", [np.eye(1), np.eye(2)])
-    def test_one_dimensional_center_takes_no_draw(self, tol, monkeypatch, factor):
+    def test_one_dimensional_center_takes_no_draw(self, seed, monkeypatch, factor):
         # M_3 and 1_2 (x) M_3 are factors: one sector, the whole space, with no
         # generic central element drawn (salts (201, a))
         o = algebra_from_span([np.kron(factor, m) for m in
-                               commutant(operator_set([np.eye(3)]), tol).basis])
+                               commutant(operator_set([np.eye(3)]), seed).basis])
         salts = []
         real = sectors._generic_split
 
-        def record(members, t, draws, accept):
+        def record(members, seed, draws, accept):
             draws = list(draws)
             salts.extend(draws)
-            return real(members, t, draws, accept)
+            return real(members, seed, draws, accept)
 
         monkeypatch.setattr(sectors, "_generic_split", record)
-        dec = central_decomposition(o, tol)
+        dec = central_decomposition(o, seed)
         d = factor.shape[0]
         assert salts == []
         assert [(s.block_dim, s.d, s.ntilde) for s in dec.sectors] == [(3 * d, d, 3)]
@@ -79,7 +79,7 @@ class TestCentralDecomposition:
         assert sorted(s.block_dim for s in dec.sectors) == [1, 2]
         assert dec.multiset() == ((1, 1), (2, 1))
 
-    def test_projector_algebra(self, two_block, three_sector, tol):
+    def test_projector_algebra(self, two_block, three_sector):
         for _, dec in (two_block, three_sector):
             projs = [s.projector for s in dec.sectors]
             assert np.max(np.abs(sum(projs) - np.eye(dec.dim))) <= 1e-10
@@ -88,28 +88,28 @@ class TestCentralDecomposition:
                     expect = p if i == j else 0.0
                     assert np.max(np.abs(p @ q - expect)) <= 1e-10
 
-    def test_observables_preserve_sectors(self, tol):
+    def test_observables_preserve_sectors(self, seed):
         rng = np.random.default_rng(71)
         gens, _ = planted_block_algebra(rng, [(1, 2), (2, 1), (1, 3)])
-        o = generated_algebra(operator_set(gens), tol)
-        dec = central_decomposition(o, tol)
+        o = generated_algebra(operator_set(gens), seed)
+        dec = central_decomposition(o, seed)
         for sec in dec.sectors:
             comm = np.einsum("ij,kjl->kil", sec.projector, o.basis) \
                 - np.einsum("kij,jl->kil", o.basis, sec.projector)
             assert float(np.max(np.abs(comm))) <= 1e-9
 
-    def test_sectors_in_ascending_central_value(self, tol):
+    def test_sectors_in_ascending_central_value(self, seed):
         gens, _ = planted_block_algebra(np.random.default_rng(72), [(1, 2), (2, 1), (1, 1)])
-        dec = central_decomposition(generated_algebra(operator_set(gens), tol), tol)
+        dec = central_decomposition(generated_algebra(operator_set(gens), seed), seed)
         values = [s.central_value for s in dec.sectors]
         assert len(values) == 3 and values == sorted(set(values))
 
-    def test_merged_clusters_raise_typed_error(self, three_sector, tol, monkeypatch):
+    def test_merged_clusters_raise_typed_error(self, three_sector, seed, monkeypatch):
         o, _ = three_sector
         monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
                             lambda w: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(201, 15\)"):
-            central_decomposition(o, tol)
+            central_decomposition(o, seed)
 
     @staticmethod
     def irreducibility_pairs(monkeypatch, fault=lambda members: members):
@@ -121,59 +121,59 @@ class TestCentralDecomposition:
         """
         seen, real = [], sectors._pair_commutant
 
-        def pair_commutant(members, t, salt):
+        def pair_commutant(members, seed, salt):
             if salt != (204,):
-                return real(members, t, salt)
-            out = real(fault(members), t, salt)
+                return real(members, seed, salt)
+            out = real(fault(members), seed, salt)
             seen.append((members.shape, salt, out.algebra_dim))
             return out
 
         monkeypatch.setattr(sectors, "_pair_commutant", pair_commutant)
         return seen
 
-    def test_reducible_d_one_block_raises(self, tol, monkeypatch):
+    def test_reducible_d_one_block_raises(self, seed, monkeypatch):
         # M_3 is one sector with d = 1.  The stack its pair is drawn from is
         # swapped for its diagonal part, whose commutant is the diagonal
         # algebra, plus one Hermitian member of norm 1e-17, which adds only
         # roundoff to the generic pair.  The pair still has the diagonal
         # algebra's commutant, and the check says the block is reducible.
-        o = commutant(operator_set([np.eye(3)]), tol)
+        o = commutant(operator_set([np.eye(3)]), seed)
         h = random_hermitian(np.random.default_rng(3), 3)
         noise = 1e-17 * h / np.linalg.norm(h)
         seen = self.irreducibility_pairs(
             monkeypatch, lambda members: np.concatenate([members * np.eye(3), noise[None]]))
         with pytest.raises(PostconditionFailure, match="not irreducible"):
-            central_decomposition(o, tol)
+            central_decomposition(o, seed)
         assert seen == [((9, 3, 3), (204,), 3)]
 
-    def test_one_reducible_block_among_two_raises(self, tol, monkeypatch):
+    def test_one_reducible_block_among_two_raises(self, seed, monkeypatch):
         # O = M_1 + M_3 has two d = 1 blocks, checked by one pair drawn from O
         # restricted to their sum.  Dropping that stack's off-diagonal entries
         # leaves the 1-block as it is and makes the 3-block diagonal, hence
         # reducible: the pair's commutant has 4 dimensions, not 2
-        o = commutant(operator_set([np.diag([1.0, 2.0, 2.0, 2.0])]), tol)
-        assert central_decomposition(o, tol).multiset() == ((1, 1), (1, 3))
+        o = commutant(operator_set([np.diag([1.0, 2.0, 2.0, 2.0])]), seed)
+        assert central_decomposition(o, seed).multiset() == ((1, 1), (1, 3))
         seen = self.irreducibility_pairs(monkeypatch, lambda members: members * np.eye(4))
         with pytest.raises(PostconditionFailure, match="not irreducible"):
-            central_decomposition(o, tol)
+            central_decomposition(o, seed)
         assert seen == [((10, 4, 4), (204,), 4)]
 
-    def test_d_one_blocks_take_one_pair(self, tol, monkeypatch):
+    def test_d_one_blocks_take_one_pair(self, seed, monkeypatch):
         # two d = 1 blocks beside a d = 2 block: one pair, drawn from the
         # algebra restricted to the sum of the d = 1 blocks, whose commutant
         # has one dimension per block
         gens, _ = planted_block_algebra(np.random.default_rng(74), [(1, 1), (2, 2), (1, 3)])
-        o = generated_algebra(operator_set(gens), tol)
+        o = generated_algebra(operator_set(gens), seed)
         seen = self.irreducibility_pairs(monkeypatch)
-        assert central_decomposition(o, tol).multiset() == ((1, 1), (1, 3), (2, 2))
+        assert central_decomposition(o, seed).multiset() == ((1, 1), (1, 3), (2, 2))
         assert seen == [((1 + 4 + 9, 4, 4), (204,), 2)]
 
-    def test_requires_identity(self, tol):
+    def test_requires_identity(self, seed):
         from superselect.opalgebra import OperatorAlgebra
         bogus = OperatorAlgebra(dim=2, basis=SX[None] / np.sqrt(2),
                                 contains_identity=False)
         with pytest.raises(ValueError):
-            central_decomposition(bogus, tol)
+            central_decomposition(bogus, seed)
 
 
 def rank_read_pair(dec, sec):
@@ -200,15 +200,15 @@ class TestTraceReadMultiplicities:
         [(1, 2), (2, 1), (1, 3)],    # three sectors
         [(2, 3), (3, 2), (1, 4)],
     ])
-    def test_planted(self, tol, pattern):
+    def test_planted(self, seed, pattern):
         gens, _ = planted_block_algebra(np.random.default_rng(91), pattern)
-        dec = central_decomposition(generated_algebra(operator_set(gens), tol), tol)
+        dec = central_decomposition(generated_algebra(operator_set(gens), seed), seed)
         assert dec.multiset() == tuple(sorted(pattern))
         self.check(dec)
 
     @pytest.mark.parametrize("n, d", [(3, 2), (4, 2)])
-    def test_parastat(self, tol, n, d):
-        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d)), tol)
+    def test_parastat(self, seed, n, d):
+        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d)), seed)
         assert any(s.d == 1 for s in dec.sectors) and any(s.d > 1 for s in dec.sectors)
         self.check(dec)
 
@@ -242,34 +242,34 @@ class TestSeparationPolicy:
         return kept
 
     @pytest.mark.parametrize("fakes, kept_draw", CASES)
-    def test_center(self, three_sector, tol, monkeypatch, fakes, kept_draw):
+    def test_center(self, three_sector, seed, monkeypatch, fakes, kept_draw):
         o, dec = three_sector
         z = dec.center.basis
-        fake_separations(monkeypatch, z, tol, {(201, a): sep for a, sep in fakes.items()})
+        fake_separations(monkeypatch, z, seed, {(201, a): sep for a, sep in fakes.items()})
         kept = self.kept_splits(monkeypatch)
-        again = central_decomposition(o, tol, commutant_algebra=dec.commutant)
+        again = central_decomposition(o, seed, commutant_algebra=dec.commutant)
         assert again.multiset() == dec.multiset()
-        assert np.array_equal(kept[0][0], generic_eigenvalues(z, tol, (201, kept_draw)))
+        assert np.array_equal(kept[0][0], generic_eigenvalues(z, seed, (201, kept_draw)))
 
     @pytest.mark.parametrize("fakes, kept_draw", CASES)
-    def test_truncate(self, tol, monkeypatch, fakes, kept_draw):
+    def test_truncate(self, seed, monkeypatch, fakes, kept_draw):
         # 1_2 (x) M_2: one sector with d = 2, whose copy is drawn from W* O' W
         o = generated_algebra(
-            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
-        dec = central_decomposition(o, tol)
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), seed)
+        dec = central_decomposition(o, seed)
         w = dec.sectors[0].isometry
         restricted_cp = w.conj().T @ dec.commutant.basis @ w
-        fake_separations(monkeypatch, restricted_cp, tol,
+        fake_separations(monkeypatch, restricted_cp, seed,
                          {(202, 0, a): sep for a, sep in fakes.items()})
         kept = self.kept_splits(monkeypatch)
-        v, o_t, _ = truncate(dec, tol)
+        v, o_t, _ = truncate(dec, seed)
         assert v.shape == (4, 2) and o_t.algebra_dim == 4
         assert np.array_equal(kept[0][0],
-                              generic_eigenvalues(restricted_cp, tol, (202, 0, kept_draw)))
+                              generic_eigenvalues(restricted_cp, seed, (202, 0, kept_draw)))
 
 
 class TestProjectorCentrality:
-    def test_leaky_projector_raises_typed_error(self, three_sector, tol, monkeypatch):
+    def test_leaky_projector_raises_typed_error(self, three_sector, seed, monkeypatch):
         # mix the eigenvectors of the first two sectors by a 1e-6 rotation: the
         # isometries stay orthonormal, but their projectors are no longer
         # central, and each leaks about 1e-6 of a basis element
@@ -288,7 +288,7 @@ class TestProjectorCentrality:
         with pytest.raises(NonIntegerStructure,
                            match=r"sector 0 .* not central: its projector leaks 1\.\d+e-06 "
                                  r".* above 1e-09"):
-            central_decomposition(o, tol)
+            central_decomposition(o, seed)
 
 
 def sector_weights(dec, phi):
@@ -327,7 +327,7 @@ class TestExtremalDecomposition:
 class TestExpectationFunctional:
     """Vector states read as tr(rho B) on an algebra's basis; sector weights ||P_s phi||^2."""
 
-    def test_convex_combination_identity(self, two_block, tol):
+    def test_convex_combination_identity(self, two_block):
         o, dec = two_block
         rng = np.random.default_rng(73)
         for _ in range(100):
@@ -342,10 +342,10 @@ class TestExpectationFunctional:
             rhs = lam1 * vector_functional(o, phi1) + lam2 * vector_functional(o, phi2)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
-    def test_pure_state_is_not_a_mixture(self, tol):
+    def test_pure_state_is_not_a_mixture(self, seed):
         # inside an irreducible sector a vector state differs from any proper
         # mixture of two distinct pure states on at least one basis element
-        full = commutant(operator_set([np.eye(3)]), tol)
+        full = commutant(operator_set([np.eye(3)]), seed)
         rng = np.random.default_rng(79)
         phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         psi1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -355,15 +355,14 @@ class TestExpectationFunctional:
             mix = lam * vector_functional(full, psi1) + (1 - lam) * vector_functional(full, psi2)
             assert np.max(np.abs(f - mix)) > 1e-6
 
-    def test_weights_invariant_across_seeds(self, tol):
+    def test_weights_invariant_across_seeds(self):
         rng = np.random.default_rng(83)
         gens, _ = planted_block_algebra(rng, [(1, 2), (1, 1), (2, 1)])
         phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         reference = None
         for seed in range(10):
-            t = ToleranceConfig(seed=seed)
-            o = generated_algebra(operator_set(gens), t)
-            dec = central_decomposition(o, t)
+            o = generated_algebra(operator_set(gens), seed)
+            dec = central_decomposition(o, seed)
             lams = sorted(sector_weights(dec, phi))
             if reference is None:
                 reference = lams
@@ -371,41 +370,41 @@ class TestExpectationFunctional:
 
 
 class TestTruncate:
-    def test_irreducible_is_untouched(self, tol):
-        full = commutant(operator_set([np.eye(3)]), tol)
-        dec = central_decomposition(full, tol)
-        v, o_t, _ = truncate(dec, tol)
+    def test_irreducible_is_untouched(self, seed):
+        full = commutant(operator_set([np.eye(3)]), seed)
+        dec = central_decomposition(full, seed)
+        v, o_t, _ = truncate(dec, seed)
         assert v.shape == (3, 3)
         assert span_equal(full, o_t)
 
-    def test_multiplicity_two_drops_half(self, tol):
+    def test_multiplicity_two_drops_half(self, seed):
         o = generated_algebra(
-            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
-        dec = central_decomposition(o, tol)
-        v, o_t, _ = truncate(dec, tol)
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), seed)
+        dec = central_decomposition(o, seed)
+        v, o_t, _ = truncate(dec, seed)
         assert v.shape == (4, 2)
         assert o_t.algebra_dim == 4  # full M2 after dropping the copy
         assert np.max(np.abs(v.conj().T @ v - np.eye(2))) <= 1e-10
 
-    def test_rank_of_projected_sectors(self, tol):
+    def test_rank_of_projected_sectors(self, seed):
         rng = np.random.default_rng(89)
         gens, _ = planted_block_algebra(rng, [(2, 2), (1, 3)])
-        o = generated_algebra(operator_set(gens), tol)
-        dec = central_decomposition(o, tol)
-        v, _, _ = truncate(dec, tol)
+        o = generated_algebra(operator_set(gens), seed)
+        dec = central_decomposition(o, seed)
+        v, _, _ = truncate(dec, seed)
         for sec in dec.sectors:
             m = v.conj().T @ sec.projector @ v
             rank = int(np.sum(np.linalg.eigvalsh(m) > 1e-8))
             assert rank == sec.ntilde
 
-    def test_merged_clusters_raise_typed_error(self, tol, monkeypatch):
+    def test_merged_clusters_raise_typed_error(self, seed, monkeypatch):
         o = generated_algebra(
-            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), tol)
-        dec = central_decomposition(o, tol)
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), seed)
+        dec = central_decomposition(o, seed)
         monkeypatch.setattr(opalgebra, "cluster_eigenvalues",
                             lambda w: [np.arange(w.size)])
         with pytest.raises(DegenerateGenericElement, match=r"salt \(202, 0, 15\)"):
-            truncate(dec, tol)
+            truncate(dec, seed)
 
 
 class TestInputSizes:
