@@ -74,10 +74,13 @@ def _dot(x: np.ndarray, y: np.ndarray):
 
 
 def rotation_from_axis_angle(axis, angle) -> np.ndarray:
-    """Rotation matrix about a (not necessarily unit) axis, re-orthonormalized.
+    """Rotation matrix about a (not necessarily unit) axis, by Rodrigues' formula.
 
-    ``axis`` of shape ``(k, 3)`` with ``angle`` of shape ``(k,)`` gives a
-    ``(k, 3, 3)`` stack; a zero axis gives the identity.
+    The axis is normalised first, so I + sin(angle) K + (1 - cos(angle)) K^2
+    is orthogonal with det +1 to a few ulps, well inside the 1e-12 that
+    :class:`GalileiElement` checks.  ``axis`` of shape
+    ``(k, 3)`` with ``angle`` of shape ``(k,)`` gives a ``(k, 3, 3)`` stack;
+    a zero axis gives the identity.
     """
     u = np.asarray(axis, dtype=float)
     if u.shape[-1:] != (3,):
@@ -90,9 +93,6 @@ def rotation_from_axis_angle(axis, angle) -> np.ndarray:
     k = k - np.swapaxes(k, -1, -2)
     r = (np.eye(3) + np.asarray(s)[..., None, None] * k
          + np.asarray(1.0 - c)[..., None, None] * (k @ k))
-    uu, _, vv = np.linalg.svd(r)  # polar projection keeps the 1e-12 orthogonality invariant
-    r = uu @ vv
-    r = np.where((np.linalg.det(r) < 0)[..., None, None], -r, r)
     return np.where((nu == 0.0)[..., None], np.eye(3), r)
 
 
@@ -124,7 +124,10 @@ class GalileiElement:
         object.__setattr__(self, "a", np.broadcast_to(a, lead + (3,)))
         object.__setattr__(self, "b", np.broadcast_to(b, lead) if lead else float(b))
         orth = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - np.eye(3), axis=(-2, -1))
-        if np.any(orth > 1e-12) or np.any(np.linalg.det(r) <= 0):
+        # det as the triple product r0 . (r1 x r2): a few array passes, not a stacked LU
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = np.moveaxis(r, (-2, -1), (0, 1))
+        det = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
+        if np.any(orth > 1e-12) or np.any(det <= 0):
             raise ValueError("R must be a proper rotation (orthogonal, det +1) to 1e-12")
 
 

@@ -52,6 +52,7 @@ from .fluxsectors import (
     ChargeKinematics,
     flux_instantaneous,
     flux_retarded,
+    lm_arrays,
     multipole_moments,
     sphere_quadrature,
     total_charge,
@@ -337,15 +338,10 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
     charge = total_charge(fm)
 
     axial = bool(np.linalg.norm(kin.p[:2]) <= 1e-12 * max(1.0, float(np.linalg.norm(kin.p))))
-    max_m_nonzero = 0.0
-    max_odd_l = 0.0
-    for l in range(lmax + 1):
-        for mm in range(-l, l + 1):
-            v = abs(fm.coeff(l, mm))
-            if mm != 0:
-                max_m_nonzero = max(max_m_nonzero, v)
-            if l % 2 == 1:
-                max_odd_l = max(max_odd_l, v)
+    degree, order = lm_arrays(lmax)
+    magnitude = np.abs(fm.coefficients)
+    max_m_nonzero = float(np.max(magnitude[order != 0], initial=0.0))
+    max_odd_l = float(np.max(magnitude[degree % 2 == 1], initial=0.0))
 
     checks = [_at_most("recovered charge matches e", abs(charge - e), 1e-8)]
     if axial:
@@ -353,8 +349,8 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
     if formula == "instantaneous":
         checks.append(_at_most("odd-l moments vanish (flux even in n)", max_odd_l, 1e-10))
 
-    table = [{"l": l, "m": mm, "f": fm.coeff(l, mm)}
-             for l in range(lmax + 1) for mm in range(-l, l + 1)]
+    table = [{"l": l, "m": mm, "f": f} for l, mm, f in
+             zip(degree.tolist(), order.tolist(), fm.coefficients.tolist())]
     sections = {
         "kinematics": {"e": e, "m": m, "p": list(map(float, kin.p)),
                        "formula": formula},

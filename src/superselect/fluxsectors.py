@@ -24,6 +24,16 @@ Clenshaw summation and the recursive computation of very high degree and
 order normalised associated Legendre functions", J. Geodesy 76, 279-299,
 2002): a sectoral seed in sin(theta), then a two-term recurrence in l for
 each order m.
+
+:func:`multipole_moments` evaluates no harmonic at the quadrature nodes.
+:func:`sphere_quadrature` is a product rule, Gauss-Legendre in cos(theta)
+times uniform in phi, so the sum over nodes separates (J. R. Driscoll and
+D. M. Healy, "Computing Fourier transforms and convolutions on the
+2-sphere", Adv. Appl. Math. 15, 202-250, 1994; N. Schaeffer, "Efficient
+spherical harmonic transforms aimed at pseudospectral numerical
+simulations", Geochem. Geophys. Geosyst. 14, 751-758, 2013): first the phi
+sums on each ring, then the Legendre sums over the n_theta rings, with the
+recurrence run at the ring nodes only.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ __all__ = [
     "total_charge",
     "sector_signature",
     "lm_index",
+    "lm_arrays",
 ]
 
 
@@ -135,6 +146,13 @@ def lm_index(l: int, m: int) -> int:
     return l * l + l + m
 
 
+def lm_arrays(lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Degree and order arrays ``(l, m)`` of the ``(lmax+1)^2`` flattened coefficients."""
+    k = np.arange((lmax + 1) ** 2)
+    l = np.sqrt(k).astype(int)  # exact: the square root of a perfect square is exact
+    return l, k - l * l - l
+
+
 def real_sph_harm(lmax: int, nodes) -> np.ndarray:
     """Table of the real orthonormal spherical harmonics up to degree ``lmax``.
 
@@ -187,6 +205,27 @@ class FluxMultipoles:
         return float(self.coefficients[lm_index(l, m)])
 
 
+def _product_grid(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
+    """The ring nodes cos(theta_t) and the ring angles phi_j of a product rule.
+
+    Raises ``ValueError`` unless ``q`` holds n_theta rings of n_phi
+    consecutive nodes, node ``t * n_phi + j`` at (cos_theta_t, phi_j): its
+    arrays have n_theta * n_phi entries, cos_theta is constant on each ring
+    and within [-1, 1], and phi is the same on every ring.
+    """
+    size = q.n_theta * q.n_phi
+    if not (np.shape(q.nodes) == (size, 3)
+            and np.shape(q.weights) == np.shape(q.cos_theta) == np.shape(q.phi) == (size,)):
+        raise ValueError(f"quadrature arrays must hold n_theta * n_phi = {size} nodes")
+    ct = np.reshape(q.cos_theta, (q.n_theta, q.n_phi))
+    ph = np.reshape(q.phi, (q.n_theta, q.n_phi))
+    if np.any(ct != ct[:, :1]) or np.any(np.abs(ct[:, 0]) > 1.0):
+        raise ValueError("cos_theta must be constant on each ring and lie in [-1, 1]")
+    if np.any(ph != ph[:1]):
+        raise ValueError("phi must be the same on every ring of the quadrature")
+    return ct[:, 0], ph[0]
+
+
 def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     """Multipole coefficients f_lm = sum_nodes w Y_lm flux(node).
 
@@ -194,6 +233,16 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     and returning the ``(N,)`` flux values there.  Requires lmax <= 16 and
     at least 2 lmax + 2 nodes per sphere direction; the Parseval bound
     sum f_lm^2 <= quadrature of flux^2 is verified.
+
+    The sum is the separable transform on the product grid (Driscoll and
+    Healy 1994; Schaeffer 2013): the weighted values, one row per ring, are
+    summed against 1, cos(m phi) and sin(m phi) in one
+    ``(n_theta, n_phi) @ (n_phi, 2 lmax + 1)`` product, and the ring sums
+    are contracted with the harmonics on the meridian phi = 0 through the
+    n_theta ring nodes, which are the normalised Legendre functions (times
+    sqrt(2) for m != 0): one :func:`real_sph_harm` table of n_theta
+    columns, not one of N.  ``q`` must be such a product grid, as
+    :func:`sphere_quadrature` builds it; ``ValueError`` otherwise.
     """
     if lmax > 16 or lmax < 0:
         raise ValueError("lmax must lie in 0..16")
@@ -201,10 +250,18 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
         raise QuadratureTooCoarse(
             f"need n_theta and n_phi >= 2*lmax + 2 = {2 * lmax + 2}, "
             f"got ({q.n_theta}, {q.n_phi})")
+    z, phi = _product_grid(q)
     values = np.asarray(flux(q.nodes), dtype=float)
     if values.shape != q.weights.shape:
         raise ValueError("flux values must match the quadrature nodes")
-    coeffs = real_sph_harm(lmax, q.nodes) @ (q.weights * values)
+    # column lmax + m: sin(|m| phi) for m < 0, 1 for m = 0, cos(m phi) for m > 0
+    mphi = np.outer(phi, np.arange(1, lmax + 1))
+    trig = np.hstack([np.sin(mphi[:, ::-1]), np.ones((phi.size, 1)), np.cos(mphi)])
+    ring_sums = ((q.weights * values).reshape(z.size, phi.size) @ trig).T
+    # on the meridian phi = 0, Y_l|m| is Pbar_l|m|(z_t), times sqrt(2) for m != 0
+    meridian = real_sph_harm(lmax, np.stack([np.sqrt(1.0 - z * z), np.zeros_like(z), z], axis=1))
+    l, m = lm_arrays(lmax)
+    coeffs = np.einsum("kt,kt->k", meridian[l * l + l + np.abs(m)], ring_sums[lmax + m])
     power = float(np.sum(q.weights * values * values))
     if float(coeffs @ coeffs) > power + 1e-8:
         raise QuadratureTooCoarse(

@@ -7,8 +7,10 @@ from scipy.special import lpmv
 from superselect.errors import QuadratureTooCoarse
 from superselect.fluxsectors import (
     ChargeKinematics,
+    SphereQuadrature,
     flux_instantaneous,
     flux_retarded,
+    lm_arrays,
     lm_index,
     multipole_moments,
     real_sph_harm,
@@ -137,16 +139,51 @@ class TestHarmonicTable:
 
 class TestMultipoleMoments:
     def test_one_table_per_call(self, quad, monkeypatch):
+        # one harmonic table, on the n_theta ring nodes of the meridian, not on the N nodes
         import superselect.fluxsectors as fs
         calls = []
 
         def counted(lmax, nodes):
-            calls.append(lmax)
+            calls.append((lmax, len(nodes)))
             return real_sph_harm(lmax, nodes)
 
         monkeypatch.setattr(fs, "real_sph_harm", counted)
         multipole_moments(lambda n: np.ones(len(n)), quad, 16)
-        assert calls == [16]
+        assert calls == [(16, quad.n_theta)]
+
+    @pytest.mark.parametrize("shape", [(34, 35), (64, 128), (40, 34)])
+    @pytest.mark.parametrize("lmax", [0, 1, 8, 16])
+    @pytest.mark.parametrize("fn", [flux_instantaneous, flux_retarded])
+    def test_transform_equals_the_harmonic_table_sum(self, shape, lmax, fn):
+        q = sphere_quadrature(*shape)
+        k = ChargeKinematics(e=1.3, m=0.8, p=[0.4, -0.7, 0.5])
+        fm = multipole_moments(lambda n: fn(k, n), q, lmax)
+        direct = real_sph_harm(lmax, q.nodes) @ (q.weights * fn(k, q.nodes))
+        assert fm.coefficients.shape == direct.shape
+        assert np.max(np.abs(fm.coefficients - direct)) <= 1e-14
+
+    @pytest.mark.parametrize("fault", ["short weights", "short cos_theta", "short phi",
+                                       "cos_theta varies on a ring", "cos_theta above 1",
+                                       "phi varies by ring"])
+    def test_rejects_a_grid_that_is_not_the_product_rule(self, fault):
+        q = sphere_quadrature(20, 22)
+        fields = {"weights": q.weights, "cos_theta": q.cos_theta.copy(), "phi": q.phi.copy()}
+        if fault.startswith("short"):
+            name = fault.split()[1]
+            fields[name] = fields[name][:-1]
+        elif fault == "cos_theta varies on a ring":
+            fields["cos_theta"][5] = fields["cos_theta"][6] + 1e-9
+        elif fault == "cos_theta above 1":
+            fields["cos_theta"][:q.n_phi] = 1.5  # the whole first ring, so it stays constant
+        else:
+            fields["phi"][q.n_phi + 3] += 1e-9  # ring 1 differs from ring 0
+        bad = SphereQuadrature(n_theta=q.n_theta, n_phi=q.n_phi, nodes=q.nodes, **fields)
+        with pytest.raises(ValueError):
+            multipole_moments(lambda n: np.ones(len(n)), bad, 4)
+
+    def test_lm_arrays_match_lm_index(self):
+        l, m = lm_arrays(16)
+        assert [lm_index(a, b) for a, b in zip(l.tolist(), m.tolist())] == list(range(17 ** 2))
 
     def test_uniform_flux_single_moment(self, quad):
         fm = multipole_moments(lambda n: np.full(len(n), 1 / (4 * np.pi)), quad, 8)

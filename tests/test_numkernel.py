@@ -318,11 +318,11 @@ class TestOneSvdPath:
     """Every rank decision goes through numkernel's one SVD helper.
 
     A second ``svd`` call would bring its own cutoff and its own failure
-    handling.  The only other one allowed is the polar projection in
-    ``bargmann.rotation_from_axis_angle``, which makes no rank decision.
+    handling, so ``numkernel._svd`` is the only caller of ``svd`` in the
+    package.
     """
 
-    ALLOWED = {("numkernel", "_svd"), ("bargmann", "rotation_from_axis_angle")}
+    ALLOWED = {("numkernel", "_svd")}
 
     def test_svd_is_called_only_where_allowed(self):
         found = set()
