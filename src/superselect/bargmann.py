@@ -78,7 +78,9 @@ def rotation_from_axis_angle(axis, angle) -> np.ndarray:
 
     The axis is normalised first, so I + sin(angle) K + (1 - cos(angle)) K^2
     is orthogonal with det +1 to a few ulps, well inside the 1e-12 that
-    :class:`GalileiElement` checks.  ``axis`` of shape
+    :class:`GalileiElement` checks.  It is divided by its largest entry
+    before its norm is taken, so no axis of finite nonzero scale under- or
+    overflows.  ``axis`` of shape
     ``(k, 3)`` with ``angle`` of shape ``(k,)`` gives a ``(k, 3, 3)`` stack;
     a zero axis gives the identity.
     """
@@ -86,14 +88,16 @@ def rotation_from_axis_angle(axis, angle) -> np.ndarray:
     if u.shape[-1:] != (3,):
         raise ValueError("rotation axis must be a 3-vector")
     c, s = np.cos(angle), np.sin(angle)
-    nu = np.linalg.norm(u, axis=-1, keepdims=True)
-    u = u / np.where(nu == 0.0, 1.0, nu)
+    scale = np.max(np.abs(u), axis=-1, keepdims=True)
+    zero = scale == 0.0
+    u = u / np.where(zero, 1.0, scale)
+    u = u / np.where(zero, 1.0, np.linalg.norm(u, axis=-1, keepdims=True))
     k = np.zeros(u.shape[:-1] + (3, 3))
     k[..., 0, 1], k[..., 0, 2], k[..., 1, 2] = -u[..., 2], u[..., 1], -u[..., 0]
     k = k - np.swapaxes(k, -1, -2)
     r = (np.eye(3) + np.asarray(s)[..., None, None] * k
          + np.asarray(1.0 - c)[..., None, None] * (k @ k))
-    return np.where((nu == 0.0)[..., None], np.eye(3), r)
+    return np.where(zero[..., None], np.eye(3), r)
 
 
 @dataclass(frozen=True)
@@ -240,21 +244,14 @@ def mass_superselection_report(m1: float, m2: float, samples: int = 100,
             "all sampled boost/translation pairs are symmetric to 1e-6; "
             "retry with a different seed")
     canonical = (GalileiElement(v=[1.0, 0.0, 0.0]), GalileiElement(a=[1.0, 0.0, 0.0]))
-
-    def obstruction(xi):
-        return float(max(abs(xi(*canonical) - xi(*reversed(canonical))),
-                         np.max(np.abs(xi(g1, g2) - xi(g2, g1)))))
-
-    ob1 = obstruction(lambda x, y: bargmann_exponent(m1, x, y))
-    ob2 = obstruction(lambda x, y: bargmann_exponent(m2, x, y))
-    obd = obstruction(lambda x, y: bargmann_exponent(m1, x, y) - bargmann_exponent(m2, x, y))
-    canonical_triple = (
-        abs(bargmann_exponent(m1, *canonical) - bargmann_exponent(m1, *reversed(canonical))),
-        abs(bargmann_exponent(m2, *canonical) - bargmann_exponent(m2, *reversed(canonical))),
-        abs(bargmann_exponent(m1, *canonical) - bargmann_exponent(m2, *canonical)
-            - bargmann_exponent(m1, *reversed(canonical))
-            + bargmann_exponent(m2, *reversed(canonical))),
-    )
+    exponents = (lambda x, y: bargmann_exponent(m1, x, y),
+                 lambda x, y: bargmann_exponent(m2, x, y),
+                 lambda x, y: bargmann_exponent(m1, x, y) - bargmann_exponent(m2, x, y))
+    # |xi(g1, g2) - xi(g2, g1)| on the canonical pair, once per exponent
+    canonical_triple = tuple(abs(xi(*canonical) - xi(*reversed(canonical)))
+                             for xi in exponents)
+    ob1, ob2, obd = (float(max(c, np.max(np.abs(xi(g1, g2) - xi(g2, g1)))))
+                     for c, xi in zip(canonical_triple, exponents))
     return {
         "m1": m1,
         "m2": m2,

@@ -9,7 +9,7 @@ absorbs the multiplier into a proper group law.
 Real-valued strict cocycles on a finite group are always coboundaries, so
 genuinely obstructed multipliers show up here only mod 2 pi (e.g. the
 Pauli-type table on the Klein four-group); equivalence classification of
-circle-valued multipliers is explicitly unsupported.
+circle-valued multipliers is out of scope.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotACocycle, Unsupported
+from .errors import NotACocycle
 
 __all__ = [
     "FiniteGroup",
@@ -186,8 +186,7 @@ class CoboundaryResult:
         return self.gamma is not None
 
 
-def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
-                     mode: str = "strict") -> CoboundaryResult:
+def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable) -> CoboundaryResult:
     """Solve xi' = xi + delta(gamma) for gamma with gamma(1) = 0, in closed form.
 
     ``omega = xi' - xi`` is a strict cocycle.  Averaging its cocycle
@@ -198,10 +197,8 @@ def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable,
     residual ``max |delta(gamma) - omega|`` is at most 1e-10 (the
     multipliers are then equivalent); otherwise reports that residual.
     Both inputs must pass the strict cocycle check.  Circle-valued (mod 2 pi)
-    equivalence is out of scope and raises :class:`Unsupported`.
+    equivalence is out of scope.
     """
-    if mode == "mod2pi":
-        raise Unsupported("equivalence of circle-valued multipliers is not classified here")
     if mult.group is not mult_prime.group and not np.array_equal(
             mult.group.table, mult_prime.group.table):
         raise ValueError("multiplier tables live on different groups")
@@ -223,12 +220,16 @@ def extension_identity(mult: MultiplierTable) -> tuple[float, int]:
     return (0.0, mult.group.identity)
 
 
-def extension_product(e1: tuple[float, int], e2: tuple[float, int],
-                      mult: MultiplierTable) -> tuple[float, int]:
-    """Product (theta1 + theta2 + xi(g1, g2), g1 g2) in the central extension."""
+def extension_product(e1, e2, mult: MultiplierTable):
+    """Product (theta1 + theta2 + xi(g1, g2), g1 g2) in the central extension.
+
+    An element is a pair (theta, index).  Thetas and indices may be arrays
+    that broadcast against each other, giving every product element by
+    element in one pass.
+    """
     th1, i1 = e1
     th2, i2 = e2
-    return (th1 + th2 + float(mult.xi[i1, i2]), int(mult.group.table[i1, i2]))
+    return (th1 + th2 + mult.xi[i1, i2], mult.group.table[i1, i2])
 
 
 def extension_inverse(e: tuple[float, int], mult: MultiplierTable) -> tuple[float, int]:

@@ -58,10 +58,6 @@ class NotACocycle(SuperselectError):
     """A multiplier table fails the strict cocycle identity."""
 
 
-class Unsupported(SuperselectError):
-    """Requested analysis is explicitly out of scope (e.g. circle-valued equivalence)."""
-
-
 class DegenerateSample(SuperselectError):
     """All sampled pairs were degenerate for the obstruction; reseed and retry."""
 

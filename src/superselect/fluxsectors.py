@@ -84,7 +84,7 @@ class ChargeKinematics:
 def _check_unit(n: np.ndarray) -> np.ndarray:
     arr = np.asarray(n, dtype=float)
     norms = np.linalg.norm(arr, axis=-1)
-    if np.max(np.abs(norms - 1.0)) > 1e-12:
+    if not np.all(np.abs(norms - 1.0) <= 1e-12):  # NaN and inf fail too
         raise ValueError("directions must be unit vectors to 1e-12")
     return arr
 

@@ -89,6 +89,23 @@ class TestGalileiArithmetic:
         with pytest.raises(ValueError):
             bg.GalileiElement(R=np.stack([good, good + 1e-9]))
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_axis_scale_neither_under_nor_overflows(self, scale):
+        # the norm of the raw axis squares its entries: 1e-200 gave the
+        # identity, 1e200 overflowed
+        for axis in ([1.0, 0.0, 0.0], [0.3, -1.0, 0.2]):
+            want = bg.rotation_from_axis_angle(axis, 0.5)
+            with np.errstate(over="raise", under="raise"):
+                got = bg.rotation_from_axis_angle(np.multiply(axis, scale), 0.5)
+            assert np.max(np.abs(got - want)) <= 1e-15
+            assert np.max(np.abs(got - np.eye(3))) > 0.1
+
+    def test_zero_axis_gives_the_identity(self):
+        assert np.array_equal(bg.rotation_from_axis_angle([0.0, 0.0, 0.0], 0.5), np.eye(3))
+        stack = bg.rotation_from_axis_angle([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-300]], [0.5, 0.5])
+        assert np.array_equal(stack[0], np.eye(3))
+        assert np.array_equal(stack[1], bg.rotation_from_axis_angle([0.0, 0.0, 1.0], 0.5))
+
     def test_single_draw_keeps_its_order(self):
         g = bg.random_galilei_element(np.random.default_rng(11))
         rng = np.random.default_rng(11)

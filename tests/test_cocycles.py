@@ -17,7 +17,7 @@ from superselect.cocycles import (
     symmetric_group_s3,
     zero_multiplier,
 )
-from superselect.errors import NotACocycle, Unsupported
+from superselect.errors import NotACocycle
 
 
 def random_gamma(group, rng):
@@ -141,11 +141,6 @@ class TestCoboundarySolve:
         with pytest.raises(NotACocycle):
             coboundary_solve(zero_multiplier(pm.group), pm)
 
-    def test_mod2pi_equivalence_unsupported(self):
-        g = cyclic_group(2)
-        with pytest.raises(Unsupported):
-            coboundary_solve(zero_multiplier(g), zero_multiplier(g), mode="mod2pi")
-
 
 class TestAntisymObstruction:
     """Coboundaries are symmetric on commuting pairs.
@@ -184,6 +179,23 @@ class TestExtensionProduct:
             left = extension_product((0.4, g.identity), (0.0, k), xi)
             right = extension_product((0.0, k), (0.4, g.identity), xi)
             assert left == right == (0.4, k)
+
+    def test_batched_product_matches_scalar_calls(self):
+        # arrays of thetas and indices broadcast to every product at once,
+        # bit for bit what the one-element calls give
+        rng = np.random.default_rng(19)
+        g = relabelled_s3()
+        xi = rng.uniform(-3, 3, (6, 6))
+        xi[g.identity, :] = xi[:, g.identity] = 0.0
+        mult = MultiplierTable(group=g, xi=xi)
+        i1, i2 = np.ix_(np.arange(6), np.arange(6))
+        th1, th2 = rng.uniform(-np.pi, np.pi, (6, 1)), rng.uniform(-np.pi, np.pi, (1, 6))
+        th, k = extension_product((th1, i1), (th2, i2), mult)
+        assert th.shape == k.shape == (6, 6)
+        for a in range(6):
+            for b in range(6):
+                want = extension_product((float(th1[a, 0]), a), (float(th2[0, b]), b), mult)
+                assert (th[a, b], k[a, b]) == want
 
     def test_identity_and_inverse(self):
         rng = np.random.default_rng(13)

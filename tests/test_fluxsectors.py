@@ -80,6 +80,20 @@ class TestFluxFormulas:
         with pytest.raises(ValueError):
             flux_instantaneous(k, np.array([1.0, 1.0, 0.0]))
 
+    @pytest.mark.parametrize("direction", [[np.nan, 0.0, 0.0], [0.0, np.nan, 1.0],
+                                           [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]],
+                             ids=["nan", "nan-beside-unit", "inf", "minus-inf"])
+    @pytest.mark.parametrize("fn", ["instantaneous", "retarded", "harmonics"])
+    def test_rejects_non_finite_direction(self, fn, direction):
+        # a NaN norm passed the old `max |norm - 1| > 1e-12` test
+        k = ChargeKinematics(e=1.0, m=1.0, p=[0, 0, 0.5])
+        call = {"instantaneous": lambda n: flux_instantaneous(k, n),
+                "retarded": lambda n: flux_retarded(k, n),
+                "harmonics": lambda n: real_sph_harm(1, n)}[fn]
+        for n in (np.array(direction), np.array([[0.0, 0.0, 1.0], direction])):
+            with pytest.raises(ValueError, match="unit vectors"):
+                call(n)
+
 
 class TestQuadrature:
     def test_weights_sum_to_sphere_area(self, quad):
