@@ -68,7 +68,7 @@ from .opalgebra import (
     span_residual,
     star_completion,
 )
-from .parastat import parastat_truncation, permutation_unitaries
+from .parastat import TensorRep, parastat_truncation
 from .sectors import central_decomposition
 
 __all__ = ["main", "AnalysisReport", "run_command"]
@@ -223,7 +223,7 @@ def cmd_algebra(path: str, seed: int) -> AnalysisReport:
 
 
 def cmd_parastat(n: int, d: int, seed: int) -> AnalysisReport:
-    rep = permutation_unitaries(n, d)
+    rep = TensorRep(n, d)
     result = parastat_truncation(rep, seed)
     checks = [
         _check("spectral sectors match character oracle", result["sector_table"],

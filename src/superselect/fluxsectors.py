@@ -39,7 +39,7 @@ recurrence run at the ring nodes only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,28 +115,40 @@ def flux_retarded(k: ChargeKinematics, n_prime) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Product rule on the unit sphere: Gauss-Legendre in cos(theta), uniform in phi."""
+    """Product rule on the unit sphere: Gauss-Legendre in cos(theta), uniform in phi.
+
+    Built from its node counts alone.  Node ``t * n_phi + j`` sits at
+    (cos_theta[t], phi[j]): n_theta rings of n_phi consecutive nodes.
+    """
 
     n_theta: int
     n_phi: int
-    nodes: np.ndarray    # (N, 3) unit vectors
-    weights: np.ndarray  # (N,), positive, summing to 4 pi
-    cos_theta: np.ndarray
-    phi: np.ndarray
+    # built from the counts, N = n_theta * n_phi: the (n_theta,) Gauss-Legendre
+    # ring nodes, the (n_phi,) angles shared by every ring, the (N, 3) unit
+    # vectors and the (N,) positive weights, which sum to 4 pi
+    cos_theta: np.ndarray = field(init=False)
+    phi: np.ndarray = field(init=False)
+    nodes: np.ndarray = field(init=False)
+    weights: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        if self.n_theta < 1 or self.n_phi < 1:
+            raise ValueError("node counts must be positive")
+        u, wu = np.polynomial.legendre.leggauss(self.n_theta)
+        phi = 2.0 * np.pi * (np.arange(self.n_phi) + 0.5) / self.n_phi
+        uu, pp = np.meshgrid(u, phi, indexing="ij")
+        s = np.sqrt(1.0 - uu ** 2)
+        nodes = np.stack([s * np.cos(pp), s * np.sin(pp), uu], axis=-1).reshape(-1, 3)
+        nodes /= np.linalg.norm(nodes, axis=1)[:, None]
+        object.__setattr__(self, "cos_theta", u)
+        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", np.repeat(wu, self.n_phi) * (2.0 * np.pi / self.n_phi))
 
 
 def sphere_quadrature(n_theta: int, n_phi: int) -> SphereQuadrature:
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError("node counts must be positive")
-    u, wu = np.polynomial.legendre.leggauss(n_theta)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    uu, pp = np.meshgrid(u, phi, indexing="ij")
-    s = np.sqrt(1.0 - uu ** 2)
-    nodes = np.stack([s * np.cos(pp), s * np.sin(pp), uu], axis=-1).reshape(-1, 3)
-    nodes /= np.linalg.norm(nodes, axis=1)[:, None]
-    weights = np.repeat(wu, n_phi) * (2.0 * np.pi / n_phi)
-    return SphereQuadrature(n_theta=n_theta, n_phi=n_phi, nodes=nodes,
-                            weights=weights, cos_theta=uu.ravel(), phi=pp.ravel())
+    """The product rule with ``n_theta`` rings of ``n_phi`` nodes."""
+    return SphereQuadrature(n_theta, n_phi)
 
 
 def lm_index(l: int, m: int) -> int:
@@ -205,27 +217,6 @@ class FluxMultipoles:
         return float(self.coefficients[lm_index(l, m)])
 
 
-def _product_grid(q: SphereQuadrature) -> tuple[np.ndarray, np.ndarray]:
-    """The ring nodes cos(theta_t) and the ring angles phi_j of a product rule.
-
-    Raises ``ValueError`` unless ``q`` holds n_theta rings of n_phi
-    consecutive nodes, node ``t * n_phi + j`` at (cos_theta_t, phi_j): its
-    arrays have n_theta * n_phi entries, cos_theta is constant on each ring
-    and within [-1, 1], and phi is the same on every ring.
-    """
-    size = q.n_theta * q.n_phi
-    if not (np.shape(q.nodes) == (size, 3)
-            and np.shape(q.weights) == np.shape(q.cos_theta) == np.shape(q.phi) == (size,)):
-        raise ValueError(f"quadrature arrays must hold n_theta * n_phi = {size} nodes")
-    ct = np.reshape(q.cos_theta, (q.n_theta, q.n_phi))
-    ph = np.reshape(q.phi, (q.n_theta, q.n_phi))
-    if np.any(ct != ct[:, :1]) or np.any(np.abs(ct[:, 0]) > 1.0):
-        raise ValueError("cos_theta must be constant on each ring and lie in [-1, 1]")
-    if np.any(ph != ph[:1]):
-        raise ValueError("phi must be the same on every ring of the quadrature")
-    return ct[:, 0], ph[0]
-
-
 def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     """Multipole coefficients f_lm = sum_nodes w Y_lm flux(node).
 
@@ -241,8 +232,7 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
     are contracted with the harmonics on the meridian phi = 0 through the
     n_theta ring nodes, which are the normalised Legendre functions (times
     sqrt(2) for m != 0): one :func:`real_sph_harm` table of n_theta
-    columns, not one of N.  ``q`` must be such a product grid, as
-    :func:`sphere_quadrature` builds it; ``ValueError`` otherwise.
+    columns, not one of N.
     """
     if lmax > 16 or lmax < 0:
         raise ValueError("lmax must lie in 0..16")
@@ -250,7 +240,7 @@ def multipole_moments(flux, q: SphereQuadrature, lmax: int) -> FluxMultipoles:
         raise QuadratureTooCoarse(
             f"need n_theta and n_phi >= 2*lmax + 2 = {2 * lmax + 2}, "
             f"got ({q.n_theta}, {q.n_phi})")
-    z, phi = _product_grid(q)
+    z, phi = q.cos_theta, q.phi
     values = np.asarray(flux(q.nodes), dtype=float)
     if values.shape != q.weights.shape:
         raise ValueError("flux values must match the quadrature nodes")

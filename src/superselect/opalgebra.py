@@ -225,13 +225,15 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
 
     One Gram matrix G = Q_b Q_a* of the orthonormal bases serves both
     projection residuals, Q_b - G Q_a and Q_a - G* Q_b, each held to
-    ``SPAN_TOL``, as :func:`_max_span_residual` is held elsewhere.
+    ``SPAN_TOL``, as :func:`_max_span_residual` is held elsewhere.  Two
+    algebras of dimension n^2 are equal without one: n^2 HS-orthonormal
+    members span all of M_n, so no direction can lie outside either span.
     """
     if a.algebra_dim != b.algebra_dim or a.dim != b.dim:
         return False
-    if not a.algebra_dim:
-        return True
     nn = a.dim * a.dim
+    if a.algebra_dim in (0, nn):  # nothing to compare, or both bases span all of M_n
+        return True
     qa, qb = a.basis.reshape(-1, nn), b.basis.reshape(-1, nn)
     gram = qb @ qa.conj().T
     return (_residual_norm(qb, gram, qa) <= SPAN_TOL

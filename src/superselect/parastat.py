@@ -19,7 +19,7 @@ n = 3) are reported explicitly rather than dropped.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .sectors import SectorDecomposition, central_decomposition, truncate
 __all__ = [
     "Permutation",
     "TensorRep",
-    "permutation_unitaries",
     "invariant_algebra",
     "character_oracle",
     "parastat_truncation",
@@ -96,36 +95,41 @@ CHARACTER_TABLES: dict[int, list[tuple[tuple[int, ...], int, dict[tuple[int, ...
 
 @dataclass(frozen=True)
 class TensorRep:
-    """Unitary permutation action on the n-fold tensor power of C^d."""
+    """Permutation action of S_n on the n-fold tensor power of C^d, built from (n, d).
+
+    Row k of ``images`` is the index map of the k-th element g of
+    :meth:`group`: it sends the basis word with digits (i_1, ..., i_n) to
+    the one with digits (i_{g^-1(1)}, ..., i_{g^-1(n)}).  ``unitaries[g]``
+    is the 0/1 permutation matrix with U(g) e_j = e_{images[k, j]}, a proper
+    representation.
+    """
 
     n_particles: int
     d_single: int
-    dim: int
-    unitaries: dict[Permutation, np.ndarray]
+    dim: int = field(init=False)
+    images: np.ndarray = field(init=False)  # (|G|, dim) word index maps
+    unitaries: dict[Permutation, np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        n, d = self.n_particles, self.d_single
+        if not (2 <= n <= 4 and 2 <= d <= 3 and d ** n <= 64):
+            raise SizeLimit(
+                f"supported range is 2 <= n <= 4, 2 <= d <= 3, d^n <= 64; got n={n}, d={d}")
+        dim = d ** n
+        grid = np.arange(dim).reshape((d,) * n)
+        group = symmetric_group(n)
+        images = np.stack([np.transpose(grid, axes=g.images).ravel() for g in group])
+        unitaries = {}
+        for g, target in zip(group, images):
+            u = np.zeros((dim, dim), dtype=complex)
+            u[target, np.arange(dim)] = 1.0
+            unitaries[g] = u
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "unitaries", unitaries)
 
     def group(self) -> list[Permutation]:
         return sorted(self.unitaries, key=lambda g: g.images)
-
-
-def permutation_unitaries(n: int, d: int) -> TensorRep:
-    """Tensor-factor permutation matrices for S_n on (C^d)^(x n).
-
-    Each U(g) sends the basis vector with digits (i_1, ..., i_n) to the one
-    with digits (i_{g^-1(1)}, ..., i_{g^-1(n)}); the result is a proper
-    representation of 0/1 permutation matrices.
-    """
-    if not (2 <= n <= 4 and 2 <= d <= 3 and d ** n <= 64):
-        raise SizeLimit(
-            f"supported range is 2 <= n <= 4, 2 <= d <= 3, d^n <= 64; got n={n}, d={d}")
-    dim = d ** n
-    grid = np.arange(dim).reshape((d,) * n)
-    unitaries = {}
-    for g in symmetric_group(n):
-        target = np.transpose(grid, axes=g.images).ravel()
-        u = np.zeros((dim, dim), dtype=complex)
-        u[target, np.arange(dim)] = 1.0
-        unitaries[g] = u
-    return TensorRep(n_particles=n, d_single=d, dim=dim, unitaries=unitaries)
 
 
 def invariant_algebra(rep: TensorRep) -> OperatorAlgebra:
@@ -138,27 +142,12 @@ def invariant_algebra(rep: TensorRep) -> OperatorAlgebra:
     over the group, and its indicator divided by sqrt(orbit size) is one basis
     element.  Distinct orbits have disjoint supports, so the basis is exactly
     HS-orthonormal and no rank is decided; the identity is the sum of the
-    diagonal orbits' indicators.
-
-    Precondition: every U(g) is a 0/1 permutation matrix and the index maps
-    form a group, so that the least image is the same across an orbit; a
-    ``ValueError`` names the first element that breaks it.
+    diagonal orbits' indicators.  The index maps ``rep.images`` are the
+    whole of S_n, a group, so the least image is the same across an orbit.
     """
     n = rep.dim
-    group = rep.group()
-    images = np.empty((len(group), n), dtype=np.intp)
-    for k, g in enumerate(group):
-        u = rep.unitaries[g]
-        image = np.argmax(np.abs(u), axis=0)
-        if u.shape != (n, n) or not np.array_equal(u, np.eye(n)[:, image]):
-            raise ValueError(f"U{g.images} is not a {n}x{n} 0/1 permutation matrix")
-        images[k] = image
-    pairs = images[:, :, None] * n + images[:, None, :]  # flat index of (g.i, g.j)
+    pairs = rep.images[:, :, None] * n + rep.images[:, None, :]  # flat index of (g.i, g.j)
     labels = pairs.min(axis=0)
-    moved = np.any(labels.ravel()[pairs] != labels, axis=(1, 2))
-    if moved.any():
-        raise ValueError(f"the index maps are not a group: U{group[int(np.argmax(moved))].images} "
-                         "moves an orbit label")
     _, orbit, sizes = np.unique(labels.ravel(), return_inverse=True, return_counts=True)
     basis = np.zeros((len(sizes), n * n), dtype=complex)
     basis[orbit, np.arange(n * n)] = 1.0 / np.sqrt(sizes[orbit])

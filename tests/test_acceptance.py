@@ -52,7 +52,7 @@ from superselect.opalgebra import (
     span_equal,
     span_residual,
 )
-from superselect.parastat import parastat_truncation, permutation_unitaries
+from superselect.parastat import TensorRep, parastat_truncation
 from superselect.sectors import central_decomposition
 
 N_PLANTED = 1000
@@ -190,7 +190,7 @@ def test_criterion_3_vandermonde_cyclic_suite():
     (2, 2, 4), (3, 2, 6), (3, 3, None), (4, 2, 9),
 ])
 def test_criterion_4_parastatistics(n, d, expected_truncated):
-    rep = permutation_unitaries(n, d)
+    rep = TensorRep(n, d)
     result = parastat_truncation(rep)
     assert result["oracle_agrees"]
     assert tuple(sorted(map(tuple, result["sector_table"]))) == sector_oracle_multiset(rep)

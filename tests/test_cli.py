@@ -337,6 +337,34 @@ class TestLargeObservablesAt64:
         assert rss_mb <= self.BUDGET_RSS_MB
 
 
+class TestScalarInputAt64:
+    """The scalar planted item ((64, 1)) at n = 64 through the CLI.
+
+    S is scalar, so O = S' is all of M_64 and S'' the scalars: the triple
+    commutant compares two 4096-member bases of the whole space, which
+    ``span_equal`` decides by dimension.  Budget: 30 s, the target for
+    planted items at n <= 64, and 1600 MB of peak RSS, both of the process
+    that runs the item.  Measured on one core with one BLAS thread: 10.8 s
+    and 1337 MB; 46.3 s while the two bases were compared residual by
+    residual.
+    """
+
+    BUDGET_SECONDS = 30.0
+    BUDGET_RSS_MB = 1600.0
+
+    def test_matches_planted(self, tmp_path):
+        path = planted_file(tmp_path, [(64, 1)])
+        code, out, err, elapsed, rss_mb = measured_main(["algebra", path])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["sections"]["input"]["dim"] == 64
+        st = doc["sections"]["structure"]
+        assert (st["observable_dim"], st["generated_dim"]) == (4096, 1)
+        assert all(c["passed"] for c in doc["sections"]["checks"])
+        assert elapsed <= self.BUDGET_SECONDS
+        assert rss_mb <= self.BUDGET_RSS_MB
+
+
 class TestAlgebraReportInvariance:
     """Inputs that generate the same algebra give the same ``algebra`` verdict.
 
@@ -558,6 +586,11 @@ class TestFluxCommand:
     def test_coarse_quadrature_is_an_input_error(self, capsys):
         assert main(["flux", "--lmax", "8", "--ntheta", "8"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_nonpositive_node_count_is_one_error_line(self, capsys):
+        assert main(["flux", "--ntheta", "0"]) == 1
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "error: node counts must be positive\n")
 
 
 class TestNonFiniteInput:

@@ -50,7 +50,7 @@ from superselect.opalgebra import (
     span_residual,
     star_completion,
 )
-from superselect.parastat import invariant_algebra, permutation_unitaries
+from superselect.parastat import TensorRep, invariant_algebra
 from superselect.sectors import central_decomposition
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -221,7 +221,7 @@ class TestComponentSolve:
 
     def test_parastat_cases(self, workloads, seed):
         for n, d in workloads.PARASTAT_CASES:
-            rep = permutation_unitaries(n, d)
+            rep = TensorRep(n, d)
             assert_matches_single_stack(basis_set(invariant_algebra(rep)), seed)
 
     def test_generic_hermitian(self, seed):
@@ -395,6 +395,22 @@ class TestSpanEqual:
         assert not span_equal(a, b) and not span_equal(b, a)
         assert not self.two_residual_form(a, b)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_two_bases_of_the_full_space_are_equal_by_dimension(self, n, monkeypatch):
+        # n^2 HS-orthonormal members span all of M_n, so no residual is formed
+        rng = np.random.default_rng(83)
+        a, b = (OperatorAlgebra(dim=n, basis=self.random_span(rng, n, n * n).reshape(-1, n, n),
+                                contains_identity=True) for _ in range(2))
+        short = OperatorAlgebra(dim=n, basis=b.basis[:-1], contains_identity=False)
+        assert self.two_residual_form(a, b) and not self.two_residual_form(a, short)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("span_equal compared two bases of the whole space")
+
+        monkeypatch.setattr(opalgebra, "_residual_norm", forbidden)
+        assert span_equal(a, b) and span_equal(b, a)
+        assert not span_equal(a, short) and not span_equal(short, a)
+
 
 class TestCenter:
     def test_no_combination_found_is_typed(self, seed, monkeypatch):
@@ -415,7 +431,7 @@ class TestCenter:
             gens, _ = planted_block_algebra(np.random.default_rng(7), [(1, 3), (2, 2)])
             o = commutant(operator_set(gens), seed)
         else:
-            o = invariant_algebra(permutation_unitaries(3, 3))
+            o = invariant_algebra(TensorRep(3, 3))
         cp = full_basis_commutant(o, seed)
         assert (o.algebra_dim < cp.algebra_dim) == (case == "planted")
         z = center(o, commutant_algebra=cp)

@@ -20,7 +20,6 @@ from superselect.parastat import (
     decomposition_for,
     invariant_algebra,
     parastat_truncation,
-    permutation_unitaries,
     symmetric_group,
 )
 from superselect.sectors import truncate
@@ -65,12 +64,12 @@ class TestCharacterTables:
 
 class TestPermutationUnitaries:
     def test_swap_is_involution(self):
-        rep = permutation_unitaries(2, 2)
+        rep = TensorRep(2, 2)
         u = rep.unitaries[Permutation((1, 0))]
         assert np.allclose(u @ u, np.eye(4))
 
     def test_unitaries_are_permutation_matrices(self):
-        rep = permutation_unitaries(3, 2)
+        rep = TensorRep(3, 2)
         for u in rep.unitaries.values():
             assert np.array_equal(np.sort(np.abs(u), axis=0)[-1], np.ones(8))
             assert set(np.unique(u.real)) <= {0.0, 1.0}
@@ -79,7 +78,7 @@ class TestPermutationUnitaries:
 
     def test_proper_representation_all_pairs(self):
         # brute-force composition over all 36 pairs
-        rep = permutation_unitaries(3, 2)
+        rep = TensorRep(3, 2)
         for g in rep.group():
             for h in rep.group():
                 assert np.array_equal(rep.unitaries[g] @ rep.unitaries[h],
@@ -88,12 +87,27 @@ class TestPermutationUnitaries:
     @pytest.mark.parametrize("n,d", [(5, 2), (2, 4), (4, 3), (1, 2)])
     def test_size_limits(self, n, d):
         with pytest.raises(SizeLimit):
-            permutation_unitaries(n, d)
+            TensorRep(n, d)
+
+    def test_takes_only_its_counts(self):
+        rep = TensorRep(3, 2)
+        with pytest.raises(TypeError):
+            TensorRep(3, 2, 8, rep.unitaries)
+        with pytest.raises(TypeError):
+            TensorRep(3, 2, images=rep.images)
+
+    @pytest.mark.parametrize("n,d", ALL_CASES)
+    def test_images_are_the_column_argmax_in_group_order(self, n, d):
+        rep = TensorRep(n, d)
+        group = rep.group()
+        assert rep.images.shape == (len(group), d ** n) == (len(symmetric_group(n)), rep.dim)
+        for k, g in enumerate(group):
+            assert np.array_equal(rep.images[k], np.argmax(np.abs(rep.unitaries[g]), axis=0))
 
 
 class TestCharacterOracle:
     def test_three_qubits(self):
-        rep = permutation_unitaries(3, 2)
+        rep = TensorRep(3, 2)
         table = {p: (d, nt) for p, d, nt in character_oracle(rep)}
         assert table[(3,)] == (1, 4)       # symmetric block
         assert table[(2, 1)] == (2, 2)     # mixed block
@@ -101,7 +115,7 @@ class TestCharacterOracle:
         assert sector_oracle_multiset(rep) == ((1, 4), (2, 2))
 
     def test_four_qubits(self):
-        rep = permutation_unitaries(4, 2)
+        rep = TensorRep(4, 2)
         table = {p: (d, nt) for p, d, nt in character_oracle(rep)}
         assert table[(4,)] == (1, 5)
         assert table[(3, 1)] == (3, 3)
@@ -110,19 +124,19 @@ class TestCharacterOracle:
         assert table[(1, 1, 1, 1)] == (1, 0)
 
     def test_two_qubits(self):
-        rep = permutation_unitaries(2, 2)
+        rep = TensorRep(2, 2)
         assert sector_oracle_multiset(rep) == ((1, 1), (1, 3))
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_dimension_sum(self, n, d):
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         assert sum(dd * nt for _, dd, nt in character_oracle(rep)) == d ** n
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_trace_formula_matches_explicit_projectors(self, n, d):
         # the oracle reads each rank from traces; here the character projectors
         # are formed and their ranks taken numerically
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         group = rep.group()
         expected = []
         for partition, dim_i, chars in CHARACTER_TABLES[n]:
@@ -136,7 +150,7 @@ class TestCharacterOracle:
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2)])
     def test_projectors_commute_with_observables(self, n, d):
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         o = invariant_algebra(rep)
         group = rep.group()
         for partition, dim_i, chars in CHARACTER_TABLES[n]:
@@ -149,7 +163,7 @@ class TestCharacterOracle:
 class TestInvariantAlgebra:
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_orbit_basis_is_an_exactly_orthonormal_algebra(self, n, d):
-        o = invariant_algebra(permutation_unitaries(n, d))
+        o = invariant_algebra(TensorRep(n, d))
         o.validate()
         vecs = o.basis.reshape(o.algebra_dim, -1)
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(o.algebra_dim))) <= 1e-14
@@ -157,7 +171,7 @@ class TestInvariantAlgebra:
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_orbit_basis_spans_the_solved_commutant(self, n, d, seed):
         # the numerical commutant of the group unitaries is the reference
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         solved = commutant(operator_set([rep.unitaries[g] for g in rep.group()]), seed)
         assert span_equal(invariant_algebra(rep), solved)
 
@@ -165,7 +179,7 @@ class TestInvariantAlgebra:
         (2, 2, 10), (3, 2, 20), (2, 3, 45), (4, 2, 35), (3, 3, 165),
     ])
     def test_dimension_is_the_oracle_sum_of_squares(self, n, d, expect):
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         assert sum(nt * nt for _, _, nt in character_oracle(rep)) == expect
         assert invariant_algebra(rep).algebra_dim == expect
 
@@ -176,26 +190,10 @@ class TestInvariantAlgebra:
         for mod, name in [(opalgebra, "commutant"), (np.linalg, "svd"), (np.linalg, "eigh"),
                           (np.linalg, "eigvalsh")]:
             monkeypatch.setattr(mod, name, forbidden)
-        invariant_algebra(permutation_unitaries(3, 3))
-
-    def test_refuses_a_unitary_that_is_not_a_permutation_matrix(self):
-        rep = permutation_unitaries(3, 2)
-        g = Permutation((1, 2, 0))
-        u = rep.unitaries[g].copy()
-        u[np.argmax(u[:, 0]), 0] = 0.5
-        bad = TensorRep(3, 2, 8, {**rep.unitaries, g: u})
-        with pytest.raises(ValueError, match=r"U\(1, 2, 0\) is not a 8x8 0/1 permutation"):
-            invariant_algebra(bad)
-
-    def test_refuses_index_maps_that_are_not_a_group(self):
-        # the identity and one 3-cycle: the 3-cycle moves some pair's least image
-        rep = permutation_unitaries(3, 2)
-        part = {g: u for g, u in rep.unitaries.items() if g.images in {(0, 1, 2), (1, 2, 0)}}
-        with pytest.raises(ValueError, match="not a group"):
-            invariant_algebra(TensorRep(3, 2, 8, part))
+        invariant_algebra(TensorRep(3, 3))
 
     def test_two_qubit_dimensions(self, seed):
-        rep = permutation_unitaries(2, 2)
+        rep = TensorRep(2, 2)
         o = invariant_algebra(rep)
         assert o.algebra_dim == 10  # 3^2 + 1^2
         cp = full_basis_commutant(o, seed)
@@ -203,7 +201,7 @@ class TestInvariantAlgebra:
         assert abelian  # S2 is abelian: compatibility holds untruncated
 
     def test_three_qubit_dimensions(self, seed):
-        rep = permutation_unitaries(3, 2)
+        rep = TensorRep(3, 2)
         o = invariant_algebra(rep)
         assert o.algebra_dim == 20  # 4^2 + 2^2
         cp = full_basis_commutant(o, seed)
@@ -218,7 +216,7 @@ class TestInvariantAlgebra:
     def test_commutant_is_the_group_span(self, n, d, seed):
         # the decomposition takes O' as the span of the unitaries; the full
         # solve must agree with it
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         solved = full_basis_commutant(invariant_algebra(rep), seed)
         group_span = algebra_from_span([rep.unitaries[g] for g in rep.group()])
         assert span_equal(solved, group_span)
@@ -237,7 +235,7 @@ class TestTruncation:
         (2, 2, 4, 2), (2, 3, 9, 2), (3, 2, 6, 2), (4, 2, 9, 3), (3, 3, 19, 3),
     ])
     def test_case_study(self, n, d, expect_dim, expect_sectors, seed):
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         result = parastat_truncation(rep, seed)
         assert result["sector_table"] == self.SECTOR_TABLES[(n, d)]
         assert result["dim_truncated"] == expect_dim
@@ -250,13 +248,13 @@ class TestTruncation:
     def test_closed_form_basis(self, n, d, seed):
         # the truncated basis is written down as an HS isometry's image; an
         # orthonormalised span of V* B_i V is the reference
-        dec = decomposition_for(permutation_unitaries(n, d), seed)
+        dec = decomposition_for(TensorRep(n, d), seed)
         v, o_t, _ = truncate(dec, seed)
         o_t.validate()
         assert span_equal(o_t, algebra_from_span(v.conj().T @ dec.algebra.basis @ v))
 
     def test_truncation_neither_orthonormalises_nor_decomposes(self, seed, monkeypatch):
-        dec = decomposition_for(permutation_unitaries(3, 3), seed)
+        dec = decomposition_for(TensorRep(3, 3), seed)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("truncate orthonormalised a span or decomposed again")
@@ -270,7 +268,7 @@ class TestTruncation:
     def test_both_copies_kept_raises(self, seed, monkeypatch):
         # V keeps both multiplicity copies of the d = 2 block of (C^2)^3: still
         # an isometry, but not one copy, so the check must fail
-        dec = decomposition_for(permutation_unitaries(3, 2), seed)
+        dec = decomposition_for(TensorRep(3, 2), seed)
         real = sectors._generic_split
 
         def both_copies(members, seed, salts, accept):
@@ -284,7 +282,7 @@ class TestTruncation:
     def test_pair_generating_less_raises(self, seed, monkeypatch):
         # a pair drawn from one basis member generates less than the truncated
         # algebra, so its commutant is too large and the check must fail
-        dec = decomposition_for(permutation_unitaries(3, 2), seed)
+        dec = decomposition_for(TensorRep(3, 2), seed)
         real = opalgebra._pair_commutant
         monkeypatch.setattr(sectors, "_pair_commutant",
                             lambda members, seed, salt: real(members[:1], seed, salt))
@@ -293,7 +291,7 @@ class TestTruncation:
 
     @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3)])
     def test_spectral_matches_oracle(self, n, d, seed):
-        rep = permutation_unitaries(n, d)
+        rep = TensorRep(n, d)
         dec = decomposition_for(rep, seed)
         assert dec.multiset() == sector_oracle_multiset(rep)
 
@@ -302,7 +300,7 @@ class TestNonPureVectors:
     def test_entangled_multiplicity_vector_is_a_strict_mixture(self, seed):
         # in a block with d > 1, a vector entangled across the multiplicity
         # factor defines the same functional as the matching convex mixture
-        rep = permutation_unitaries(3, 2)
+        rep = TensorRep(3, 2)
         o = invariant_algebra(rep)
         dec = decomposition_for(rep, seed)
         sec = next(s for s in dec.sectors if s.d > 1)

@@ -24,7 +24,7 @@ from superselect.opalgebra import (
     operator_set,
     span_equal,
 )
-from superselect.parastat import invariant_algebra, permutation_unitaries
+from superselect.parastat import TensorRep, invariant_algebra
 from superselect.sectors import central_decomposition, truncate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -208,7 +208,7 @@ class TestTraceReadMultiplicities:
 
     @pytest.mark.parametrize("n, d", [(3, 2), (4, 2)])
     def test_parastat(self, seed, n, d):
-        dec = central_decomposition(invariant_algebra(permutation_unitaries(n, d)), seed)
+        dec = central_decomposition(invariant_algebra(TensorRep(n, d)), seed)
         assert any(s.d == 1 for s in dec.sectors) and any(s.d > 1 for s in dec.sectors)
         self.check(dec)
 
