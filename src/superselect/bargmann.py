@@ -18,7 +18,7 @@ stored trajectories after the loop.
 
 Group elements may carry a leading sample axis: a batch of k elements has
 R of shape (k, 3, 3), v and a of shape (k, 3) and b of shape (k,), and
-:func:`galilei_multiply`, :func:`galilei_inverse`, :func:`bargmann_exponent`,
+:func:`galilei_multiply`, :func:`bargmann_exponent`,
 :func:`extended_multiply`, :func:`extended_action` and
 :func:`rotation_from_axis_angle` act sample by sample with the same code
 that serves a single element.  The seeded sampling checks draw their
@@ -43,9 +43,7 @@ __all__ = [
     "ExtendedPhasePoint",
     "HarmonicPairPotential",
     "Trajectory",
-    "galilei_identity",
     "galilei_multiply",
-    "galilei_inverse",
     "rotation_from_axis_angle",
     "random_galilei_element",
     "bargmann_exponent",
@@ -135,10 +133,6 @@ class GalileiElement:
             raise ValueError("R must be a proper rotation (orthogonal, det +1) to 1e-12")
 
 
-def galilei_identity() -> GalileiElement:
-    return GalileiElement()
-
-
 def galilei_multiply(g1: GalileiElement, g2: GalileiElement) -> GalileiElement:
     """(R1 R2, v1 + R1 v2, a1 + R1 a2 + v1 b2, b1 + b2)."""
     return GalileiElement(
@@ -147,13 +141,6 @@ def galilei_multiply(g1: GalileiElement, g2: GalileiElement) -> GalileiElement:
         a=g1.a + _rotate(g1.R, g2.a) + g1.v * np.asarray(g2.b)[..., None],
         b=g1.b + g2.b,
     )
-
-
-def galilei_inverse(g: GalileiElement) -> GalileiElement:
-    """(R^-1, -R^-1 v, -R^-1 (a - v b), -b)."""
-    rt = np.swapaxes(g.R, -1, -2)
-    return GalileiElement(R=rt, v=-_rotate(rt, g.v),
-                          a=-_rotate(rt, g.a - g.v * np.asarray(g.b)[..., None]), b=-g.b)
 
 
 def random_galilei_element(rng: np.random.Generator,

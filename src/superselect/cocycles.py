@@ -37,8 +37,6 @@ __all__ = [
     "check_cocycle",
     "coboundary_solve",
     "extension_product",
-    "extension_identity",
-    "extension_inverse",
 ]
 
 COCYCLE_TOL = 1e-10
@@ -216,10 +214,6 @@ def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable) -> Cobo
     return CoboundaryResult(gamma=None, max_residual=resid)
 
 
-def extension_identity(mult: MultiplierTable) -> tuple[float, int]:
-    return (0.0, mult.group.identity)
-
-
 def extension_product(e1, e2, mult: MultiplierTable):
     """Product (theta1 + theta2 + xi(g1, g2), g1 g2) in the central extension.
 
@@ -231,8 +225,3 @@ def extension_product(e1, e2, mult: MultiplierTable):
     th2, i2 = e2
     return (th1 + th2 + mult.xi[i1, i2], mult.group.table[i1, i2])
 
-
-def extension_inverse(e: tuple[float, int], mult: MultiplierTable) -> tuple[float, int]:
-    th, i = e
-    j = int(mult.group.inverse[i])
-    return (-th - float(mult.xi[i, j]), j)

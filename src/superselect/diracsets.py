@@ -31,7 +31,7 @@ from .numkernel import (
     hermitian_eig,
     orthonormal_nullspace,
 )
-from .opalgebra import OperatorAlgebra
+from .opalgebra import OperatorAlgebra, _max_commutator
 
 __all__ = [
     "Polynomial",
@@ -109,7 +109,9 @@ def _newton_coefficients(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 def interpolate_commuting(a, b) -> Polynomial:
     """Polynomial p of degree < n with p(A) = B, for commuting Hermitian A, B.
 
-    Requires a simple spectrum of A; B is rotated into A's eigenbasis and
+    A and B must commute: ``||[A, B]|| / (||A|| ||B||)`` at most
+    ``COMMUTE_RTOL``, else :class:`NotCommuting`.  Requires a simple
+    spectrum of A; B is rotated into A's eigenbasis and
     must be diagonal there within 1e-8 relative residual (larger residue
     raises :class:`NotJointlyDiagonal` instead of silently projecting).
     Leading terms below 1e-10 of the largest, each sized as ``|c_k| rho^k``
@@ -122,10 +124,9 @@ def interpolate_commuting(a, b) -> Polynomial:
     b = np.asarray(b, dtype=complex)
     wa, va = hermitian_eig(a)
     wb_norm = float(np.linalg.norm(b))
-    comm = a @ b - b @ a
-    if np.linalg.norm(comm) > COMMUTE_RTOL * max(float(np.linalg.norm(a)) * wb_norm, 1e-300):
-        raise NotCommuting(
-            f"commutator norm {np.linalg.norm(comm):.3e} above {COMMUTE_RTOL:.0e} * |A||B|")
+    comm = _max_commutator(np.stack([a, b]))
+    if comm > COMMUTE_RTOL:
+        raise NotCommuting(f"relative commutator {comm:.3e} above {COMMUTE_RTOL:.0e}")
     simple, min_gap = _simple_spectrum(wa)
     if not simple:
         raise DegenerateSpectrum(

@@ -47,10 +47,6 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation: {self.images}")
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (g * h)(x) = g(h(x))
-        return Permutation(tuple(self.images[i] for i in other.images))
-
     def cycle_type(self) -> tuple[int, ...]:
         seen = [False] * len(self.images)
         lengths = []
@@ -225,7 +221,7 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
         ],
         "oracle_agrees": dec.multiset() == present,
         "dim_truncated": int(v_iso.shape[1]),
-        # truncate checked that post holds the len(dec) truncated sector
+        # truncate checked that post holds the len(dec.sectors) truncated sector
         # projectors, so it is their (abelian) span exactly when it has that
         # dimension; truncate raises otherwise
         "post_truncation_v2": post.algebra_dim == len(dec.sectors),

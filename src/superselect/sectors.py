@@ -72,9 +72,6 @@ class SectorDecomposition:
     commutant: OperatorAlgebra
     center: OperatorAlgebra
 
-    def __len__(self) -> int:
-        return len(self.sectors)
-
     def multiset(self) -> tuple[tuple[int, int], ...]:
         """Sorted multiset of (d, ntilde) pairs, for oracle comparisons."""
         return tuple(sorted((s.d, s.ntilde) for s in self.sectors))

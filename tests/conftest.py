@@ -20,8 +20,14 @@ import pytest
 from scipy.linalg import block_diag
 
 from superselect import opalgebra
-from superselect.numkernel import random_hermitian, random_unitary
-from superselect.opalgebra import OperatorSet, _generic_hermitian_combo, commutant
+from superselect.numkernel import SPAN_TOL, random_hermitian, random_unitary
+from superselect.opalgebra import (
+    OperatorSet,
+    _generic_hermitian_combo,
+    _max_span_residual,
+    commutant,
+    span_residual,
+)
 from superselect.parastat import character_oracle
 
 
@@ -79,6 +85,35 @@ def basis_set(alg):
 def full_basis_commutant(alg, seed):
     """Reference commutant of an algebra: the solve over its whole basis, no generic pair."""
     return commutant(basis_set(alg), seed)
+
+
+def validate_algebra(alg):
+    """Assert the invariants of an ``OperatorAlgebra``, forming every product directly.
+
+    The basis is HS-orthonormal to 1e-10, closed under adjoints to
+    ``SPAN_TOL`` and under products to 1e-8 (``B_i B_j`` for every ordered
+    pair), and its span holds the identity to ``SPAN_TOL``.
+    """
+    q, n = alg.algebra_dim, alg.dim
+    vecs = alg.basis.reshape(q, n * n)
+    assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(q))) <= 1e-10, "not HS-orthonormal"
+    adjoints = alg.basis.conj().transpose(0, 2, 1)
+    assert _max_span_residual(alg.basis, adjoints) <= SPAN_TOL, "not closed under adjoints"
+    for i, b in enumerate(alg.basis):
+        assert _max_span_residual(alg.basis, b @ alg.basis) <= 1e-8, \
+            f"products B_{i} B_j not in the span"
+    assert span_residual(alg.basis, np.eye(n, dtype=complex)) <= SPAN_TOL, "identity missing"
+
+
+def pairwise_max_commutator(stack):
+    """Reference: worst relative commutator over every ordered pair, one pair at a time.
+
+    Zero members commute with everything and are skipped.
+    """
+    mats = [m for m in stack if np.linalg.norm(m) > 0]
+    norms = [np.linalg.norm(m) for m in mats]
+    return max((np.linalg.norm(mats[i] @ mats[j] - mats[j] @ mats[i]) / (norms[i] * norms[j])
+                for i in range(len(mats)) for j in range(len(mats))), default=0.0)
 
 
 def sector_oracle_multiset(rep):

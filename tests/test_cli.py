@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import planted_block_algebra
+from conftest import pairwise_max_commutator, planted_block_algebra
 import superselect
 from superselect import bargmann, cli, cocycles, parastat
 from superselect import opalgebra, sectors
@@ -1073,6 +1073,25 @@ class TestGaugeFreeCommutators:
             ["algebra", operator_file(tmp_path, "b.json", [*gens, np.zeros_like(gens[0])])],
             capsys)
         assert np.isfinite(padded) and padded == plain
+
+    @pytest.mark.parametrize("pattern", [[(1, 1), (2, 1), (3, 1)], PATTERN])
+    def test_algebra_maximum_matches_the_pairwise_reference(self, tmp_path, pattern):
+        # commuting generators (every ntilde = 1) give roundoff, compared on
+        # the ratio's own scale (it is at most 2), as in TestIsAbelian
+        gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
+        got = run(["algebra", planted_file(tmp_path, pattern)]).sections["structure"][
+            "dirac_max_commutator"]
+        ref = pairwise_max_commutator(np.stack(gens))
+        assert (ref > 0.01) == any(nt > 1 for _, nt in pattern)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_parastat_maximum_matches_the_pairwise_reference(self, n):
+        rep = parastat.TensorRep(n, 2)
+        got = run(["parastat", "--n", str(n), "--d", "2"]).sections["parastatistics"][
+            "pre_truncation_max_commutator"]
+        ref = pairwise_max_commutator(np.stack([rep.unitaries[g] for g in rep.group()]))
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
     def test_parastat_commutator_is_seed_free(self):
         values = [run(["--seed", seed, "parastat", "--n", "3", "--d", "2"])

@@ -3,6 +3,7 @@ import pytest
 
 from superselect import diracsets
 from superselect.diracsets import (
+    COMMUTE_RTOL,
     cyclic_vector_for,
     has_simple_spectrum,
     interpolate_commuting,
@@ -141,6 +142,24 @@ class TestInterpolateCommuting:
     def test_rejects_non_commuting(self):
         with pytest.raises(NotCommuting):
             interpolate_commuting(diag(0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("factor, raises", [(10.0, True), (0.1, False)])
+    def test_commutator_gate_at_commute_rtol(self, factor, raises):
+        # B = f(A) + t X with X Hermitian and off-diagonal in A's eigenbasis:
+        # ||[A, B]|| = t ||[A, X]||, so t sets the relative commutator
+        a = diag(0.0, 1.0, 2.5)
+        x = np.array([[0, 1, 0], [1, 0, 1j], [0, -1j, 0]], dtype=complex)
+        f = diag(1.0, -2.0, 3.0)
+        unit = np.linalg.norm(a @ x - x @ a) / (np.linalg.norm(a) * np.linalg.norm(f))
+        b = f + (factor * COMMUTE_RTOL / unit) * x
+        rel = np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+        assert rel == pytest.approx(factor * COMMUTE_RTOL, rel=1e-6)
+        if raises:
+            with pytest.raises(NotCommuting):
+                interpolate_commuting(a, b)
+        else:
+            p = interpolate_commuting(a, b)
+            assert np.linalg.norm(p.of_matrix(a) - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrum):

@@ -1,0 +1,152 @@
+"""The draw-fault matrix: a faulty generic draw can make a check fail, never pass wrongly.
+
+Every structural decision that draws takes a seeded generic Hermitian
+element, ``opalgebra._generic_hermitian_combo``, from the stream
+``default_rng([seed, *salt])``, and each draw site argues that a draw which
+generates less can only make a guard fail.  Here the draws of one structural
+leading salt at a time are replaced by a fault, on planted-sweep items and
+two parastat sizes of the benchmark at seed 7.  Every run must end in a
+report whose checks pass with the planted structure (or the character
+oracle's), a report whose checks fail, or a ``SuperselectError``; a report
+that passes with any other structure fails the test.
+
+A run is faulted only at the salts its unfaulted run draws from: elsewhere
+the fault changes nothing.
+"""
+
+import collections
+import json
+from functools import partial
+
+import numpy as np
+import pytest
+
+import test_numkernel
+from superselect import cli, opalgebra
+from superselect.errors import SuperselectError
+from superselect.fileformat import load_operator_file
+from superselect.numkernel import cluster_eigenvalues
+from superselect.opalgebra import commutant
+from superselect.sectors import central_decomposition
+
+# the leading salts of the generic Hermitian draws; 203 and 401-404 draw no
+# such element and decide no structure
+STRUCTURAL_SALTS = (101, 102, 104, 105, 106, 107, 201, 202, 204, 205, 206)
+SWEEP_ITEMS = 20
+PARASTAT_ITEMS = ("parastat n=2 d=2", "parastat n=3 d=2")
+
+
+def near_degenerate(members, h):
+    """``h`` with its lowest eigenvalue cluster moved a relative 1e-7 below the next one.
+
+    The element stays a function of ``h``, so it lies in the same algebra;
+    its two closest eigenvalues are ``1e-7`` of the spectral radius apart,
+    the regime in which eigenvectors carry roundoff of about ``eps / 1e-7``
+    across the gap (Davis-Kahan).
+    """
+    w, v = np.linalg.eigh(h)
+    groups = cluster_eigenvalues(w)
+    if len(groups) < 2:
+        return h
+    w[groups[0]] = w[groups[1]].mean() - 1e-7 * np.max(np.abs(w))
+    x = (v * w) @ v.conj().T
+    return 0.5 * (x + x.conj().T)
+
+
+DRAW_FAULTS = {
+    "scalar": lambda members, h: np.eye(h.shape[0], dtype=complex),
+    "first member": lambda members, h: 0.5 * (members[0] + members[0].conj().T),
+    "near-degenerate": near_degenerate,
+}
+
+
+def patch_draws(monkeypatch, salt=None, fault=None, reached=None):
+    """Replace the draws at leading salt ``salt`` by ``DRAW_FAULTS[fault]``.
+
+    Every draw is still made, so the stream advances as it would.  The
+    leading salt of each draw is added to ``reached`` when given.
+    """
+    real = opalgebra._generic_hermitian_combo
+
+    def combo(members, rng):
+        h = real(members, rng)
+        lead = rng.bit_generator.seed_seq.entropy[1]
+        if reached is not None:
+            reached.add(lead)
+        return DRAW_FAULTS[fault](members, h) if lead == salt else h
+
+    monkeypatch.setattr(opalgebra, "_generic_hermitian_combo", combo)
+
+
+def command_outcome(workloads, item):
+    """``"pass"``, ``"fail"`` or the ``SuperselectError`` raised; a wrong pass asserts."""
+    try:
+        report = cli.run_command(cli.build_parser().parse_args(list(item.argv)))
+    except SuperselectError as exc:
+        return type(exc).__name__
+    if not report.all_passed:
+        return "fail"
+    assert workloads.check(item, json.loads(report.to_json_bytes())) is None, item.label
+    return "pass"
+
+
+def decomposition_outcome(item):
+    """The decomposition of a planted item's observables with no commutant passed in.
+
+    No command takes this path, the one that draws at salt 206.
+    """
+    seed = int(item.argv[1])
+    s, _ = load_operator_file(item.argv[-1])
+    try:
+        dec = central_decomposition(commutant(s, seed), seed)
+    except SuperselectError as exc:
+        return type(exc).__name__
+    # the observables' sector factors are the planted ones swapped
+    assert sorted((nt, d) for d, nt in dec.multiset()) == sorted(item.pattern), item.label
+    return "pass"
+
+
+@pytest.fixture(scope="module")
+def runs(workloads, tmp_path_factory):
+    """``(label, run, reached salts)`` of every unfaulted run, each a correct pass.
+
+    The runs are the first ``SWEEP_ITEMS`` planted-sweep patterns at seed 7,
+    through the command and through the decomposition alone, and the
+    parastat items.
+    """
+    sweep, _ = workloads.build("planted-sweep", 7, str(tmp_path_factory.mktemp("sweep")))
+    by_pattern = {}
+    for item in sweep:
+        by_pattern.setdefault(item.pattern, item)
+    planted = list(by_pattern.values())[:SWEEP_ITEMS]
+    cases, _ = workloads.build("case-studies", 7, str(tmp_path_factory.mktemp("cases")))
+    commands = planted + [item for item in cases if item.label in PARASTAT_ITEMS]
+    out = []
+    for label, run in ([(it.label, partial(command_outcome, workloads, it)) for it in commands]
+                       + [(f"decompose {it.label}", partial(decomposition_outcome, it))
+                          for it in planted]):
+        reached = set()
+        with pytest.MonkeyPatch.context() as m:
+            patch_draws(m, reached=reached)
+            assert run() == "pass", label
+        out.append((label, run, reached))
+    return out
+
+
+def test_every_structural_salt_is_reached(runs):
+    assert len(runs) == 2 * SWEEP_ITEMS + len(PARASTAT_ITEMS)
+    assert set(STRUCTURAL_SALTS) <= set(test_numkernel.TestSeededStreams.CENSUS)
+    # and no other leading salt draws a generic element
+    assert sorted(set().union(*(reached for _, _, reached in runs))) == sorted(STRUCTURAL_SALTS)
+
+
+@pytest.mark.parametrize("fault", DRAW_FAULTS)
+def test_a_faulty_draw_never_passes_wrongly(runs, monkeypatch, fault):
+    outcomes = collections.Counter()
+    for label, run, reached in runs:
+        for salt in sorted(reached):
+            with monkeypatch.context() as m:
+                patch_draws(m, salt, fault)
+                outcomes[run()] += 1
+    # the fault bites: some runs end in a failed check or a typed error
+    assert outcomes["pass"] < sum(outcomes.values())

@@ -11,8 +11,10 @@ from conftest import (
     fake_separations,
     full_basis_commutant,
     generic_eigenvalues,
+    pairwise_max_commutator,
     planted_block_algebra,
     sample_pattern,
+    validate_algebra,
 )
 from superselect import opalgebra, sectors
 from superselect.errors import (
@@ -99,7 +101,7 @@ class TestCommutant:
     def test_identity_gives_full_algebra(self, seed):
         c = commutant(operator_set([np.eye(2)]), seed)
         assert c.algebra_dim == 4
-        c.validate()
+        validate_algebra(c)
 
     def test_pauli_generators_give_scalars(self, seed):
         c = commutant(operator_set([SX, SY, SZ]), seed)
@@ -110,7 +112,7 @@ class TestCommutant:
         # diag(1,1,2): commutes with M2 (+) M1, dimension 5
         c = commutant(operator_set([np.diag([1.0, 1.0, 2.0]).astype(complex)]), seed)
         assert c.algebra_dim == 5
-        c.validate()
+        validate_algebra(c)
 
     def test_against_brute_force(self, seed):
         rng = np.random.default_rng(21)
@@ -642,11 +644,50 @@ class TestClosureBlockSizes:
         assert max(rows for _, rows in shapes) <= 24 * 2
 
 
-def pairwise_max_commutator(basis):
-    """Reference: worst relative commutator over every ordered pair, one pair at a time."""
-    norms = [np.linalg.norm(b) for b in basis]
-    return max(np.linalg.norm(basis[i] @ basis[j] - basis[j] @ basis[i]) / (norms[i] * norms[j])
-               for i in range(len(basis)) for j in range(len(basis)))
+class TestCommutatorKernel:
+    """``_verify_commutes``, the one routine that forms commutator products, on dense references."""
+
+    @staticmethod
+    def dense_ratios(members, lo, hi, cands):
+        """Per member: max over candidates of ||A B - B A|| / (2 ||A||), each B on ``lo:hi`` of M_n."""
+        n = members.shape[-1]
+        ratios = []
+        for a in members:
+            worst = 0.0
+            for c in cands:
+                b = np.zeros((n, n), dtype=complex)
+                b[lo:hi, lo:hi] = c
+                worst = max(worst, np.linalg.norm(a @ b - b @ a))
+            norm = np.linalg.norm(a)
+            ratios.append(worst / (2 * norm) if norm > 0 else 0.0)
+        return np.array(ratios)
+
+    @pytest.mark.parametrize("n", [3, 7, 12])
+    @pytest.mark.parametrize("block", ["partial", "full"])
+    def test_matches_dense_commutators(self, n, block):
+        rng = np.random.default_rng(n)
+        members = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+        members[1] = 0.0  # a zero member commutes with every candidate
+        lo, hi = (1, n - 1) if block == "partial" else (0, n)
+        m = hi - lo
+        cands = rng.standard_normal((3, m, m)) + 1j * rng.standard_normal((3, m, m))
+        blocks = [(lo, hi, cands)]
+        ref = self.dense_ratios(members, lo, hi, cands)
+        assert ref[1] == 0.0 and np.all(np.delete(ref, 1) > 0.1)
+        member, ratio = opalgebra._verify_commutes(members, blocks)
+        assert member == int(np.argmax(ref))
+        assert ratio == pytest.approx(ref[member], rel=1e-12)
+        for i in range(len(members)):  # each member alone, one chunk each
+            assert opalgebra._verify_commutes(members[i:i + 1], blocks)[1] == pytest.approx(
+                ref[i], rel=1e-12)
+
+    def test_max_commutator_reads_the_kernel(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+        stack[2] = 0.0
+        ref = pairwise_max_commutator(stack)
+        assert opalgebra._max_commutator(stack) == pytest.approx(ref, rel=1e-12)
+        assert opalgebra._max_commutator(np.zeros((2, 3, 3), dtype=complex)) == 0.0
 
 
 class TestIsAbelian:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import full_basis_commutant, sector_oracle_multiset, vector_functional
+from conftest import (
+    full_basis_commutant,
+    sector_oracle_multiset,
+    validate_algebra,
+    vector_functional,
+)
 from superselect import opalgebra, sectors
 from superselect.errors import PostconditionFailure, SizeLimit
 from superselect.opalgebra import (
@@ -27,12 +32,12 @@ from superselect.sectors import truncate
 ALL_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
 
 
-class TestPermutation:
-    def test_composition_convention(self):
-        g = Permutation((1, 0, 2))
-        h = Permutation((0, 2, 1))
-        assert (g * h).images == tuple(g.images[i] for i in h.images)
+def compose(g, h):
+    """The permutation ``x -> g(h(x))``."""
+    return Permutation(tuple(g.images[i] for i in h.images))
 
+
+class TestPermutation:
     def test_cycle_type(self):
         assert Permutation((1, 0, 2)).cycle_type() == (2, 1)
         assert Permutation((1, 2, 0)).cycle_type() == (3,)
@@ -82,7 +87,7 @@ class TestPermutationUnitaries:
         for g in rep.group():
             for h in rep.group():
                 assert np.array_equal(rep.unitaries[g] @ rep.unitaries[h],
-                                      rep.unitaries[g * h])
+                                      rep.unitaries[compose(g, h)])
 
     @pytest.mark.parametrize("n,d", [(5, 2), (2, 4), (4, 3), (1, 2)])
     def test_size_limits(self, n, d):
@@ -164,7 +169,7 @@ class TestInvariantAlgebra:
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_orbit_basis_is_an_exactly_orthonormal_algebra(self, n, d):
         o = invariant_algebra(TensorRep(n, d))
-        o.validate()
+        validate_algebra(o)
         vecs = o.basis.reshape(o.algebra_dim, -1)
         assert np.max(np.abs(vecs.conj() @ vecs.T - np.eye(o.algebra_dim))) <= 1e-14
 
@@ -250,7 +255,7 @@ class TestTruncation:
         # orthonormalised span of V* B_i V is the reference
         dec = decomposition_for(TensorRep(n, d), seed)
         v, o_t, _ = truncate(dec, seed)
-        o_t.validate()
+        validate_algebra(o_t)
         assert span_equal(o_t, algebra_from_span(v.conj().T @ dec.algebra.basis @ v))
 
     def test_truncation_neither_orthonormalises_nor_decomposes(self, seed, monkeypatch):

@@ -49,7 +49,7 @@ class TestCentralDecomposition:
     def test_irreducible_single_sector(self, seed):
         full = commutant(operator_set([np.eye(4)]), seed)
         dec = central_decomposition(full, seed)
-        assert len(dec) == 1
+        assert len(dec.sectors) == 1
         sec = dec.sectors[0]
         assert (sec.d, sec.ntilde, sec.block_dim) == (1, 4, 4)
 
@@ -320,7 +320,7 @@ class TestExtremalDecomposition:
         _, dec = three_sector
         phi = np.array([0.3, -0.7, 0.2], dtype=complex)
         for j, sec in enumerate(dec.sectors):
-            assert np.allclose(sector_weights(dec, sec.projector @ phi), np.eye(len(dec))[j],
+            assert np.allclose(sector_weights(dec, sec.projector @ phi), np.eye(len(dec.sectors))[j],
                                atol=1e-12)
 
 
