@@ -57,14 +57,15 @@ from .fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from .numkernel import MEMBER_TOL
+from .numkernel import MEMBER_TOL, SPAN_TOL
 from .opalgebra import (
+    OperatorAlgebra,
     _max_commutator,
     _pair_commutant,
+    _verify_commutes,
     check_dirac,
     commutant,
     generated_algebra,
-    span_equal,
     span_residual,
     star_completion,
 )
@@ -153,6 +154,26 @@ def _args_digest(**params) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _triple_commutant_holds(obs: OperatorAlgebra, gen_basis: np.ndarray, seed: int) -> bool:
+    """The triple-commutant identity S''' = S', given O = S' and a basis of S''.
+
+    It is taken as the commutant T' of a seeded generic pair T of S''.
+    ``generated_algebra`` took S'' as the commutant P' of a generic pair P
+    of O: P lies in O, so P' contains O', and P' has the word closure's
+    dimension, dim O', so P' = O'.  Then S''' = O'' = O = S', and T'
+    contains it: T' = S' proves the identity.  T' is by definition what
+    commutes with both members of T, so O lies in it when every member of
+    O's orthonormal basis commutes with T to ``SPAN_TOL``
+    (:func:`_verify_commutes`); equal dimensions then make the two equal,
+    and n^2 orthonormal members fill M_n with no test.  A pair generating
+    less than S'' can only make T' larger and the check fail.
+    """
+    pair, tcp = _pair_commutant(gen_basis, seed, (105,))
+    n = obs.dim
+    return tcp.algebra_dim == obs.algebra_dim and (
+        obs.algebra_dim == n * n or _verify_commutes(pair, [(0, n, obs.basis)])[1] <= SPAN_TOL)
+
+
 def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     """The input operators are the distinguished set (charges, symmetry
     generators); the observables analyzed are everything commuting with
@@ -168,13 +189,7 @@ def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
-    # triple-commutant identity S''' = S', taken as the commutant T' of a seeded
-    # generic pair T of S''.  generated_algebra took S'' as the commutant P' of
-    # a generic pair P of O = S': P lies in O, so P' contains O', and P' has the
-    # word closure's dimension, dim O', so P' = O'.  Then S''' = O'' = O = S',
-    # and T' contains it: T' = S' proves the identity.  A pair generating less
-    # than S'' can only make T' larger and the check fail
-    triple_ok = span_equal(obs, _pair_commutant(gen.basis, seed, (105,)))
+    triple_ok = _triple_commutant_holds(obs, gen.basis, seed)
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
     norms = np.linalg.norm(s.members, axis=(1, 2))

@@ -211,6 +211,12 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
     ``SPAN_TOL``, as :func:`_max_span_residual` is held elsewhere.  Two
     algebras of dimension n^2 are equal without one: n^2 HS-orthonormal
     members span all of M_n, so no direction can lie outside either span.
+
+    It decides the witness's ``A = A'`` in :func:`check_dirac` and
+    acceptance criterion 1's triple commutant, and the benchmark's layer
+    trace times it.  Membership in a pair's commutant, as in the ``algebra``
+    command's triple commutant, is read from the pair instead
+    (:func:`_pair_commutant`).
     """
     if a.algebra_dim != b.algebra_dim or a.dim != b.dim:
         return False
@@ -378,39 +384,46 @@ def _verify_commutes(members: np.ndarray, blocks):
     :func:`_solve_components`; each candidate lives on its ``lo:hi`` block.
     With ``B`` on that block, ``AB`` fills the columns ``lo:hi`` and ``BA``
     the rows ``lo:hi``, so the commutator costs two thin products, each one
-    GEMM over a chunk of members and all of the block's candidates.  A
-    chunk holds as many members as keep each temporary under
-    ``VERIFY_CHUNK`` entries, and at least one.  One member against all
-    ``q`` candidates of a block already takes ``q n m`` entries, so at
-    n = 64 with 4096 candidates (the scalar input's commutant) the
-    temporaries hold about 768 MB; only chunking over the candidates as well
-    bounds them.  Every commutator norm in the package comes from here:
-    besides the commutant's verification, :func:`_max_commutator` passes a
-    stack as its own candidates, for :func:`is_abelian`, the two reported
-    commutator maxima and the precondition of
-    :func:`~superselect.diracsets.interpolate_commuting`.
+    GEMM over a chunk of members and a chunk of the block's candidates.  A
+    candidate chunk holds as many candidates as keep one member's products
+    with them under ``VERIFY_CHUNK`` entries, and a member chunk as many
+    members as keep the products with that candidate chunk under it; each
+    holds at least one.  So no temporary exceeds ``max(VERIFY_CHUNK, n m)``
+    entries, whatever the number of candidates (4096 at n = 64 for the
+    scalar input's commutant).  Every commutator norm in the package comes
+    from here: besides the commutant's verification, :func:`_max_commutator`
+    passes a stack as its own candidates, for :func:`is_abelian`, the two
+    reported commutator maxima and the precondition of
+    :func:`~superselect.diracsets.interpolate_commuting`, and the triple
+    commutant and ``truncate`` read membership in a pair's commutant from
+    the pair (:func:`_pair_commutant`).
     """
     k, n, _ = members.shape
     worst = np.zeros(k)
-    for lo, hi, cands in blocks:
-        q, m, _ = cands.shape
-        step = max(1, VERIFY_CHUNK // (q * n * m))
-        cols = cands.transpose(1, 0, 2).reshape(m, q * m)  # [z, (j, y)] = B_j[z, y]
-        rows = cands.reshape(q * m, m)                      # [(j, x), z] = B_j[x, z]
-        for c in range(0, k, step):
-            a = members[c:c + step]
-            kc = a.shape[0]
-            # left[i, x, j, y] = (A_i B_j)[x, lo + y];  right[j, x, i, y] = (B_j A_i)[lo + x, y]
-            left = (a[:, :, lo:hi].reshape(kc * n, m) @ cols).reshape(kc, n, q, m)
-            right = (rows @ a[:, lo:hi, :].transpose(1, 0, 2).reshape(m, kc * n)
-                     ).reshape(q, m, kc, n)
-            left[:, lo:hi] -= right[..., lo:hi].transpose(2, 1, 0, 3)
-            right[..., lo:hi] = 0.0
-            # squared Frobenius norms over the real views (no conjugate copies)
-            lv, rv = left.view(float), right.view(float)
-            r2 = np.einsum("ixjy,ixjy->ij", lv, lv) + np.einsum("jxiy,jxiy->ij", rv, rv)
-            np.maximum(worst[c:c + step], r2.max(axis=1), out=worst[c:c + step])
-            del left, right, lv, rv  # so the next chunk's temporaries replace these
+    for lo, hi, block in blocks:
+        m = block.shape[-1]
+        per_chunk = max(1, VERIFY_CHUNK // (n * m))
+        for b in range(0, len(block), per_chunk):
+            cands = block[b:b + per_chunk]
+            q = cands.shape[0]
+            step = max(1, VERIFY_CHUNK // (q * n * m))
+            cols = cands.transpose(1, 0, 2).reshape(m, q * m)  # [z, (j, y)] = B_j[z, y]
+            rows = cands.reshape(q * m, m)                      # [(j, x), z] = B_j[x, z]
+            for c in range(0, k, step):
+                a = members[c:c + step]
+                kc = a.shape[0]
+                # left[i, x, j, y] = (A_i B_j)[x, lo + y]
+                # right[j, x, i, y] = (B_j A_i)[lo + x, y]
+                left = (a[:, :, lo:hi].reshape(kc * n, m) @ cols).reshape(kc, n, q, m)
+                right = (rows @ a[:, lo:hi, :].transpose(1, 0, 2).reshape(m, kc * n)
+                         ).reshape(q, m, kc, n)
+                left[:, lo:hi] -= right[..., lo:hi].transpose(2, 1, 0, 3)
+                right[..., lo:hi] = 0.0
+                # squared Frobenius norms over the real views (no conjugate copies)
+                lv, rv = left.view(float), right.view(float)
+                r2 = np.einsum("ixjy,ixjy->ij", lv, lv) + np.einsum("jxiy,jxiy->ij", rv, rv)
+                np.maximum(worst[c:c + step], r2.max(axis=1), out=worst[c:c + step])
+                del left, right, lv, rv  # so the next chunk's temporaries replace these
     norms = np.linalg.norm(members.reshape(k, -1), axis=1)
     ratio = np.sqrt(worst) / np.maximum(2.0 * norms, 1e-300)
     member = int(np.argmax(ratio))
@@ -470,24 +483,27 @@ def commutant(s: OperatorSet, seed: int = 0) -> OperatorAlgebra:
     raise PostconditionFailure("commutant constraint loop failed to converge")
 
 
-def _pair_commutant(members: np.ndarray, seed: int, salt) -> OperatorAlgebra:
-    """Commutant of two seeded generic Hermitian elements of a stack's span.
+def _pair_commutant(members: np.ndarray, seed: int, salt):
+    """``(T, T')``: two seeded generic Hermitian elements of a stack's span and their commutant.
 
     Both come from one stream ``default_rng([seed, *salt])``
-    (:func:`_generic_hermitian_combo`).  Every finite-dimensional
-    C*-algebra is generated by two Hermitian elements, and a generic pair
-    drawn from a spanning set of a *-closed algebra generates all of it with
-    probability 1, so the pair has the algebra's commutant.  It is the one
-    way an algebra's commutant is taken: S'' (:func:`generated_algebra`),
-    the decomposition's commutant when none is passed, and every
-    cross-check.  The pair ``T`` lies inside ``A``, so ``T'`` contains
-    ``A'``: a pair that misses part of the algebra makes the commutant
-    larger, never smaller, and each caller has a guard that then fails.
+    (:func:`_generic_hermitian_combo`); ``T`` is their ``(2, n, n)`` stack.
+    Every finite-dimensional C*-algebra is generated by two Hermitian
+    elements, and a generic pair drawn from a spanning set of a *-closed
+    algebra generates all of it with probability 1, so the pair has the
+    algebra's commutant.  It is the one way an algebra's commutant is taken:
+    S'' (:func:`generated_algebra`), the decomposition's commutant when none
+    is passed, and every cross-check.  The pair ``T`` lies inside ``A``, so
+    ``T'`` contains ``A'``: a pair that misses part of the algebra makes the
+    commutant larger, never smaller, and each caller has a guard that then
+    fails.  ``T'`` is by definition everything that commutes with both
+    members of ``T``, so whether a matrix lies in it is read from ``T``
+    itself, by :func:`_verify_commutes`, with no span comparison.
     """
     rng = np.random.default_rng([seed, *salt])
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
-    return commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
-                                 self_adjoint_closed=True), seed)
+    return pair, commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
+                                       self_adjoint_closed=True), seed)
 
 
 def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -613,7 +629,7 @@ def generated_algebra(s: OperatorSet, seed: int = 0,
     cp = commutant_algebra
     if cp is None:
         cp = commutant(s, seed)
-    double = _pair_commutant(cp.basis, seed, (107,))
+    _, double = _pair_commutant(cp.basis, seed, (107,))
     wdim = _word_closure_dim(s, seed)
     if wdim != double.algebra_dim:
         raise ClosureMismatch(
@@ -729,7 +745,7 @@ def check_dirac(dec: SectorDecomposition, seed: int = 0) -> DiracReport:
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
     witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
                               contains_identity=True)
-    wcomm = _pair_commutant(witness.basis, seed, (106,))
+    _, wcomm = _pair_commutant(witness.basis, seed, (106,))
     return DiracReport(
         v2_holds=True,
         witness=witness,

@@ -27,8 +27,9 @@ from .numkernel import SPAN_TOL, random_hermitian
 from .opalgebra import (
     OperatorAlgebra,
     _generic_split,
-    _max_span_residual,
     _pair_commutant,
+    _unit_members,
+    _verify_commutes,
     center,
     is_abelian,
     span_residual,
@@ -150,7 +151,7 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     n = o.dim
     cp = commutant_algebra
     if cp is None:
-        cp = _pair_commutant(o.basis, seed, (206,))
+        _, cp = _pair_commutant(o.basis, seed, (206,))
     z = center(o, commutant_algebra=cp)
 
     if z.algebra_dim == 1:
@@ -188,7 +189,7 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
         # the stack spans W* O W (*-closed, as each P is central); a pair that
         # generates less only enlarges the commutant, so can fail, never pass
         w1 = np.hstack(irreducible)
-        if _pair_commutant(w1.conj().T @ o.basis @ w1, seed, (204,)).algebra_dim \
+        if _pair_commutant(w1.conj().T @ o.basis @ w1, seed, (204,))[1].algebra_dim \
                 != len(irreducible):
             raise PostconditionFailure("d = 1 blocks are not irreducible; tolerance pathology")
     sectors.sort(key=lambda sec: sec.central_value)
@@ -225,8 +226,11 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     V``, so ``T'`` contains ``(V^* O V)'``, which contains every ``V^* P_s
     V``.  ``T'`` must be abelian, of dimension the number of sectors, and
     contain each ``V^* P_s V``; then it is their span and equals ``(V^* O
-    V)'``, abelian, with every truncated block irreducible.  A pair that
-    generates less can only make the check fail, never pass.
+    V)'``, abelian, with every truncated block irreducible.  ``T'`` is by
+    definition what commutes with both members of ``T``, so containment is
+    read from the pair itself: each ``V^* P_s V``, scaled to unit HS norm,
+    must commute with it to ``SPAN_TOL`` (:func:`_verify_commutes`).  A
+    pair that generates less can only make the check fail, never pass.
     """
     columns, blocks = [], []
     for sidx, sec in enumerate(dec.sectors):
@@ -258,13 +262,14 @@ def truncate(dec: SectorDecomposition, seed: int = 0
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
-    t_cp = _pair_commutant(basis, seed, (205,))
+    pair, t_cp = _pair_commutant(basis, seed, (205,))
     abelian, worst = is_abelian(t_cp)
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
-    missing = _max_span_residual(t_cp.basis, projectors)
-    if not abelian or t_cp.algebra_dim != len(dec.sectors) or missing > SPAN_TOL:
+    outside = _verify_commutes(pair, [(0, m, _unit_members(projectors))])[1]
+    if not abelian or t_cp.algebra_dim != len(dec.sectors) or outside > SPAN_TOL:
         raise PostconditionFailure(
             "truncated algebra failed the abelian-commutant check "
             f"(relative commutator {worst:.3e}, commutant dim {t_cp.algebra_dim}, "
-            f"expected {len(dec.sectors)}, sector projector residual {missing:.3e})")
+            f"expected {len(dec.sectors)}, sector projectors' relative commutator "
+            f"with the pair {outside:.3e})")
     return v_full, o_tilde, t_cp

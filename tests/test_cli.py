@@ -252,10 +252,11 @@ class TestAlgebraAtDimension64:
 class TestPlantedSweepAt40And56:
     """Planted items at n = 40 and 56 through the CLI, abelian and not.
 
-    Budget: 10 s per item.  Measured on one core: 0.3, 0.15 and 0.2 s at
-    n = 40; 1.3, 0.4, 0.8 and 2.2 s at n = 56 (the abelian item spends its
-    time in the triple commutant's span comparison, not in the word closure
-    or the d = 1 irreducibility checks); about 5.5 s for the seven.
+    Budget: 10 s per item.  Measured on one core with one BLAS thread:
+    0.16, 0.06 and 0.13 s at n = 40; 0.6, 0.17, 0.37 and 0.6-0.8 s at
+    n = 56; about 2.3 s for the seven.  The abelian item took 1.3-1.4 s
+    while the triple commutant compared the spans of two 808-member bases;
+    it now tests that O's basis commutes with the pair.
     """
 
     ITEM_BUDGET_SECONDS = 10.0
@@ -286,14 +287,15 @@ class TestAbelianAt56:
     """The abelian planted item ((20, 1), (36, 1)) at n = 56 through the CLI.
 
     O = M_20 + M_36 has dimension 1696, and both of its sectors have d = 1.
-    Budget: 30 s, the target for planted items at n <= 64, and 600 MB of
-    peak RSS, both of the process that runs the item.  Measured on one core
-    with one BLAS thread: 5.7 s and 366 MB; 11.4-12.4 s while each d = 1 check
-    orthonormalised its restricted span.
+    Budget: 10 s and 450 MB of peak RSS, both of the process that runs the
+    item.  Measured on one core with one BLAS thread: 1.5-2.1 s and 344 MB
+    (401 MB with two BLAS threads and glibc's default mmap threshold);
+    4.6-5.8 s and 362 MB while the triple commutant compared spans, and
+    11.4-12.4 s while each d = 1 check orthonormalised its restricted span.
     """
 
-    BUDGET_SECONDS = 30.0
-    BUDGET_RSS_MB = 600.0
+    BUDGET_SECONDS = 10.0
+    BUDGET_RSS_MB = 450.0
 
     def test_matches_planted(self, tmp_path):
         pattern = [(20, 1), (36, 1)]
@@ -314,13 +316,15 @@ class TestLargeObservablesAt64:
     """The abelian planted item ((32, 1), (32, 1)) at n = 64 through the CLI.
 
     O = M_32 + M_32 has dimension 2048, the large-O side of the README's
-    "safe up to dimension 64" claim.  Budget: 30 s, the target for planted
-    items at n <= 64, and 800 MB of peak RSS, both of the process that runs
-    the item.  Measured on one core with one BLAS thread: 10.0 s and 497 MB.
+    "safe up to dimension 64" claim.  Budget: 10 s and 600 MB of peak RSS,
+    both of the process that runs the item.  Measured on one core with one
+    BLAS thread: 2.5-3.3 s and 490 MB (531 MB with two BLAS threads and
+    glibc's default mmap threshold); 9.3-10.5 s and 525 MB while the triple
+    commutant compared the spans of two 2048-member bases.
     """
 
-    BUDGET_SECONDS = 30.0
-    BUDGET_RSS_MB = 800.0
+    BUDGET_SECONDS = 10.0
+    BUDGET_RSS_MB = 600.0
 
     def test_matches_planted(self, tmp_path):
         pattern = [(32, 1), (32, 1)]
@@ -341,16 +345,18 @@ class TestScalarInputAt64:
     """The scalar planted item ((64, 1)) at n = 64 through the CLI.
 
     S is scalar, so O = S' is all of M_64 and S'' the scalars: the triple
-    commutant compares two 4096-member bases of the whole space, which
-    ``span_equal`` decides by dimension.  Budget: 30 s, the target for
-    planted items at n <= 64, and 1600 MB of peak RSS, both of the process
-    that runs the item.  Measured on one core with one BLAS thread: 10.8 s
-    and 1337 MB; 46.3 s while the two bases were compared residual by
+    commutant needs only the dimensions, since 4096 orthonormal members fill
+    M_64.  Budget: 30 s, the target for planted items at n <= 64, and
+    1300 MB of peak RSS, both of the process that runs the item.  Measured
+    on one core with one BLAS thread: 8.0-8.6 s and 1098 MB (1110 MB with
+    two BLAS threads and glibc's default mmap threshold); 9.6-10.7 s and
+    1354 MB while the commutant's verification held all 4096 candidates in
+    one temporary, and 46.3 s while the two bases were compared residual by
     residual.
     """
 
     BUDGET_SECONDS = 30.0
-    BUDGET_RSS_MB = 1600.0
+    BUDGET_RSS_MB = 1300.0
 
     def test_matches_planted(self, tmp_path):
         path = planted_file(tmp_path, [(64, 1)])
@@ -914,13 +920,15 @@ class TestStructureCallCounts:
     algebra -- S'' = O', the triple commutant, the one irreducibility check
     of all d = 1 blocks, the witness's A = A', the truncated algebra's
     verdict -- is taken of a seeded generic pair, 2 members, so a full-basis
-    commutant cannot creep back unseen.
+    commutant cannot creep back unseen.  Membership in a pair's commutant is
+    read from the pair, so the only span comparison left is the witness's
+    A = A'.
     """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
                "check_dirac": "opalgebra", "generated_algebra": "opalgebra",
-               "_word_closure_dim": "opalgebra",
-               "is_abelian": "opalgebra"}  # function -> defining module
+               "_word_closure_dim": "opalgebra", "is_abelian": "opalgebra",
+               "span_equal": "opalgebra"}  # function -> defining module
 
     def count_calls(self, monkeypatch, args):
         """Run a command with the counted functions wrapped wherever a module binds them.
@@ -953,7 +961,8 @@ class TestStructureCallCounts:
         path = planted_file(tmp_path, [(1, 2), (3, 3)])
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 0}
+                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 0,
+                          "span_equal": 0}
         # two Hermitian generators; the pairs of O (for S'') and of S'' (triple)
         assert members == [2, 2, 2]
 
@@ -962,7 +971,8 @@ class TestStructureCallCounts:
         path = planted_file(tmp_path, [(1, 1), (3, 1)])
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 5, "central_decomposition": 1, "check_dirac": 1,
-                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1}
+                          "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1,
+                          "span_equal": 1}
         # S, the pair of O = M_1 + M_3, the irreducibility pair, the witness
         # pair, the triple pair
         assert members == [2, 2, 2, 2, 2]
@@ -974,7 +984,8 @@ class TestStructureCallCounts:
         # truncated algebra
         counts, members = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 2, "central_decomposition": 1, "check_dirac": 0,
-                          "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1}
+                          "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1,
+                          "span_equal": 0}
         # the pair of O's d = 1 blocks, the truncated algebra's pair
         assert members == [2, 2]
 

@@ -11,11 +11,16 @@ oracle's), a report whose checks fail, or a ``SuperselectError``; a report
 that passes with any other structure fails the test.
 
 A run is faulted only at the salts its unfaulted run draws from: elsewhere
-the fault changes nothing.
+the fault changes nothing.  Run as a script from the repository root to
+print the outcomes per fault and leading salt:
+
+    PYTHONPATH=src python tests/test_draw_faults.py
 """
 
 import collections
 import json
+import os
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -106,20 +111,22 @@ def decomposition_outcome(item):
     return "pass"
 
 
-@pytest.fixture(scope="module")
-def runs(workloads, tmp_path_factory):
+def build_runs(workloads, workdir: str):
     """``(label, run, reached salts)`` of every unfaulted run, each a correct pass.
 
     The runs are the first ``SWEEP_ITEMS`` planted-sweep patterns at seed 7,
     through the command and through the decomposition alone, and the
-    parastat items.
+    parastat items.  Their input files are written under ``workdir``.
     """
-    sweep, _ = workloads.build("planted-sweep", 7, str(tmp_path_factory.mktemp("sweep")))
+    dirs = {name: os.path.join(workdir, name) for name in ("planted-sweep", "case-studies")}
+    for path in dirs.values():
+        os.makedirs(path, exist_ok=True)
+    sweep, _ = workloads.build("planted-sweep", 7, dirs["planted-sweep"])
     by_pattern = {}
     for item in sweep:
         by_pattern.setdefault(item.pattern, item)
     planted = list(by_pattern.values())[:SWEEP_ITEMS]
-    cases, _ = workloads.build("case-studies", 7, str(tmp_path_factory.mktemp("cases")))
+    cases, _ = workloads.build("case-studies", 7, dirs["case-studies"])
     commands = planted + [item for item in cases if item.label in PARASTAT_ITEMS]
     out = []
     for label, run in ([(it.label, partial(command_outcome, workloads, it)) for it in commands]
@@ -133,6 +140,36 @@ def runs(workloads, tmp_path_factory):
     return out
 
 
+def run_matrix(runs, fault):
+    """``(label, salt, outcome)`` of every run faulted at each salt it reaches, in turn."""
+    outcomes = []
+    for label, run, reached in runs:
+        for salt in sorted(reached):
+            with pytest.MonkeyPatch.context() as m:
+                patch_draws(m, salt, fault)
+                outcomes.append((label, salt, run()))
+    return outcomes
+
+
+def outcome_table(matrix) -> str:
+    """Outcome counts per fault and leading salt, and per fault in all, as a markdown table."""
+    names = sorted({o for outcomes in matrix.values() for _, _, o in outcomes},
+                   key=lambda o: (o != "pass", o != "fail", o))
+    rows = [("fault", "salt", *names), ("---",) * (len(names) + 2)]
+    for fault, outcomes in matrix.items():
+        for salt in sorted({s for _, s, _ in outcomes}):
+            counts = collections.Counter(o for _, s, o in outcomes if s == salt)
+            rows.append((fault, str(salt), *(str(counts[n]) for n in names)))
+        total = collections.Counter(o for _, _, o in outcomes)
+        rows.append((fault, "all", *(str(total[n]) for n in names)))
+    return "\n".join("| " + " | ".join(row) + " |" for row in rows)
+
+
+@pytest.fixture(scope="module")
+def runs(workloads, tmp_path_factory):
+    return build_runs(workloads, str(tmp_path_factory.mktemp("draws")))
+
+
 def test_every_structural_salt_is_reached(runs):
     assert len(runs) == 2 * SWEEP_ITEMS + len(PARASTAT_ITEMS)
     assert set(STRUCTURAL_SALTS) <= set(test_numkernel.TestSeededStreams.CENSUS)
@@ -141,12 +178,15 @@ def test_every_structural_salt_is_reached(runs):
 
 
 @pytest.mark.parametrize("fault", DRAW_FAULTS)
-def test_a_faulty_draw_never_passes_wrongly(runs, monkeypatch, fault):
-    outcomes = collections.Counter()
-    for label, run, reached in runs:
-        for salt in sorted(reached):
-            with monkeypatch.context() as m:
-                patch_draws(m, salt, fault)
-                outcomes[run()] += 1
+def test_a_faulty_draw_never_passes_wrongly(runs, fault):
+    outcomes = collections.Counter(o for _, _, o in run_matrix(runs, fault))
     # the fault bites: some runs end in a failed check or a typed error
     assert outcomes["pass"] < sum(outcomes.values())
+
+
+if __name__ == "__main__":
+    from conftest import load_workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        runs = build_runs(load_workloads(), workdir)
+        print(outcome_table({fault: run_matrix(runs, fault) for fault in DRAW_FAULTS}))

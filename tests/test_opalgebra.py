@@ -16,7 +16,7 @@ from conftest import (
     sample_pattern,
     validate_algebra,
 )
-from superselect import opalgebra, sectors
+from superselect import cli, opalgebra, sectors
 from superselect.errors import (
     ClosureMismatch,
     DegenerateGenericElement,
@@ -681,6 +681,38 @@ class TestCommutatorKernel:
             assert opalgebra._verify_commutes(members[i:i + 1], blocks)[1] == pytest.approx(
                 ref[i], rel=1e-12)
 
+    @pytest.mark.parametrize("n, q, chunk", [
+        (12, 40, None),  # 40 candidates of up to 12 x 12: more than one chunk
+        (7, 5, 1),       # one candidate and one member per chunk
+        (6, 9, 200),     # a few candidates per chunk, the last chunk shorter
+    ])
+    @pytest.mark.parametrize("block", ["partial", "full"])
+    def test_chunks_over_candidates(self, monkeypatch, n, q, chunk, block):
+        if chunk is not None:
+            monkeypatch.setattr(opalgebra, "VERIFY_CHUNK", chunk)
+        rng = np.random.default_rng([n, q])
+        members = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        lo, hi = (2, n - 1) if block == "partial" else (0, n)
+        m = hi - lo
+        cands = rng.standard_normal((q, m, m)) + 1j * rng.standard_normal((q, m, m))
+        if chunk is None:
+            assert q * n * m > opalgebra.VERIFY_CHUNK
+        ref = self.dense_ratios(members, lo, hi, cands)
+        member, ratio = opalgebra._verify_commutes(members, [(lo, hi, cands)])
+        assert member == int(np.argmax(ref))
+        assert ratio == pytest.approx(ref[member], rel=1e-12)
+
+    @pytest.mark.parametrize("n, d, value", [
+        (3, 3, 0.25660011963983376),  # 6 unitaries at n = 27: chunks of 5 and 1
+        (4, 2, 0.30618621784789724),  # 24 unitaries at n = 16: chunks of 16 and 8
+    ])
+    def test_max_commutator_on_parastat_stacks_is_pinned(self, n, d, value):
+        # the values the kernel gave when it chunked over members only, bit for bit
+        rep = TensorRep(n, d)
+        stack = np.stack([rep.unitaries[g] for g in rep.group()])
+        assert len(stack) * rep.dim ** 2 > opalgebra.VERIFY_CHUNK
+        assert opalgebra._max_commutator(stack) == value
+
     def test_max_commutator_reads_the_kernel(self):
         rng = np.random.default_rng(3)
         stack = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
@@ -782,11 +814,12 @@ class TestGenericPairCrossChecks:
         basis = commutant(operator_set([np.diag([1.0, 1.0, 2.0])]), seed).basis
         sets, real = [], opalgebra.commutant
         monkeypatch.setattr(opalgebra, "commutant", lambda s, seed: sets.append(s) or real(s, seed))
-        first = _pair_commutant(basis, seed, (105,))
-        assert np.array_equal(first.basis, _pair_commutant(basis, seed, (105,)).basis)
+        drawn, first = _pair_commutant(basis, seed, (105,))
+        assert np.array_equal(first.basis, _pair_commutant(basis, seed, (105,))[1].basis)
         assert first.algebra_dim == 2
         _pair_commutant(basis, seed, (106,))
         pair, again, other = sets
+        assert np.array_equal(drawn, pair.members)  # the pair whose commutant was solved
         assert len(pair) == 2 and pair.self_adjoint_closed
         assert np.array_equal(pair.members, pair.members.conj().transpose(0, 2, 1))
         assert np.array_equal(pair.members, again.members)
@@ -807,36 +840,69 @@ class TestGenericPairCrossChecks:
 
     @staticmethod
     def triple_forms(obs, gen_basis, seed):
-        """(full-basis reference, generic pair) verdicts of the triple commutant identity."""
+        """Verdicts of the triple commutant identity, in three forms.
+
+        The full-basis reference and the generic pair's span comparison are
+        references; the defining-equation form is the ``algebra`` command's
+        own check (O's basis commutes with the pair, and the dimensions
+        agree).  A failed solve counts as no.
+        """
         full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True)
+        try:
+            defining = cli._triple_commutant_holds(obs, gen_basis, seed)
+        except PostconditionFailure:
+            defining = False
         return (commutant_matches(obs, lambda: full_basis_commutant(full, seed)),
-                commutant_matches(obs, lambda: _pair_commutant(gen_basis, seed, (105,))))
+                commutant_matches(obs, lambda: _pair_commutant(gen_basis, seed, (105,))[1]),
+                defining)
+
+    @staticmethod
+    def rotated_out(basis, seed, angles):
+        """``(angle, basis)``, the first element turned toward a unit direction off the span."""
+        rng = np.random.default_rng([seed, 7])
+        x = rng.standard_normal(basis.shape[1:]) + 1j * rng.standard_normal(basis.shape[1:])
+        x -= np.tensordot(np.tensordot(basis.conj(), x, axes=2), basis, axes=1)
+        x /= np.linalg.norm(x)
+        for angle in angles:
+            faulty = basis.copy()
+            faulty[0] = np.cos(angle) * basis[0] + np.sin(angle) * x
+            yield angle, faulty
 
     def test_triple_commutant_direction_rotated_out_of_the_span(self, workloads):
         # one basis direction of S'' turned toward a unit direction outside
         # its span: the set generates more than S'', its commutant is smaller
-        # than S', and both forms must fail
+        # than S', and every form must fail.  The pair's commutant loses
+        # dimensions, so the dimension test alone sees each of these faults
         cases = 0
         for seed, obs, gen in self.planted_generated(workloads, 16):
-            assert self.triple_forms(obs, gen.basis, seed) == (True, True)
-            rng = np.random.default_rng([seed, 7])
-            x = rng.standard_normal(gen.basis.shape[1:]) + 1j * rng.standard_normal(
-                gen.basis.shape[1:])
-            x -= np.tensordot(np.tensordot(gen.basis.conj(), x, axes=2), gen.basis, axes=1)
-            x /= np.linalg.norm(x)
-            for angle in (1e-6, 1e-3, 0.5):
-                faulty = gen.basis.copy()
-                faulty[0] = np.cos(angle) * gen.basis[0] + np.sin(angle) * x
-                assert self.triple_forms(obs, faulty, seed) == (False, False), angle
+            assert self.triple_forms(obs, gen.basis, seed) == (True, True, True)
+            for angle, faulty in self.rotated_out(gen.basis, seed, (1e-6, 1e-3, 0.5)):
+                assert self.triple_forms(obs, faulty, seed) == (False, False, False), angle
+                assert _pair_commutant(faulty, seed, (105,))[1].algebra_dim < obs.algebra_dim
                 cases += 1
-        assert cases >= 60
+        assert cases == 66
+
+    def test_triple_commutant_observable_rotated_out_of_the_commutant(self, workloads):
+        # one basis direction of O = S' turned toward a unit direction outside
+        # S': dim O is kept, so only the commutation test sees the fault, and
+        # every form must fail.  At 1e-6 rad the relative commutator is about
+        # 1e-7, two decades above SPAN_TOL
+        cases = 0
+        for seed, obs, gen in self.planted_generated(workloads, 16):
+            if obs.algebra_dim == obs.dim ** 2:
+                continue  # O = M_n has no outside
+            for angle, faulty in self.rotated_out(obs.basis, seed, (1e-6, 1e-3, 0.5)):
+                moved = OperatorAlgebra(dim=obs.dim, basis=faulty, contains_identity=True)
+                assert self.triple_forms(moved, gen.basis, seed) == (False, False, False), angle
+                cases += 1
+        assert cases == 63  # one of the 22 patterns has O = M_n
 
     def test_triple_commutant_with_a_dropped_basis_element_passes(self, workloads):
         # not a fault: the commutant of a set depends only on the algebra it
         # generates, and the rest of a basis of S'' still generates S''
         for seed, obs, gen in self.planted_generated(workloads, 6):
             if gen.algebra_dim > 2:
-                assert self.triple_forms(obs, gen.basis[1:], seed) == (True, True)
+                assert self.triple_forms(obs, gen.basis[1:], seed) == (True, True, True)
 
     @pytest.mark.parametrize("n", [3, 8, 16])
     def test_witness_with_a_rotated_vector_is_not_maximal_abelian(self, seed, n):
@@ -871,7 +937,7 @@ class TestGenericPairCrossChecks:
         stack = np.stack(units)
         full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True)
         assert full_basis_commutant(full, seed).algebra_dim == len(blocks)
-        assert _pair_commutant(stack, seed, (204,)).algebra_dim == len(blocks)
+        assert _pair_commutant(stack, seed, (204,))[1].algebra_dim == len(blocks)
 
 
 # ``_pair_commutant`` faults: the pair is drawn from a proper subalgebra of

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -125,7 +127,7 @@ class TestCentralDecomposition:
             if salt != (204,):
                 return real(members, seed, salt)
             out = real(fault(members), seed, salt)
-            seen.append((members.shape, salt, out.algebra_dim))
+            seen.append((members.shape, salt, out[1].algebra_dim))
             return out
 
         monkeypatch.setattr(sectors, "_pair_commutant", pair_commutant)
@@ -396,6 +398,25 @@ class TestTruncate:
             m = v.conj().T @ sec.projector @ v
             rank = int(np.sum(np.linalg.eigvalsh(m) > 1e-8))
             assert rank == sec.ntilde
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_projectors_outside_the_pair_commutant_raise(self, seed, eps):
+        # O = M_2 + M_3: the first sector's projector gains eps (|a><b| + |b><a|),
+        # a in its block and b in the other.  The truncated algebra and T' do
+        # not see it, T' stays abelian with one dimension per sector, and only
+        # its projectors' commutators with the pair show that they leave T'
+        gens, _ = planted_block_algebra(np.random.default_rng(17), [(1, 2), (1, 3)])
+        o = generated_algebra(operator_set(gens), seed)
+        dec = central_decomposition(o, seed)
+        first, second = dec.sectors
+        a, b = first.isometry[:, 0], second.isometry[:, 0]
+        moved = first.projector + eps * (np.outer(a, b.conj()) + np.outer(b, a.conj()))
+        faulty = dataclasses.replace(
+            dec, sectors=(dataclasses.replace(first, projector=moved), second))
+        assert truncate(dec, seed)[2].algebra_dim == 2
+        with pytest.raises(PostconditionFailure, match=r"abelian-commutant check .*commutant "
+                           r"dim 2, expected 2, sector projectors' relative commutator"):
+            truncate(faulty, seed)
 
     def test_merged_clusters_raise_typed_error(self, seed, monkeypatch):
         o = generated_algebra(
