@@ -97,6 +97,13 @@ def orthonormal_nullspace(m, scale: float | None = None) -> np.ndarray:
     when the whole matrix is close to zero (e.g. subspace-membership
     residual maps).  Returns an array of shape ``(cols, k)`` with
     orthonormal columns; the zero matrix yields the full space.
+
+    A tall matrix ``M = Q R`` has the singular values and right singular
+    vectors of its square triangular factor ``R``, so the SVD is taken of
+    ``R`` and no ``rows``-row left factor is formed.  Householder QR is
+    backward stable: ``R`` is the exact factor of ``M + E`` with ``||E||``
+    a small multiple of ``eps ||M||``, which by Weyl's inequality moves no
+    singular value by more, far below ``RANK_TOL``.
     """
     mm = np.asarray(m, dtype=complex)
     if mm.ndim != 2:
@@ -105,6 +112,8 @@ def orthonormal_nullspace(m, scale: float | None = None) -> np.ndarray:
         raise ValueError("matrix contains non-finite entries")
     if mm.shape[0] == 0:
         return np.eye(mm.shape[1], dtype=complex)
+    if mm.shape[0] > mm.shape[1]:
+        mm = np.linalg.qr(mm, mode="r")
     # with rows >= cols the thin SVD already holds every right singular vector
     _, s, vh = _svd(mm, full_matrices=mm.shape[0] < mm.shape[1])
     v = vh.conj().T

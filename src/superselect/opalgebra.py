@@ -17,10 +17,16 @@ Inside the pattern the constraints couple two eigenvalue clusters only
 through the blocks of the constraint members between them, and these
 typically vanish between sectors.  The nullspace is therefore solved one
 connected component of coupled clusters at a time, on that component's own
-rows and columns; a component whose constraints are below the cutoff is
-null in full and needs no SVD (every member of O is a scalar on a d = 1
-sector).  Murota, Kanno, Kojima and Kojima (2010) use the same decoupling
-for block-diagonalising matrix *-algebras.
+rows and columns.  Murota, Kanno, Kojima and Kojima (2010) use the same
+decoupling for block-diagonalising matrix *-algebras.  A component whose
+constraints are below the cutoff is null in full (every member of O is a
+scalar on a d = 1 sector, and the scalar input's one component holds all
+4096 units at n = 64).  Its answer is its matrix units ``|r><c|``, and
+everything about them has a closed form: the constraint norm that finds it
+null, its verification against every member and its rotation back to the
+outer products ``v_r v_c*``, so it builds no constraint matrix, identity or
+product.  The other components are solved by an SVD of their constraint
+matrix's triangular factor (:func:`~superselect.numkernel.orthonormal_nullspace`).
 """
 
 from __future__ import annotations
@@ -193,14 +199,16 @@ def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
     An empty basis spans only zero, so each residual is then the full norm.
     The worst residual is picked by its squared norm and then measured as one
     flat vector, so a single matrix gets ``np.linalg.norm`` of its residual
-    bit for bit, as reports print it.
+    bit for bit, as reports print it.  The coefficients ``v q*`` are formed
+    as ``(q v*)*``, so only the matrices are conjugated, not a copy of the
+    basis (256 MB for 4096 members at n = 64).
     """
     nn = mats.shape[-2] * mats.shape[-1]
     q = basis.reshape(basis.shape[0], nn)
     v = mats.reshape(mats.shape[0], nn)
     if not len(v):
         return 0.0
-    return _residual_norm(v, v @ q.conj().T, q)
+    return _residual_norm(v, (q @ v.conj().T).conj().T, q)
 
 
 def span_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
@@ -336,6 +344,26 @@ def _coupled_components(active: np.ndarray, groups, threshold: float):
     return np.argsort(comp, kind="stable"), sizes[sizes > 0]
 
 
+def _unit_residuals(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``||[A_i, |r_j><c_j|]||_F^2`` for each member ``A_i`` of a stack and each unit ``j``.
+
+    The commutator of ``A`` with the matrix unit ``|r><c|`` has column ``c``
+    equal to ``A[:, r]`` and row ``r`` equal to ``-A[c, :]``, meeting at
+    ``A_rr - A_cc``, so its squared Frobenius norm is ``sum_{x != r}
+    |A_xr|^2 + sum_{y != c} |A_cy|^2 + |A_rr - A_cc|^2``.  Both sums are
+    taken with the diagonal zeroed, never as ``||A e_r||^2 - |A_rr|^2``: on
+    a near-scalar member that difference cancels to a relative error of
+    about ``sqrt(eps)``, above ``RANK_TOL``.  ``a`` is a ``(k, n, n)``
+    stack and ``rows``, ``cols`` the ``p`` units' indices; returns ``(k, p)``.
+    """
+    k, n, _ = a.shape
+    mass = np.abs(a) ** 2
+    mass.reshape(k, n * n)[:, ::n + 1] = 0.0  # the diagonal
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    return (mass.sum(axis=1)[:, rows] + mass.sum(axis=2)[:, cols]
+            + np.abs(diag[:, rows] - diag[:, cols]) ** 2)
+
+
 def _solve_components(active: np.ndarray, groups, scale: float):
     """``(perm, blocks)``: the commutant candidates, one coupled component at a time.
 
@@ -348,14 +376,20 @@ def _solve_components(active: np.ndarray, groups, scale: float):
     (both indices inside it) and its own pattern columns.  The rows between
     components are never built: each lies below the join threshold, and by
     Weyl's inequality dropping them moves no singular value by more than
-    their norm, so no rank decision away from the cutoff changes.  A
-    component whose constraint block has Frobenius norm at most the cutoff
-    is null in full (``sigma_max <= ||C||_F``) and takes its matrix units
-    without an SVD.
+    their norm, so no rank decision away from the cutoff changes.
+
+    A component whose constraint block has Frobenius norm at most the cutoff
+    is null in full (``sigma_max <= ||C||_F``).  That norm is read in closed
+    form, the sum over the component's active members and pattern units of
+    :func:`_unit_residuals` on its own rows and columns, so such a component
+    builds no constraint matrix and takes its matrix units as they are;
+    only the others reach :func:`_pattern_constraints` and the SVD.
 
     ``perm`` orders the eigenbasis so that each component is a contiguous
-    range ``lo:hi``; ``blocks`` holds ``(lo, hi, cands)`` with ``cands`` of
-    shape ``(q, hi - lo, hi - lo)`` in that order.
+    range ``lo:hi``; ``blocks`` holds ``(lo, hi, cands)`` in that order,
+    with ``cands`` either the solved candidates, of shape ``(q, hi - lo,
+    hi - lo)``, or, for a null component, its ``q`` matrix units
+    ``|r><c|`` as a ``(q, 2)`` integer array of ``(r, c)`` inside the block.
     """
     cutoff = RANK_TOL * scale
     perm, sizes = _coupled_components(active, groups, JOIN_FRACTION * cutoff)
@@ -365,14 +399,14 @@ def _solve_components(active: np.ndarray, groups, scale: float):
     for hi in np.cumsum(sizes).tolist():
         lab = labels[lo:hi]
         rows, cols = np.nonzero(lab[:, None] == lab[None, :])
-        cmat = _pattern_constraints(active[:, lo:hi, lo:hi], rows, cols)
-        if np.linalg.norm(cmat) <= cutoff:
-            coeffs = np.eye(rows.size, dtype=complex)
+        a = active[:, lo:hi, lo:hi]
+        if np.sqrt(_unit_residuals(a, rows, cols).sum()) <= cutoff:
+            blocks.append((lo, hi, np.stack([rows, cols], axis=1)))
         else:
-            coeffs = orthonormal_nullspace(cmat, scale=scale)
-        cands = np.zeros((coeffs.shape[1], hi - lo, hi - lo), dtype=complex)
-        cands[:, rows, cols] = coeffs.T
-        blocks.append((lo, hi, cands))
+            coeffs = orthonormal_nullspace(_pattern_constraints(a, rows, cols), scale=scale)
+            cands = np.zeros((coeffs.shape[1], hi - lo, hi - lo), dtype=complex)
+            cands[:, rows, cols] = coeffs.T
+            blocks.append((lo, hi, cands))
         lo = hi
     return perm, blocks
 
@@ -389,18 +423,25 @@ def _verify_commutes(members: np.ndarray, blocks):
     with them under ``VERIFY_CHUNK`` entries, and a member chunk as many
     members as keep the products with that candidate chunk under it; each
     holds at least one.  So no temporary exceeds ``max(VERIFY_CHUNK, n m)``
-    entries, whatever the number of candidates (4096 at n = 64 for the
-    scalar input's commutant).  Every commutator norm in the package comes
-    from here: besides the commutant's verification, :func:`_max_commutator`
-    passes a stack as its own candidates, for :func:`is_abelian`, the two
-    reported commutator maxima and the precondition of
-    :func:`~superselect.diracsets.interpolate_commuting`, and the triple
-    commutant and ``truncate`` read membership in a pair's commutant from
-    the pair (:func:`_pair_commutant`).
+    entries, whatever the number of candidates.  The matrix units of a null
+    component (a ``(q, 2)`` block of ``(r, c)``, 4096 of them for the scalar
+    input's commutant at n = 64) take no product: their residuals are the
+    closed form :func:`_unit_residuals` over all ``n`` rows and columns of
+    every member, in ``k (n^2 + q)`` entries.  Every commutator norm in the
+    package comes from here: besides the commutant's verification,
+    :func:`_max_commutator` passes a stack as its own candidates, for
+    :func:`is_abelian`, the two reported commutator maxima and the
+    precondition of :func:`~superselect.diracsets.interpolate_commuting`,
+    and the triple commutant and ``truncate`` read membership in a pair's
+    commutant from the pair (:func:`_pair_commutant`).
     """
     k, n, _ = members.shape
     worst = np.zeros(k)
     for lo, hi, block in blocks:
+        if block.ndim == 2:  # matrix units |lo + r><lo + c| of a null component
+            r2 = _unit_residuals(members, lo + block[:, 0], lo + block[:, 1])
+            np.maximum(worst, r2.max(axis=1), out=worst)
+            continue
         m = block.shape[-1]
         per_chunk = max(1, VERIFY_CHUNK // (n * m))
         for b in range(0, len(block), per_chunk):
@@ -473,8 +514,16 @@ def commutant(s: OperatorSet, seed: int = 0) -> OperatorAlgebra:
                 raise PostconditionFailure(
                     f"commutant verification residual {ratio:.3e} above RANK_TOL")
             vp = v[:, perm]
-            basis = np.concatenate([vp[:, lo:hi] @ cands @ vp[:, lo:hi].conj().T
-                                    for lo, hi, cands in blocks])
+            basis = np.empty((sum(len(c) for _, _, c in blocks), n, n), dtype=complex)
+            q = 0
+            for lo, hi, cands in blocks:
+                out = basis[q:q + len(cands)]
+                if cands.ndim == 2:  # V |r><c| V* is the outer product v_r v_c*
+                    np.multiply(vp[:, lo + cands[:, 0]].T[:, :, None],
+                                vp[:, lo + cands[:, 1]].T.conj()[:, None, :], out=out)
+                else:
+                    np.matmul(vp[:, lo:hi] @ cands, vp[:, lo:hi].conj().T, out=out)
+                q += len(cands)
             if span_residual(basis, np.eye(n, dtype=complex)) > SPAN_TOL:
                 raise PostconditionFailure("identity missing from computed commutant")
             return OperatorAlgebra(dim=n, basis=basis, contains_identity=True)
@@ -483,11 +532,14 @@ def commutant(s: OperatorSet, seed: int = 0) -> OperatorAlgebra:
     raise PostconditionFailure("commutant constraint loop failed to converge")
 
 
-def _pair_commutant(members: np.ndarray, seed: int, salt):
+def _pair_commutant(members: np.ndarray, seed: int, salt, isometry: np.ndarray | None = None):
     """``(T, T')``: two seeded generic Hermitian elements of a stack's span and their commutant.
 
     Both come from one stream ``default_rng([seed, *salt])``
     (:func:`_generic_hermitian_combo`); ``T`` is their ``(2, n, n)`` stack.
+    With an ``n x b`` isometry ``W``, ``T`` is the pair restricted, ``W* T_i
+    W``: the pair of the stack ``W* B_k W`` drawn with the same coefficients,
+    without restricting every member.
     Every finite-dimensional C*-algebra is generated by two Hermitian
     elements, and a generic pair drawn from a spanning set of a *-closed
     algebra generates all of it with probability 1, so the pair has the
@@ -502,6 +554,8 @@ def _pair_commutant(members: np.ndarray, seed: int, salt):
     """
     rng = np.random.default_rng([seed, *salt])
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
+    if isometry is not None:
+        pair = isometry.conj().T @ pair @ isometry
     return pair, commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
                                        self_adjoint_closed=True), seed)
 
@@ -643,13 +697,14 @@ def center(a: OperatorAlgebra, *, commutant_algebra: OperatorAlgebra) -> Operato
     Always contains the identity.  The caller passes the commutant it
     holds; :func:`central_decomposition` is the one caller here.  Solved from
     the smaller side: the combinations of the smaller of the two orthonormal
-    bases that lie in the span of the larger one.
+    bases that lie in the span of the larger one.  Only the smaller basis
+    is conjugated: the coefficients ``Q_l* v`` are formed as ``(v* Q_l)*``.
     """
     n = a.dim
     small, large = sorted((a, commutant_algebra), key=lambda alg: alg.algebra_dim)
     ql = large.basis.reshape(large.algebra_dim, n * n)
     vs = small.basis.reshape(small.algebra_dim, n * n).T  # columns = smaller-side elements
-    resid = vs - ql.T @ (ql.conj() @ vs)
+    resid = vs - ql.T @ (vs.conj().T @ ql.T).conj().T
     coeffs = orthonormal_nullspace(resid, scale=1.0)  # combos lying in the larger span
     basis = np.tensordot(coeffs, small.basis, axes=(0, 0))
     if span_residual(basis, np.eye(n, dtype=complex)) > SPAN_TOL:

@@ -44,6 +44,7 @@ __all__ = [
 
 INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted trace) from an integer
 CENTRAL_VALUE_SALT = 203  # seeded stream of the Hermitian H behind Sector.central_value
+TRACE_CHUNK = 1 << 20     # entries in one temporary of _restricted_trace (16 MB complex)
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,23 @@ def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
     restricted algebra ``W^* O W``.  ``leak`` is ``max_i ||x_i - x_i W W^*||``, the part
     of ``W^* B_i`` outside the block: zero when ``P`` commutes with every
     ``B_i``.
+
+    The stack is taken in chunks of members, each with at most
+    ``TRACE_CHUNK`` entries per temporary, so a 4096-member basis at n = 64
+    never has a second copy of its size.
     """
-    x = w_iso.conj().T @ basis
-    restricted = x @ w_iso
-    x -= restricted @ w_iso.conj().T
-    xv = x.reshape(x.shape[0], -1).view(float)
-    leak = float(np.sqrt(np.max(np.einsum("ij,ij->i", xv, xv))))
-    return float(np.vdot(restricted, restricted).real), leak
+    n, b = w_iso.shape
+    wh = w_iso.conj().T
+    step = max(1, TRACE_CHUNK // (n * b))
+    trace, leak2 = 0.0, 0.0
+    for c in range(0, len(basis), step):
+        x = wh @ basis[c:c + step]
+        restricted = x @ w_iso
+        x -= restricted @ wh
+        xv = x.reshape(x.shape[0], -1).view(float)
+        leak2 = max(leak2, float(np.max(np.einsum("ij,ij->i", xv, xv))))
+        trace += float(np.vdot(restricted, restricted).real)
+    return trace, float(np.sqrt(leak2))
 
 
 def central_decomposition(o: OperatorAlgebra, seed: int = 0,
@@ -138,8 +149,10 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     loop: with ``W`` the isometry onto their sum, the commutant of ``W^* O
     W``, the direct sum of the blocks' restrictions, has one dimension per
     block exactly when each is irreducible.  The commutant of a seeded
-    generic pair drawn from the stack ``W^* B_i W`` (salt ``(204,)``)
-    contains it, so one dimension per block there proves it.
+    generic pair of the stack ``W^* B_i W`` (salt ``(204,)``) contains it,
+    so one dimension per block there proves it.  That pair is drawn from
+    the algebra's basis and then restricted, ``W^* T_i W``: the same
+    coefficients give the same pair, and only two matrices are restricted.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -186,10 +199,10 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     if sum(s.block_dim for s in sectors) != n:
         raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
     if irreducible:
-        # the stack spans W* O W (*-closed, as each P is central); a pair that
-        # generates less only enlarges the commutant, so can fail, never pass
-        w1 = np.hstack(irreducible)
-        if _pair_commutant(w1.conj().T @ o.basis @ w1, seed, (204,))[1].algebra_dim \
+        # the restricted stack spans W* O W (*-closed, as each P is central); a
+        # pair that generates less only enlarges the commutant, so can fail,
+        # never pass
+        if _pair_commutant(o.basis, seed, (204,), np.hstack(irreducible))[1].algebra_dim \
                 != len(irreducible):
             raise PostconditionFailure("d = 1 blocks are not irreducible; tolerance pathology")
     sectors.sort(key=lambda sec: sec.central_value)

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import pairwise_max_commutator, planted_block_algebra
+from large_patterns import SMALLEST, measured_main, run_pattern, write_planted
 import superselect
 from superselect import bargmann, cli, cocycles, parastat
 from superselect import opalgebra, sectors
 from superselect.cli import build_parser, main, run_command
 from superselect.errors import PostconditionFailure
-from superselect.numkernel import random_hermitian, random_unitary
+from superselect.numkernel import RANK_TOL, random_hermitian, random_unitary
 from superselect.opalgebra import check_dirac, commutant
 from superselect.sectors import central_decomposition
 
@@ -63,40 +64,7 @@ def run(args):
 
 
 def planted_file(tmp_path, pattern, scales=None):
-    gens, _ = planted_block_algebra(np.random.default_rng(5), pattern)
-    if scales is not None:
-        gens = [c * g for c, g in zip(scales, gens)]
-    return write(tmp_path, "planted.json", {
-        "dim": gens[0].shape[0],
-        "operators": [{"name": f"G{i}", "re": g.real.tolist(), "im": g.imag.tolist()}
-                      for i, g in enumerate(gens)]})
-
-
-# main in a fresh interpreter, which reports its own time in main and its own
-# peak RSS, so that the figures are this item's alone
-MEASURED_MAIN = """
-import json, resource, sys, time
-from superselect.cli import main
-t0 = time.perf_counter()
-code = main(sys.argv[1:])
-elapsed = time.perf_counter() - t0
-print(json.dumps({"code": code, "seconds": elapsed,
-                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}),
-      file=sys.stderr)
-"""
-
-
-def measured_main(argv):
-    """``(exit code, stdout, stderr, seconds in main, peak RSS in MB)`` of ``main(argv)``."""
-    src = os.path.dirname(os.path.dirname(superselect.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", MEASURED_MAIN, *argv], capture_output=True,
-                         text=True, env=env, check=False, timeout=120)
-    assert out.returncode == 0, out.stderr
-    *err, last = out.stderr.splitlines()
-    stats = json.loads(last)
-    return stats["code"], out.stdout, "\n".join(err), stats["seconds"], stats["peak_rss_mb"]
+    return write_planted(str(tmp_path / "planted.json"), pattern, scales)
 
 
 def operator_file(tmp_path, name, gens):
@@ -287,15 +255,18 @@ class TestAbelianAt56:
     """The abelian planted item ((20, 1), (36, 1)) at n = 56 through the CLI.
 
     O = M_20 + M_36 has dimension 1696, and both of its sectors have d = 1.
-    Budget: 10 s and 450 MB of peak RSS, both of the process that runs the
-    item.  Measured on one core with one BLAS thread: 1.5-2.1 s and 344 MB
-    (401 MB with two BLAS threads and glibc's default mmap threshold);
-    4.6-5.8 s and 362 MB while the triple commutant compared spans, and
-    11.4-12.4 s while each d = 1 check orthonormalised its restricted span.
+    Budget: 5 s and 260 MB of peak RSS, both of the process that runs the
+    item.  Measured on one core with one BLAS thread and
+    ``MALLOC_MMAP_THRESHOLD_=131072`` (``tests/large_patterns.py``):
+    0.7-1.0 s and 208 MB (0.6-1.3 s and 219 MB with two BLAS threads and
+    glibc's default mmap threshold); 1.5-2.1 s and 344 MB while null
+    commutant components were solved as dense constraint matrices, 4.6-5.8 s
+    and 362 MB while the triple commutant compared spans, and 11.4-12.4 s
+    while each d = 1 check orthonormalised its restricted span.
     """
 
-    BUDGET_SECONDS = 10.0
-    BUDGET_RSS_MB = 450.0
+    BUDGET_SECONDS = 5.0
+    BUDGET_RSS_MB = 260.0
 
     def test_matches_planted(self, tmp_path):
         pattern = [(20, 1), (36, 1)]
@@ -316,15 +287,17 @@ class TestLargeObservablesAt64:
     """The abelian planted item ((32, 1), (32, 1)) at n = 64 through the CLI.
 
     O = M_32 + M_32 has dimension 2048, the large-O side of the README's
-    "safe up to dimension 64" claim.  Budget: 10 s and 600 MB of peak RSS,
+    "safe up to dimension 64" claim.  Budget: 5 s and 380 MB of peak RSS,
     both of the process that runs the item.  Measured on one core with one
-    BLAS thread: 2.5-3.3 s and 490 MB (531 MB with two BLAS threads and
-    glibc's default mmap threshold); 9.3-10.5 s and 525 MB while the triple
-    commutant compared the spans of two 2048-member bases.
+    BLAS thread and ``MALLOC_MMAP_THRESHOLD_=131072``: 1.1-1.5 s and 303 MB
+    (1.0-1.2 s and 320 MB with two BLAS threads and glibc's default mmap
+    threshold); 2.5-3.3 s and 490 MB while null commutant components were
+    solved as dense constraint matrices, and 9.3-10.5 s and 525 MB while
+    the triple commutant compared the spans of two 2048-member bases.
     """
 
-    BUDGET_SECONDS = 10.0
-    BUDGET_RSS_MB = 600.0
+    BUDGET_SECONDS = 5.0
+    BUDGET_RSS_MB = 380.0
 
     def test_matches_planted(self, tmp_path):
         pattern = [(32, 1), (32, 1)]
@@ -346,17 +319,21 @@ class TestScalarInputAt64:
 
     S is scalar, so O = S' is all of M_64 and S'' the scalars: the triple
     commutant needs only the dimensions, since 4096 orthonormal members fill
-    M_64.  Budget: 30 s, the target for planted items at n <= 64, and
-    1300 MB of peak RSS, both of the process that runs the item.  Measured
-    on one core with one BLAS thread: 8.0-8.6 s and 1098 MB (1110 MB with
-    two BLAS threads and glibc's default mmap threshold); 9.6-10.7 s and
-    1354 MB while the commutant's verification held all 4096 candidates in
-    one temporary, and 46.3 s while the two bases were compared residual by
-    residual.
+    M_64.  The commutants of S and of the triple commutant's scalar pair are
+    each one null component of 4096 matrix units, taken in closed form; the
+    peak is those two 256-MB bases, O and the pair's.  Budget: 8 s and
+    680 MB of peak RSS, both of the process that runs the item.  Measured on
+    one core with one BLAS thread and ``MALLOC_MMAP_THRESHOLD_=131072``:
+    1.6-1.9 s and 566 MB (1.2-1.7 s and 578 MB with two BLAS threads and
+    glibc's default mmap threshold); 6.4-8.6 s and 1069-1098 MB while null
+    components were solved as dense constraint matrices with an identity,
+    9.6-10.7 s and 1354 MB while the commutant's verification held all 4096
+    candidates in one temporary, and 46.3 s while the two bases were
+    compared residual by residual.
     """
 
-    BUDGET_SECONDS = 30.0
-    BUDGET_RSS_MB = 1300.0
+    BUDGET_SECONDS = 8.0
+    BUDGET_RSS_MB = 680.0
 
     def test_matches_planted(self, tmp_path):
         path = planted_file(tmp_path, [(64, 1)])
@@ -369,6 +346,14 @@ class TestScalarInputAt64:
         assert all(c["passed"] for c in doc["sections"]["checks"])
         assert elapsed <= self.BUDGET_SECONDS
         assert rss_mb <= self.BUDGET_RSS_MB
+
+
+def test_large_pattern_recipe_runs_its_smallest_pattern(tmp_path):
+    # tests/large_patterns.py runs each extreme pattern in its own process;
+    # the smallest, at n = 64, runs here through the same function
+    row = run_pattern(SMALLEST, str(tmp_path))
+    assert row["code"] == 0, row["error"]
+    assert row["ok"] and row["n"] == 64
 
 
 class TestAlgebraReportInvariance:
@@ -414,21 +399,40 @@ class TestComponentSizes:
     def test_nullspace_widths_on_a_four_sector_input(self, tmp_path, monkeypatch, capsys):
         # O = S' is a scalar on each of the four blocks, so O' splits into four
         # components (6 x 6, 6 x 6, 6 x 6 and 2 x 2 blocks, 112 pattern
-        # columns in all) that are null in full and need no SVD; one solve
-        # over the whole block pattern passed a 400 x 112 matrix.  S' and S''
-        # pass 6 columns per sector, the center 4.
-        widths = []
-        real = opalgebra.orthonormal_nullspace
+        # columns in all) that are null in full: their constraint norm is
+        # read in closed form, so they reach neither _pattern_constraints nor
+        # the SVD.  One solve over the whole block pattern passed a 400 x 112
+        # matrix.  S' and the triple commutant's pair pass 6 columns per
+        # sector, the center 4.
+        widths, built, null_units = [], [], []
+        real_nullspace = opalgebra.orthonormal_nullspace
+        real_constraints = opalgebra._pattern_constraints
+        real_solve = opalgebra._solve_components
 
         def record(m, *args, **kwargs):
             widths.append(m.shape[1])
-            return real(m, *args, **kwargs)
+            return real_nullspace(m, *args, **kwargs)
+
+        def constraints(a, rows, cols):
+            out = real_constraints(a, rows, cols)
+            built.append((rows.size, float(np.linalg.norm(out))))
+            return out
+
+        def solve(active, groups, scale):
+            perm, blocks = real_solve(active, groups, scale)
+            null_units.append(sorted(len(c) for _, _, c in blocks if c.ndim == 2))
+            return perm, blocks
 
         monkeypatch.setattr(opalgebra, "orthonormal_nullspace", record)
+        monkeypatch.setattr(opalgebra, "_pattern_constraints", constraints)
+        monkeypatch.setattr(opalgebra, "_solve_components", solve)
         path = planted_file(tmp_path, [(1, 6), (1, 6), (1, 6), (1, 2)])
         assert main(["algebra", path]) == 0, capsys.readouterr().err
-        assert widths and max(widths) <= 36
-        assert max(widths) <= 6
+        assert widths and max(widths) <= 6
+        assert null_units == [[], [4, 36, 36, 36], []]
+        # the unit members give a cutoff of 2 RANK_TOL; every matrix built is far above it
+        assert [w for w, _ in built] == [6, 6, 6, 2] * 2
+        assert min(norm for _, norm in built) > 1e6 * RANK_TOL
 
 
 class TestSingleGeneratorUpTo64:

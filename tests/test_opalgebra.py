@@ -702,6 +702,107 @@ class TestCommutatorKernel:
         assert member == int(np.argmax(ref))
         assert ratio == pytest.approx(ref[member], rel=1e-12)
 
+    @staticmethod
+    def unit_case(n, kind):
+        """Three members of M_n, generic or ``c 1 + 1e-9 H``, and ``(q, 2)`` units ``(r, c)``.
+
+        Every unit for n <= 12; at n = 64 the diagonal units and 200 others.
+        """
+        rng = np.random.default_rng([n, 7])
+        members = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        if kind == "near-scalar":
+            members = (0.8 - 0.6j) * np.eye(n) + 1e-9 * members
+        units = np.argwhere(np.ones((n, n), dtype=bool))
+        if n > 12:
+            off = units[units[:, 0] != units[:, 1]]
+            units = np.concatenate([np.stack([np.arange(n)] * 2, axis=1),
+                                    off[rng.choice(len(off), 200, replace=False)]])
+        return members, units
+
+    @pytest.mark.parametrize("n", [3, 7, 12, 64])
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    def test_unit_residuals_match_dense_commutators(self, n, kind):
+        members, units = self.unit_case(n, kind)
+        rows, cols = units[:, 0], units[:, 1]
+        ref = np.empty((len(members), len(units)))
+        for j, (r, c) in enumerate(units):
+            b = np.zeros((n, n), dtype=complex)
+            b[r, c] = 1.0
+            ref[:, j] = np.linalg.norm(members @ b - b @ members, axis=(1, 2)) ** 2
+        assert np.min(ref) > 0.0
+        np.testing.assert_allclose(opalgebra._unit_residuals(members, rows, cols), ref,
+                                   rtol=1e-12, atol=0.0)
+        if kind == "near-scalar":
+            # sum_{x != r} |A_xr|^2 as ||A e_r||^2 - |A_rr|^2 cancels against
+            # the scalar part: on these members it is off by more than 1e-3
+            # relative, where the closed form meets 1e-12
+            mass = np.abs(members) ** 2
+            subtracted = mass.sum(axis=1) - np.diagonal(mass, axis1=1, axis2=2)
+            exact = np.stack([(m * (1 - np.eye(n))).sum(axis=0) for m in mass])
+            assert np.max(np.abs(subtracted - exact) / exact) > 1e-3
+
+    @pytest.mark.parametrize("n", [3, 7, 12, 64])
+    @pytest.mark.parametrize("kind", ["generic", "near-scalar"])
+    def test_matrix_units_match_dense_commutators(self, n, kind):
+        # a null component's units on the block 1:n, beside a solved 1 x 1 block
+        members, units = self.unit_case(n, kind)
+        lo, hi = 1, n
+        units = units[(units >= lo).all(axis=1)] - lo
+        m = hi - lo
+        cands = np.zeros((len(units), m, m), dtype=complex)
+        cands[np.arange(len(units)), units[:, 0], units[:, 1]] = 1.0
+        ref = self.dense_ratios(members, lo, hi, cands)
+        member, ratio = opalgebra._verify_commutes(members, [(lo, hi, units)])
+        assert member == int(np.argmax(ref))
+        assert ratio == pytest.approx(ref[member], rel=1e-12)
+        for i in range(len(members)):
+            assert opalgebra._verify_commutes(members[i:i + 1], [(lo, hi, units)])[1] \
+                == pytest.approx(ref[i], rel=1e-12)
+        # beside a dense block, the worst of both
+        corner = (0, 1, np.ones((1, 1, 1), dtype=complex))
+        alone = opalgebra._verify_commutes(members, [corner])[1]
+        assert opalgebra._verify_commutes(members, [corner, (lo, hi, units)])[1] \
+            == max(ratio, alone)
+
+    @pytest.mark.parametrize("pattern", [
+        [(1, 2), (1, 1)],    # n = 3: one 1 x 1 null component
+        [(1, 3), (4, 1)],    # n = 7: a 4 x 4 null component, 16 units
+        [(1, 4), (8, 1)],    # n = 12: 64 units
+        [(1, 32), (32, 1)],  # n = 64: 1024 units
+    ])
+    def test_commutant_rotates_units_as_outer_products(self, seed, monkeypatch, pattern):
+        # S acts as M_t on one block and as a scalar on the other, so S' is
+        # a scalar there (a solved component) and all of M_d here (null in
+        # full); each basis element must be V B V* of its candidate B
+        solved, splits = [], []
+        real_solve, real_split = opalgebra._solve_components, opalgebra._generic_split
+
+        def solve(*args):
+            solved.append(real_solve(*args))
+            return solved[-1]
+
+        def split(members, seed, salts, accept):
+            splits.append(real_split(members, seed, salts, accept))
+            return splits[-1]
+
+        monkeypatch.setattr(opalgebra, "_solve_components", solve)
+        monkeypatch.setattr(opalgebra, "_generic_split", split)
+        gens, _ = planted_block_algebra(np.random.default_rng(9), pattern)
+        basis = commutant(operator_set(gens), seed).basis
+        perm, blocks = solved[-1]
+        assert sorted(c.ndim for _, _, c in blocks) == [2, 3]
+        vp = splits[0][1][:, perm]
+        ref = []
+        for lo, hi, cands in blocks:
+            if cands.ndim == 2:
+                dense = np.zeros((len(cands), hi - lo, hi - lo), dtype=complex)
+                dense[np.arange(len(cands)), cands[:, 0], cands[:, 1]] = 1.0
+                cands = dense
+            ref.append(vp[:, lo:hi] @ cands @ vp[:, lo:hi].conj().T)
+        ref = np.concatenate(ref)
+        assert basis.shape == ref.shape == (1 + pattern[1][0] ** 2,) + basis.shape[1:]
+        assert np.max(np.linalg.norm(basis - ref, axis=(1, 2))) <= 1e-12
+
     @pytest.mark.parametrize("n, d, value", [
         (3, 3, 0.25660011963983376),  # 6 unitaries at n = 27: chunks of 5 and 1
         (4, 2, 0.30618621784789724),  # 24 unitaries at n = 16: chunks of 16 and 8

@@ -115,19 +115,21 @@ class TestCentralDecomposition:
 
     @staticmethod
     def irreducibility_pairs(monkeypatch, fault=lambda members: members):
-        """Record ``(stack shape, salt, commutant dim)`` for each d = 1 pair drawn.
+        """Record ``(stack shape, pair shape, salt, commutant dim)`` for each d = 1 pair drawn.
 
-        ``fault`` replaces the stack before the pair is drawn from it.  Only
-        the d = 1 check's salt ``(204,)`` is seen: the decomposition's own
-        commutant (salt ``(206,)``) is drawn as it is.
+        The pair is drawn from the algebra's basis stack and restricted to
+        the sum of the d = 1 blocks.  ``fault`` replaces the stack before the
+        pair is drawn from it.  Only the d = 1 check's salt ``(204,)`` is
+        seen: the decomposition's own commutant (salt ``(206,)``) is drawn as
+        it is.
         """
         seen, real = [], sectors._pair_commutant
 
-        def pair_commutant(members, seed, salt):
+        def pair_commutant(members, seed, salt, isometry=None):
             if salt != (204,):
-                return real(members, seed, salt)
-            out = real(fault(members), seed, salt)
-            seen.append((members.shape, salt, out[1].algebra_dim))
+                return real(members, seed, salt, isometry)
+            out = real(fault(members), seed, salt, isometry)
+            seen.append((members.shape, out[0].shape, salt, out[1].algebra_dim))
             return out
 
         monkeypatch.setattr(sectors, "_pair_commutant", pair_commutant)
@@ -146,11 +148,11 @@ class TestCentralDecomposition:
             monkeypatch, lambda members: np.concatenate([members * np.eye(3), noise[None]]))
         with pytest.raises(PostconditionFailure, match="not irreducible"):
             central_decomposition(o, seed)
-        assert seen == [((9, 3, 3), (204,), 3)]
+        assert seen == [((9, 3, 3), (2, 3, 3), (204,), 3)]
 
     def test_one_reducible_block_among_two_raises(self, seed, monkeypatch):
         # O = M_1 + M_3 has two d = 1 blocks, checked by one pair drawn from O
-        # restricted to their sum.  Dropping that stack's off-diagonal entries
+        # and restricted to their sum.  Dropping the stack's off-diagonal entries
         # leaves the 1-block as it is and makes the 3-block diagonal, hence
         # reducible: the pair's commutant has 4 dimensions, not 2
         o = commutant(operator_set([np.diag([1.0, 2.0, 2.0, 2.0])]), seed)
@@ -158,17 +160,17 @@ class TestCentralDecomposition:
         seen = self.irreducibility_pairs(monkeypatch, lambda members: members * np.eye(4))
         with pytest.raises(PostconditionFailure, match="not irreducible"):
             central_decomposition(o, seed)
-        assert seen == [((10, 4, 4), (204,), 4)]
+        assert seen == [((10, 4, 4), (2, 4, 4), (204,), 4)]
 
     def test_d_one_blocks_take_one_pair(self, seed, monkeypatch):
         # two d = 1 blocks beside a d = 2 block: one pair, drawn from the
-        # algebra restricted to the sum of the d = 1 blocks, whose commutant
-        # has one dimension per block
+        # algebra and restricted to the sum of the d = 1 blocks, whose
+        # commutant has one dimension per block
         gens, _ = planted_block_algebra(np.random.default_rng(74), [(1, 1), (2, 2), (1, 3)])
         o = generated_algebra(operator_set(gens), seed)
         seen = self.irreducibility_pairs(monkeypatch)
         assert central_decomposition(o, seed).multiset() == ((1, 1), (1, 3), (2, 2))
-        assert seen == [((1 + 4 + 9, 4, 4), (204,), 2)]
+        assert seen == [((1 + 4 + 9, 8, 8), (2, 4, 4), (204,), 2)]
 
     def test_requires_identity(self, seed):
         from superselect.opalgebra import OperatorAlgebra
