@@ -191,25 +191,30 @@ def coboundary_solve(mult: MultiplierTable, mult_prime: MultiplierTable) -> Cobo
     identity over ``g3`` gives ``omega = delta(gamma)`` exactly for
     ``gamma(g) = mean_h omega(g, h)`` (Bargmann 1954: every real multiplier
     on a finite group is a coboundary), and ``gamma(1) = 0`` because the
-    identity row of ``omega`` is exactly zero.  Returns gamma when the
-    residual ``max |delta(gamma) - omega|`` is at most 1e-10 (the
-    multipliers are then equivalent); otherwise reports that residual.
-    Both inputs must pass the strict cocycle check.  Circle-valued (mod 2 pi)
-    equivalence is out of scope.
+    identity row of ``omega`` is exactly zero.  For inputs that are
+    cocycles only to a residual, the average leaves
+    ``|delta(gamma) - omega|`` at most the cocycle residual of ``omega``,
+    itself at most the sum of the two inputs' residuals.  Returns gamma when
+    the residual ``max |delta(gamma) - omega|`` is at most that sum plus
+    ``COBOUNDARY_TOL`` (the multipliers are then equivalent); otherwise
+    reports that residual.  Both inputs must pass the strict cocycle check.
+    Circle-valued (mod 2 pi) equivalence is out of scope.
     """
     if mult.group is not mult_prime.group and not np.array_equal(
             mult.group.table, mult_prime.group.table):
         raise ValueError("multiplier tables live on different groups")
+    bound = COBOUNDARY_TOL
     for name, m in (("first", mult), ("second", mult_prime)):
         rep = check_cocycle(m, "strict")
         if not rep.holds:
             raise NotACocycle(
                 f"{name} multiplier fails the strict cocycle identity "
                 f"(residual {rep.max_residual:.3e})")
+        bound += rep.max_residual
     omega = mult_prime.xi - mult.xi
     gamma = omega.mean(axis=1)
     resid = float(np.max(np.abs(coboundary(mult.group, gamma) - omega)))
-    if resid <= COBOUNDARY_TOL:
+    if resid <= bound:
         return CoboundaryResult(gamma=gamma, max_residual=resid)
     return CoboundaryResult(gamma=None, max_residual=resid)
 

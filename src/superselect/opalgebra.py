@@ -320,6 +320,20 @@ def _pattern_constraints(a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> n
     return out.reshape(k * n * n, p)
 
 
+def _block_masses(stack: np.ndarray, starts) -> np.ndarray:
+    """Squared Frobenius norms of the blocks of each member of a ``(m, n, n)`` stack.
+
+    The blocks are cut at the ascending indices ``starts`` (the first is 0)
+    on both sides, so entry ``[i, k, l]`` of the ``(m, K, K)`` result is
+    ``||X_i[k, l]||_F^2`` for the ``K`` contiguous index ranges.  The
+    commutant reads its coupled clusters from them
+    (:func:`_coupled_components`), and the decomposition its sectors'
+    traces and leaks (:func:`~superselect.sectors.central_decomposition`).
+    """
+    return np.add.reduceat(np.add.reduceat(stack.real ** 2 + stack.imag ** 2, starts, axis=1),
+                           starts, axis=2)
+
+
 def _coupled_components(active: np.ndarray, groups, threshold: float):
     """``(perm, sizes)``: the connected components of the clusters the constraints couple.
 
@@ -327,13 +341,12 @@ def _coupled_components(active: np.ndarray, groups, threshold: float):
     ranges.  Clusters ``k`` and ``l`` are joined when some member of the
     ``(m, n, n)`` stack ``active`` (in the eigenbasis the clusters come
     from) has an inter-cluster block ``A_kl`` or ``A_lk`` of Frobenius norm
-    above ``threshold``.  ``perm`` orders the indices component by
-    component, in order of each component's first cluster and ascending
-    within it; ``sizes`` are the components' numbers of indices.
+    above ``threshold`` (:func:`_block_masses`).  ``perm`` orders the
+    indices component by component, in order of each component's first
+    cluster and ascending within it; ``sizes`` are the components' numbers
+    of indices.
     """
-    starts = [int(g[0]) for g in groups]
-    mass = np.add.reduceat(np.add.reduceat(active.real ** 2 + active.imag ** 2, starts, axis=1),
-                           starts, axis=2)
+    mass = _block_masses(active, [int(g[0]) for g in groups])
     linked = (mass > threshold ** 2).any(axis=0)
     reach = linked | linked.T | np.eye(len(groups), dtype=bool)
     for _ in range((len(groups) - 1).bit_length()):  # each squaring doubles the path length
@@ -539,7 +552,12 @@ def _pair_commutant(members: np.ndarray, seed: int, salt, isometry: np.ndarray |
     (:func:`_generic_hermitian_combo`); ``T`` is their ``(2, n, n)`` stack.
     With an ``n x b`` isometry ``W``, ``T`` is the pair restricted, ``W* T_i
     W``: the pair of the stack ``W* B_k W`` drawn with the same coefficients,
-    without restricting every member.
+    without restricting every member.  A restricted member whose Frobenius
+    norm is at most ``RANK_TOL`` times its unrestricted one is roundoff, a
+    draw that misses the blocks, and :class:`DegenerateGenericElement`
+    names the salt: ``commutant`` scales every member to unit norm, so it
+    would read that roundoff as a constraint.
+
     Every finite-dimensional C*-algebra is generated by two Hermitian
     elements, and a generic pair drawn from a spanning set of a *-closed
     algebra generates all of it with probability 1, so the pair has the
@@ -555,7 +573,12 @@ def _pair_commutant(members: np.ndarray, seed: int, salt, isometry: np.ndarray |
     rng = np.random.default_rng([seed, *salt])
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
     if isometry is not None:
+        full = np.linalg.norm(pair, axis=(1, 2))
         pair = isometry.conj().T @ pair @ isometry
+        if np.any(np.linalg.norm(pair, axis=(1, 2)) <= RANK_TOL * full):
+            raise DegenerateGenericElement(
+                f"the generic pair drawn at salt {salt} vanishes, to RANK_TOL of its norm, "
+                "on the blocks it is restricted to")
     return pair, commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
                                        self_adjoint_closed=True), seed)
 

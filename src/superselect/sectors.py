@@ -4,7 +4,11 @@ The ambient space splits into blocks cut out by the minimal projectors of
 the observable algebra's center.  On each block the algebra acts as
 ``1_d (x) M_ntilde`` and its commutant as ``M_d (x) 1_ntilde``; since the
 block's projector is central, ``ntilde^2`` and ``d^2`` are traces of that
-projector acting on the two algebras, read off their orthonormal bases.
+projector acting on the two algebras, read off their orthonormal bases.  In
+the eigenbasis of a generic central element both algebras are block
+diagonal, so every block's trace and leak come from one conjugation of each
+basis element into that frame, through the block masses the commutant's
+component split reads too (Murota, Kanno, Kojima and Kojima 2010).
 The blocks with ``d = 1`` are checked irreducible together by the commutant
 of a seeded generic pair drawn from the algebra restricted to their sum,
 which is never orthonormalised.  The commutant is the one the caller passes
@@ -12,8 +16,9 @@ which is never orthonormalised.  The commutant is the one the caller passes
 of the algebra.  Truncation keeps a single multiplicity copy per block, which
 restores an abelian commutant.  The truncated algebra's basis is the image
 of the algebra's basis under an HS isometry, so it needs no
-orthonormalisation, and the abelian verdict comes from the commutant of a
-seeded generic pair of it, not from a second decomposition.
+orthonormalisation: one product per element, masked to the kept blocks.
+The abelian verdict comes from the commutant of a seeded generic pair of it,
+not from a second decomposition.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .errors import NonIntegerStructure, PostconditionFailure
 from .numkernel import SPAN_TOL, random_hermitian
 from .opalgebra import (
     OperatorAlgebra,
+    _block_masses,
     _generic_split,
     _pair_commutant,
     _unit_members,
@@ -44,7 +50,7 @@ __all__ = [
 
 INTEGER_RESIDUAL = 0.1   # max distance of sqrt(restricted trace) from an integer
 CENTRAL_VALUE_SALT = 203  # seeded stream of the Hermitian H behind Sector.central_value
-TRACE_CHUNK = 1 << 20     # entries in one temporary of _restricted_trace (16 MB complex)
+TRACE_CHUNK = 1 << 14     # entries in one temporary of the block masses (256 kB complex)
 
 
 @dataclass(frozen=True)
@@ -88,35 +94,6 @@ def _as_int(value: float, what: str) -> int:
     return nearest
 
 
-def _restricted_trace(basis: np.ndarray, w_iso: np.ndarray):
-    """``(trace, leak)`` of an HS-orthonormal basis stack on one block.
-
-    With ``x_i = W^* B_i``, ``trace`` is the squared Frobenius norm of the
-    stack ``x_i W``, ``sum_i ||P B_i P||^2``.  When
-    ``P = W W^*`` is central, ``B -> P B`` is the HS-orthogonal projection
-    of the algebra onto ``P O``, so ``trace`` is the dimension of the
-    restricted algebra ``W^* O W``.  ``leak`` is ``max_i ||x_i - x_i W W^*||``, the part
-    of ``W^* B_i`` outside the block: zero when ``P`` commutes with every
-    ``B_i``.
-
-    The stack is taken in chunks of members, each with at most
-    ``TRACE_CHUNK`` entries per temporary, so a 4096-member basis at n = 64
-    never has a second copy of its size.
-    """
-    n, b = w_iso.shape
-    wh = w_iso.conj().T
-    step = max(1, TRACE_CHUNK // (n * b))
-    trace, leak2 = 0.0, 0.0
-    for c in range(0, len(basis), step):
-        x = wh @ basis[c:c + step]
-        restricted = x @ w_iso
-        x -= restricted @ wh
-        xv = x.reshape(x.shape[0], -1).view(float)
-        leak2 = max(leak2, float(np.max(np.einsum("ij,ij->i", xv, xv))))
-        trace += float(np.vdot(restricted, restricted).real)
-    return trace, float(np.sqrt(leak2))
-
-
 def central_decomposition(o: OperatorAlgebra, seed: int = 0,
                           commutant_algebra: OperatorAlgebra | None = None
                           ) -> SectorDecomposition:
@@ -139,12 +116,20 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     the minimal central projectors: of up to 16 draws that show one cluster
     per center dimension, :func:`_generic_split` keeps a well separated one.
 
-    On a block with isometry ``W``, ``ntilde^2`` and ``d^2`` are traces of
-    the block's projector on the algebra and on its commutant: the squared
-    Frobenius norms of the stacks ``W^* B W`` over their orthonormal bases
-    (:func:`_restricted_trace`), with no rank decision.  That reading needs
-    the projector to be central, so each block first checks that it leaks
-    no basis element of either algebra by more than ``SPAN_TOL``.
+    The split's frame ``U`` (the identity for a one-dimensional center,
+    else the kept draw's eigenvectors) has each block's columns as a
+    contiguous range, and the block's isometry ``W`` is a copy of them.  On
+    a block, ``ntilde^2`` and ``d^2`` are traces of its projector on the
+    algebra and on its commutant: the squared Frobenius norms of the stacks
+    ``W^* B W`` over their orthonormal bases, with no rank decision.  Each
+    basis is conjugated once, ``U^* B_i U``, in chunks of members of at most
+    ``TRACE_CHUNK`` entries per temporary, and every block's trace and leak
+    are read from the block masses (:func:`_block_masses`), so K blocks
+    take 2 passes over the bases, not 2K, and a 4096-member basis at n = 64
+    never has a second copy of its size.  That reading needs the
+    projector to be central, so each block first checks that it leaks no
+    basis element of either algebra by more than ``SPAN_TOL``: the leak is
+    ``||W^* B_i (1 - P)||``, the off-diagonal mass of the block's row.
     The blocks with ``d = 1`` are verified irreducible at once, after the
     loop: with ``W`` the isometry onto their sum, the commutant of ``W^* O
     W``, the direct sum of the blocks' restrictions, has one dimension per
@@ -168,25 +153,37 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     z = center(o, commutant_algebra=cp)
 
     if z.algebra_dim == 1:
-        isometries = [np.eye(n, dtype=complex)]
+        u, groups = np.eye(n, dtype=complex), [np.arange(n)]
     else:
-        _, v, groups = _generic_split(z.basis, seed, ((201, a) for a in range(16)),
+        _, u, groups = _generic_split(z.basis, seed, ((201, a) for a in range(16)),
                                       lambda g: len(g) == z.algebra_dim)
-        isometries = [v[:, idx] for idx in groups]
+    # per block k, from the block masses of U* B_i U: traces[:, k], the
+    # diagonal mass summed over the bases of O and of its commutant, and
+    # leak2[k], the largest off-diagonal mass of row k over both, summed with
+    # the diagonal zeroed, never as the row minus the diagonal
+    starts, nb, uh = [int(g[0]) for g in groups], len(groups), u.conj().T
+    step = max(1, TRACE_CHUNK // (n * n))
+    traces, leak2 = np.zeros((2, nb)), np.zeros(nb)
+    for j, basis in enumerate((o.basis, cp.basis)):
+        for c in range(0, len(basis), step):
+            mass = _block_masses(uh @ basis[c:c + step] @ u, starts)
+            flat = mass.reshape(len(mass), nb * nb)
+            traces[j] += flat[:, ::nb + 1].sum(axis=0)
+            flat[:, ::nb + 1] = 0.0
+            np.maximum(leak2, mass.sum(axis=2).max(axis=0), out=leak2)
     h = random_hermitian(np.random.default_rng([seed, CENTRAL_VALUE_SALT]), n)
     sectors, irreducible = [], []
-    for k, w_iso in enumerate(isometries):
+    for k, idx in enumerate(groups):
+        w_iso = u[:, idx]
         block_dim = w_iso.shape[1]
-        ntilde2, leak = _restricted_trace(o.basis, w_iso)
-        d2, leak_cp = _restricted_trace(cp.basis, w_iso)
-        leak = max(leak, leak_cp)
+        leak = float(np.sqrt(leak2[k]))
         if leak > SPAN_TOL:
             raise NonIntegerStructure(
                 f"sector {k} (block dimension {block_dim}) is not central: its projector "
                 f"leaks {leak:.3e} of a basis element out of the block, above {SPAN_TOL:.0e}; "
                 "reseed the decomposition")
-        ntilde = _as_int(float(np.sqrt(ntilde2)), "sqrt(trace of the projector on the algebra)")
-        d = _as_int(float(np.sqrt(d2)), "sqrt(trace of the projector on the commutant)")
+        ntilde, d = (_as_int(float(np.sqrt(t)), f"sqrt(trace of the projector on the {what})")
+                     for t, what in zip(traces[:, k], ("algebra", "commutant")))
         if d * ntilde != block_dim:
             raise NonIntegerStructure(
                 f"block of dimension {block_dim} resolved to d={d}, ntilde={ntilde}; "
@@ -226,13 +223,15 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     stacked isometry satisfies ``V^* V = 1`` on the truncated space.
 
     The truncated basis is written down, not orthonormalised: element ``i``
-    is the block diagonal of ``sqrt(d_s) V_s^* B_i V_s`` over the sectors.
+    is the block diagonal of ``sqrt(d_s) V_s^* B_i V_s`` over the sectors,
+    formed as one product ``V^* B_i V`` times a mask that holds ``sqrt(d_s)``
+    on the block of sector ``s``'s kept columns and zero off the blocks.
     Each ``P_s`` is central (the decomposition checked its leak), so ``B``
     acts on block ``s`` as ``1_d (x) b_s`` with ``||P_s B P_s||^2 = d_s
     ||b_s||^2`` and ``V_s^* B V_s = b_s``; hence ``B -> (+)_s sqrt(d_s) V_s^*
     B V_s`` is an HS isometry of ``O`` onto ``V^* O V`` and carries an
-    orthonormal basis to one.  Its Gram matrix is held to the identity at
-    1e-10, and the identity must lie in its span.
+    orthonormal basis to one.  The basis's Gram matrix is held to the
+    identity at 1e-10, and the identity must lie in its span.
 
     The verdict comes from the commutant ``T'`` of a seeded generic pair of
     the truncated basis (salt 205).  The pair generates ``T`` inside ``V^* O
@@ -245,32 +244,26 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     must commute with it to ``SPAN_TOL`` (:func:`_verify_commutes`).  A
     pair that generates less can only make the check fail, never pass.
     """
-    columns, blocks = [], []
+    columns = []
     for sidx, sec in enumerate(dec.sectors):
         restricted_cp = sec.isometry.conj().T @ dec.commutant.basis @ sec.isometry
         _, v, groups = _generic_split(
             restricted_cp, seed, ((202, sidx, a) for a in range(16)),
             lambda g: len(g) == sec.d and all(c.size == sec.ntilde for c in g))
-        v_s = sec.isometry @ v[:, groups[0]]  # lowest spectral cluster
-        columns.append(v_s)
-        blocks.append(np.sqrt(sec.d) * (v_s.conj().T @ dec.algebra.basis @ v_s))
+        columns.append(sec.isometry @ v[:, groups[0]])  # lowest spectral cluster
     v_full = np.hstack(columns)
     m = v_full.shape[1]
-    gram = v_full.conj().T @ v_full
-    if np.max(np.abs(gram - np.eye(m))) > 1e-10:
+    if np.max(np.abs(v_full.conj().T @ v_full - np.eye(m))) > 1e-10:
         raise PostconditionFailure("stacked truncation isometry is not isometric")
 
-    # HS products of block-diagonal matrices add up block by block
-    q = dec.algebra.algebra_dim
-    packed = np.concatenate([b.reshape(q, -1) for b in blocks], axis=1)
-    if np.max(np.abs(packed.conj() @ packed.T - np.eye(q))) > 1e-10:
+    # each column's sector, read from the columns kept; sqrt(d_s) on block s
+    labels = np.repeat(np.arange(len(columns)), [c.shape[1] for c in columns])
+    weight = np.sqrt([sec.d for sec in dec.sectors])[labels]
+    mask = np.where(labels[:, None] == labels[None, :], weight[:, None], 0.0)
+    basis = (v_full.conj().T @ dec.algebra.basis @ v_full) * mask
+    flat = basis.reshape(len(basis), m * m)
+    if np.max(np.abs(flat.conj() @ flat.T - np.eye(len(basis)))) > 1e-10:
         raise PostconditionFailure("truncated algebra basis is not HS-orthonormal")
-    basis = np.zeros((q, m, m), dtype=complex)
-    lo = 0
-    for b in blocks:
-        hi = lo + b.shape[1]
-        basis[:, lo:hi, lo:hi] = b
-        lo = hi
     if span_residual(basis, np.eye(m, dtype=complex)) > SPAN_TOL:
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)

@@ -2,6 +2,7 @@ import argparse
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -354,6 +355,43 @@ def test_large_pattern_recipe_runs_its_smallest_pattern(tmp_path):
     row = run_pattern(SMALLEST, str(tmp_path))
     assert row["code"] == 0, row["error"]
     assert row["ok"] and row["n"] == 64
+
+
+def test_untested_lines_recipe_traces_one_test_module():
+    # tests/untested_lines.py runs pytest under a line tracer; here on the
+    # cocycle tests alone, in a process of its own
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(superselect.__file__))
+    out = subprocess.run(
+        [sys.executable, os.path.join(here, "untested_lines.py"), "-q", "-p", "no:cacheprovider",
+         os.path.join(here, "test_cocycles.py")],
+        capture_output=True, text=True, check=False, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))))
+    assert out.returncode == 0, out.stdout + out.stderr
+    rows = {}
+    for line in out.stdout.splitlines():
+        m = re.fullmatch(r"(\w+\.py): (\d+) of (\d+) lines untested(?:: (.*))?", line)
+        if m:
+            left = set()
+            for part in filter(None, (m[4] or "").split(", ")):
+                lo, _, hi = part.partition("-")
+                left.update(range(int(lo), int(hi or lo) + 1))
+            rows[m[1]] = (int(m[2]), int(m[3]), left)
+    package = os.path.dirname(superselect.__file__)
+    assert set(rows) == {f for f in os.listdir(package) if f.endswith(".py")}
+    # a module the cocycle tests never import: every line untested
+    missed, total, _ = rows["fluxsectors.py"]
+    assert missed == total > 0
+    # in cocycles.py, the equivalent branch of coboundary_solve runs and the
+    # associativity refusal of finite_group does not
+    with open(cocycles.__file__, encoding="utf-8") as fh:
+        source = fh.read().splitlines()
+    run_line = source.index("    if resid <= bound:") + 1
+    refused = source.index('        raise ValueError("multiplication table is not associative")') + 1
+    missed, total, left = rows["cocycles.py"]
+    assert 0 < missed < total and len(left) == missed
+    assert run_line not in left and refused in left
 
 
 class TestAlgebraReportInvariance:

@@ -134,6 +134,26 @@ class TestCoboundarySolve:
         assert np.max(np.abs(res.gamma - lstsq_gamma(g, xi_prime.xi - xi.xi))) <= 1e-12
         assert np.max(np.abs(res.gamma - gamma0)) <= 1e-12
 
+    def test_inputs_at_the_cocycle_tolerance_stay_equivalent(self):
+        # xi = delta(gamma) + e and xi' = delta(gamma) - e, e scaled to a strict
+        # residual of 9.5e-11: each passes the cocycle check, and omega = -2e
+        # leaves delta(gamma) - omega at 1.41e-10, above COBOUNDARY_TOL but
+        # within the inputs' summed residuals (draw 792 of default_rng(0), the
+        # worst of 2000)
+        g = cyclic_group(4)
+        rng = np.random.default_rng(0)
+        for _ in range(793):
+            gamma = random_gamma(g, rng)
+            e = rng.standard_normal((4, 4))
+            e[g.identity, :] = e[:, g.identity] = 0.0
+        e *= 9.5e-11 / check_cocycle(MultiplierTable(group=g, xi=e)).max_residual
+        xi, xi_prime = (MultiplierTable(group=g, xi=coboundary(g, gamma) + s * e) for s in (1, -1))
+        residuals = [check_cocycle(m).max_residual for m in (xi, xi_prime)]
+        assert all(r <= 1e-10 for r in residuals)
+        res = coboundary_solve(xi, xi_prime)
+        assert 1.4e-10 < res.max_residual <= sum(residuals) + 1e-10
+        assert res.equivalent
+
     def test_rejects_non_cocycles(self):
         pm = pauli_multiplier()
         with pytest.raises(NotACocycle):

@@ -149,6 +149,23 @@ class TestCommutant:
             assert central_decomposition(got, seed).multiset() \
                 == central_decomposition(ref, seed).multiset()
 
+    def test_verification_failing_with_every_member_active_raises(self, seed, monkeypatch):
+        # a verification that never passes: the one member of a Hermitian set
+        # joins the constraints after the first round, and the second round,
+        # with every member active, raises
+        real, ratios = opalgebra._verify_commutes, []
+
+        def failing(members, blocks):
+            member, ratio = real(members, blocks)
+            ratios.append(ratio)
+            return member, max(ratio, 1e-6)
+
+        monkeypatch.setattr(opalgebra, "_verify_commutes", failing)
+        with pytest.raises(PostconditionFailure,
+                           match=r"commutant verification residual 1\.000e-06 above RANK_TOL"):
+            commutant(operator_set([np.diag([1.0, 2.0, 3.0])]), seed)
+        assert len(ratios) == 2 and max(ratios) <= RANK_TOL
+
     def test_inclusion_reversal(self, seed):
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -925,6 +942,20 @@ class TestGenericPairCrossChecks:
         assert np.array_equal(pair.members, pair.members.conj().transpose(0, 2, 1))
         assert np.array_equal(pair.members, again.members)
         assert not np.allclose(pair.members, other.members)
+
+    def test_pair_restricted_to_blocks_it_misses_raises(self, seed):
+        # the stack lives on the first two columns of a unitary u of C^4 and
+        # the isometry spans the last two: the restricted pair is roundoff,
+        # which commutant's unit scaling would read as a constraint
+        u = random_unitary(np.random.default_rng(5), 4)
+        stack = commutant(operator_set([np.diag([1.0, 2.0])]), seed).basis
+        stack = u @ np.pad(stack, ((0, 0), (0, 2), (0, 2))) @ u.conj().T
+        with pytest.raises(DegenerateGenericElement,
+                           match=r"salt \(204,\) vanishes, to RANK_TOL of its norm, on the blocks"):
+            _pair_commutant(stack, seed, (204,), u[:, 2:])
+        # the same pair restricted to the blocks it lives on is kept
+        pair, t_cp = _pair_commutant(stack, seed, (204,), u[:, :2])
+        assert pair.shape == (2, 2, 2) and t_cp.algebra_dim == 2
 
     @staticmethod
     def planted_generated(workloads, count):

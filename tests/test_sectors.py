@@ -172,6 +172,15 @@ class TestCentralDecomposition:
         assert central_decomposition(o, seed).multiset() == ((1, 1), (1, 3), (2, 2))
         assert seen == [((1 + 4 + 9, 8, 8), (2, 4, 4), (204,), 2)]
 
+    def test_commutant_too_small_for_the_block_raises(self, seed):
+        # O = 1_2 (x) M_2 passed with the scalars as its commutant: the one
+        # sector reads ntilde = 2 and d = 1, which do not fill its 4 dimensions
+        o = generated_algebra(operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]),
+                              seed)
+        with pytest.raises(NonIntegerStructure,
+                           match=r"block of dimension 4 resolved to d=1, ntilde=2"):
+            central_decomposition(o, seed, commutant_algebra=algebra_from_span([np.eye(4)]))
+
     def test_requires_identity(self, seed):
         from superselect.opalgebra import OperatorAlgebra
         bogus = OperatorAlgebra(dim=2, basis=SX[None] / np.sqrt(2),
@@ -419,6 +428,26 @@ class TestTruncate:
         with pytest.raises(PostconditionFailure, match=r"abelian-commutant check .*commutant "
                            r"dim 2, expected 2, sector projectors' relative commutator"):
             truncate(faulty, seed)
+
+    def test_overlapping_copies_raise(self, two_block, seed):
+        # both sectors name the same block, so the stacked copies overlap
+        _, dec = two_block
+        first = dec.sectors[0]
+        with pytest.raises(PostconditionFailure,
+                           match="stacked truncation isometry is not isometric"):
+            truncate(dataclasses.replace(dec, sectors=(first, first)), seed)
+
+    def test_algebra_missing_a_basis_element_raises(self, seed):
+        # O = 1_2 (x) M_2 with the basis element of largest trace dropped: the
+        # rest is still HS-orthonormal, but no longer holds the identity
+        o = generated_algebra(
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), seed)
+        dec = central_decomposition(o, seed)
+        drop = np.argmax(np.abs(np.trace(o.basis, axis1=1, axis2=2)))
+        less = dataclasses.replace(o, basis=np.delete(o.basis, drop, axis=0))
+        with pytest.raises(PostconditionFailure,
+                           match="identity not in the truncated algebra's span"):
+            truncate(dataclasses.replace(dec, algebra=less), seed)
 
     def test_merged_clusters_raise_typed_error(self, seed, monkeypatch):
         o = generated_algebra(
