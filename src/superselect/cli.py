@@ -57,12 +57,10 @@ from .fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from .numkernel import MEMBER_TOL, SPAN_TOL
+from .numkernel import MEMBER_TOL
 from .opalgebra import (
-    OperatorAlgebra,
     _max_commutator,
-    _pair_commutant,
-    _verify_commutes,
+    _pair_commutant_equals,
     check_dirac,
     commutant,
     generated_algebra,
@@ -154,26 +152,6 @@ def _args_digest(**params) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _triple_commutant_holds(obs: OperatorAlgebra, gen_basis: np.ndarray, seed: int) -> bool:
-    """The triple-commutant identity S''' = S', given O = S' and a basis of S''.
-
-    It is taken as the commutant T' of a seeded generic pair T of S''.
-    ``generated_algebra`` took S'' as the commutant P' of a generic pair P
-    of O: P lies in O, so P' contains O', and P' has the word closure's
-    dimension, dim O', so P' = O'.  Then S''' = O'' = O = S', and T'
-    contains it: T' = S' proves the identity.  T' is by definition what
-    commutes with both members of T, so O lies in it when every member of
-    O's orthonormal basis commutes with T to ``SPAN_TOL``
-    (:func:`_verify_commutes`); equal dimensions then make the two equal,
-    and n^2 orthonormal members fill M_n with no test.  A pair generating
-    less than S'' can only make T' larger and the check fail.
-    """
-    pair, tcp = _pair_commutant(gen_basis, seed, (105,))
-    n = obs.dim
-    return tcp.algebra_dim == obs.algebra_dim and (
-        obs.algebra_dim == n * n or _verify_commutes(pair, [(0, n, obs.basis)])[1] <= SPAN_TOL)
-
-
 def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     """The input operators are the distinguished set (charges, symmetry
     generators); the observables analyzed are everything commuting with
@@ -189,7 +167,9 @@ def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
-    triple_ok = _triple_commutant_holds(obs, gen.basis, seed)
+    # S''' = S': O = S' lies in (S'')', so a generic pair of S'' must have the
+    # span of O's basis as its commutant
+    triple_ok = _pair_commutant_equals(gen.basis, seed, (105,), obs.basis)[2]
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
     norms = np.linalg.norm(s.members, axis=(1, 2))

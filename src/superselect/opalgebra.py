@@ -222,9 +222,9 @@ def span_equal(a: OperatorAlgebra, b: OperatorAlgebra) -> bool:
 
     It decides the witness's ``A = A'`` in :func:`check_dirac` and
     acceptance criterion 1's triple commutant, and the benchmark's layer
-    trace times it.  Membership in a pair's commutant, as in the ``algebra``
-    command's triple commutant, is read from the pair instead
-    (:func:`_pair_commutant`).
+    trace times it; the witness's is the one span comparison a command
+    makes.  Every other cross-check against a pair's commutant reads
+    membership from the pair instead (:func:`_pair_commutant_equals`).
     """
     if a.algebra_dim != b.algebra_dim or a.dim != b.dim:
         return False
@@ -445,8 +445,8 @@ def _verify_commutes(members: np.ndarray, blocks):
     :func:`_max_commutator` passes a stack as its own candidates, for
     :func:`is_abelian`, the two reported commutator maxima and the
     precondition of :func:`~superselect.diracsets.interpolate_commuting`,
-    and the triple commutant and ``truncate`` read membership in a pair's
-    commutant from the pair (:func:`_pair_commutant`).
+    and :func:`_pair_commutant_equals` reads membership in a pair's
+    commutant from the pair.
     """
     k, n, _ = members.shape
     worst = np.zeros(k)
@@ -563,12 +563,11 @@ def _pair_commutant(members: np.ndarray, seed: int, salt, isometry: np.ndarray |
     algebra generates all of it with probability 1, so the pair has the
     algebra's commutant.  It is the one way an algebra's commutant is taken:
     S'' (:func:`generated_algebra`), the decomposition's commutant when none
-    is passed, and every cross-check.  The pair ``T`` lies inside ``A``, so
-    ``T'`` contains ``A'``: a pair that misses part of the algebra makes the
-    commutant larger, never smaller, and each caller has a guard that then
-    fails.  ``T'`` is by definition everything that commutes with both
-    members of ``T``, so whether a matrix lies in it is read from ``T``
-    itself, by :func:`_verify_commutes`, with no span comparison.
+    is passed, the witness's ``A = A'`` in :func:`check_dirac`, and every
+    cross-check that proves a pair's commutant to be a span known in advance
+    (:func:`_pair_commutant_equals`, which holds the argument).  A pair that
+    misses part of the algebra makes the commutant larger, never smaller,
+    and each caller has a guard that then fails.
     """
     rng = np.random.default_rng([seed, *salt])
     pair = np.stack([_generic_hermitian_combo(members, rng) for _ in range(2)])
@@ -581,6 +580,39 @@ def _pair_commutant(members: np.ndarray, seed: int, salt, isometry: np.ndarray |
                 "on the blocks it is restricted to")
     return pair, commutant(OperatorSet(dim=pair.shape[-1], members=pair, names=("h0", "h1"),
                                        self_adjoint_closed=True), seed)
+
+
+def _pair_commutant_equals(members: np.ndarray, seed: int, salt, expected: np.ndarray,
+                           isometry: np.ndarray | None = None):
+    """``(T', ratio, holds)``: whether a generic pair's commutant is the span of ``expected``.
+
+    ``T`` and ``T'`` are :func:`_pair_commutant`'s, drawn at the caller's
+    salt from the stack that spans an algebra ``A`` (restricted by
+    ``isometry`` when one is given), and ``expected`` is a stack ``E`` of
+    HS-orthonormal members that the caller knows to lie in ``A'``.  ``ratio``
+    is the largest relative commutator of a member of ``E`` with a member of
+    ``T`` (:func:`_verify_commutes`), and ``holds`` is ``dim T' == len(E)``
+    with ``ratio`` at most ``SPAN_TOL``.
+
+    This is the one proof that a pair's commutant is a span known in
+    advance.  ``T`` lies in ``A``, so ``T'`` contains ``A'``, which contains
+    ``E``.  ``T'`` is by definition what commutes with both members of
+    ``T``, so a small ratio puts ``E`` in ``T'`` as computed, and with
+    ``dim T' = len(E) = dim span E`` the two are equal: ``T' = span E = A'``.
+    ``n^2`` orthonormal members fill ``M_n``, so then no commutator is formed
+    and ``ratio`` is 0.  A pair that generates less than ``A`` only makes
+    ``T'`` larger, so the check can fail, never pass.  Its callers: the
+    ``algebra`` command's triple commutant (``A = S''``, ``E`` the basis of
+    ``O = S'``, salt 105), the d = 1 irreducibility check of
+    :func:`~superselect.sectors.central_decomposition` (``E`` the blocks'
+    unit identities, salt 204) and the verdict of
+    :func:`~superselect.sectors.truncate` (``E`` the unit truncated sector
+    projectors, salt 205).
+    """
+    pair, t_cp = _pair_commutant(members, seed, salt, isometry)
+    n = pair.shape[-1]
+    ratio = 0.0 if len(expected) == n * n else _verify_commutes(pair, [(0, n, expected)])[1]
+    return t_cp, ratio, t_cp.algebra_dim == len(expected) and ratio <= SPAN_TOL
 
 
 def _left_products(gens: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -795,7 +827,6 @@ class DiracReport:
 
     v2_holds: bool
     witness: OperatorAlgebra | None
-    commutant_dim: int
     witness_is_maximal_abelian: bool | None = None
     witness_in_observables: bool | None = None
 
@@ -816,9 +847,8 @@ def check_dirac(dec: SectorDecomposition, seed: int = 0) -> DiracReport:
     construction, so ``T' = A`` proves ``A' = A``.  Containment of the
     witness in the observables is checked too.
     """
-    cp = dec.commutant
     if not _abelian_commutant(dec):
-        return DiracReport(v2_holds=False, witness=None, commutant_dim=cp.algebra_dim)
+        return DiracReport(v2_holds=False, witness=None)
 
     cols = np.hstack([sec.isometry for sec in dec.sectors]).T  # row k is e_k
     witness = OperatorAlgebra(dim=dec.dim, basis=cols[:, :, None] * cols[:, None, :].conj(),
@@ -827,7 +857,6 @@ def check_dirac(dec: SectorDecomposition, seed: int = 0) -> DiracReport:
     return DiracReport(
         v2_holds=True,
         witness=witness,
-        commutant_dim=cp.algebra_dim,
         witness_is_maximal_abelian=span_equal(witness, wcomm),
         witness_in_observables=(_max_span_residual(dec.algebra.basis, witness.basis)
                                 <= MEMBER_TOL),

@@ -9,16 +9,19 @@ the eigenbasis of a generic central element both algebras are block
 diagonal, so every block's trace and leak come from one conjugation of each
 basis element into that frame, through the block masses the commutant's
 component split reads too (Murota, Kanno, Kojima and Kojima 2010).
-The blocks with ``d = 1`` are checked irreducible together by the commutant
+The blocks with ``d = 1`` are checked irreducible together: the commutant
 of a seeded generic pair drawn from the algebra restricted to their sum,
-which is never orthonormalised.  The commutant is the one the caller passes
-(S'', or the span of a group's unitaries), else that of a seeded generic pair
-of the algebra.  Truncation keeps a single multiplicity copy per block, which
-restores an abelian commutant.  The truncated algebra's basis is the image
+which is never orthonormalised, must be the span of the blocks' identities.
+The commutant is the one the caller passes (S'', or the span of a group's
+unitaries), else that of a seeded generic pair of the algebra.  Truncation
+keeps a single multiplicity copy per block, which restores an abelian
+commutant.  The truncated algebra's basis is the image
 of the algebra's basis under an HS isometry, so it needs no
 orthonormalisation: one product per element, masked to the kept blocks.
 The abelian verdict comes from the commutant of a seeded generic pair of it,
-not from a second decomposition.
+not from a second decomposition.  Both checks prove a pair's commutant to be
+a span known in advance through one function,
+:func:`~superselect.opalgebra._pair_commutant_equals`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .opalgebra import (
     _block_masses,
     _generic_split,
     _pair_commutant,
+    _pair_commutant_equals,
     _unit_members,
-    _verify_commutes,
     center,
     is_abelian,
     span_residual,
@@ -132,12 +135,14 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
     ``||W^* B_i (1 - P)||``, the off-diagonal mass of the block's row.
     The blocks with ``d = 1`` are verified irreducible at once, after the
     loop: with ``W`` the isometry onto their sum, the commutant of ``W^* O
-    W``, the direct sum of the blocks' restrictions, has one dimension per
-    block exactly when each is irreducible.  The commutant of a seeded
-    generic pair of the stack ``W^* B_i W`` (salt ``(204,)``) contains it,
-    so one dimension per block there proves it.  That pair is drawn from
-    the algebra's basis and then restricted, ``W^* T_i W``: the same
-    coefficients give the same pair, and only two matrices are restricted.
+    W``, the direct sum of the blocks' restrictions, is the span of the
+    blocks' identities exactly when each is irreducible.  That span is
+    proved to be the commutant of a seeded generic pair of the stack ``W^*
+    B_i W`` (salt ``(204,)``), with each block identity ``W^* P_k W``
+    scaled to unit norm (:func:`_pair_commutant_equals`, which holds the
+    argument).  The pair is drawn from the algebra's basis and then
+    restricted, ``W^* T_i W``: the same coefficients give the same pair, and
+    only two matrices are restricted.
 
     Each sector's ``central_value`` is ``Re tr(P H) / block_dim`` for one
     Hermitian ``H`` drawn from its own seeded stream, and the sectors come
@@ -193,14 +198,13 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
         sectors.append(Sector(projector=w_iso @ w_iso.conj().T, isometry=w_iso,
                               block_dim=block_dim, d=d, ntilde=ntilde,
                               central_value=float(np.vdot(w_iso, h @ w_iso).real) / block_dim))
-    if sum(s.block_dim for s in sectors) != n:
-        raise PostconditionFailure("sector block dimensions do not sum to the ambient dim")
     if irreducible:
-        # the restricted stack spans W* O W (*-closed, as each P is central); a
-        # pair that generates less only enlarges the commutant, so can fail,
-        # never pass
-        if _pair_commutant(o.basis, seed, (204,), np.hstack(irreducible))[1].algebra_dim \
-                != len(irreducible):
+        # the blocks' unit identities in the restricted frame: row k of diag
+        # holds 1 / sqrt(b_k) on block k
+        sizes = [w_iso.shape[1] for w_iso in irreducible]
+        diag = np.repeat(np.eye(len(sizes)) / np.sqrt(sizes), sizes, axis=1)
+        if not _pair_commutant_equals(o.basis, seed, (204,), diag[:, None] * np.eye(sum(sizes)),
+                                      np.hstack(irreducible))[2]:
             raise PostconditionFailure("d = 1 blocks are not irreducible; tolerance pathology")
     sectors.sort(key=lambda sec: sec.central_value)
     return SectorDecomposition(dim=n, sectors=tuple(sectors), algebra=o, commutant=cp,
@@ -234,15 +238,12 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     identity at 1e-10, and the identity must lie in its span.
 
     The verdict comes from the commutant ``T'`` of a seeded generic pair of
-    the truncated basis (salt 205).  The pair generates ``T`` inside ``V^* O
-    V``, so ``T'`` contains ``(V^* O V)'``, which contains every ``V^* P_s
-    V``.  ``T'`` must be abelian, of dimension the number of sectors, and
-    contain each ``V^* P_s V``; then it is their span and equals ``(V^* O
-    V)'``, abelian, with every truncated block irreducible.  ``T'`` is by
-    definition what commutes with both members of ``T``, so containment is
-    read from the pair itself: each ``V^* P_s V``, scaled to unit HS norm,
-    must commute with it to ``SPAN_TOL`` (:func:`_verify_commutes`).  A
-    pair that generates less can only make the check fail, never pass.
+    the truncated basis (salt 205): it must be the span of the truncated
+    sector projectors ``V^* P_s V``, each scaled to unit HS norm
+    (:func:`_pair_commutant_equals`, which holds the argument), so that
+    ``(V^* O V)'`` is that span, abelian, with every truncated block
+    irreducible.  ``T'`` must also pass :func:`is_abelian`, a cross-check
+    of that verdict.
     """
     columns = []
     for sidx, sec in enumerate(dec.sectors):
@@ -268,11 +269,10 @@ def truncate(dec: SectorDecomposition, seed: int = 0
         raise PostconditionFailure("identity not in the truncated algebra's span")
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
-    pair, t_cp = _pair_commutant(basis, seed, (205,))
-    abelian, worst = is_abelian(t_cp)
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
-    outside = _verify_commutes(pair, [(0, m, _unit_members(projectors))])[1]
-    if not abelian or t_cp.algebra_dim != len(dec.sectors) or outside > SPAN_TOL:
+    t_cp, outside, holds = _pair_commutant_equals(basis, seed, (205,), _unit_members(projectors))
+    abelian, worst = is_abelian(t_cp)
+    if not abelian or not holds:
         raise PostconditionFailure(
             "truncated algebra failed the abelian-commutant check "
             f"(relative commutator {worst:.3e}, commutant dim {t_cp.algebra_dim}, "

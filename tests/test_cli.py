@@ -962,15 +962,17 @@ class TestStructureCallCounts:
     algebra -- S'' = O', the triple commutant, the one irreducibility check
     of all d = 1 blocks, the witness's A = A', the truncated algebra's
     verdict -- is taken of a seeded generic pair, 2 members, so a full-basis
-    commutant cannot creep back unseen.  Membership in a pair's commutant is
-    read from the pair, so the only span comparison left is the witness's
-    A = A'.
+    commutant cannot creep back unseen.  The triple commutant, the d = 1
+    check and the truncation verdict prove their pair's commutant to be a
+    known span through ``_pair_commutant_equals``, which reads membership
+    from the pair, so the only span comparison left is the witness's A = A'.
     """
 
     COUNTED = {"commutant": "opalgebra", "central_decomposition": "sectors",
                "check_dirac": "opalgebra", "generated_algebra": "opalgebra",
                "_word_closure_dim": "opalgebra", "is_abelian": "opalgebra",
-               "span_equal": "opalgebra"}  # function -> defining module
+               "span_equal": "opalgebra",
+               "_pair_commutant_equals": "opalgebra"}  # function -> defining module
 
     def count_calls(self, monkeypatch, args):
         """Run a command with the counted functions wrapped wherever a module binds them.
@@ -1004,7 +1006,7 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 3, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 0,
-                          "span_equal": 0}
+                          "span_equal": 0, "_pair_commutant_equals": 1}
         # two Hermitian generators; the pairs of O (for S'') and of S'' (triple)
         assert members == [2, 2, 2]
 
@@ -1014,7 +1016,7 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["algebra", path])
         assert counts == {"commutant": 5, "central_decomposition": 1, "check_dirac": 1,
                           "generated_algebra": 1, "_word_closure_dim": 1, "is_abelian": 1,
-                          "span_equal": 1}
+                          "span_equal": 1, "_pair_commutant_equals": 2}
         # S, the pair of O = M_1 + M_3, the irreducibility pair, the witness
         # pair, the triple pair
         assert members == [2, 2, 2, 2, 2]
@@ -1027,7 +1029,7 @@ class TestStructureCallCounts:
         counts, members = self.count_calls(monkeypatch, ["parastat", "--n", "3", "--d", "2"])
         assert counts == {"commutant": 2, "central_decomposition": 1, "check_dirac": 0,
                           "generated_algebra": 0, "_word_closure_dim": 0, "is_abelian": 1,
-                          "span_equal": 0}
+                          "span_equal": 0, "_pair_commutant_equals": 2}
         # the pair of O's d = 1 blocks, the truncated algebra's pair
         assert members == [2, 2]
 

@@ -362,8 +362,9 @@ class TestSeededStreams:
     its draw is independent of the draws it checks, so no two call sites may
     share a leading salt.  Streams come from ``np.random.default_rng([seed,
     salt, ...])`` and from the salts handed to ``opalgebra._generic_split``
-    and ``_pair_commutant``.  A helper passing its caller's salt on
-    (``*salt``) is not a call site.
+    and ``_pair_commutant`` or ``_pair_commutant_equals``.  A helper passing
+    its caller's salt on (``*salt``, or its parameter ``salt`` as it is) is
+    not a call site.
     """
 
     # leading salt -> module; a new stream is added here with a salt of its own
@@ -371,12 +372,13 @@ class TestSeededStreams:
               106: "opalgebra", 107: "opalgebra", 201: "sectors", 202: "sectors",
               203: "sectors", 204: "sectors", 205: "sectors", 206: "sectors",
               401: "bargmann", 402: "bargmann", 403: "bargmann", 404: "cli"}
-    SALT_ARG = {"default_rng": 0, "_generic_split": 2, "_pair_commutant": 2}
+    SALT_ARG = {"default_rng": 0, "_generic_split": 2, "_pair_commutant": 2,
+                "_pair_commutant_equals": 2}
 
     @classmethod
     def leading(cls, node, consts):
-        """The leading salt of a salt expression; None for a forwarded ``*salt``."""
-        if isinstance(node, ast.Starred):
+        """The leading salt of a salt expression; None for a forwarded salt."""
+        if isinstance(node, ast.Starred) or (isinstance(node, ast.Name) and node.id == "salt"):
             return None
         if isinstance(node, (ast.ListComp, ast.GeneratorExp)):  # one salt per draw
             return cls.leading(node.elt, consts)

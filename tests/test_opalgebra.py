@@ -16,7 +16,7 @@ from conftest import (
     sample_pattern,
     validate_algebra,
 )
-from superselect import cli, opalgebra, sectors
+from superselect import opalgebra, sectors
 from superselect.errors import (
     ClosureMismatch,
     DegenerateGenericElement,
@@ -40,6 +40,7 @@ from superselect.opalgebra import (
     _generic_split,
     _max_span_residual,
     _pair_commutant,
+    _pair_commutant_equals,
     _word_closure_dim,
     algebra_from_span,
     center,
@@ -878,15 +879,17 @@ class TestCheckDirac:
     def test_tensor_factor_fails(self, seed):
         o = generated_algebra(
             operator_set([np.kron(SX, np.eye(2)), np.kron(SZ, np.eye(2))]), seed)
-        rep = check_dirac(central_decomposition(o, seed), seed)
+        dec = central_decomposition(o, seed)
+        rep = check_dirac(dec, seed)
         assert not rep.v2_holds
         assert rep.witness is None
-        assert rep.commutant_dim == 4  # 1 (x) M2
+        assert dec.commutant.algebra_dim == 4  # 1 (x) M2
 
     def test_full_matrix_algebra(self, seed):
         o = commutant(operator_set([np.eye(5)]), seed)
-        rep = check_dirac(central_decomposition(o, seed), seed)
-        assert rep.v2_holds and rep.commutant_dim == 1
+        dec = central_decomposition(o, seed)
+        rep = check_dirac(dec, seed)
+        assert rep.v2_holds and dec.commutant.algebra_dim == 1
         assert rep.witness.algebra_dim == 5
         assert rep.witness_is_maximal_abelian and rep.witness_in_observables
 
@@ -894,8 +897,9 @@ class TestCheckDirac:
         # O = M2 (+) M3 in a random basis: two sectors with ntilde >= 2, abelian O'
         gens, _ = planted_block_algebra(np.random.default_rng(17), [(1, 2), (1, 3)])
         o = generated_algebra(operator_set(gens), seed)
-        rep = check_dirac(central_decomposition(o, seed), seed)
-        assert rep.v2_holds and rep.commutant_dim == 2
+        dec = central_decomposition(o, seed)
+        rep = check_dirac(dec, seed)
+        assert rep.v2_holds and dec.commutant.algebra_dim == 2
         basis = rep.witness.basis
         assert basis.shape == (5, 5, 5)
         for p in basis:
@@ -976,12 +980,12 @@ class TestGenericPairCrossChecks:
 
         The full-basis reference and the generic pair's span comparison are
         references; the defining-equation form is the ``algebra`` command's
-        own check (O's basis commutes with the pair, and the dimensions
-        agree).  A failed solve counts as no.
+        own check (:func:`_pair_commutant_equals`: O's basis commutes with
+        the pair, and the dimensions agree).  A failed solve counts as no.
         """
         full = OperatorAlgebra(dim=obs.dim, basis=gen_basis, contains_identity=True)
         try:
-            defining = cli._triple_commutant_holds(obs, gen_basis, seed)
+            defining = _pair_commutant_equals(gen_basis, seed, (105,), obs.basis)[2]
         except PostconditionFailure:
             defining = False
         return (commutant_matches(obs, lambda: full_basis_commutant(full, seed)),
@@ -1070,6 +1074,81 @@ class TestGenericPairCrossChecks:
         full = OperatorAlgebra(dim=m, basis=stack, contains_identity=True)
         assert full_basis_commutant(full, seed).algebra_dim == len(blocks)
         assert _pair_commutant(stack, seed, (204,))[1].algebra_dim == len(blocks)
+
+
+class TestPairCommutantEquals:
+    """``_pair_commutant_equals`` decides ``T' = span E`` for a pair drawn from ``A``.
+
+    ``E`` is an HS-orthonormal stack in ``A'``: the verdict needs ``dim T' ==
+    len(E)`` and every member of ``E`` commuting with the pair to
+    ``SPAN_TOL``, and a stack of ``n^2`` members is decided without a
+    commutator.
+    """
+
+    PATTERNS = ([(2, 2), (1, 3)], [(3, 1), (1, 2)], [(2, 3)], [(1, 1), (2, 2), (1, 2)])
+
+    @classmethod
+    def planted(cls, seed):
+        """``(pattern, A, E)``: a planted algebra and its own commutant's orthonormal basis."""
+        for k, pattern in enumerate(cls.PATTERNS):
+            gens, _ = planted_block_algebra(np.random.default_rng(80 + k), pattern)
+            s = operator_set(gens)
+            yield pattern, generated_algebra(s, seed), commutant(s, seed).basis
+
+    def test_the_algebras_own_commutant_passes(self, seed):
+        for pattern, a, e in self.planted(seed):
+            t_cp, ratio, holds = _pair_commutant_equals(a.basis, seed, (105,), e)
+            assert holds and t_cp.algebra_dim == len(e) == sum(d * d for d, _ in pattern)
+            assert ratio <= SPAN_TOL, pattern
+
+    def test_a_member_turned_out_fails_on_the_ratio(self, seed):
+        # the dimensions still agree, so only the commutation test sees it
+        for pattern, a, e in self.planted(seed):
+            for angle, faulty in TestGenericPairCrossChecks.rotated_out(e, seed, (1e-6, 1e-3)):
+                t_cp, ratio, holds = _pair_commutant_equals(a.basis, seed, (105,), faulty)
+                assert t_cp.algebra_dim == len(faulty)
+                assert not holds and ratio > SPAN_TOL, (pattern, angle)
+
+    def test_a_missing_member_fails_on_the_dimension(self, seed):
+        # the members left still commute with the pair
+        for pattern, a, e in self.planted(seed):
+            t_cp, ratio, holds = _pair_commutant_equals(a.basis, seed, (105,), e[1:])
+            assert not holds and t_cp.algebra_dim == len(e)
+            assert ratio <= SPAN_TOL, pattern
+
+    @staticmethod
+    def forbid_commutators_after_the_pair(monkeypatch):
+        """Make ``_verify_commutes`` raise once the pair's commutant has been taken."""
+        real = opalgebra._pair_commutant
+
+        def forbidden(*args):
+            raise AssertionError("a commutator was formed for a stack spanning M_n")
+
+        def pair_commutant(*args):
+            out = real(*args)
+            monkeypatch.setattr(opalgebra, "_verify_commutes", forbidden)
+            return out
+
+        monkeypatch.setattr(opalgebra, "_pair_commutant", pair_commutant)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_a_stack_spanning_the_matrix_algebra_forms_no_commutator(self, seed, n,
+                                                                     monkeypatch):
+        units = np.eye(n * n, dtype=complex).reshape(n * n, n, n)
+        self.forbid_commutators_after_the_pair(monkeypatch)
+        t_cp, ratio, holds = _pair_commutant_equals(np.eye(n, dtype=complex)[None], seed,
+                                                    (105,), units)
+        assert holds and ratio == 0.0 and t_cp.algebra_dim == n * n
+
+    def test_a_stack_spanning_the_matrix_algebra_can_fail_on_the_dimension(self, seed,
+                                                                           monkeypatch):
+        pattern, a, _ = next(self.planted(seed))
+        n = a.dim
+        self.forbid_commutators_after_the_pair(monkeypatch)
+        t_cp, ratio, holds = _pair_commutant_equals(
+            a.basis, seed, (105,), np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+        assert not holds and ratio == 0.0
+        assert t_cp.algebra_dim == sum(d * d for d, _ in pattern)
 
 
 # ``_pair_commutant`` faults: the pair is drawn from a proper subalgebra of

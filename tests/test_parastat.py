@@ -286,11 +286,13 @@ class TestTruncation:
 
     def test_pair_generating_less_raises(self, seed, monkeypatch):
         # a pair drawn from one basis member generates less than the truncated
-        # algebra, so its commutant is too large and the check must fail
+        # algebra, so its commutant is too large and the check must fail; the
+        # check draws through opalgebra._pair_commutant_equals
         dec = decomposition_for(TensorRep(3, 2), seed)
         real = opalgebra._pair_commutant
-        monkeypatch.setattr(sectors, "_pair_commutant",
-                            lambda members, seed, salt: real(members[:1], seed, salt))
+        monkeypatch.setattr(opalgebra, "_pair_commutant",
+                            lambda members, seed, salt, isometry=None:
+                            real(members[:1], seed, salt, isometry))
         with pytest.raises(PostconditionFailure, match="abelian-commutant check"):
             truncate(dec, seed)
 

@@ -17,7 +17,7 @@ from superselect.errors import (
     NonIntegerStructure,
     PostconditionFailure,
 )
-from superselect.numkernel import random_hermitian
+from superselect.numkernel import random_hermitian, random_unitary
 from superselect.opalgebra import (
     _orthonormalize_stack,
     algebra_from_span,
@@ -119,11 +119,11 @@ class TestCentralDecomposition:
 
         The pair is drawn from the algebra's basis stack and restricted to
         the sum of the d = 1 blocks.  ``fault`` replaces the stack before the
-        pair is drawn from it.  Only the d = 1 check's salt ``(204,)`` is
-        seen: the decomposition's own commutant (salt ``(206,)``) is drawn as
-        it is.
+        pair is drawn from it.  The check draws through
+        ``opalgebra._pair_commutant_equals``, so the binding patched is
+        ``opalgebra._pair_commutant``; only the salt ``(204,)`` is seen.
         """
-        seen, real = [], sectors._pair_commutant
+        seen, real = [], opalgebra._pair_commutant
 
         def pair_commutant(members, seed, salt, isometry=None):
             if salt != (204,):
@@ -132,7 +132,7 @@ class TestCentralDecomposition:
             seen.append((members.shape, out[0].shape, salt, out[1].algebra_dim))
             return out
 
-        monkeypatch.setattr(sectors, "_pair_commutant", pair_commutant)
+        monkeypatch.setattr(opalgebra, "_pair_commutant", pair_commutant)
         return seen
 
     def test_reducible_d_one_block_raises(self, seed, monkeypatch):
@@ -161,6 +161,18 @@ class TestCentralDecomposition:
         with pytest.raises(PostconditionFailure, match="not irreducible"):
             central_decomposition(o, seed)
         assert seen == [((10, 4, 4), (2, 4, 4), (204,), 4)]
+
+    def test_d_one_blocks_turned_away_fail_on_membership(self, seed, monkeypatch):
+        # O = M_1 + M_3 again, with the stack conjugated by a random unitary of
+        # C^4 before the pair is drawn: its commutant still has one dimension
+        # per block, but of other blocks, whose identities do not commute with
+        # the pair, so only the membership test sees the fault
+        o = commutant(operator_set([np.diag([1.0, 2.0, 2.0, 2.0])]), seed)
+        u = random_unitary(np.random.default_rng(4), 4)
+        seen = self.irreducibility_pairs(monkeypatch, lambda members: u @ members @ u.conj().T)
+        with pytest.raises(PostconditionFailure, match="not irreducible"):
+            central_decomposition(o, seed)
+        assert seen == [((10, 4, 4), (2, 4, 4), (204,), 2)]
 
     def test_d_one_blocks_take_one_pair(self, seed, monkeypatch):
         # two d = 1 blocks beside a d = 2 block: one pair, drawn from the
