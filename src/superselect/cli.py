@@ -57,7 +57,7 @@ from .fluxsectors import (
     sphere_quadrature,
     total_charge,
 )
-from .numkernel import MEMBER_TOL
+from .numkernel import MEMBER_TOL, SPAN_TOL
 from .opalgebra import (
     _max_commutator,
     _pair_commutant_equals,
@@ -163,12 +163,13 @@ def cmd_algebra(path: str, seed: int) -> AnalysisReport:
     gen = generated_algebra(completed, seed, commutant_algebra=obs)
     dec = central_decomposition(obs, seed, commutant_algebra=gen)
     dirac = check_dirac(dec, seed)
-    n = s.dim
-    sum_dn = sum(sec.d * sec.ntilde for sec in dec.sectors)
     sum_n2 = sum(sec.ntilde ** 2 for sec in dec.sectors)
     sum_d2 = sum(sec.d ** 2 for sec in dec.sectors)
     # S''' = S': O = S' lies in (S'')', so a generic pair of S'' must have the
-    # span of O's basis as its commutant
+    # span of O's basis as its commutant.  A guard against solver error in the
+    # commutants, not against a bad draw: in the draw-fault matrix it fails
+    # only when its own pair (salt 105) is faulted, and it catches nothing on
+    # the twilight recipe
     triple_ok = _pair_commutant_equals(gen.basis, seed, (105,), obs.basis)[2]
     # relative to each member's HS norm, so a large generator's roundoff is
     # not read as distance from the algebra; zero members lie in any span
@@ -177,7 +178,6 @@ def cmd_algebra(path: str, seed: int) -> AnalysisReport:
                         for m, nm in zip(s.members, norms) if nm > 0), default=0.0)
 
     checks = [
-        _equal("sum d_i * ntilde_i == dim", sum_dn, n),
         _equal("dim(observables) == sum ntilde_i^2", obs.algebra_dim, sum_n2),
         _equal("dim(generated) == sum d_i^2", gen.algebra_dim, sum_d2),
         _at_most("generators lie in generated algebra (residual)", member_resid,
@@ -223,12 +223,8 @@ def cmd_parastat(n: int, d: int, seed: int) -> AnalysisReport:
     checks = [
         _check("spectral sectors match character oracle", result["sector_table"],
                "oracle multiset", result["oracle_agrees"]),
-        _equal("post-truncation commutant abelian (Dirac v2)",
-               result["post_truncation_v2"], True),
-        _equal("post-truncation commutant dim == number of sectors",
-               result["post_truncation_commutant_dim"], len(result["sector_table"])),
-        _equal("sum d_i * ntilde_i == d^n",
-               sum(a * b for a, b in result["sector_table"]), rep.dim),
+        _check("post-truncation commutant abelian (Dirac v2)",
+               result["post_truncation_ratio"], SPAN_TOL, result["post_truncation_v2"]),
     ]
     sections = {"parastatistics": result, "checks": checks}
     return AnalysisReport(tool_version=__version__, seed=seed,
@@ -369,10 +365,7 @@ def cmd_dynamics(path: str, seed: int) -> AnalysisReport:
     traj, *moved = extended_dynamics(starts, potential, cfg["dt"], cfg["steps"])
     drift = traj.drift  # of the centre-of-mass-frame energy, so a boost leaves it alone
 
-    checks = [
-        _at_most("relative energy drift", drift, 1e-6),
-        _at_most("masses constant", float(np.max(np.abs(traj.m - point.m))), 0.0),
-    ]
+    checks = [_at_most("relative energy drift", drift, 1e-6)]
     free_lambda_err = None
     if potential is None:
         rate = -np.sum(point.p * point.p, axis=1) / (2.0 * point.m ** 2)

@@ -607,7 +607,11 @@ def _pair_commutant_equals(members: np.ndarray, seed: int, salt, expected: np.nd
     :func:`~superselect.sectors.central_decomposition` (``E`` the blocks'
     unit identities, salt 204) and the verdict of
     :func:`~superselect.sectors.truncate` (``E`` the unit truncated sector
-    projectors, salt 205).
+    projectors, salt 205).  The triple commutant, like the witness's ``A =
+    A'`` (salt 106), guards against solver error in the commutants, not
+    against a bad draw: in the draw-fault matrix each fails only when its
+    own pair is faulted, and neither catches anything on the twilight
+    recipe.
     """
     pair, t_cp = _pair_commutant(members, seed, salt, isometry)
     n = pair.shape[-1]
@@ -844,8 +848,11 @@ def check_dirac(dec: SectorDecomposition, seed: int = 0) -> DiracReport:
     verified independently, by comparing spans with the commutant of a
     seeded generic pair of the witness (:func:`_pair_commutant`, salt 106):
     that commutant ``T'`` contains ``A'``, and ``A`` lies in ``A'`` by
-    construction, so ``T' = A`` proves ``A' = A``.  Containment of the
-    witness in the observables is checked too.
+    construction, so ``T' = A`` proves ``A' = A``.  That check guards
+    against solver error, not against a bad draw: in the draw-fault matrix
+    it fails only when its own pair (salt 106) is faulted, and it catches
+    nothing on the twilight recipe.  Containment of the witness in the
+    observables is checked too.
     """
     if not _abelian_commutant(dec):
         return DiracReport(v2_holds=False, witness=None)

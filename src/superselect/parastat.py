@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonIntegerRank, PostconditionFailure, SizeLimit
+from .errors import NonIntegerRank, SizeLimit
 from .opalgebra import OperatorAlgebra, _abelian_commutant, _max_commutator, algebra_from_span
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
@@ -190,22 +190,17 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
 
     Returns a report with the sector table, the character-oracle table, the
     abelian verdicts on the commutant before and after truncation, and the
-    truncated dimension (the sum of multiplicities over present blocks).
+    truncated dimension (the sum of the sectors' multiplicities ``ntilde``).
     The verdict before truncation is read from the sector multiplicities;
     ``pre_truncation_max_commutator`` is the largest relative commutator of
-    the permutation unitaries, which generate that commutant.
+    the permutation unitaries, which generate that commutant.  The verdict
+    after it and its ratio are :func:`truncate`'s.
     """
     dec = decomposition_for(rep, seed)
     pre_abelian = _abelian_commutant(dec)
-    v_iso, _, post = truncate(dec, seed)  # post: the truncated algebra's commutant
-
+    v_iso, _, (post, ratio, holds) = truncate(dec, seed)
     oracle = character_oracle(rep)
     present = tuple(sorted((d, nt) for _, d, nt in oracle if nt > 0))
-    expected_dim = sum(nt for _, _, nt in oracle if nt > 0)
-    if v_iso.shape[1] != expected_dim:
-        raise PostconditionFailure(
-            f"truncated dimension {v_iso.shape[1]} != sum of multiplicities {expected_dim}")
-
     return {
         "n_particles": rep.n_particles,
         "d_single": rep.d_single,
@@ -221,10 +216,8 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
         ],
         "oracle_agrees": dec.multiset() == present,
         "dim_truncated": int(v_iso.shape[1]),
-        # truncate checked that post holds the len(dec.sectors) truncated sector
-        # projectors, so it is their (abelian) span exactly when it has that
-        # dimension; truncate raises otherwise
-        "post_truncation_v2": post.algebra_dim == len(dec.sectors),
+        "post_truncation_v2": holds,
+        "post_truncation_ratio": ratio,
         "post_truncation_commutant_dim": int(post.algebra_dim),
     }
 

@@ -212,11 +212,13 @@ def central_decomposition(o: OperatorAlgebra, seed: int = 0,
 
 
 def truncate(dec: SectorDecomposition, seed: int = 0
-             ) -> tuple[np.ndarray, OperatorAlgebra, OperatorAlgebra]:
+             ) -> tuple[np.ndarray, OperatorAlgebra, tuple[OperatorAlgebra, float, bool]]:
     """Keep one multiplicity copy per sector.
 
-    Returns the isometry ``V``, the truncated algebra ``V^* O V`` and its
-    commutant ``T'``, the scalars on each truncated sector.  Per sector, the
+    Returns the isometry ``V``, the truncated algebra ``V^* O V`` and the
+    verdict on its commutant, ``(T', ratio, holds)``
+    (:func:`_pair_commutant_equals`); when it holds, ``T'`` is the span of
+    the scalars on each truncated sector.  Per sector, the
     commutant restricted to the block, ``W^* O' W = M_d (x) 1_ntilde``, is
     formed on the spot from the sector's isometry ``W`` and the
     decomposition's commutant basis (it need not be orthonormal to draw
@@ -238,12 +240,13 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     identity at 1e-10, and the identity must lie in its span.
 
     The verdict comes from the commutant ``T'`` of a seeded generic pair of
-    the truncated basis (salt 205): it must be the span of the truncated
-    sector projectors ``V^* P_s V``, each scaled to unit HS norm
+    the truncated basis (salt 205): it holds when ``T'`` is the span of the
+    truncated sector projectors ``V^* P_s V``, each scaled to unit HS norm
     (:func:`_pair_commutant_equals`, which holds the argument), so that
     ``(V^* O V)'`` is that span, abelian, with every truncated block
-    irreducible.  ``T'`` must also pass :func:`is_abelian`, a cross-check
-    of that verdict.
+    irreducible.  A verdict that fails is returned for the caller to
+    report.  A verdict that holds is cross-checked by :func:`is_abelian` on
+    ``T'``, and a disagreement raises :class:`PostconditionFailure`.
     """
     columns = []
     for sidx, sec in enumerate(dec.sectors):
@@ -270,12 +273,10 @@ def truncate(dec: SectorDecomposition, seed: int = 0
     o_tilde = OperatorAlgebra(dim=m, basis=basis, contains_identity=True)
 
     projectors = np.stack([v_full.conj().T @ sec.projector @ v_full for sec in dec.sectors])
-    t_cp, outside, holds = _pair_commutant_equals(basis, seed, (205,), _unit_members(projectors))
-    abelian, worst = is_abelian(t_cp)
-    if not abelian or not holds:
+    verdict = _pair_commutant_equals(basis, seed, (205,), _unit_members(projectors))
+    abelian, worst = is_abelian(verdict[0]) if verdict[2] else (True, 0.0)
+    if not abelian:
         raise PostconditionFailure(
-            "truncated algebra failed the abelian-commutant check "
-            f"(relative commutator {worst:.3e}, commutant dim {t_cp.algebra_dim}, "
-            f"expected {len(dec.sectors)}, sector projectors' relative commutator "
-            f"with the pair {outside:.3e})")
-    return v_full, o_tilde, t_cp
+            "the truncated algebra's commutant is the span of its sector projectors but its "
+            f"basis pairs do not commute: relative commutator {worst:.3e}; tolerance pathology")
+    return v_full, o_tilde, verdict

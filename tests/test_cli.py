@@ -510,6 +510,36 @@ class TestParastatCommand:
             sect["sector_table"] == [(1, 4), (2, 2)]
         assert sect["dim_truncated"] == 6
 
+    @staticmethod
+    def failed_checks(capsys, argv):
+        assert main(argv) == 2
+        doc = json.loads(capsys.readouterr().out)
+        return doc, [c["name"] for c in doc["sections"]["checks"] if not c["passed"]]
+
+    def test_failed_truncation_verdict_is_reported(self, capsys, monkeypatch):
+        # the salt-205 pair drawn from one basis member generates less than the
+        # truncated algebra: its commutant is too large, and the verdict fails
+        # in the report instead of raising
+        real = opalgebra._pair_commutant
+        monkeypatch.setattr(opalgebra, "_pair_commutant",
+                            lambda members, seed, salt, isometry=None:
+                            real(members[:1] if salt == (205,) else members, seed, salt,
+                                 isometry))
+        doc, failed = self.failed_checks(capsys, ["parastat", "--n", "3", "--d", "2"])
+        assert failed == ["post-truncation commutant abelian (Dirac v2)"]
+        sect = doc["sections"]["parastatistics"]
+        assert sect["post_truncation_v2"] is False
+        assert sect["post_truncation_commutant_dim"] > len(sect["sector_table"])
+
+    def test_oracle_disagreement_is_reported(self, capsys, monkeypatch):
+        # a wrong table whose multiplicities no longer sum to the truncated
+        # dimension fails the oracle check; nothing raises
+        real = parastat.character_oracle
+        monkeypatch.setattr(parastat, "character_oracle",
+                            lambda rep: [(p, d, nt + 1) for p, d, nt in real(rep)])
+        _, failed = self.failed_checks(capsys, ["parastat", "--n", "3", "--d", "2"])
+        assert failed == ["spectral sectors match character oracle"]
+
     def test_size_limit_is_an_input_error(self, capsys):
         assert main(["parastat", "--n", "5", "--d", "2"]) == 1
         assert "error" in capsys.readouterr().err

@@ -12,7 +12,9 @@ that passes with any other structure fails the test.
 
 A run is faulted only at the salts its unfaulted run draws from: elsewhere
 the fault changes nothing.  Run as a script from the repository root to
-print the outcomes per fault and leading salt:
+print the outcomes per fault and leading salt, then the census of what
+caught each fault: the names of the failed checks, or the error and the
+function of ``superselect`` that raised it:
 
     PYTHONPATH=src python tests/test_draw_faults.py
 """
@@ -21,6 +23,7 @@ import collections
 import json
 import os
 import tempfile
+import traceback
 from functools import partial
 
 import numpy as np
@@ -83,32 +86,45 @@ def patch_draws(monkeypatch, salt=None, fault=None, reached=None):
     monkeypatch.setattr(opalgebra, "_generic_hermitian_combo", combo)
 
 
+def raise_site(exc) -> str:
+    """The error's name and the module and function that raised it."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    module = os.path.splitext(os.path.basename(frame.filename))[0]
+    return f"{type(exc).__name__} in {module}.{frame.name}"
+
+
 def command_outcome(workloads, item):
-    """``"pass"``, ``"fail"`` or the ``SuperselectError`` raised; a wrong pass asserts."""
+    """``(outcome, caught by)``; a wrong pass asserts.
+
+    The outcome is ``"pass"``, ``"fail"`` or the ``SuperselectError`` raised.
+    What caught a run that did not pass is the names of the failed checks,
+    or the error's :func:`raise_site`.
+    """
     try:
         report = cli.run_command(cli.build_parser().parse_args(list(item.argv)))
     except SuperselectError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, raise_site(exc)
     if not report.all_passed:
-        return "fail"
+        return "fail", "; ".join(c["name"] for c in report.checks if not c["passed"])
     assert workloads.check(item, json.loads(report.to_json_bytes())) is None, item.label
-    return "pass"
+    return "pass", None
 
 
 def decomposition_outcome(item):
     """The decomposition of a planted item's observables with no commutant passed in.
 
-    No command takes this path, the one that draws at salt 206.
+    No command takes this path, the one that draws at salt 206.  The result
+    is as in :func:`command_outcome`.
     """
     seed = int(item.argv[1])
     s, _ = load_operator_file(item.argv[-1])
     try:
         dec = central_decomposition(commutant(s, seed), seed)
     except SuperselectError as exc:
-        return type(exc).__name__
+        return type(exc).__name__, raise_site(exc)
     # the observables' sector factors are the planted ones swapped
     assert sorted((nt, d) for d, nt in dec.multiset()) == sorted(item.pattern), item.label
-    return "pass"
+    return "pass", None
 
 
 def build_runs(workloads, workdir: str):
@@ -135,19 +151,26 @@ def build_runs(workloads, workdir: str):
         reached = set()
         with pytest.MonkeyPatch.context() as m:
             patch_draws(m, reached=reached)
-            assert run() == "pass", label
+            assert run()[0] == "pass", label
         out.append((label, run, reached))
     return out
 
 
-def run_matrix(runs, fault):
-    """``(label, salt, outcome)`` of every run faulted at each salt it reaches, in turn."""
+def run_matrix(runs, fault, census=None):
+    """``(label, salt, outcome)`` of every run faulted at each salt it reaches, in turn.
+
+    When ``census`` is given, a counter, it counts ``(salt, what caught the
+    fault)`` over the runs that did not pass.
+    """
     outcomes = []
     for label, run, reached in runs:
         for salt in sorted(reached):
             with pytest.MonkeyPatch.context() as m:
                 patch_draws(m, salt, fault)
-                outcomes.append((label, salt, run()))
+                outcome, caught = run()
+            outcomes.append((label, salt, outcome))
+            if census is not None and caught is not None:
+                census[salt, caught] += 1
     return outcomes
 
 
@@ -162,6 +185,15 @@ def outcome_table(matrix) -> str:
             rows.append((fault, str(salt), *(str(counts[n]) for n in names)))
         total = collections.Counter(o for _, _, o in outcomes)
         rows.append((fault, "all", *(str(total[n]) for n in names)))
+    return "\n".join("| " + " | ".join(row) + " |" for row in rows)
+
+
+def census_table(censuses) -> str:
+    """What caught each fault, per fault and leading salt, with its count, as a markdown table."""
+    rows = [("fault", "salt", "caught by", "runs"), ("---",) * 4]
+    for fault, census in censuses.items():
+        rows += [(fault, str(salt), why, str(count))
+                 for (salt, why), count in sorted(census.items())]
     return "\n".join("| " + " | ".join(row) + " |" for row in rows)
 
 
@@ -189,4 +221,8 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as workdir:
         runs = build_runs(load_workloads(), workdir)
-        print(outcome_table({fault: run_matrix(runs, fault) for fault in DRAW_FAULTS}))
+        censuses = {fault: collections.Counter() for fault in DRAW_FAULTS}
+        print(outcome_table({fault: run_matrix(runs, fault, censuses[fault])
+                             for fault in DRAW_FAULTS}))
+        print()
+        print(census_table(censuses))

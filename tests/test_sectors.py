@@ -17,7 +17,7 @@ from superselect.errors import (
     NonIntegerStructure,
     PostconditionFailure,
 )
-from superselect.numkernel import random_hermitian, random_unitary
+from superselect.numkernel import SPAN_TOL, random_hermitian, random_unitary
 from superselect.opalgebra import (
     _orthonormalize_stack,
     algebra_from_span,
@@ -423,7 +423,7 @@ class TestTruncate:
             assert rank == sec.ntilde
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3])
-    def test_projectors_outside_the_pair_commutant_raise(self, seed, eps):
+    def test_projectors_outside_the_pair_commutant_fail_the_verdict(self, seed, eps):
         # O = M_2 + M_3: the first sector's projector gains eps (|a><b| + |b><a|),
         # a in its block and b in the other.  The truncated algebra and T' do
         # not see it, T' stays abelian with one dimension per sector, and only
@@ -436,10 +436,20 @@ class TestTruncate:
         moved = first.projector + eps * (np.outer(a, b.conj()) + np.outer(b, a.conj()))
         faulty = dataclasses.replace(
             dec, sectors=(dataclasses.replace(first, projector=moved), second))
-        assert truncate(dec, seed)[2].algebra_dim == 2
-        with pytest.raises(PostconditionFailure, match=r"abelian-commutant check .*commutant "
-                           r"dim 2, expected 2, sector projectors' relative commutator"):
-            truncate(faulty, seed)
+        t_cp, _, holds = truncate(dec, seed)[2]
+        assert holds and t_cp.algebra_dim == 2
+        t_cp, ratio, holds = truncate(faulty, seed)[2]
+        assert holds is False
+        assert t_cp.algebra_dim == 2 and ratio > SPAN_TOL
+
+    def test_pairwise_scan_contradicting_the_verdict_raises(self, seed, monkeypatch):
+        # the verdict holds, so a scan of T' that finds non-commuting pairs is a fault
+        o = generated_algebra(
+            operator_set([np.kron(np.eye(2), SX), np.kron(np.eye(2), SZ)]), seed)
+        dec = central_decomposition(o, seed)
+        monkeypatch.setattr(sectors, "is_abelian", lambda a: (False, 1.0))
+        with pytest.raises(PostconditionFailure, match="do not commute.*tolerance pathology"):
+            truncate(dec, seed)
 
     def test_overlapping_copies_raise(self, two_block, seed):
         # both sectors name the same block, so the stacked copies overlap
