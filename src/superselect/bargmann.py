@@ -579,35 +579,23 @@ def transform_phase_point(e: ExtendedElement, point: ExtendedPhasePoint) -> Exte
     return ExtendedPhasePoint(x=x_new, p=p_new, m=point.m, lam=lam_new, t=t_new)
 
 
-def dynamics_symmetry_check(traj: Trajectory, element: ExtendedElement,
-                            potential, dt: float, moved: Trajectory | None = None) -> float:
-    """Max deviation between transform-then-evolve and evolve-then-transform.
+def dynamics_symmetry_check(point: ExtendedPhasePoint, element: ExtendedElement,
+                            potential, dt: float, steps: int) -> tuple[Trajectory, float]:
+    """Evolve a point and its transform; compare transform-then-evolve with evolve-then-transform.
 
-    ``traj`` is the untransformed evolution, as :func:`extended_dynamics`
-    returned it for the same ``potential`` and ``dt``.  Its initial point
-    is transformed (configuration by the extended action at t = 0, momenta
-    by R p + m v) and evolved for the same number of steps; the result is
-    compared with the transformed final state of ``traj``.  ``moved`` is
-    that evolution when the caller already has it, typically the second
-    member of a batch whose first member is ``traj``; it must start at the
-    transformed initial point and run as many steps, else ValueError.  When
-    it is None the transformed point is integrated here.  Time translations
-    are matched automatically because the built-in potentials are
-    autonomous.
+    ``point`` is transformed (configuration by the extended action at its
+    time, momenta by R p + m v), and the point and its transform are
+    integrated as one :func:`extended_dynamics` batch of ``steps`` steps.
+    Returns the point's trajectory and the largest deviation between the
+    final state of the transformed run and the transformed final state of
+    the point's run.  Time translations are matched automatically because
+    the built-in potentials are autonomous.
     """
-    initial = ExtendedPhasePoint(x=traj.x[0], p=traj.p[0], m=traj.m, lam=traj.lam[0],
-                                 t=float(traj.times[0]))
-    start = transform_phase_point(element, initial)
-    if moved is None:
-        moved = extended_dynamics(start, potential, dt, traj.times.size - 1)
-    elif moved.times.size != traj.times.size or not all(
-            np.array_equal(got, want) for got, want in
-            ((moved.x[0], start.x), (moved.p[0], start.p), (moved.lam[0], start.lam))):
-        raise ValueError("moved must start at the transformed initial point of traj "
-                         "and run as many steps")
+    traj, transformed = extended_dynamics([point, transform_phase_point(element, point)],
+                                          potential, dt, steps)
     expected = transform_phase_point(element, traj.final())
-    got = moved.final()
-    return float(max(
+    got = transformed.final()
+    return traj, float(max(
         np.max(np.abs(got.x - expected.x)),
         np.max(np.abs(got.p - expected.p)),
         np.max(np.abs(got.lam - expected.lam)),

@@ -29,7 +29,6 @@ from .bargmann import (
     extended_dynamics,
     mass_superselection_report,
     ray_compose_check,
-    transform_phase_point,
 )
 from .cocycles import (
     COCYCLE_TOL,
@@ -360,9 +359,12 @@ def cmd_flux(e: float, m: float, p, lmax: int, ntheta: int, nphi: int,
 def cmd_dynamics(path: str, seed: int) -> AnalysisReport:
     cfg, raw = load_dynamics_file(path)
     point, potential, element = cfg["point"], cfg["potential"], cfg["element"]
-    # one batch: the point and, for the symmetry check, its transform
-    starts = [point] if element is None else [point, transform_phase_point(element, point)]
-    traj, *moved = extended_dynamics(starts, potential, cfg["dt"], cfg["steps"])
+    symmetry_dev = None
+    if element is None:
+        traj = extended_dynamics(point, potential, cfg["dt"], cfg["steps"])
+    else:  # the point and its transform, integrated as one batch
+        traj, symmetry_dev = dynamics_symmetry_check(point, element, potential, cfg["dt"],
+                                                     cfg["steps"])
     drift = traj.drift  # of the centre-of-mass-frame energy, so a boost leaves it alone
 
     checks = [_at_most("relative energy drift", drift, 1e-6)]
@@ -373,10 +375,7 @@ def cmd_dynamics(path: str, seed: int) -> AnalysisReport:
         free_lambda_err = float(np.max(np.abs(traj.lam[-1] - expect)))
         checks.append(_at_most("free-particle lambda matches closed form",
                                free_lambda_err, 1e-10))
-    symmetry_dev = None
-    if element is not None:
-        symmetry_dev = dynamics_symmetry_check(traj, element, potential, cfg["dt"],
-                                               moved=moved[0])
+    if symmetry_dev is not None:
         checks.append(_at_most("extension element maps solutions to solutions",
                                symmetry_dev, 1e-5))
 

@@ -196,18 +196,17 @@ def span_residual(basis: np.ndarray, mat: np.ndarray) -> float:
 def _max_span_residual(basis: np.ndarray, mats: np.ndarray) -> float:
     """Largest projection residual of ``mats`` onto the span of an orthonormal basis stack.
 
-    An empty basis spans only zero, so each residual is then the full norm.
-    The worst residual is picked by its squared norm and then measured as one
-    flat vector, so a single matrix gets ``np.linalg.norm`` of its residual
-    bit for bit, as reports print it.  The coefficients ``v q*`` are formed
-    as ``(q v*)*``, so only the matrices are conjugated, not a copy of the
-    basis (256 MB for 4096 members at n = 64).
+    ``mats`` holds at least one matrix.  An empty basis spans only zero, so
+    each residual is then the full norm.  The worst residual is picked by its
+    squared norm and then measured as one flat vector, so a single matrix
+    gets ``np.linalg.norm`` of its residual bit for bit, as reports print it.
+    The coefficients ``v q*`` are formed as ``(q v*)*``, so only the matrices
+    are conjugated, not a copy of the basis (256 MB for 4096 members at
+    n = 64).
     """
     nn = mats.shape[-2] * mats.shape[-1]
     q = basis.reshape(basis.shape[0], nn)
     v = mats.reshape(mats.shape[0], nn)
-    if not len(v):
-        return 0.0
     return _residual_norm(v, (q @ v.conj().T).conj().T, q)
 
 

@@ -28,8 +28,8 @@ from .opalgebra import OperatorAlgebra, _abelian_commutant, _max_commutator, alg
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
 __all__ = [
-    "Permutation",
     "TensorRep",
+    "cycle_type",
     "invariant_algebra",
     "character_oracle",
     "parastat_truncation",
@@ -37,34 +37,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0, ..., n-1} given by its tuple of images."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation: {self.images}")
-
-    def cycle_type(self) -> tuple[int, ...]:
-        seen = [False] * len(self.images)
-        lengths = []
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            length, j = 0, start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths, reverse=True))
-
-
-def symmetric_group(n: int) -> list[Permutation]:
-    """All permutations of n symbols, in lexicographic order of images."""
-    return [Permutation(p) for p in itertools.permutations(range(n))]
+def cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths, largest first, of the permutation with image tuple ``perm``."""
+    seen = [False] * len(perm)
+    lengths = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
 
 
 # Character tables, keyed by particle count.  Rows: (partition, dimension,
@@ -93,18 +79,20 @@ CHARACTER_TABLES: dict[int, list[tuple[tuple[int, ...], int, dict[tuple[int, ...
 class TensorRep:
     """Permutation action of S_n on the n-fold tensor power of C^d, built from (n, d).
 
-    Row k of ``images`` is the index map of the k-th element g of
-    :meth:`group`: it sends the basis word with digits (i_1, ..., i_n) to
-    the one with digits (i_{g^-1(1)}, ..., i_{g^-1(n)}).  ``unitaries[g]``
-    is the 0/1 permutation matrix with U(g) e_j = e_{images[k, j]}, a proper
+    ``perms`` is S_n as the image tuples of ``itertools.permutations``, in
+    lexicographic order.  Row k of ``images`` is the index map of g =
+    ``perms[k]``: it sends the basis word with digits (i_1, ..., i_n) to the
+    one with digits (i_{g^-1(1)}, ..., i_{g^-1(n)}).  ``unitaries[k]`` is
+    the 0/1 permutation matrix with U(g) e_j = e_{images[k, j]}, a proper
     representation.
     """
 
     n_particles: int
     d_single: int
     dim: int = field(init=False)
+    perms: tuple[tuple[int, ...], ...] = field(init=False)  # S_n, lexicographic
     images: np.ndarray = field(init=False)  # (|G|, dim) word index maps
-    unitaries: dict[Permutation, np.ndarray] = field(init=False)
+    unitaries: np.ndarray = field(init=False)  # (|G|, dim, dim)
 
     def __post_init__(self):
         n, d = self.n_particles, self.d_single
@@ -113,19 +101,14 @@ class TensorRep:
                 f"supported range is 2 <= n <= 4, 2 <= d <= 3, d^n <= 64; got n={n}, d={d}")
         dim = d ** n
         grid = np.arange(dim).reshape((d,) * n)
-        group = symmetric_group(n)
-        images = np.stack([np.transpose(grid, axes=g.images).ravel() for g in group])
-        unitaries = {}
-        for g, target in zip(group, images):
-            u = np.zeros((dim, dim), dtype=complex)
-            u[target, np.arange(dim)] = 1.0
-            unitaries[g] = u
+        perms = tuple(itertools.permutations(range(n)))
+        images = np.stack([np.transpose(grid, axes=g).ravel() for g in perms])
+        unitaries = np.zeros((len(perms), dim, dim), dtype=complex)
+        unitaries[np.arange(len(perms))[:, None], images, np.arange(dim)] = 1.0
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "perms", perms)
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "unitaries", unitaries)
-
-    def group(self) -> list[Permutation]:
-        return sorted(self.unitaries, key=lambda g: g.images)
 
 
 def invariant_algebra(rep: TensorRep) -> OperatorAlgebra:
@@ -150,32 +133,21 @@ def invariant_algebra(rep: TensorRep) -> OperatorAlgebra:
     return OperatorAlgebra(dim=n, basis=basis.reshape(-1, n, n), contains_identity=True)
 
 
-def _group_span(rep: TensorRep) -> OperatorAlgebra:
-    """The span of the group unitaries, which is the commutant of the invariant algebra.
-
-    The span is closed under products and adjoints, ``U(g) U(h) = U(gh)`` and
-    ``U(g)^* = U(g^-1)``, and contains the identity, so it is the algebra the
-    unitaries generate: their double commutant ``S'' = O'``.
-    """
-    return algebra_from_span([rep.unitaries[g] for g in rep.group()])
-
-
 def character_oracle(rep: TensorRep) -> list[tuple[tuple[int, ...], int, int]]:
     """Isotypic data (partition, irrep dim d, multiplicity ntilde) for every irrep.
 
     The character projector (d/|G|) sum_g chi(g) U(g) has rank equal to its
-    trace, (d/|G|) sum_g chi(g) tr U(g), so no projector is formed; the
+    trace, (d/|G|) sum_g chi(g) tr U(g), so no projector is formed; tr U(g)
+    is the number of basis words that ``images[k]`` fixes.  The
     multiplicity is rank/d and must be an integer within 0.01.  This is the
     independent oracle against which the spectral sector decomposition is
     validated.
     """
-    table = CHARACTER_TABLES.get(rep.n_particles)
-    if table is None:
-        raise SizeLimit(f"character table not built in for n={rep.n_particles}")
-    traces = {g: float(np.trace(u).real) for g, u in rep.unitaries.items()}
+    traces = np.count_nonzero(rep.images == np.arange(rep.dim), axis=1).tolist()
+    classes = [cycle_type(g) for g in rep.perms]
     out = []
-    for partition, d, chars in table:
-        rank = d / len(traces) * sum(chars[g.cycle_type()] * tr for g, tr in traces.items())
+    for partition, d, chars in CHARACTER_TABLES[rep.n_particles]:
+        rank = d / len(traces) * sum(chars[c] * tr for c, tr in zip(classes, traces))
         ntilde = rank / d
         if abs(ntilde - round(ntilde)) > 0.01:
             raise NonIntegerRank(
@@ -208,8 +180,7 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
         "algebra_dim": dec.algebra.algebra_dim,
         "commutant_dim": dec.commutant.algebra_dim,
         "pre_truncation_abelian": pre_abelian,
-        "pre_truncation_max_commutator": _max_commutator(
-            np.stack([rep.unitaries[g] for g in rep.group()])),
+        "pre_truncation_max_commutator": _max_commutator(rep.unitaries),
         "sector_table": list(dec.multiset()),
         "oracle_table": [
             {"partition": list(p), "d": d, "ntilde": nt} for p, d, nt in oracle
@@ -223,6 +194,12 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
 
 
 def decomposition_for(rep: TensorRep, seed: int = 0) -> SectorDecomposition:
-    """Spectral sector decomposition of the invariant algebra."""
+    """Spectral sector decomposition of the invariant algebra.
+
+    Its commutant is the span of the group unitaries.  The span is closed
+    under products and adjoints, ``U(g) U(h) = U(gh)`` and ``U(g)^* =
+    U(g^-1)``, and contains the identity, so it is the algebra the
+    unitaries generate: their double commutant ``S'' = O'``.
+    """
     return central_decomposition(invariant_algebra(rep), seed,
-                                 commutant_algebra=_group_span(rep))
+                                 commutant_algebra=algebra_from_span(rep.unitaries))

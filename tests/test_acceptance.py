@@ -309,8 +309,8 @@ def test_criterion_6_bargmann_suite():
     e = bg.ExtendedElement(theta=0.3,
                            g=bg.random_galilei_element(np.random.default_rng(42)))
     pot = bg.HarmonicPairPotential()
-    d1 = bg.dynamics_symmetry_check(bg.extended_dynamics(pt2, pot, 1e-3, 1000), e, pot, 1e-3)
-    d2 = bg.dynamics_symmetry_check(bg.extended_dynamics(pt2, pot, 5e-4, 2000), e, pot, 5e-4)
+    d1 = bg.dynamics_symmetry_check(pt2, e, pot, 1e-3, 1000)[1]
+    d2 = bg.dynamics_symmetry_check(pt2, e, pot, 5e-4, 2000)[1]
     assert d1 <= 1e-5
     assert d1 / d2 == pytest.approx(4.0, rel=0.5)
     print(f"\n[PASS] criterion 6: cocycle residual {resid:.2e}, obstructions "

@@ -148,6 +148,12 @@ class TestGalileiArithmetic:
                        abs(ident.b[i])) <= REF_ATOL
 
 
+    def test_wrong_shapes_rejected(self):
+        with pytest.raises(ValueError, match="rotation axis must be a 3-vector"):
+            bg.rotation_from_axis_angle([1.0, 0.0], 0.5)
+        with pytest.raises(ValueError, match="R must be 3 x 3"):
+            bg.GalileiElement(R=np.eye(2))
+
 class TestBargmannExponent:
     def test_boost_then_translation(self):
         g1 = bg.GalileiElement(v=[1, 0, 0])
@@ -239,6 +245,10 @@ class TestMassSuperselection:
         for m2 in (1.0, 1.0 + 1e-12):
             with pytest.raises(ValueError, match="two distinct masses"):
                 bg.mass_superselection_report(1.0, m2)
+
+    def test_non_positive_mass_rejected(self):
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            bg.mass_superselection_report(1.0, -1.0)
 
     @pytest.mark.parametrize("m1, m2", [(2.0, 1.0), (0.5, 3.0), (1.383646, 1.383169)])
     def test_obstructions_are_linear_in_mass(self, m1, m2):
@@ -343,9 +353,23 @@ class TestRayCompose:
 
     def test_clipped_support_rejected(self, grid):
         psi = np.exp(-0.01 * grid ** 2)  # wide: reaches the boundary
-        g = bg.GalileiElement(a=[5.0, 0, 0])
-        with pytest.raises(SupportClipped):
-            bg.ray_compose_check(1.0, grid, g, bg.GalileiElement(), psi)
+        for shift in (5.0, -5.0):
+            g = bg.GalileiElement(a=[shift, 0, 0])
+            with pytest.raises(SupportClipped):
+                bg.ray_compose_check(1.0, grid, g, bg.GalileiElement(), psi)
+
+    def test_bad_input_rejected(self, grid):
+        psi = np.exp(-grid ** 2)
+        boost = bg.GalileiElement(v=[1.0, 0, 0])
+        with pytest.raises(ValueError, match="grid must be a 1-d array"):
+            bg.ray_compose_check(1.0, grid[None], boost, boost, psi)
+        with pytest.raises(ValueError, match="grid must be uniform"):
+            bg.ray_compose_check(1.0, grid ** 3, boost, boost, psi)
+        with pytest.raises(ValueError, match="psi must be sampled on the grid"):
+            bg.ray_compose_check(1.0, grid, boost, boost, psi[:-1])
+        turn = bg.GalileiElement(R=bg.rotation_from_axis_angle([0, 0, 1], 0.1))
+        with pytest.raises(ValueError, match="boost/translations along x"):
+            bg.ray_compose_check(1.0, grid, boost, turn, psi)
 
 
 class TestExtendedAction:
@@ -422,6 +446,13 @@ class TestExtendedAction:
         assert abs(got - worst) <= REF_ATOL
         assert got <= 1e-12
 
+
+    def test_bad_input_rejected(self):
+        e = bg.ExtendedElement(theta=0.0, g=bg.GalileiElement())
+        with pytest.raises(ValueError, match="one entry per particle"):
+            bg.extended_action(e, np.zeros((2, 3)), np.zeros(2), 0.0, [1.0])
+        with pytest.raises(ValueError, match="masses must be positive and finite"):
+            bg.extended_action(e, np.zeros((2, 3)), np.zeros(2), 0.0, [1.0, 0.0])
 
 class TestSampleCount:
     @pytest.mark.parametrize("samples", [0, -3])
@@ -552,20 +583,37 @@ class TestBatchedIntegrator:
             assert np.array_equal(getattr(moved, name), want), name
 
     def test_symmetry_check_accepts_the_batched_transformed_run(self):
+        # the check integrates the point and its transform as one batch; its
+        # trajectory and deviation equal those of two unbatched integrations
         pt = random_point(np.random.default_rng(74), 2)
         pot = bg.HarmonicPairPotential()
         e = bg.ExtendedElement(theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
-        traj, moved = bg.extended_dynamics([pt, bg.transform_phase_point(e, pt)], pot, 1e-3, 500)
-        solo = bg.dynamics_symmetry_check(bg.extended_dynamics(pt, pot, 1e-3, 500), e, pot, 1e-3)
-        assert bg.dynamics_symmetry_check(traj, e, pot, 1e-3, moved=moved) == solo
-        with pytest.raises(ValueError, match="moved must start"):
-            bg.dynamics_symmetry_check(traj, e, pot, 1e-3, moved=traj)
+        traj, dev = bg.dynamics_symmetry_check(pt, e, pot, 1e-3, 500)
+        solo = bg.extended_dynamics(pt, pot, 1e-3, 500)
+        moved = bg.extended_dynamics(bg.transform_phase_point(e, pt), pot, 1e-3, 500)
+        for name in TRAJECTORY_FIELDS + ("m",):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name)), name
+        got, want = moved.final(), bg.transform_phase_point(e, solo.final())
+        assert dev == max(float(np.max(np.abs(getattr(got, f) - getattr(want, f))))
+                          for f in ("x", "p", "lam"))
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
     def test_bad_dt_is_rejected(self, dt):
         pt = random_point(np.random.default_rng(75), 1)
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             bg.extended_dynamics(pt, None, dt, 10)
+
+    def test_unknown_potential_is_rejected(self):
+        pt = random_point(np.random.default_rng(77), 2)
+        with pytest.raises(ValueError, match="potential must be None or a HarmonicPairPotential"):
+            bg.extended_dynamics(pt, "harmonic", 1e-3, 10)
+
+    def test_bad_phase_point_is_rejected(self):
+        with pytest.raises(ValueError, match="agree on the particle count"):
+            bg.ExtendedPhasePoint(x=np.zeros((2, 3)), p=np.zeros((1, 3)), m=[1.0, 1.0],
+                                  lam=[0.0, 0.0])
+        with pytest.raises(ValueError, match="all fields finite"):
+            bg.ExtendedPhasePoint(x=[[np.nan, 0, 0]], p=[[0, 0, 0]], m=[1.0], lam=[0.0])
 
     def test_coincident_pair_is_rejected(self):
         pt = bg.ExtendedPhasePoint(x=[[0, 0, 0], [1, 0, 0], [1, 0, 0]], p=np.zeros((3, 3)),
@@ -625,14 +673,13 @@ class TestDynamicsSymmetry:
     def test_translation_of_free_motion_exact(self):
         pt = bg.ExtendedPhasePoint(x=[[0, 0, 0]], p=[[1.0, 0, 0]], m=[1.0], lam=[0.0])
         e = bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(a=[1.0, -0.5, 2.0]))
-        assert bg.dynamics_symmetry_check(bg.extended_dynamics(pt, None, 1e-3, 1000), e, None,
-                                          1e-3) <= 1e-12
+        assert bg.dynamics_symmetry_check(pt, e, None, 1e-3, 1000)[1] <= 1e-12
 
     def test_boost_of_free_motion_matches_closed_form(self):
         pt = bg.ExtendedPhasePoint(x=[[0.5, 0, 0]], p=[[2.0, 0, 0]], m=[2.0], lam=[0.1])
         v = np.array([0.3, 0.0, 0.0])
         e = bg.ExtendedElement(theta=0.0, g=bg.GalileiElement(v=v))
-        dev = bg.dynamics_symmetry_check(bg.extended_dynamics(pt, None, 1e-3, 1000), e, None, 1e-3)
+        dev = bg.dynamics_symmetry_check(pt, e, None, 1e-3, 1000)[1]
         assert dev <= 1e-10
         # the boosted trajectory integrates the shifted momentum exactly
         moved = bg.extended_dynamics(bg.transform_phase_point(e, pt), None, 1e-3, 1000)
@@ -643,17 +690,15 @@ class TestDynamicsSymmetry:
     def test_harmonic_generic_element(self, harmonic_point):
         e = bg.ExtendedElement(
             theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
-        dev = bg.dynamics_symmetry_check(
-            bg.extended_dynamics(harmonic_point, bg.HarmonicPairPotential(), 1e-3, 1000),
-            e, bg.HarmonicPairPotential(), 1e-3)
+        dev = bg.dynamics_symmetry_check(harmonic_point, e, bg.HarmonicPairPotential(),
+                                         1e-3, 1000)[1]
         assert dev <= 1e-5
 
     def test_second_order_convergence(self, harmonic_point):
         e = bg.ExtendedElement(
             theta=0.3, g=bg.random_galilei_element(np.random.default_rng(42)))
         pot = bg.HarmonicPairPotential()
-        d1 = bg.dynamics_symmetry_check(bg.extended_dynamics(harmonic_point, pot, 1e-3, 1000),
-                                        e, pot, 1e-3)
-        d2 = bg.dynamics_symmetry_check(bg.extended_dynamics(harmonic_point, pot, 5e-4, 2000),
-                                        e, pot, 5e-4)
+        d1 = bg.dynamics_symmetry_check(harmonic_point, e, pot, 1e-3, 1000)[1]
+        d2 = bg.dynamics_symmetry_check(harmonic_point, e, pot, 5e-4, 2000)[1]
         assert d1 / d2 == pytest.approx(4.0, rel=0.4)
+

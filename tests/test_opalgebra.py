@@ -828,7 +828,7 @@ class TestCommutatorKernel:
     def test_max_commutator_on_parastat_stacks_is_pinned(self, n, d, value):
         # the values the kernel gave when it chunked over members only, bit for bit
         rep = TensorRep(n, d)
-        stack = np.stack([rep.unitaries[g] for g in rep.group()])
+        stack = rep.unitaries
         assert len(stack) * rep.dim ** 2 > opalgebra.VERIFY_CHUNK
         assert opalgebra._max_commutator(stack) == value
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from conftest import (
     vector_functional,
 )
 from superselect import opalgebra, sectors
-from superselect.errors import PostconditionFailure, SizeLimit
+from superselect.errors import NonIntegerRank, PostconditionFailure, SizeLimit
 from superselect.opalgebra import (
     algebra_from_span,
     commutant,
@@ -20,13 +22,12 @@ from superselect.opalgebra import (
 from superselect.numkernel import SPAN_TOL
 from superselect.parastat import (
     CHARACTER_TABLES,
-    Permutation,
     TensorRep,
     character_oracle,
+    cycle_type,
     decomposition_for,
     invariant_algebra,
     parastat_truncation,
-    symmetric_group,
 )
 from superselect.sectors import truncate
 
@@ -34,31 +35,26 @@ ALL_CASES = [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)]
 
 
 def compose(g, h):
-    """The permutation ``x -> g(h(x))``."""
-    return Permutation(tuple(g.images[i] for i in h.images))
+    """The image tuple of the permutation ``x -> g(h(x))``."""
+    return tuple(g[i] for i in h)
 
 
 class TestPermutation:
     def test_cycle_type(self):
-        assert Permutation((1, 0, 2)).cycle_type() == (2, 1)
-        assert Permutation((1, 2, 0)).cycle_type() == (3,)
-        assert Permutation((0, 1, 2)).cycle_type() == (1, 1, 1)
-
-    def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((0, 0, 1))
+        assert cycle_type((1, 0, 2)) == (2, 1)
+        assert cycle_type((1, 2, 0)) == (3,)
+        assert cycle_type((0, 1, 2)) == (1, 1, 1)
 
 
 class TestCharacterTables:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_orthogonality_relations(self, n):
-        group = symmetric_group(n)
+        classes = [cycle_type(g) for g in itertools.permutations(range(n))]
         table = CHARACTER_TABLES[n]
         for i, (_, di, chi_i) in enumerate(table):
             assert chi_i[tuple([1] * n)] == di  # dimension at the identity class
             for j, (_, dj, chi_j) in enumerate(table):
-                inner = sum(chi_i[g.cycle_type()] * chi_j[g.cycle_type()]
-                            for g in group) / len(group)
+                inner = sum(chi_i[c] * chi_j[c] for c in classes) / len(classes)
                 assert inner == (1 if i == j else 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -71,12 +67,12 @@ class TestCharacterTables:
 class TestPermutationUnitaries:
     def test_swap_is_involution(self):
         rep = TensorRep(2, 2)
-        u = rep.unitaries[Permutation((1, 0))]
+        u = rep.unitaries[rep.perms.index((1, 0))]
         assert np.allclose(u @ u, np.eye(4))
 
     def test_unitaries_are_permutation_matrices(self):
         rep = TensorRep(3, 2)
-        for u in rep.unitaries.values():
+        for u in rep.unitaries:
             assert np.array_equal(np.sort(np.abs(u), axis=0)[-1], np.ones(8))
             assert set(np.unique(u.real)) <= {0.0, 1.0}
             assert np.allclose(u.imag, 0.0)
@@ -85,10 +81,9 @@ class TestPermutationUnitaries:
     def test_proper_representation_all_pairs(self):
         # brute-force composition over all 36 pairs
         rep = TensorRep(3, 2)
-        for g in rep.group():
-            for h in rep.group():
-                assert np.array_equal(rep.unitaries[g] @ rep.unitaries[h],
-                                      rep.unitaries[compose(g, h)])
+        for g, ug in zip(rep.perms, rep.unitaries):
+            for h, uh in zip(rep.perms, rep.unitaries):
+                assert np.array_equal(ug @ uh, rep.unitaries[rep.perms.index(compose(g, h))])
 
     @pytest.mark.parametrize("n,d", [(5, 2), (2, 4), (4, 3), (1, 2)])
     def test_size_limits(self, n, d):
@@ -105,10 +100,11 @@ class TestPermutationUnitaries:
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_images_are_the_column_argmax_in_group_order(self, n, d):
         rep = TensorRep(n, d)
-        group = rep.group()
-        assert rep.images.shape == (len(group), d ** n) == (len(symmetric_group(n)), rep.dim)
-        for k, g in enumerate(group):
-            assert np.array_equal(rep.images[k], np.argmax(np.abs(rep.unitaries[g]), axis=0))
+        assert rep.perms == tuple(itertools.permutations(range(n)))
+        assert rep.images.shape == (len(rep.perms), d ** n) == (len(rep.perms), rep.dim)
+        assert rep.unitaries.shape == (len(rep.perms), rep.dim, rep.dim)
+        for k, u in enumerate(rep.unitaries):
+            assert np.array_equal(rep.images[k], np.argmax(np.abs(u), axis=0))
 
 
 class TestCharacterOracle:
@@ -133,6 +129,15 @@ class TestCharacterOracle:
         rep = TensorRep(2, 2)
         assert sector_oracle_multiset(rep) == ((1, 1), (1, 3))
 
+    def test_rank_not_a_multiple_of_d_raises(self, monkeypatch):
+        # with the 3-cycle character of the (2, 1) irrep set to 0, its
+        # projector's trace on (C^2)^3 is (2/6)(2 * 8) = 16/3, so ntilde = 8/3
+        table = [(p, d, dict(chars)) for p, d, chars in CHARACTER_TABLES[3]]
+        table[1][2][(3,)] = 0
+        monkeypatch.setitem(CHARACTER_TABLES, 3, table)
+        with pytest.raises(NonIntegerRank, match=r"partition \(2, 1\) has rank 5.3333"):
+            character_oracle(TensorRep(3, 2))
+
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_dimension_sum(self, n, d):
         rep = TensorRep(n, d)
@@ -143,11 +148,11 @@ class TestCharacterOracle:
         # the oracle reads each rank from traces; here the character projectors
         # are formed and their ranks taken numerically
         rep = TensorRep(n, d)
-        group = rep.group()
+        classes = [cycle_type(g) for g in rep.perms]
         expected = []
         for partition, dim_i, chars in CHARACTER_TABLES[n]:
-            proj = sum(chars[g.cycle_type()] * rep.unitaries[g] for g in group)
-            proj = (dim_i / len(group)) * proj
+            proj = sum(chars[c] * u for c, u in zip(classes, rep.unitaries))
+            proj = (dim_i / len(classes)) * proj
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-12, partition
             rank = np.linalg.matrix_rank(proj, tol=1e-8)
             assert rank % dim_i == 0, partition
@@ -158,10 +163,10 @@ class TestCharacterOracle:
     def test_projectors_commute_with_observables(self, n, d):
         rep = TensorRep(n, d)
         o = invariant_algebra(rep)
-        group = rep.group()
+        classes = [cycle_type(g) for g in rep.perms]
         for partition, dim_i, chars in CHARACTER_TABLES[n]:
-            proj = sum(chars[g.cycle_type()] * rep.unitaries[g] for g in group)
-            proj = (dim_i / len(group)) * proj
+            proj = sum(chars[c] * u for c, u in zip(classes, rep.unitaries))
+            proj = (dim_i / len(classes)) * proj
             worst = max(np.linalg.norm(b @ proj - proj @ b) for b in o.basis)
             assert worst <= 1e-9, partition
 
@@ -178,7 +183,7 @@ class TestInvariantAlgebra:
     def test_orbit_basis_spans_the_solved_commutant(self, n, d, seed):
         # the numerical commutant of the group unitaries is the reference
         rep = TensorRep(n, d)
-        solved = commutant(operator_set([rep.unitaries[g] for g in rep.group()]), seed)
+        solved = commutant(operator_set(rep.unitaries), seed)
         assert span_equal(invariant_algebra(rep), solved)
 
     @pytest.mark.parametrize("n,d,expect", [
@@ -215,8 +220,8 @@ class TestInvariantAlgebra:
         abelian, resid = is_abelian(cp)
         assert not abelian and resid > 0.01
         # the group unitaries live inside the commutant
-        for g in rep.group():
-            assert span_residual(cp.basis, rep.unitaries[g]) <= 1e-9
+        for u in rep.unitaries:
+            assert span_residual(cp.basis, u) <= 1e-9
 
     @pytest.mark.parametrize("n,d", ALL_CASES)
     def test_commutant_is_the_group_span(self, n, d, seed):
@@ -224,7 +229,7 @@ class TestInvariantAlgebra:
         # solve must agree with it
         rep = TensorRep(n, d)
         solved = full_basis_commutant(invariant_algebra(rep), seed)
-        group_span = algebra_from_span([rep.unitaries[g] for g in rep.group()])
+        group_span = algebra_from_span(rep.unitaries)
         assert span_equal(solved, group_span)
 
 
