@@ -120,17 +120,20 @@ class GalileiElement:
         if r.shape[-2:] != (3, 3) or v.shape[-1:] != (3,) or a.shape[-1:] != (3,):
             raise ValueError("R must be 3 x 3 and v, a 3-vectors")
         lead = np.broadcast_shapes(r.shape[:-2], v.shape[:-1], a.shape[:-1], b.shape)
-        r = np.broadcast_to(r, lead + (3, 3))
-        object.__setattr__(self, "R", r)
-        object.__setattr__(self, "v", np.broadcast_to(v, lead + (3,)))
-        object.__setattr__(self, "a", np.broadcast_to(a, lead + (3,)))
-        object.__setattr__(self, "b", np.broadcast_to(b, lead) if lead else float(b))
-        orth = np.linalg.norm(np.swapaxes(r, -1, -2) @ r - np.eye(3), axis=(-2, -1))
+        # R is checked as given, before it is broadcast, so a shared R is
+        # checked once; a contiguous left operand keeps the stacked R^T R on
+        # numpy's fast matmul path
+        rt = np.ascontiguousarray(np.swapaxes(r, -1, -2))
+        orth = np.linalg.norm(rt @ r - np.eye(3), axis=(-2, -1))
         # det as the triple product r0 . (r1 x r2): a few array passes, not a stacked LU
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = np.moveaxis(r, (-2, -1), (0, 1))
         det = a0 * (b1 * c2 - b2 * c1) + a1 * (b2 * c0 - b0 * c2) + a2 * (b0 * c1 - b1 * c0)
         if np.any(orth > 1e-12) or np.any(det <= 0):
             raise ValueError("R must be a proper rotation (orthogonal, det +1) to 1e-12")
+        object.__setattr__(self, "R", np.broadcast_to(r, lead + (3, 3)))
+        object.__setattr__(self, "v", np.broadcast_to(v, lead + (3,)))
+        object.__setattr__(self, "a", np.broadcast_to(a, lead + (3,)))
+        object.__setattr__(self, "b", np.broadcast_to(b, lead) if lead else float(b))
 
 
 def galilei_multiply(g1: GalileiElement, g2: GalileiElement) -> GalileiElement:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +59,74 @@ def jsonable(obj):
 def canonical_json_bytes(obj) -> bytes:
     """Deterministic JSON rendering: sorted keys, two-space indent, newline-terminated.
 
-    JSON has no NaN or infinity, so a non-finite number raises ``ValueError``.
+    The bytes of ``json.dumps(jsonable(obj), indent=2, sort_keys=True,
+    allow_nan=False)`` and a final newline, written in one recursive pass
+    over ``obj`` with no converted copy (the standard library's indented
+    encoder is a generator in pure Python).  Numpy values and complex
+    numbers are converted as :func:`jsonable` converts them, keys are taken
+    as strings (of colliding keys the last one wins) and sorted, strings are
+    ASCII-escaped and floats written as their shortest round-trip ``repr``.
+    JSON has no NaN or infinity, so a non-finite number raises
+    ``ValueError``; an object of any other type raises ``TypeError``.
     """
-    return (json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
-            + "\n").encode("utf-8")
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    """Append the pieces of ``obj``'s rendering to ``out``; ``newline`` carries its indent."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        out.append(float.__repr__(x))
+    elif isinstance(obj, dict):
+        # keys are unique once taken as strings, so the sort never compares values
+        _write_object(sorted({str(k): v for k, v in obj.items()}.items()), newline, out)
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), newline, out)
+    elif isinstance(obj, complex):
+        _write_object((("im", obj.imag), ("re", obj.real)), newline, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _write_object(items, newline: str, out: list[str]) -> None:
+    """Append a JSON object of sorted ``(key, value)`` pairs, one per indented line."""
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    sep = "{" + inner
+    for key, value in items:
+        out.append(sep + _escape(key) + ": ")
+        _write_json(value, inner, out)
+        sep = "," + inner
+    out.append(newline + "}")
 
 
 def sha256_hex(data: bytes) -> str:

@@ -439,13 +439,15 @@ def _verify_commutes(members: np.ndarray, blocks):
     component (a ``(q, 2)`` block of ``(r, c)``, 4096 of them for the scalar
     input's commutant at n = 64) take no product: their residuals are the
     closed form :func:`_unit_residuals` over all ``n`` rows and columns of
-    every member, in ``k (n^2 + q)`` entries.  Every commutator norm in the
-    package comes from here: besides the commutant's verification,
-    :func:`_max_commutator` passes a stack as its own candidates, for
-    :func:`is_abelian`, the two reported commutator maxima and the
-    precondition of :func:`~superselect.diracsets.interpolate_commuting`,
-    and :func:`_pair_commutant_equals` reads membership in a pair's
-    commutant from the pair.
+    every member, in ``k (n^2 + q)`` entries.  Every commutator norm of a
+    matrix stack in the package comes from here: besides the commutant's
+    verification, :func:`_max_commutator` passes a stack as its own
+    candidates, for :func:`is_abelian`, the one reported commutator maximum
+    (``dirac_max_commutator``) and the precondition of
+    :func:`~superselect.diracsets.interpolate_commuting`, and
+    :func:`_pair_commutant_equals` reads membership in a pair's commutant
+    from the pair.  Parastat's ``pre_truncation_max_commutator`` is a count
+    on the permutations' index maps and forms no matrix.
     """
     k, n, _ = members.shape
     worst = np.zeros(k)

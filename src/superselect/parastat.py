@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonIntegerRank, SizeLimit
-from .opalgebra import OperatorAlgebra, _abelian_commutant, _max_commutator, algebra_from_span
+from .opalgebra import OperatorAlgebra, _abelian_commutant, algebra_from_span
 from .sectors import SectorDecomposition, central_decomposition, truncate
 
 __all__ = [
@@ -164,15 +164,22 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
     abelian verdicts on the commutant before and after truncation, and the
     truncated dimension (the sum of the sectors' multiplicities ``ntilde``).
     The verdict before truncation is read from the sector multiplicities;
-    ``pre_truncation_max_commutator`` is the largest relative commutator of
-    the permutation unitaries, which generate that commutant.  The verdict
-    after it and its ratio are :func:`truncate`'s.
+    ``pre_truncation_max_commutator`` is the largest relative commutator
+    ``||[U(g), U(h)]|| / (||U(g)|| ||U(h)||)`` of the permutation unitaries,
+    which generate that commutant, read from the index maps like the traces
+    of :func:`character_oracle`.  U(g) U(h) - U(h) U(g) has a +1 and a -1 in
+    each column x with g.h.x != h.g.x and is zero elsewhere, and ||U(g)|| =
+    sqrt(dim) (Frobenius norms), so the value is exactly sqrt(2 m) / dim
+    for m the largest such count over all pairs; no matrix is formed.  The
+    verdict after truncation and its ratio are :func:`truncate`'s.
     """
     dec = decomposition_for(rep, seed)
     pre_abelian = _abelian_commutant(dec)
     v_iso, _, (post, ratio, holds) = truncate(dec, seed)
     oracle = character_oracle(rep)
     present = tuple(sorted((d, nt) for _, d, nt in oracle if nt > 0))
+    composed = rep.images[:, rep.images]  # [g, h, x] = g.h.x
+    mismatches = np.count_nonzero(composed != composed.transpose(1, 0, 2), axis=2).max()
     return {
         "n_particles": rep.n_particles,
         "d_single": rep.d_single,
@@ -180,7 +187,7 @@ def parastat_truncation(rep: TensorRep, seed: int = 0) -> dict:
         "algebra_dim": dec.algebra.algebra_dim,
         "commutant_dim": dec.commutant.algebra_dim,
         "pre_truncation_abelian": pre_abelian,
-        "pre_truncation_max_commutator": _max_commutator(rep.unitaries),
+        "pre_truncation_max_commutator": float(np.sqrt(2 * mismatches) / rep.dim),
         "sector_table": list(dec.multiset()),
         "oracle_table": [
             {"partition": list(p), "d": d, "ntilde": nt} for p, d, nt in oracle

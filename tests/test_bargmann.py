@@ -98,6 +98,22 @@ class TestGalileiArithmetic:
         with pytest.raises(ValueError):
             bg.GalileiElement(R=np.stack([good, good + 1e-9]))
 
+    @pytest.mark.parametrize("r", [
+        np.stack([np.eye(3), np.eye(3), np.eye(3) + 1e-9]),  # one sample not orthogonal
+        np.stack([np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)]),  # one det -1 sample
+        np.eye(3) + 1e-9,                 # shared by the 3 samples of v
+        np.diag([-1.0, 1.0, 1.0])[None],  # shared along a length-1 axis
+    ])
+    def test_rejects_a_non_rotation_given_shared_or_per_sample(self, r):
+        # R is checked as given, before it is broadcast to the sample axis
+        with pytest.raises(ValueError, match="proper rotation"):
+            bg.GalileiElement(R=r, v=np.zeros((3, 3)))
+
+    def test_shared_identity_broadcasts_over_the_samples(self):
+        g = bg.GalileiElement(R=np.eye(3), v=np.zeros((1000, 3)), b=np.zeros(1000))
+        assert g.R.shape == (1000, 3, 3) and g.a.shape == (1000, 3)
+        assert np.array_equal(g.R, np.broadcast_to(np.eye(3), (1000, 3, 3)))
+
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_axis_scale_neither_under_nor_overflows(self, scale):
         # the norm of the raw axis squares its entries: 1e-200 gave the

@@ -1170,13 +1170,20 @@ class TestGaugeFreeCommutators:
         assert (ref > 0.01) == any(nt > 1 for _, nt in pattern)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_parastat_maximum_matches_the_pairwise_reference(self, n):
-        rep = parastat.TensorRep(n, 2)
-        got = run(["parastat", "--n", str(n), "--d", "2"]).sections["parastatistics"][
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_parastat_maximum_matches_the_pairwise_reference(self, n, d):
+        # the value is sqrt(2 m) / dim for m the most columns in which U(g) U(h)
+        # and U(h) U(g) differ, over all pairs; S_2 is abelian, so m = 0 there
+        rep = parastat.TensorRep(n, d)
+        got = run(["parastat", "--n", str(n), "--d", str(d)]).sections["parastatistics"][
             "pre_truncation_max_commutator"]
-        ref = pairwise_max_commutator(rep.unitaries)
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-14)
+        assert got == pytest.approx(pairwise_max_commutator(rep.unitaries), rel=1e-12)
+        mismatches = max(np.count_nonzero((u @ w != w @ u).any(axis=0))
+                         for u in rep.unitaries for w in rep.unitaries)
+        count = got ** 2 * rep.dim ** 2 / 2
+        assert count == pytest.approx(round(count), abs=1e-9)
+        assert round(count) == mismatches
+        assert (mismatches == 0) == (n == 2)
 
     def test_parastat_commutator_is_seed_free(self):
         values = [run(["--seed", seed, "parastat", "--n", "3", "--d", "2"])

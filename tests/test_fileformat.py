@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from superselect.errors import ParseError
 from superselect.fileformat import (
     canonical_json_bytes,
+    jsonable,
     load_dynamics_file,
     load_group_file,
     load_operator_file,
@@ -124,6 +127,27 @@ DYNAMICS_DOC = {"masses": [1.0], "x": [[0, 0, 0]], "p": [[0, 0, 0]],
                 "lambda": [0.0], "dt": 1e-3, "steps": 3}
 
 
+@pytest.mark.parametrize("loader,doc,fault", [
+    ("operator", b'{"dim": 1, "operators": "\xff"}', "not valid UTF-8"),
+    ("operator", [1, 2], "top level must be an object"),
+    ("operator", {"dim": 2}, "expected keys 'dim' .* and 'operators'"),
+    ("operator", {"dim": 0, "operators": [{"name": "x", "re": [], "im": []}]},
+     "dim must be positive, got 0"),
+    ("operator", {"dim": 1, "operators": [{"name": "x", "re": [[1.0]]}]},
+     "operator 0 needs keys 'name', 're', 'im'"),
+    ("group", {"order": 2, "table": GROUP_DOC["table"]}, "expected keys 'order', 'table', 'xi'"),
+    ("group", {**GROUP_DOC, "table": [[0, 1]]}, "'table' and 'xi' must both be 2x2"),
+    ("dynamics", {**DYNAMICS_DOC, "element": {"angle": "half"}}, "bad element: .*'half'"),
+])
+def test_input_fault_is_named(tmp_path, loader, doc, fault):
+    load = {"operator": load_operator_file, "group": load_group_file,
+            "dynamics": load_dynamics_file}[loader]
+    path = tmp_path / "doc.json"
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    with pytest.raises(ParseError, match=fault):
+        load(path)
+
+
 @pytest.mark.parametrize("loader,key,value,expected", [
     ("operator", "dim", 2.9, None),
     ("operator", "dim", True, None),
@@ -167,3 +191,62 @@ class TestCanonicalJson:
         obj = {"z": 1, "a": [3, 2, {"y": 0.25, "x": False}]}
         assert canonical_json_bytes(obj) == canonical_json_bytes(
             json.loads(canonical_json_bytes(obj).decode()))
+
+
+def reference_json_bytes(obj) -> bytes:
+    """The standard library's rendering, which the one-pass writer reproduces."""
+    return (json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200), FINITE,
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]), st.text(),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.booleans().map(np.bool_), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    FINITE.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.lists(FINITE, max_size=4).map(np.array),
+    st.lists(st.integers(-9, 9), max_size=6).map(lambda v: np.array(v).reshape(-1, 1)),
+)
+# small ints and their strings collide as keys, as do True and "True"
+KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.integers(-3, 3).map(str),
+                 st.booleans(), st.sampled_from(["True", "1.5"]), st.just(1.5))
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestOnePassWriter:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(doc=DOCUMENTS)
+    @example(doc={1: "a", "1": "b"})
+    @example(doc={"1": "b", 1: "a"})
+    @example(doc=[{}, [], (), np.zeros(0), np.array(2.5), {"é": "ü\u2603\n"}])
+    @example(doc={"b": True, "i": 1, "nb": np.bool_(False), "ni": np.int8(0)})
+    @example(doc=[-0.0, 5e-324, 1e308, 10 ** 400 - 1, complex(-0.0, 1e-300)])
+    def test_bytes_match_the_standard_library(self, doc):
+        assert canonical_json_bytes(doc) == reference_json_bytes(doc)
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("inf"),
+        complex(1.0, float("inf")), np.array([1.0, np.nan]),
+    ])
+    def test_non_finite_numbers_raise_value_error(self, bad):
+        for doc in (bad, {"a": [1, bad]}):
+            with pytest.raises(ValueError):
+                reference_json_bytes(doc)
+            with pytest.raises(ValueError):
+                canonical_json_bytes(doc)
+
+    @pytest.mark.parametrize("bad", [object(), b"bytes", {1, 2}, np.complex64(1.0),
+                                     np.datetime64("2000-01-01")])
+    def test_other_objects_raise_type_error(self, bad):
+        for doc in (bad, {"a": [1, bad]}):
+            with pytest.raises(TypeError):
+                reference_json_bytes(doc)
+            with pytest.raises(TypeError):
+                canonical_json_bytes(doc)
